@@ -37,6 +37,9 @@ import (
 	"ixplens/internal/supervise"
 )
 
+// defaultTimeout is the -timeout default.
+const defaultTimeout = 2 * time.Minute
+
 func main() {
 	var (
 		in         = flag.String("in", "capture", "capture directory written by ixpgen")
@@ -45,7 +48,7 @@ func main() {
 		maxLoss    = flag.Float64("max-loss", 0, "fail a week's analysis when its estimated datagram loss fraction exceeds this (0 = no limit)")
 		cacheWeeks = flag.Int("cache-weeks", 32, "maximum analyzed weeks held in memory")
 		inflight   = flag.Int("max-inflight", 64, "maximum concurrently handled requests; excess load is shed with 503")
-		timeout    = flag.Duration("timeout", 2*time.Minute, "per-request deadline, including any analysis it triggers (negative = none)")
+		timeout    = flag.Duration("timeout", defaultTimeout, "per-request deadline, including any analysis it triggers (negative = none)")
 		topk       = flag.Int("topk", 10, "default k for the top-k endpoints")
 		writeSnaps = flag.Bool("write-snapshots", false, "persist a snapshot after each full analysis, so later requests (and restarts) skip it")
 		drain      = flag.Duration("drain", 30*time.Second, "graceful shutdown budget for open requests")
@@ -99,7 +102,17 @@ func run(ctx context.Context, dir, addr, debugAddr string, maxLoss float64, cfg 
 	s := serve.New(store, cfg, reg)
 	defer s.Close()
 
-	srv := &http.Server{Addr: addr, Handler: s}
+	// The per-request -timeout only starts inside ServeHTTP. Bound what
+	// comes before it too, by the same figure: a client that never
+	// finishes its headers, or sits on an idle keep-alive connection,
+	// must not hold a connection forever. A negative -timeout lifts the
+	// deadline on analyses, not on sockets, so it falls back to the
+	// flag's default here.
+	connTimeout := cfg.Timeout
+	if connTimeout <= 0 {
+		connTimeout = defaultTimeout
+	}
+	srv := &http.Server{Addr: addr, Handler: s, ReadHeaderTimeout: connTimeout, IdleTimeout: connTimeout}
 	errc := make(chan error, 1)
 	go func() {
 		fmt.Fprintf(os.Stderr, "serving %d weeks from %s on %s\n", len(man.Weeks), dir, addr)

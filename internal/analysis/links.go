@@ -182,10 +182,11 @@ type MemberLink struct {
 	Samples uint64
 }
 
-// TopMemberLinks aggregates the flows by (ingress, egress) member pair
-// and returns the k heaviest, bytes descending then (In, Out)
-// ascending. k <= 0 returns all pairs.
-func (p *LinksProduct) TopMemberLinks(k int) []MemberLink {
+// RankedMemberLinks aggregates the flows by (ingress, egress) member
+// pair and returns every pair in the product's total order: bytes
+// descending, then (In, Out) ascending. Pairs are unique, so the order
+// has no ties and any top-k is a prefix of it.
+func (p *LinksProduct) RankedMemberLinks() []MemberLink {
 	type pair struct{ in, out int32 }
 	byPair := make(map[pair]*MemberLink)
 	for i := range p.Flows {
@@ -212,6 +213,13 @@ func (p *LinksProduct) TopMemberLinks(k int) []MemberLink {
 		}
 		return out[i].Out < out[j].Out
 	})
+	return out
+}
+
+// TopMemberLinks returns the k heaviest member pairs of
+// RankedMemberLinks. k <= 0 returns all pairs.
+func (p *LinksProduct) TopMemberLinks(k int) []MemberLink {
+	out := p.RankedMemberLinks()
 	if k > 0 && k < len(out) {
 		out = out[:k]
 	}

@@ -640,8 +640,10 @@ func crawlRoots(c CertCrawler) map[string]bool {
 	return nil
 }
 
-// TopServers returns the n highest-traffic servers, descending.
-func (r *Result) TopServers(n int) []*Server {
+// RankedServers returns every server in the result's total order: bytes
+// descending, IP ascending. IPs are unique, so the order has no ties and
+// any top-n is a prefix of it.
+func (r *Result) RankedServers() []*Server {
 	out := make([]*Server, 0, len(r.Servers))
 	for _, s := range r.Servers {
 		out = append(out, s)
@@ -652,6 +654,12 @@ func (r *Result) TopServers(n int) []*Server {
 		}
 		return out[i].IP < out[j].IP
 	})
+	return out
+}
+
+// TopServers returns the n highest-traffic servers, descending.
+func (r *Result) TopServers(n int) []*Server {
+	out := r.RankedServers()
 	if n < len(out) {
 		out = out[:n]
 	}

@@ -17,6 +17,10 @@ type loadFunc func(ctx context.Context, isoWeek int) (*snapshot.Snapshot, error)
 // outcome, and the least recently used week is evicted once capacity
 // is reached.
 //
+// What it holds per week is a weekView: the immutable snapshot plus the
+// ranked results derived from it on first use. A view lives and dies
+// with its cache entry, so the capacity bounds derived state as well.
+//
 // Loads run on a private goroutine whose context descends from the
 // cache's base context, not from any single request: a request that
 // gives up (client disconnect, per-request timeout) detaches without
@@ -32,6 +36,8 @@ type Cache struct {
 	flights map[int]*flight
 	load    loadFunc
 	m       *Metrics
+	// gen numbers the successful loads; see weekView.gen.
+	gen uint64
 
 	base   context.Context
 	cancel context.CancelFunc
@@ -42,7 +48,7 @@ type Cache struct {
 
 type cacheEntry struct {
 	week int
-	snap *snapshot.Snapshot
+	view *weekView
 }
 
 // flight is one in-progress load and its waiters.
@@ -50,7 +56,7 @@ type flight struct {
 	cancel  context.CancelFunc
 	waiters int
 	done    chan struct{}
-	snap    *snapshot.Snapshot
+	view    *weekView
 	err     error
 }
 
@@ -84,14 +90,14 @@ func (c *Cache) Close() {
 // Cancelling ctx abandons the wait (and the load itself, if this was
 // its last waiter); the load's outcome still reaches waiters that
 // stayed.
-func (c *Cache) Get(ctx context.Context, isoWeek int) (*snapshot.Snapshot, error) {
+func (c *Cache) Get(ctx context.Context, isoWeek int) (*weekView, error) {
 	c.mu.Lock()
 	if el, ok := c.entries[isoWeek]; ok {
 		c.order.MoveToFront(el)
-		snap := el.Value.(*cacheEntry).snap
+		view := el.Value.(*cacheEntry).view
 		c.mu.Unlock()
 		c.m.CacheHits.Inc()
-		return snap, nil
+		return view, nil
 	}
 	c.m.CacheMisses.Inc()
 	f, ok := c.flights[isoWeek]
@@ -109,7 +115,7 @@ func (c *Cache) Get(ctx context.Context, isoWeek int) (*snapshot.Snapshot, error
 
 	select {
 	case <-f.done:
-		return f.snap, f.err
+		return f.view, f.err
 	case <-ctx.Done():
 		c.mu.Lock()
 		f.waiters--
@@ -132,22 +138,24 @@ func (c *Cache) run(ctx context.Context, isoWeek int, f *flight) {
 
 	c.mu.Lock()
 	delete(c.flights, isoWeek)
-	f.snap, f.err = snap, err
+	f.err = err
 	if err == nil {
-		c.insertLocked(isoWeek, snap)
+		c.gen++
+		f.view = &weekView{snap: snap, gen: c.gen}
+		c.insertLocked(isoWeek, f.view)
 	}
 	close(f.done)
 	c.mu.Unlock()
 }
 
 // insertLocked adds a week, evicting from the LRU tail past capacity.
-func (c *Cache) insertLocked(isoWeek int, snap *snapshot.Snapshot) {
+func (c *Cache) insertLocked(isoWeek int, view *weekView) {
 	if el, ok := c.entries[isoWeek]; ok {
-		el.Value.(*cacheEntry).snap = snap
+		el.Value.(*cacheEntry).view = view
 		c.order.MoveToFront(el)
 		return
 	}
-	c.entries[isoWeek] = c.order.PushFront(&cacheEntry{week: isoWeek, snap: snap})
+	c.entries[isoWeek] = c.order.PushFront(&cacheEntry{week: isoWeek, view: view})
 	for c.order.Len() > c.cap {
 		tail := c.order.Back()
 		c.order.Remove(tail)

@@ -17,13 +17,16 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"net/http"
 	"sort"
 	"strconv"
 	"time"
 
+	"ixplens/internal/analysis"
 	"ixplens/internal/core/churn"
 	"ixplens/internal/core/visibility"
+	"ixplens/internal/core/webserver"
 	"ixplens/internal/obs"
 	"ixplens/internal/pipeline"
 	"ixplens/internal/snapshot"
@@ -79,6 +82,7 @@ type Server struct {
 	reg   *obs.Registry
 	mux   *http.ServeMux
 	sem   chan struct{}
+	churn churnMemo
 }
 
 // New builds a server over store. reg (optional) receives the serving
@@ -97,14 +101,24 @@ func New(store *Store, cfg Config, reg *obs.Registry) *Server {
 		sem:   make(chan struct{}, cfg.MaxInFlight),
 	}
 	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
-	s.mux.HandleFunc("GET /weeks", s.handleWeeks)
-	s.mux.HandleFunc("GET /week/{week}", s.handleWeek)
-	s.mux.HandleFunc("GET /week/{week}/servers", s.handleTopServers)
-	s.mux.HandleFunc("GET /week/{week}/ases", s.handleTopASes)
-	s.mux.HandleFunc("GET /week/{week}/visibility", s.handleVisibility)
-	s.mux.HandleFunc("GET /week/{week}/links", s.handleLinks)
-	s.mux.HandleFunc("GET /churn", s.handleChurn)
+	s.route("GET /weeks", "weeks", s.handleWeeks)
+	s.route("GET /week/{week}", "week", s.handleWeek)
+	s.route("GET /week/{week}/servers", "servers", s.handleTopServers)
+	s.route("GET /week/{week}/ases", "ases", s.handleTopASes)
+	s.route("GET /week/{week}/visibility", "visibility", s.handleVisibility)
+	s.route("GET /week/{week}/links", "links", s.handleLinks)
+	s.route("GET /churn", "churn", s.handleChurn)
 	return s
+}
+
+// route registers a query endpoint and times it into its own
+// serve_request_ns{endpoint=...} histogram.
+func (s *Server) route(pattern, endpoint string, h http.HandlerFunc) {
+	hist := s.m.EndpointNanos[endpoint]
+	s.mux.HandleFunc(pattern, func(w http.ResponseWriter, r *http.Request) {
+		defer hist.ObserveSince(time.Now())
+		h(w, r)
+	})
 }
 
 // Close cancels in-flight analyses and waits for them — the drain step
@@ -195,13 +209,27 @@ func fail(w http.ResponseWriter, err error) {
 // the serving contract — the golden tests compare responses byte for
 // byte against directly analyzed results.
 func writeJSON(w http.ResponseWriter, v interface{}) {
-	buf, err := json.Marshal(v)
+	body, err := renderJSON(v)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
 	}
+	writeBody(w, body)
+}
+
+// renderJSON is the body writeJSON sends, for the responses that are
+// rendered once and served many times.
+func renderJSON(v interface{}) ([]byte, error) {
+	buf, err := json.Marshal(v)
+	if err != nil {
+		return nil, err
+	}
+	return append(buf, '\n'), nil
+}
+
+func writeBody(w http.ResponseWriter, body []byte) {
 	w.Header().Set("Content-Type", "application/json")
-	w.Write(append(buf, '\n'))
+	w.Write(body)
 }
 
 // handleHealthz reports liveness plus campaign data health: "ok" when
@@ -254,18 +282,47 @@ func weekParam(r *http.Request) (int, error) {
 	return strconv.Atoi(r.PathValue("week"))
 }
 
-// kParam parses ?k= with a default and a hard cap.
-func kParam(r *http.Request, def int) int {
+// kParam parses ?k=: def when absent, an error for anything but a
+// positive integer, and a hard cap of 1000 on whatever results.
+func kParam(r *http.Request, def int) (int, error) {
 	k := def
 	if v := r.URL.Query().Get("k"); v != "" {
-		if n, err := strconv.Atoi(v); err == nil && n > 0 {
-			k = n
+		n, err := strconv.Atoi(v)
+		if err != nil || n < 1 {
+			return 0, fmt.Errorf("bad k %q", v)
 		}
+		k = n
 	}
-	if k > 1000 {
-		k = 1000
+	return min(k, 1000), nil
+}
+
+// view resolves the request's {week} through the cache. On a bad
+// parameter or a failed load it writes the error response itself and
+// returns ok false.
+func (s *Server) view(w http.ResponseWriter, r *http.Request) (v *weekView, ok bool) {
+	wk, err := weekParam(r)
+	if err != nil {
+		http.Error(w, "bad week", http.StatusBadRequest)
+		return nil, false
 	}
-	return k
+	v, err = s.cache.Get(r.Context(), wk)
+	if err != nil {
+		fail(w, err)
+		return nil, false
+	}
+	return v, true
+}
+
+// viewK is view for the top-k endpoints. A malformed ?k= is refused
+// before the week is loaded.
+func (s *Server) viewK(w http.ResponseWriter, r *http.Request) (v *weekView, k int, ok bool) {
+	k, err := kParam(r, s.cfg.TopK)
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusBadRequest)
+		return nil, 0, false
+	}
+	v, ok = s.view(w, r)
+	return v, k, ok
 }
 
 // WeekSummary is the /week/{n} response: the week's aggregates exactly
@@ -329,17 +386,18 @@ func Summarize(snap *snapshot.Snapshot) WeekSummary {
 }
 
 func (s *Server) handleWeek(w http.ResponseWriter, r *http.Request) {
-	wk, err := weekParam(r)
-	if err != nil {
-		http.Error(w, "bad week", http.StatusBadRequest)
+	v, ok := s.view(w, r)
+	if !ok {
 		return
 	}
-	snap, err := s.cache.Get(r.Context(), wk)
+	body, err := v.summary.get(s.m.ViewBuilds, func() ([]byte, error) {
+		return renderJSON(Summarize(v.snap))
+	})
 	if err != nil {
 		fail(w, err)
 		return
 	}
-	writeJSON(w, Summarize(snap))
+	writeBody(w, body)
 }
 
 // ServerEntry is one row of the /week/{n}/servers response.
@@ -357,7 +415,12 @@ type ServerEntry struct {
 // TopServers renders the k highest-traffic servers of a snapshot,
 // deterministically ordered (bytes descending, IP ascending).
 func TopServers(snap *snapshot.Snapshot, k int) []ServerEntry {
-	top := snap.Result.TopServers(k)
+	return renderServers(snap.Result.TopServers(k))
+}
+
+// renderServers renders the rows of a server ranking it is handed —
+// only the k asked for, never the whole ranking.
+func renderServers(top []*webserver.Server) []ServerEntry {
 	out := make([]ServerEntry, len(top))
 	for i, srv := range top {
 		out[i] = ServerEntry{
@@ -375,17 +438,14 @@ func TopServers(snap *snapshot.Snapshot, k int) []ServerEntry {
 }
 
 func (s *Server) handleTopServers(w http.ResponseWriter, r *http.Request) {
-	wk, err := weekParam(r)
-	if err != nil {
-		http.Error(w, "bad week", http.StatusBadRequest)
+	v, k, ok := s.viewK(w, r)
+	if !ok {
 		return
 	}
-	snap, err := s.cache.Get(r.Context(), wk)
-	if err != nil {
-		fail(w, err)
-		return
-	}
-	writeJSON(w, TopServers(snap, kParam(r, s.cfg.TopK)))
+	ranked, _ := v.servers.get(s.m.ViewBuilds, func() ([]*webserver.Server, error) {
+		return v.snap.Result.RankedServers(), nil
+	})
+	writeJSON(w, renderServers(topK(ranked, k)))
 }
 
 // ASEntry is one row of the /week/{n}/ases response.
@@ -400,6 +460,11 @@ type ASEntry struct {
 // bytes descending then ASN ascending. Unresolved IPs (ASN 0) are
 // excluded — a lookup failure is not an AS.
 func TopASes(env *pipeline.Env, snap *snapshot.Snapshot, k int) []ASEntry {
+	return topK(rankASes(env, snap), k)
+}
+
+// rankASes is TopASes' aggregation and total order over every AS.
+func rankASes(env *pipeline.Env, snap *snapshot.Snapshot) []ASEntry {
 	tab := env.EntityTable()
 	type agg struct {
 		servers int
@@ -429,24 +494,18 @@ func TopASes(env *pipeline.Env, snap *snapshot.Snapshot, k int) []ASEntry {
 		}
 		return out[i].ASN < out[j].ASN
 	})
-	if k < len(out) {
-		out = out[:k]
-	}
 	return out
 }
 
 func (s *Server) handleTopASes(w http.ResponseWriter, r *http.Request) {
-	wk, err := weekParam(r)
-	if err != nil {
-		http.Error(w, "bad week", http.StatusBadRequest)
+	v, k, ok := s.viewK(w, r)
+	if !ok {
 		return
 	}
-	snap, err := s.cache.Get(r.Context(), wk)
-	if err != nil {
-		fail(w, err)
-		return
-	}
-	writeJSON(w, TopASes(s.store.Env(), snap, kParam(r, s.cfg.TopK)))
+	ranked, _ := v.ases.get(s.m.ViewBuilds, func() ([]ASEntry, error) {
+		return rankASes(s.store.Env(), v.snap), nil
+	})
+	writeJSON(w, topK(ranked, k))
 }
 
 // CountryShare is one row of a visibility country ranking.
@@ -476,12 +535,29 @@ type VisibilitySummary struct {
 // golden tests can compare a served response byte for byte against a
 // directly analyzed aggregator.
 func VisibilityView(env *pipeline.Env, snap *snapshot.Snapshot, k int) (VisibilitySummary, error) {
+	full, err := rankVisibility(env, snap)
+	if err != nil {
+		return VisibilitySummary{}, err
+	}
+	return full.top(k), nil
+}
+
+// top is the summary with both country rankings cut to their first k.
+func (v VisibilitySummary) top(k int) VisibilitySummary {
+	v.ByIPs, v.ByBytes = topK(v.ByIPs, k), topK(v.ByBytes, k)
+	return v
+}
+
+// rankVisibility is VisibilityView over every country: the one pass
+// that rebuilds the aggregator, with ByIPs and ByBytes total orders
+// (count or bytes descending, then country code).
+func rankVisibility(env *pipeline.Env, snap *snapshot.Snapshot) (VisibilitySummary, error) {
 	if snap.Visibility == nil {
 		return VisibilitySummary{}, fmt.Errorf("%w: visibility (week %d)", ErrNoProduct, snap.Result.Week)
 	}
 	agg := snap.Visibility.Aggregator(env.EntityTable())
 	sum := agg.Summarize(nil)
-	byIPs, byBytes := agg.TopCountries(k, nil)
+	byIPs, byBytes := agg.TopCountries(math.MaxInt, nil)
 	conv := func(shares []visibility.Share) []CountryShare {
 		out := make([]CountryShare, len(shares))
 		for i, sh := range shares {
@@ -502,22 +578,18 @@ func VisibilityView(env *pipeline.Env, snap *snapshot.Snapshot, k int) (Visibili
 }
 
 func (s *Server) handleVisibility(w http.ResponseWriter, r *http.Request) {
-	wk, err := weekParam(r)
-	if err != nil {
-		http.Error(w, "bad week", http.StatusBadRequest)
+	v, k, ok := s.viewK(w, r)
+	if !ok {
 		return
 	}
-	snap, err := s.cache.Get(r.Context(), wk)
-	if err != nil {
-		fail(w, err)
-		return
-	}
-	view, err := VisibilityView(s.store.Env(), snap, kParam(r, s.cfg.TopK))
+	full, err := v.vis.get(s.m.ViewBuilds, func() (VisibilitySummary, error) {
+		return rankVisibility(s.store.Env(), v.snap)
+	})
 	if err != nil {
 		fail(w, err)
 		return
 	}
-	writeJSON(w, view)
+	writeJSON(w, full.top(k))
 }
 
 // LinkEntry is one row of the /week/{n}/links response: one
@@ -534,33 +606,39 @@ type LinkEntry struct {
 // flow product, bytes descending then (in, out) ascending.
 func TopLinks(snap *snapshot.Snapshot, k int) ([]LinkEntry, error) {
 	if snap.Links == nil {
-		return nil, fmt.Errorf("%w: links (week %d)", ErrNoProduct, snap.Result.Week)
+		return nil, errNoLinks(snap)
 	}
-	top := snap.Links.TopMemberLinks(k)
+	return renderLinks(snap.Links.TopMemberLinks(k)), nil
+}
+
+func errNoLinks(snap *snapshot.Snapshot) error {
+	return fmt.Errorf("%w: links (week %d)", ErrNoProduct, snap.Result.Week)
+}
+
+func renderLinks(top []analysis.MemberLink) []LinkEntry {
 	out := make([]LinkEntry, len(top))
 	for i, ml := range top {
 		out[i] = LinkEntry{In: ml.In, Out: ml.Out, Bytes: ml.Bytes, Samples: ml.Samples}
 	}
-	return out, nil
+	return out
 }
 
 func (s *Server) handleLinks(w http.ResponseWriter, r *http.Request) {
-	wk, err := weekParam(r)
-	if err != nil {
-		http.Error(w, "bad week", http.StatusBadRequest)
+	v, k, ok := s.viewK(w, r)
+	if !ok {
 		return
 	}
-	snap, err := s.cache.Get(r.Context(), wk)
+	ranked, err := v.links.get(s.m.ViewBuilds, func() ([]analysis.MemberLink, error) {
+		if v.snap.Links == nil {
+			return nil, errNoLinks(v.snap)
+		}
+		return v.snap.Links.RankedMemberLinks(), nil
+	})
 	if err != nil {
 		fail(w, err)
 		return
 	}
-	links, err := TopLinks(snap, kParam(r, s.cfg.TopK))
-	if err != nil {
-		fail(w, err)
-		return
-	}
-	writeJSON(w, links)
+	writeJSON(w, renderLinks(topK(ranked, k)))
 }
 
 // ChurnWeek is one row of the /churn longitudinal series. A gap row
@@ -633,25 +711,37 @@ func ChurnSeries(env *pipeline.Env, weeks []int, snaps []*snapshot.Snapshot) ([]
 // handleChurn serves the longitudinal series. Quarantined weeks become
 // explicit gap rows rather than failing the whole series — a degraded
 // campaign still answers longitudinal questions over the weeks it has.
+//
+// Every week is still resolved through the cache, so the hit/miss
+// counters and the LRU order mean what they always did; what is
+// memoized is the tracker run and the rendering, keyed by which loads
+// the series was computed from.
 func (s *Server) handleChurn(w http.ResponseWriter, r *http.Request) {
 	weeks := s.store.Weeks()
-	snaps := make([]*snapshot.Snapshot, 0, len(weeks))
-	for _, wk := range weeks {
+	gens := make([]uint64, len(weeks))
+	snaps := make([]*snapshot.Snapshot, len(weeks))
+	for i, wk := range weeks {
 		if s.store.IsQuarantined(wk) {
-			snaps = append(snaps, nil)
-			continue
+			continue // a gap: generation 0, nil snapshot
 		}
-		snap, err := s.cache.Get(r.Context(), wk)
+		v, err := s.cache.Get(r.Context(), wk)
 		if err != nil {
 			fail(w, err)
 			return
 		}
-		snaps = append(snaps, snap)
+		gens[i], snaps[i] = v.gen, v.snap
 	}
-	series, err := ChurnSeries(s.store.Env(), weeks, snaps)
+	body, err := s.churn.get(gens, func() ([]byte, error) {
+		s.m.ChurnBuilds.Inc()
+		series, err := ChurnSeries(s.store.Env(), weeks, snaps)
+		if err != nil {
+			return nil, err
+		}
+		return renderJSON(series)
+	})
 	if err != nil {
 		fail(w, err)
 		return
 	}
-	writeJSON(w, series)
+	writeBody(w, body)
 }

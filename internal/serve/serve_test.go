@@ -50,7 +50,7 @@ func TestCacheSingleFlight(t *testing.T) {
 
 	const waiters = 8
 	var wg sync.WaitGroup
-	snaps := make([]*snapshot.Snapshot, waiters)
+	snaps := make([]*weekView, waiters)
 	for i := 0; i < waiters; i++ {
 		wg.Add(1)
 		go func(i int) {
@@ -502,12 +502,12 @@ func TestServerCancelledAnalysisLeavesNothingBehind(t *testing.T) {
 		t.Fatalf("cancelled request completed %d analyses", n)
 	}
 	// The week is not poisoned: a live retry succeeds.
-	snap, err := s.cache.Get(context.Background(), first)
+	view, err := s.cache.Get(context.Background(), first)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if snap.Result.Week != first {
-		t.Fatalf("retry returned week %d", snap.Result.Week)
+	if view.snap.Result.Week != first {
+		t.Fatalf("retry returned week %d", view.snap.Result.Week)
 	}
 }
 
@@ -583,10 +583,11 @@ func TestGoldenServedAllWeeks(t *testing.T) {
 		}
 		// The snapshot reload itself must reproduce the direct result
 		// exactly, EstLoss included.
-		snap, err := s.cache.Get(context.Background(), wk)
+		view, err := s.cache.Get(context.Background(), wk)
 		if err != nil {
 			t.Fatal(err)
 		}
+		snap := view.snap
 		if !reflect.DeepEqual(snap.Result, direct[wk].Result) {
 			t.Fatalf("week %d: snapshot-reloaded result diverged from direct analysis", wk)
 		}
