@@ -2,6 +2,7 @@ package capture
 
 import (
 	"context"
+	"encoding/binary"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -338,6 +339,91 @@ func TestCampaignResume(t *testing.T) {
 	for _, name := range man1.Files {
 		if mtime(name).Equal(past) {
 			t.Fatalf("option change did not rewrite %s", name)
+		}
+	}
+}
+
+// TestAnalyzeStampsObservedDigest pins the one contract both container
+// readers share: the analysis hashes the bytes it decodes, and
+// SourceDigest is that hash — the manifest's digest for an intact file,
+// the damaged file's own digest after a bit flip (so a caller comparing
+// it to the manifest sees the damage without a second pass), and empty
+// when the file was cut short (mid-structure, or cleanly before its
+// footer) and not every byte could be read.
+func TestAnalyzeStampsObservedDigest(t *testing.T) {
+	env, _, dir := instrumented(t, 2)
+	wk := env.World.Cfg.FirstWeek
+	man, err := ReadManifest(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v2 := filepath.Join(dir, WeekFile(wk))
+	v1 := filepath.Join(t.TempDir(), "week.sflow")
+	writeV1Week(t, env, wk, v1)
+
+	observed := func(path string) string {
+		t.Helper()
+		snap, err := AnalyzeWeekSnapshot(context.Background(), env, path, wk)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return snap.SourceDigest
+	}
+	onDisk := func(path string) string {
+		t.Helper()
+		d, err := fileDigest(vfs.Default, path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return d
+	}
+
+	if got := observed(v2); got != man.Digests[0] {
+		t.Fatalf("v2: analysis observed %s, manifest records %s", got, man.Digests[0])
+	}
+	if got := observed(v1); got == "" || got != onDisk(v1) {
+		t.Fatalf("v1: analysis observed %q, file digest %s", got, onDisk(v1))
+	}
+
+	// A v2 file that ends cleanly where its footer should start — a
+	// writer that never reached Close — is truncated too, even though
+	// every byte that is there was read.
+	data, err := os.ReadFile(v2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	footLen := int(binary.BigEndian.Uint32(data[len(data)-12:]))
+	footerless := filepath.Join(t.TempDir(), "footerless.sflow")
+	if err := os.WriteFile(footerless, data[:len(data)-12-footLen], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if got := observed(footerless); got != "" {
+		t.Fatalf("footerless v2: analysis reported digest %s", got)
+	}
+
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	if snap, err := AnalyzeWeekSnapshot(cancelled, env, v2, wk); err == nil {
+		t.Fatalf("cancelled analysis returned a snapshot (digest %q)", snap.SourceDigest)
+	}
+
+	if _, err := faultline.FlipFileBit(v2, 4096); err != nil {
+		t.Fatal(err)
+	}
+	if got := observed(v2); got == man.Digests[0] || got != onDisk(v2) {
+		t.Fatalf("bit-flipped v2: analysis observed %s, file digest %s, manifest %s", got, onDisk(v2), man.Digests[0])
+	}
+
+	for _, path := range []string{v1, v2} {
+		fi, err := os.Stat(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.Truncate(path, fi.Size()*6/10); err != nil {
+			t.Fatal(err)
+		}
+		if got := observed(path); got != "" {
+			t.Fatalf("truncated %s: analysis reported digest %s", filepath.Base(path), got)
 		}
 	}
 }

@@ -242,29 +242,6 @@ func (m *Manifest) SetWeek(wk int, file, digest string, datagrams int) bool {
 	return true
 }
 
-// VerifyWeek reports whether wk's capture file in dir still matches the
-// manifest's recorded digest (and returns the recorded datagram count).
-func (m *Manifest) VerifyWeek(dir string, wk int) (n int, digest string, ok bool) {
-	return m.VerifyWeekFS(vfs.Default, dir, wk)
-}
-
-// VerifyWeekFS is VerifyWeek through an explicit filesystem seam.
-func (m *Manifest) VerifyWeekFS(fsys vfs.FS, dir string, wk int) (n int, digest string, ok bool) {
-	i := m.WeekIndex(wk)
-	if i < 0 || i >= len(m.Digests) || m.Digests[i] == "" {
-		return 0, "", false
-	}
-	got, err := fileDigest(fsys, filepath.Join(dir, m.Files[i]))
-	if err != nil || got != m.Digests[i] {
-		return 0, "", false
-	}
-	n = 0
-	if i < len(m.Datagrams) {
-		n = m.Datagrams[i]
-	}
-	return n, got, true
-}
-
 // SaveManifest writes dir's manifest atomically (temp file, fsync,
 // rename, parent-directory fsync).
 func SaveManifest(dir string, man *Manifest) error {
@@ -537,8 +514,11 @@ func (m *Manifest) Rebuild() (*pipeline.Env, error) {
 	return pipeline.NewEnv(m.Config, m.Options)
 }
 
-// analyzeWorkers sizes the per-file worker pools: one core is left for
-// the reader/merge side, capped where sharding stops paying off.
+// analyzeWorkers sizes the per-file classify and block-decode pools: one
+// core is left for the reader side — the block reader's producer
+// goroutine, which reads and hashes the file — capped where sharding
+// stops paying off. On a 2-core host that is one worker: classification
+// runs on the caller's goroutine and the reader side on the other core.
 func analyzeWorkers() int {
 	workers := runtime.GOMAXPROCS(0) - 1
 	if workers > 8 {
@@ -555,10 +535,18 @@ func analyzeWorkers() int {
 // SINGLE pass, spreading classification over a worker pool; each worker
 // feeds its own per-analyzer shard and the deterministic shard merges
 // inside Finish keep results identical to a sequential pass. v2 (block)
-// captures are additionally decoded by a parallel block reader,
+// captures are additionally decoded by the pipelined block reader,
 // removing the serial read bottleneck; v1 captures take the sequential
 // fallback path. The returned snapshot carries every analyzer's
-// product; the caller binds SourceDigest.
+// product.
+//
+// The pass is also the file's digest check: every byte is hashed as it
+// is read, and SourceDigest is the sha256 of the bytes this analysis
+// actually saw — the same value FileDigestFS computes — so a caller
+// holding an expected digest compares instead of hashing the file
+// first. It is left empty for a truncated capture — cut mid-structure,
+// or a v2 file that ends without its footer — since not every byte was
+// there to read.
 //
 // Damage degrades instead of failing: a crash-truncated capture (either
 // format) yields everything decoded before the cut, and v2 blocks whose
@@ -582,30 +570,30 @@ func AnalyzeWeekSnapshot(ctx context.Context, env *pipeline.Env, path string, is
 		return nil, err
 	}
 	workers := analyzeWorkers()
+	// Both formats hash the file while they read it; digest is only
+	// asked once the source has reported a clean io.EOF.
 	var src dissect.DatagramSource
+	var digest func() string
 	var blockStats func() sflow.BlockStats
 	switch sflow.CaptureFormat(magic) {
 	case 1:
-		sr, err := sflow.NewStreamReader(f)
+		h := sha256.New()
+		sr, err := sflow.NewStreamReader(io.TeeReader(f, h))
 		if err != nil {
 			return nil, err
 		}
-		src = sr
+		src, digest = sr, func() string { return hex.EncodeToString(h.Sum(nil)) }
 	case 2:
-		if workers > 1 {
-			pr, err := sflow.NewParallelBlockReader(f, workers)
-			if err != nil {
-				return nil, err
-			}
-			defer pr.Close()
-			src, blockStats = pr, pr.Stats
-		} else {
-			br, err := sflow.NewBlockReader(f)
-			if err != nil {
-				return nil, err
-			}
-			src, blockStats = br, br.Stats
+		// Always the pipelined reader, even at one worker: its producer
+		// (read + sha256) and decode worker (CRC32C + inflate + decode)
+		// overlap classify/observe, which at one worker stays on this
+		// goroutine.
+		pr, err := sflow.NewParallelBlockReader(f, workers)
+		if err != nil {
+			return nil, err
 		}
+		defer pr.Close()
+		src, digest, blockStats = pr, pr.Digest, pr.Stats
 	default:
 		return nil, sflow.ErrBadMagic
 	}
@@ -630,6 +618,9 @@ func AnalyzeWeekSnapshot(ctx context.Context, env *pipeline.Env, path string, is
 	snap, err := snapshot.FromProducts(prods, counts)
 	if err != nil {
 		return nil, err
+	}
+	if !st.Truncated {
+		snap.SourceDigest = digest()
 	}
 	snap.Result.EstLoss = seq.EstLoss()
 	if env.MaxLoss > 0 && snap.Result.EstLoss > env.MaxLoss {

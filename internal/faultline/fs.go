@@ -15,6 +15,7 @@ import (
 	"io"
 	"io/fs"
 	"os"
+	"path/filepath"
 	"sync"
 	"sync/atomic"
 
@@ -196,11 +197,23 @@ func (f *FS) QuotaRemaining() int64 {
 	return rem
 }
 
-// pathHash keys a file's fault stream. Hashing the path (rather than a
+// faultKey is the name a file goes by inside the fault model: the last
+// two elements of its path (campaign directory base + file name). The
+// leading elements are where a test's random temp root lives; a schedule
+// that moved with them would not be a function of the seed alone. Fault
+// streams hash the key, and injected errors name the file by it too —
+// those messages are journaled by the supervisor, so a random-length
+// path in them would shift every later journal offset, and with it the
+// offset-keyed write draws and the position a lying fsync corrupts.
+func faultKey(name string) string {
+	return filepath.Base(filepath.Dir(name)) + "/" + filepath.Base(name)
+}
+
+// pathHash keys a file's fault stream. Hashing the name (rather than a
 // handle counter) keeps the schedule stable across re-opens.
 func pathHash(name string) uint64 {
 	h := fnv.New64a()
-	io.WriteString(h, name)
+	io.WriteString(h, faultKey(name))
 	return randutil.SplitMix64(h.Sum64())
 }
 
@@ -219,9 +232,10 @@ func (f *FS) handleKey(name string) uint64 {
 	return randutil.Hash64(f.cfg.Seed, pathHash(name), n)
 }
 
-// wrap builds the fault-injecting file handle.
+// wrap builds the fault-injecting file handle; name keys its fault
+// stream (see faultKey).
 func (f *FS) wrap(file vfs.File, name string) vfs.File {
-	return &faultFile{File: file, fs: f, path: name, ph: f.handleKey(name)}
+	return &faultFile{File: file, fs: f, key: faultKey(name), ph: f.handleKey(name)}
 }
 
 // Open implements vfs.FS.
@@ -259,7 +273,7 @@ func (f *FS) CreateTemp(dir, pattern string) (vfs.File, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &faultFile{File: file, fs: f, path: file.Name(), ph: f.handleKey(dir + "/" + pattern)}, nil
+	return f.wrap(file, filepath.Join(dir, pattern)), nil
 }
 
 // Rename implements vfs.FS, injecting torn renames.
@@ -273,7 +287,8 @@ func (f *FS) Rename(oldpath, newpath string) error {
 		f.mu.Lock()
 		f.torn[oldpath] = true
 		f.mu.Unlock()
-		return fmt.Errorf("faultline: rename %s -> %s: %w", oldpath, newpath, ErrTornRename)
+		// oldpath is a randomly named temp file; see faultKey.
+		return fmt.Errorf("faultline: rename onto %s: %w", faultKey(newpath), ErrTornRename)
 	}
 	return f.inner.Rename(oldpath, newpath)
 }
@@ -342,18 +357,18 @@ func min64(a, b int64) int64 {
 // key on their file offset, syncs on a per-handle index.
 type faultFile struct {
 	vfs.File
-	fs   *FS
-	path string
-	ph   uint64
+	fs  *FS
+	key string // the file's name in injected errors (see faultKey)
+	ph  uint64
 
 	mu    sync.Mutex
 	pos   int64 // sequential read/write cursor, maintained by Read/Write/Seek
 	syncs uint64
 }
 
-// errInjectedIO builds the EIO-class error for one op.
-func injectedIO(op, path string) error {
-	return &fs.PathError{Op: op, Path: path, Err: ErrInjectedIO}
+// injectedIO builds the EIO-class error for one op.
+func injectedIO(op, key string) error {
+	return &fs.PathError{Op: op, Path: key, Err: ErrInjectedIO}
 }
 
 // Read implements io.Reader with seeded EIO injection keyed on the
@@ -364,7 +379,7 @@ func (f *faultFile) Read(p []byte) (int, error) {
 	f.mu.Unlock()
 	if len(p) > 0 && f.fs.draw(f.ph, fsOpRead, uint64(off)) < f.fs.cfg.ReadErr {
 		f.fs.Stats.ReadErrs.Add(1)
-		return 0, injectedIO("read", f.path)
+		return 0, injectedIO("read", f.key)
 	}
 	n, err := f.File.Read(p)
 	f.mu.Lock()
@@ -378,7 +393,7 @@ func (f *faultFile) Read(p []byte) (int, error) {
 func (f *faultFile) ReadAt(p []byte, off int64) (int, error) {
 	if len(p) > 0 && f.fs.draw(f.ph, fsOpRead, uint64(off)) < f.fs.cfg.ReadErr {
 		f.fs.Stats.ReadErrs.Add(1)
-		return 0, injectedIO("readat", f.path)
+		return 0, injectedIO("readat", f.key)
 	}
 	return f.File.ReadAt(p, off)
 }
@@ -412,10 +427,10 @@ func (f *faultFile) Write(p []byte) (int, error) {
 				return n, err
 			}
 			return n, fmt.Errorf("faultline: short write %d of %d bytes at %s:%d: %w",
-				n, len(p), f.path, off, ErrInjectedIO)
+				n, len(p), f.key, off, ErrInjectedIO)
 		case u < f.fs.cfg.ShortWrite+f.fs.cfg.WriteErr:
 			f.fs.Stats.WriteErrs.Add(1)
-			return 0, injectedIO("write", f.path)
+			return 0, injectedIO("write", f.key)
 		}
 	}
 	n, err := f.writeQuota(p)
@@ -446,7 +461,7 @@ func (f *faultFile) writeQuota(p []byte) (int, error) {
 	if accepted < len(p) {
 		f.fs.Stats.NoSpace.Add(1)
 		return n, fmt.Errorf("faultline: write %s: quota exhausted after %d bytes: %w",
-			f.path, f.fs.written.Load(), vfs.ErrStorageFull)
+			f.key, f.fs.written.Load(), vfs.ErrStorageFull)
 	}
 	return n, err
 }
@@ -457,13 +472,13 @@ func (f *faultFile) WriteAt(p []byte, off int64) (int, error) {
 		u := f.fs.draw(f.ph, fsOpWrite, uint64(off))
 		if u < f.fs.cfg.ShortWrite+f.fs.cfg.WriteErr {
 			f.fs.Stats.WriteErrs.Add(1)
-			return 0, injectedIO("writeat", f.path)
+			return 0, injectedIO("writeat", f.key)
 		}
 	}
 	accepted := f.fs.chargeQuota(len(p))
 	if accepted < len(p) {
 		f.fs.Stats.NoSpace.Add(1)
-		return 0, fmt.Errorf("faultline: writeat %s: %w", f.path, vfs.ErrStorageFull)
+		return 0, fmt.Errorf("faultline: writeat %s: %w", f.key, vfs.ErrStorageFull)
 	}
 	return f.File.WriteAt(p, off)
 }
@@ -482,7 +497,7 @@ func (f *faultFile) Sync() error {
 	switch {
 	case u < f.fs.cfg.SyncFail:
 		f.fs.Stats.SyncFails.Add(1)
-		return &fs.PathError{Op: "sync", Path: f.path, Err: ErrInjectedIO}
+		return injectedIO("sync", f.key)
 	case u < f.fs.cfg.SyncFail+f.fs.cfg.SyncCorrupt:
 		if err := f.File.Sync(); err != nil {
 			return err
@@ -503,7 +518,7 @@ func (f *faultFile) corruptOneBit(syncIdx uint64) bool {
 	if err != nil || fi.Size() == 0 {
 		return false
 	}
-	rw, err := f.fs.inner.OpenFile(f.path, os.O_RDWR, 0)
+	rw, err := f.fs.inner.OpenFile(f.Name(), os.O_RDWR, 0)
 	if err != nil {
 		return false
 	}

@@ -50,6 +50,9 @@ type Metrics struct {
 	// outcomes when the store writes snapshots after analysis.
 	SnapshotWrites      *obs.Counter
 	SnapshotWriteErrors *obs.Counter
+	// DigestMismatch counts analyses whose capture bytes did not have
+	// the manifest's digest: served, but never persisted as a snapshot.
+	DigestMismatch *obs.Counter
 }
 
 // endpoints names the query endpoints that get their own
@@ -79,5 +82,6 @@ func NewMetrics(r *obs.Registry) *Metrics {
 		AnalyzeNanos:        r.Histogram("serve_analyze_ns"),
 		SnapshotWrites:      r.Counter("serve_snapshot_writes_total"),
 		SnapshotWriteErrors: r.Counter("serve_snapshot_write_errors_total"),
+		DigestMismatch:      r.Counter("serve_capture_digest_mismatch_total"),
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
 	"reflect"
 	"runtime"
@@ -19,6 +20,7 @@ import (
 	"ixplens/internal/analysis"
 	"ixplens/internal/capture"
 	"ixplens/internal/core/webserver"
+	"ixplens/internal/faultline"
 	"ixplens/internal/netmodel"
 	"ixplens/internal/obs"
 	"ixplens/internal/packet"
@@ -686,6 +688,71 @@ func TestStoreWriteSnapshots(t *testing.T) {
 	}
 	if m3.Analyses.Value() != 1 {
 		t.Fatalf("stale snapshot was served (analyses=%d)", m3.Analyses.Value())
+	}
+}
+
+// TestStoreDoesNotPersistDamagedAnalysis: the analyze-on-miss fallback
+// over a capture whose bytes no longer have the manifest's digest still
+// answers — the quarantined block is priced into EstLoss — but must not
+// persist a snapshot bound to the manifest digest, or the damaged week
+// would load as fresh ever after. An intact week persists as before.
+func TestStoreDoesNotPersistDamagedAnalysis(t *testing.T) {
+	// Enough samples for several blocks, so the flipped one has intact
+	// neighbours for the sequence tracker to see the gap between.
+	dir := campaign(t, 2, 8000)
+	store, err := OpenStore(dir, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := NewMetrics(obs.NewRegistry())
+	store.SetMetrics(m)
+	damaged, intact := store.Weeks()[0], store.Weeks()[1]
+	path := filepath.Join(dir, capture.WeekFile(damaged))
+	fi, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := faultline.FlipFileBit(path, uint64(fi.Size()/2)); err != nil {
+		t.Fatal(err)
+	}
+
+	snap, err := store.Load(context.Background(), damaged)
+	if err != nil {
+		t.Fatalf("damaged capture must degrade, not fail: %v", err)
+	}
+	if snap.Result.EstLoss <= 0 {
+		t.Fatal("quarantined block did not surface as estimated loss")
+	}
+	if snap.SourceDigest == store.Manifest().Digests[0] {
+		t.Fatal("damaged analysis carries the manifest's digest")
+	}
+	if m.DigestMismatch.Value() != 1 || m.SnapshotWrites.Value() != 0 {
+		t.Fatalf("damaged week: mismatches=%d writes=%d, want 1/0", m.DigestMismatch.Value(), m.SnapshotWrites.Value())
+	}
+	if _, err := os.Stat(filepath.Join(dir, snapshot.FileName(damaged))); !os.IsNotExist(err) {
+		t.Fatalf("snapshot persisted for a damaged capture (stat err %v)", err)
+	}
+	// Nothing was persisted, so the next load analyzes again rather than
+	// finding a "fresh" snapshot.
+	if _, err := store.Load(context.Background(), damaged); err != nil {
+		t.Fatal(err)
+	}
+	if m.Analyses.Value() != 2 || m.SnapshotLoads.Value() != 0 {
+		t.Fatalf("reload: analyses=%d snapLoads=%d, want 2/0", m.Analyses.Value(), m.SnapshotLoads.Value())
+	}
+
+	if _, err := store.Load(context.Background(), intact); err != nil {
+		t.Fatal(err)
+	}
+	if m.DigestMismatch.Value() != 2 || m.SnapshotWrites.Value() != 1 {
+		t.Fatalf("intact week: mismatches=%d writes=%d, want 2/1", m.DigestMismatch.Value(), m.SnapshotWrites.Value())
+	}
+	persisted, err := snapshot.LoadFile(filepath.Join(dir, snapshot.FileName(intact)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if persisted.SourceDigest != store.Manifest().Digests[1] {
+		t.Fatalf("persisted snapshot bound to %s, manifest records %s", persisted.SourceDigest, store.Manifest().Digests[1])
 	}
 }
 

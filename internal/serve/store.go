@@ -164,7 +164,15 @@ func (st *Store) Load(ctx context.Context, isoWeek int) (*snapshot.Snapshot, err
 	}
 	st.m.Analyses.Inc()
 	st.m.AnalyzeNanos.ObserveSince(start)
-	snap.SourceDigest = digest
+	// The analysis hashed the bytes it decoded into snap.SourceDigest. A
+	// manifest digest that disagrees means the capture on disk is damaged:
+	// the answer still goes out — block quarantine has already priced the
+	// damage into EstLoss — but it is not persisted, or the damaged week
+	// would load as a fresh snapshot from then on.
+	if digest != "" && snap.SourceDigest != digest {
+		st.m.DigestMismatch.Inc()
+		return snap, nil
+	}
 	if st.writeSnapshots {
 		if _, err := snapshot.SaveFileFS(fsys, spath, snap); err != nil {
 			st.m.SnapshotWriteErrors.Inc()

@@ -4,7 +4,9 @@ import (
 	"bufio"
 	"bytes"
 	"compress/flate"
+	"crypto/sha256"
 	"encoding/binary"
+	"encoding/hex"
 	"errors"
 	"fmt"
 	"hash/crc32"
@@ -658,6 +660,12 @@ type pbrSlot struct {
 // footer index the extents come from it, so even a block whose header is
 // damaged quarantines cleanly and the reader resyncs at the next indexed
 // offset; otherwise it falls back to scanning headers sequentially.
+//
+// The producer is also the file's digest check: it streams every byte
+// from offset 0 to EOF — magic, block extents, the footer and whatever
+// follows it — through sha256 as it reads, so the bytes that are decoded
+// are the bytes that are hashed and a caller holding an expected digest
+// needs no separate pass over the file (see Digest).
 type ParallelBlockReader struct {
 	free chan *pbrSlot
 	jobs chan *pbrSlot
@@ -667,7 +675,9 @@ type ParallelBlockReader struct {
 	cur     *pbrSlot
 	curi    int
 	termErr error
-	finErr  error // producer's terminal error; set before out closes
+	finErr  error  // producer's terminal error; set before out closes
+	finSum  string // producer's whole-file sha256 (hex); set before out closes
+	sum     string // finSum, taken over by Next when it returns io.EOF
 
 	st        pbrStats
 	closeOnce sync.Once
@@ -805,8 +815,24 @@ func (p *ParallelBlockReader) produce(r io.ReadSeeker, index []blockIndexEntry, 
 	defer p.wg.Done()
 	defer close(p.out)
 	defer close(p.jobs)
+	// r sits just past the magic, which NewParallelBlockReader compared
+	// byte for byte; from here on every byte the producer reads is teed
+	// into the hash. Blocks are far larger than the bufio buffer, so
+	// their reads bypass it and each byte is copied and hashed once.
+	h := sha256.New()
+	h.Write(blockMagic[:])
+	br := bufio.NewReaderSize(io.TeeReader(r, h), 1<<16)
+	// finish hashes what follows the last frame (in index mode the
+	// footer; in either mode anything appended after it) and publishes
+	// the digest. Only a pass that reached EOF without error has one.
+	finish := func() {
+		if _, err := io.Copy(io.Discard, br); err != nil {
+			p.finErr = fmt.Errorf("sflow: reading container tail: %w", err)
+			return
+		}
+		p.finSum = hex.EncodeToString(h.Sum(nil))
+	}
 	if index != nil {
-		br := bufio.NewReaderSize(r, 1<<16)
 		for i, e := range index {
 			var next uint64
 			if i+1 < len(index) {
@@ -840,12 +866,12 @@ func (p *ParallelBlockReader) produce(r io.ReadSeeker, index []blockIndexEntry, 
 				return
 			}
 		}
+		finish()
 		return
 	}
 
 	// Scan mode: no usable footer. Frame blocks off their own headers;
 	// the footer frame, if one appears, re-verifies in stream form.
-	br := bufio.NewReaderSize(r, 1<<16)
 	for {
 		slot := p.takeSlot()
 		if slot == nil {
@@ -865,10 +891,12 @@ func (p *ParallelBlockReader) produce(r io.ReadSeeker, index []blockIndexEntry, 
 		case frameEnd:
 			p.free <- slot
 			p.st.truncated.Store(true)
+			finish()
 			return
 		case frameFooter:
 			p.free <- slot
 			p.st.footerOK.Store(footerOK)
+			finish()
 			return
 		}
 		slot.trusted = false
@@ -962,7 +990,7 @@ func (p *ParallelBlockReader) Next(d *Datagram) error {
 			if !ok {
 				err := p.finErr
 				if err == nil {
-					err = io.EOF
+					err, p.sum = io.EOF, p.finSum
 				}
 				p.termErr = err
 				return err
@@ -988,6 +1016,18 @@ func (p *ParallelBlockReader) Next(d *Datagram) error {
 // Stats returns the block accounting so far. It is safe to call
 // concurrently with Next, and final once Next has returned io.EOF.
 func (p *ParallelBlockReader) Stats() BlockStats { return p.st.snapshot() }
+
+// Digest returns the sha256 (hex) of the whole file — every byte from
+// offset 0 to EOF, as the producer read them — once Next has returned
+// io.EOF. It is empty before that and stays empty when the pass ended
+// any other way (a read error, truncation mid-structure, a structural
+// decode error, Close before EOF): a digest is only ever reported for
+// bytes that were all read. A footerless file that ends cleanly on a
+// frame boundary does reach io.EOF and so has a digest — it is the
+// sha256 of the file as it stands — while Stats().Truncated also flags
+// it; a caller for whom a missing footer means missing data checks both.
+// Call it from the goroutine that calls Next.
+func (p *ParallelBlockReader) Digest() string { return p.sum }
 
 // Close stops the pipeline and releases its goroutines. It does not
 // close the underlying reader.

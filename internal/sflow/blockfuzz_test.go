@@ -2,6 +2,9 @@ package sflow_test
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
+	"io"
 	"runtime"
 	"testing"
 	"time"
@@ -50,8 +53,9 @@ func fuzzSeedCapture(tb testing.TB, compress bool) []byte {
 
 // FuzzBlockReader throws arbitrary bytes — seeded with valid captures
 // mangled by faultline's truncate and bit-flip mutators — at both v2
-// readers. The contract under any input: no panic, no hang, and every
-// datagram handed back came from a checksummed block.
+// readers. The contract under any input: no panic, no hang, every
+// datagram handed back came from a checksummed block, and the parallel
+// reader's digest is the input's sha256 exactly when it reached io.EOF.
 func FuzzBlockReader(f *testing.F) {
 	for _, compress := range []bool{false, true} {
 		valid := fuzzSeedCapture(f, compress)
@@ -91,13 +95,22 @@ func FuzzBlockReader(f *testing.F) {
 			return
 		}
 		defer pr.Close()
-		for i := 0; ; i++ {
+		var term error
+		for i := 0; term == nil; i++ {
 			if i > maxDatagrams {
 				t.Fatalf("parallel reader produced over %d datagrams from %d input bytes", maxDatagrams, len(data))
 			}
-			if err := pr.Next(&d); err != nil {
-				break
-			}
+			term = pr.Next(&d)
+		}
+		// Digest-on-read: a pass that reached io.EOF hashed exactly the
+		// input, every byte of it; any other ending reports no digest.
+		want := ""
+		if term == io.EOF {
+			sum := sha256.Sum256(data)
+			want = hex.EncodeToString(sum[:])
+		}
+		if got := pr.Digest(); got != want {
+			t.Fatalf("digest %q after terminal error %v, want %q", got, term, want)
 		}
 	})
 }

@@ -112,9 +112,10 @@ type Snapshot struct {
 	// Counts is the week's dissection cascade accounting.
 	Counts dissect.Counts
 	// SourceDigest optionally records the sha256 hex digest of the
-	// capture file the analysis consumed (from the campaign manifest),
-	// so a reader can detect a snapshot gone stale after the capture
-	// was rewritten. Empty means unknown.
+	// capture bytes the analysis consumed (computed by the analysis
+	// pass as it read them; the same value the campaign manifest records
+	// for an undamaged file), so a reader can detect a snapshot gone
+	// stale after the capture was rewritten. Empty means unknown.
 	SourceDigest string
 	// Visibility is the §3 per-IP traffic product; nil when the
 	// visibility analyzer did not run (or the snapshot predates it).

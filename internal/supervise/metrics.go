@@ -38,6 +38,9 @@ type Metrics struct {
 	// ENOSPC degraded mode (capped backoff outside the retry budget)
 	// instead of failing toward quarantine.
 	StorageFull *obs.Counter
+	// DigestMismatch counts analyses discarded because the bytes they read
+	// did not have the digest vouching for the capture file.
+	DigestMismatch *obs.Counter
 }
 
 // NewMetrics builds the bundle against a registry; nil in, nil out.
@@ -46,14 +49,15 @@ func NewMetrics(r *obs.Registry) *Metrics {
 		return nil
 	}
 	return &Metrics{
-		Retries:       r.Counter("supervise_retries_total"),
-		Quarantined:   r.Gauge("supervise_quarantined_weeks"),
-		StageNanos:    r.Histogram("supervise_stage_ns"),
-		Breaker:       r.Gauge("supervise_breaker_state"),
-		WeeksDone:     r.Counter("supervise_weeks_done_total"),
-		WeeksResumed:  r.Counter("supervise_weeks_resumed_total"),
-		WatchdogFires: r.Counter("supervise_watchdog_fires_total"),
-		StorageFull:   r.Counter("supervise_storage_full_total"),
+		Retries:        r.Counter("supervise_retries_total"),
+		Quarantined:    r.Gauge("supervise_quarantined_weeks"),
+		StageNanos:     r.Histogram("supervise_stage_ns"),
+		Breaker:        r.Gauge("supervise_breaker_state"),
+		WeeksDone:      r.Counter("supervise_weeks_done_total"),
+		WeeksResumed:   r.Counter("supervise_weeks_resumed_total"),
+		WatchdogFires:  r.Counter("supervise_watchdog_fires_total"),
+		StorageFull:    r.Counter("supervise_storage_full_total"),
+		DigestMismatch: r.Counter("supervise_capture_digest_mismatch_total"),
 	}
 }
 
@@ -113,4 +117,11 @@ func (m *Metrics) storageFull() *obs.Counter {
 		return nil
 	}
 	return m.StorageFull
+}
+
+func (m *Metrics) digestMismatch() *obs.Counter {
+	if m == nil {
+		return nil
+	}
+	return m.DigestMismatch
 }

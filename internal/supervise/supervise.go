@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"io/fs"
 	"os"
 	"path/filepath"
 	"time"
@@ -80,10 +79,6 @@ func Classify(err error) Class {
 		errors.Is(err, pipeline.ErrLossExceeded):
 		return ClassTransient
 	default:
-		var perr *fs.PathError
-		if errors.As(err, &perr) {
-			return ClassTransient
-		}
 		return ClassTransient
 	}
 }
@@ -572,32 +567,49 @@ func (s *Supervisor) checkpoint(rec *Record) error {
 	return nil
 }
 
-// tryWeek runs one attempt, resuming from the first incomplete stage.
-// It returns the stage that failed alongside the error.
 // tryWeek runs one attempt of a week's stage sequence. ran reports
 // whether any stage body actually executed, as opposed to every stage
 // verifying its artifact already on disk.
+//
+// The analysis is the capture's verification: AnalyzeWeekSnapshot hashes
+// the bytes it decodes, so whenever an analysis is due and a digest
+// vouches for the file, the analysis runs first and is accepted only if
+// it read exactly those bytes — one pass over the file instead of a
+// hash and then a decode. Only a week whose snapshot checkpoint already
+// pins the outcome has no analysis to ride on and pre-hashes the capture
+// (as verifyDone does for a finished campaign).
 func (s *Supervisor) tryWeek(ctx context.Context, wk, attempt int) (snap *snapshot.Snapshot, stage string, ran bool, err error) {
 	st := s.journal.State().week(wk)
 
-	// Adoption: a week written by an unsupervised campaign (ixpgen) has
-	// no journal checkpoint, but the manifest's digest can vouch for the
-	// file just as well. Checkpointing it here makes the supervisor a
-	// drop-in over existing campaign directories — no rewrite, and
-	// anonymized captures stay usable without their key.
-	if !st.Capture.Done {
-		if n, digest, ok := s.man.VerifyWeekFS(s.fs(), s.dir, wk); ok {
-			if err := s.checkpoint(&Record{Event: EventDone, Week: wk, Stage: StageCapture, Digest: digest, Datagrams: n}); err != nil {
-				return nil, StageCapture, ran, err
-			}
+	existing, pinned := s.snapshotVerified(wk, st)
+	want, datagrams := s.vouched(wk, st)
+	var aerr error
+	if !pinned && want != "" {
+		ran = true
+		snap, aerr = s.analyze(ctx, wk, attempt, st, want, datagrams)
+		// A campaign abort (or cancel) is not a verdict on the file.
+		var abort *abortError
+		if aerr != nil && (errors.As(aerr, &abort) || ctx.Err() != nil) {
+			return nil, StageAnalyze, ran, aerr
 		}
 	}
 
-	// Stage 1: capture. Skipped when the checkpointed digest still
-	// matches the file on disk; a missing or damaged file is rewritten
-	// (deterministic regeneration) and must reproduce the checkpointed
-	// bytes exactly.
-	if s.captureVerified(wk, st) {
+	// Stage 1: capture. An accepted analysis has just compared the
+	// bytes, and one that read the file to EOF and found other bytes has
+	// just shown it damaged. Otherwise (nothing vouched for the file, the
+	// snapshot is already pinned, or the analysis failed before it could
+	// tell) the file is hashed against the vouching digest. A missing or
+	// damaged file is rewritten (deterministic regeneration) and must
+	// reproduce the checkpointed bytes exactly.
+	verified := snap != nil
+	if !verified && !errors.Is(aerr, errOtherBytes) && s.captureMatches(wk, want) {
+		if aerr != nil {
+			// The file is intact, so the failure was the analysis's own.
+			return nil, StageAnalyze, ran, aerr
+		}
+		verified = true
+	}
+	if verified {
 		// The file is good even if the manifest is not (a fresh manifest
 		// after a corrupt one starts empty): mirror the verified
 		// checkpoint into it so the end-of-run rewrite is complete.
@@ -644,24 +656,19 @@ func (s *Supervisor) tryWeek(ctx context.Context, wk, attempt int) (snap *snapsh
 		}
 	}
 
-	// Stage 2: analyze. Its product (the identification result) lives
-	// in memory only, so it re-runs on resume unless the week's
-	// snapshot already pins the outcome durably.
-	if existing, ok := s.snapshotVerified(wk, st); ok {
+	// Stage 2: analyze — here only if it did not already run above,
+	// ahead of the capture check. Its product (the identification
+	// result) lives in memory only, so it re-runs on resume unless the
+	// week's snapshot already pins the outcome durably.
+	if pinned {
 		snap = existing
 	} else {
-		ran = true
-		err := s.runStage(ctx, wk, StageAnalyze, attempt, func(sctx context.Context) error {
-			fresh, aerr := capture.AnalyzeWeekSnapshot(sctx, s.env, s.capturePath(wk), wk)
-			if aerr != nil {
-				return aerr
+		if snap == nil {
+			ran = true
+			snap, err = s.analyze(ctx, wk, attempt, st, st.Capture.Digest, st.Capture.Datagrams)
+			if err != nil {
+				return nil, StageAnalyze, ran, err
 			}
-			fresh.SourceDigest = st.Capture.Digest
-			snap = fresh
-			return s.checkpoint(&Record{Event: EventDone, Week: wk, Stage: StageAnalyze, Digest: st.Capture.Digest})
-		})
-		if err != nil {
-			return nil, StageAnalyze, ran, err
 		}
 
 		// Stage 3: snapshot. The encoding is deterministic (sorted
@@ -699,6 +706,66 @@ func (s *Supervisor) tryWeek(ctx context.Context, wk, attempt int) (snap *snapsh
 	return snap, "", ran, nil
 }
 
+// vouched returns the digest (and datagram count) that vouches for wk's
+// capture file: the journal's capture checkpoint, or — adoption — the
+// manifest's entry for a week an unsupervised campaign (ixpgen) wrote.
+// Adopting makes the supervisor a drop-in over existing campaign
+// directories: no rewrite, and anonymized captures stay usable without
+// their key. Empty when nothing vouches for the file.
+func (s *Supervisor) vouched(wk int, st *WeekState) (digest string, datagrams int) {
+	if st.Capture.Done {
+		return st.Capture.Digest, st.Capture.Datagrams
+	}
+	i := s.man.WeekIndex(wk)
+	if i < 0 || i >= len(s.man.Digests) || s.man.Files[i] != capture.WeekFile(wk) {
+		return "", 0
+	}
+	if i < len(s.man.Datagrams) {
+		datagrams = s.man.Datagrams[i]
+	}
+	return s.man.Digests[i], datagrams
+}
+
+// errOtherBytes marks an analysis that read its capture to EOF and
+// hashed other bytes than the vouching digest describes: the file is
+// damaged, and no second pass is needed to know it.
+var errOtherBytes = errors.New("supervise: capture holds other bytes than its digest vouches for")
+
+// analyze runs the analyze stage and accepts its snapshot only if the
+// pass read exactly the bytes want (the vouching digest) describes; a
+// snapshot is never checkpointed for capture bytes whose sha256 was not
+// compared. On acceptance it writes the checkpoints in order: the
+// capture checkpoint first when the week is being adopted (the manifest
+// vouched, the journal does not know the file yet), then the analyze
+// checkpoint.
+func (s *Supervisor) analyze(ctx context.Context, wk, attempt int, st *WeekState, want string, datagrams int) (*snapshot.Snapshot, error) {
+	var snap *snapshot.Snapshot
+	err := s.runStage(ctx, wk, StageAnalyze, attempt, func(sctx context.Context) error {
+		fresh, aerr := capture.AnalyzeWeekSnapshot(sctx, s.env, s.capturePath(wk), wk)
+		if aerr != nil {
+			return aerr
+		}
+		if got := fresh.SourceDigest; got != want {
+			s.m.digestMismatch().Inc()
+			if got == "" {
+				return fmt.Errorf("supervise: week %d capture is truncated, expected %s", wk, want)
+			}
+			return fmt.Errorf("%w: week %d: expected %s, analysis read %s", errOtherBytes, wk, want, got)
+		}
+		if !st.Capture.Done {
+			if err := s.checkpoint(&Record{Event: EventDone, Week: wk, Stage: StageCapture, Digest: want, Datagrams: datagrams}); err != nil {
+				return err
+			}
+		}
+		snap = fresh
+		return s.checkpoint(&Record{Event: EventDone, Week: wk, Stage: StageAnalyze, Digest: want})
+	})
+	if err != nil {
+		return nil, err
+	}
+	return snap, nil
+}
+
 // syncManifestWeek mirrors a digest-verified journal checkpoint into
 // the in-memory manifest, so a manifest rebuilt after corruption is
 // repopulated from the journal instead of saved empty.
@@ -711,14 +778,14 @@ func (s *Supervisor) syncManifestWeek(wk int, st *WeekState) {
 	}
 }
 
-// captureVerified reports whether wk's checkpointed capture still
-// matches the bytes on disk.
-func (s *Supervisor) captureVerified(wk int, st *WeekState) bool {
-	if !st.Capture.Done || st.Capture.Digest == "" {
+// captureMatches reports, by hashing the file, whether wk's capture on
+// disk still has the digest want (never true for an empty want).
+func (s *Supervisor) captureMatches(wk int, want string) bool {
+	if want == "" {
 		return false
 	}
 	got, err := capture.FileDigestFS(s.fs(), s.capturePath(wk))
-	return err == nil && got == st.Capture.Digest
+	return err == nil && got == want
 }
 
 // snapshotVerified loads wk's snapshot if the checkpoint says it is
@@ -750,7 +817,7 @@ func (s *Supervisor) snapshotVerified(wk int, st *WeekState) (*snapshot.Snapshot
 
 // verifyDone re-checks a done week's capture and snapshot digests.
 func (s *Supervisor) verifyDone(wk int, st *WeekState) (*snapshot.Snapshot, bool) {
-	if !s.captureVerified(wk, st) {
+	if !st.Capture.Done || !s.captureMatches(wk, st.Capture.Digest) {
 		return nil, false
 	}
 	snap, ok := s.snapshotVerified(wk, st)

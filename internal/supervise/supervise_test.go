@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"sync"
 	"testing"
 	"time"
 
@@ -17,6 +18,7 @@ import (
 	"ixplens/internal/snapshot"
 	. "ixplens/internal/supervise"
 	"ixplens/internal/traffic"
+	"ixplens/internal/vfs"
 )
 
 // newEnv builds a small but full-length (17-week) world. Fault config
@@ -343,7 +345,12 @@ var errCrash = errors.New("simulated crash")
 // campaign at randomized checkpoint boundaries under 5% drop + stalls,
 // resume with a fresh supervisor each time, and require the final
 // snapshots to be byte-identical to an uninterrupted run for all 17
-// weeks.
+// weeks. Besides the randomized budget, every week is killed once right
+// after its capture checkpoint — between the capture and the analyze
+// checkpoint, the window in which the resumed run must let the analysis
+// vouch for the capture — both for a campaign the supervisor writes
+// itself and for one it adopts from an unsupervised writer, where the
+// two checkpoints are appended back to back.
 func TestCrashResumeEquivalence(t *testing.T) {
 	// Uninterrupted reference run under the same fault mix.
 	refEnv := newEnv(t)
@@ -363,14 +370,55 @@ func TestCrashResumeEquivalence(t *testing.T) {
 	}
 	ref := snapshotDigests(t, refEnv, refDir)
 
-	// Crash-looped run: each supervisor instance survives a pseudo-random
-	// number of checkpoints, crashes, and is replaced — exactly the
-	// kill -9 + restart cycle, since every checkpoint is durable before
-	// the crash hook sees it.
-	env := newEnv(t)
-	env.Faults = chaosFaults()
-	dir := t.TempDir()
+	for _, adopt := range []bool{false, true} {
+		name := "supervised"
+		if adopt {
+			name = "adopted"
+		}
+		t.Run(name, func(t *testing.T) {
+			env := newEnv(t)
+			env.Faults = chaosFaults()
+			dir := t.TempDir()
+			if adopt {
+				if _, err := capture.WriteCampaign(context.Background(), env, dir); err != nil {
+					t.Fatal(err)
+				}
+			}
+			crashLoop(t, env, dir)
+
+			got := snapshotDigests(t, env, dir)
+			for wk, d := range ref {
+				if got[wk] != d {
+					t.Fatalf("week %d snapshot differs after crash-resume (got %s, want %s)", wk, got[wk], d)
+				}
+			}
+
+			// And the converged campaign is now a no-op.
+			sup, err := New(env, dir, Config{}, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			stages := 0
+			sup.Hooks.BeforeStage = func(int, string, int) error { stages++; return nil }
+			rep, err := sup.Run(context.Background())
+			sup.Close()
+			if err != nil || stages != 0 || rep.Resumed != env.World.Cfg.Weeks {
+				t.Fatalf("post-convergence rerun: err=%v stages=%d report=%+v", err, stages, rep)
+			}
+		})
+	}
+}
+
+// crashLoop drives dir's campaign to completion through repeated
+// crashes: each supervisor instance dies at a week's first capture
+// checkpoint or after a pseudo-random number of checkpoints, whichever
+// comes first, and is replaced. That is exactly the kill -9 + restart
+// cycle, since every checkpoint is durable before the crash hook sees
+// it.
+func crashLoop(t *testing.T, env *pipeline.Env, dir string) {
+	t.Helper()
 	crashAfter := []int{7, 5, 3, 8, 2, 6, 4, 9, 1, 5, 3, 7}
+	killedAfterCapture := make(map[int]bool)
 	runs, crashes := 0, 0
 	for {
 		runs++
@@ -385,6 +433,10 @@ func TestCrashResumeEquivalence(t *testing.T) {
 		seen := 0
 		sup.Hooks.AfterCheckpoint = func(week int, stage string) error {
 			seen++
+			if stage == StageCapture && !killedAfterCapture[week] {
+				killedAfterCapture[week] = true
+				return errCrash
+			}
 			if seen >= budget {
 				return errCrash
 			}
@@ -403,30 +455,10 @@ func TestCrashResumeEquivalence(t *testing.T) {
 		}
 		crashes++
 	}
-	if crashes == 0 {
-		t.Fatal("crash injection never fired")
+	if crashes < env.World.Cfg.Weeks {
+		t.Fatalf("%d crashes; every one of %d weeks must die once after its capture checkpoint", crashes, env.World.Cfg.Weeks)
 	}
 	t.Logf("converged after %d runs (%d crashes)", runs, crashes)
-
-	got := snapshotDigests(t, env, dir)
-	for wk, d := range ref {
-		if got[wk] != d {
-			t.Fatalf("week %d snapshot differs after crash-resume (got %s, want %s)", wk, got[wk], d)
-		}
-	}
-
-	// And the converged campaign is now a no-op.
-	sup, err := New(env, dir, Config{}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	stages := 0
-	sup.Hooks.BeforeStage = func(int, string, int) error { stages++; return nil }
-	rep, err := sup.Run(context.Background())
-	sup.Close()
-	if err != nil || stages != 0 || rep.Resumed != env.World.Cfg.Weeks {
-		t.Fatalf("post-convergence rerun: err=%v stages=%d report=%+v", err, stages, rep)
-	}
 }
 
 // TestSupervisorSelfHealsDamage: deleting or corrupting artifacts of a
@@ -538,4 +570,255 @@ func firstErr(rep *Report) error {
 		}
 	}
 	return nil
+}
+
+// countFS counts the bytes read through Open'ed handles, per file name.
+type countFS struct {
+	vfs.FS
+	mu   sync.Mutex
+	read map[string]int64
+}
+
+func (c *countFS) Open(name string) (vfs.File, error) {
+	f, err := c.FS.Open(name)
+	if err != nil {
+		return nil, err
+	}
+	return &countFile{File: f, fs: c, name: filepath.Base(name)}, nil
+}
+
+func (c *countFS) add(name string, n int) {
+	c.mu.Lock()
+	c.read[name] += int64(n)
+	c.mu.Unlock()
+}
+
+type countFile struct {
+	vfs.File
+	fs   *countFS
+	name string
+}
+
+func (f *countFile) Read(p []byte) (int, error) {
+	n, err := f.File.Read(p)
+	f.fs.add(f.name, n)
+	return n, err
+}
+
+func (f *countFile) ReadAt(p []byte, off int64) (int, error) {
+	n, err := f.File.ReadAt(p, off)
+	f.fs.add(f.name, n)
+	return n, err
+}
+
+// TestSupervisorReadsEachCaptureOnce pins the read economy: adopting a
+// campaign reads every capture in one pass (the analysis is the digest
+// check; the slack covers the container header sniff and the footer
+// index), and the verified no-op rerun hashes each capture exactly once.
+func TestSupervisorReadsEachCaptureOnce(t *testing.T) {
+	env := newEnv(t)
+	dir := t.TempDir()
+	if _, err := capture.WriteCampaign(context.Background(), env, dir); err != nil {
+		t.Fatal(err)
+	}
+	cfs := &countFS{FS: vfs.OS{}, read: make(map[string]int64)}
+	env.FS = cfs
+	cfg := &env.World.Cfg
+
+	run := func() *Report {
+		t.Helper()
+		sup, err := New(env, dir, Config{}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer sup.Close()
+		rep, err := sup.Run(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.Completed != cfg.Weeks || rep.Quarantined != 0 {
+			t.Fatalf("report: %+v (first err: %v)", rep, firstErr(rep))
+		}
+		return rep
+	}
+	size := func(wk int) int64 {
+		t.Helper()
+		fi, err := os.Stat(filepath.Join(dir, capture.WeekFile(wk)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return fi.Size()
+	}
+
+	if rep := run(); rep.Resumed != 0 {
+		t.Fatalf("adopting run resumed %d weeks", rep.Resumed)
+	}
+	for wk := cfg.FirstWeek; wk <= cfg.LastWeek(); wk++ {
+		if got, sz := cfs.read[capture.WeekFile(wk)], size(wk); got < sz || got > sz+64<<10 {
+			t.Errorf("week %d: adopting run read %d bytes of a %d-byte capture", wk, got, sz)
+		}
+	}
+
+	cfs.read = make(map[string]int64)
+	if rep := run(); rep.Resumed != cfg.Weeks {
+		t.Fatalf("rerun resumed %d weeks, want %d", rep.Resumed, cfg.Weeks)
+	}
+	for wk := cfg.FirstWeek; wk <= cfg.LastWeek(); wk++ {
+		if got, sz := cfs.read[capture.WeekFile(wk)], size(wk); got != sz {
+			t.Errorf("week %d: no-op rerun read %d bytes of a %d-byte capture", wk, got, sz)
+		}
+	}
+}
+
+// TestSupervisorAdoptionDiscardsDamagedAnalysis: a bit flipped in a week
+// the manifest vouches for must not reach a snapshot. The analysis runs
+// (the flip only quarantines a block), observes a digest the manifest
+// does not record, and is discarded; the week regenerates and the
+// campaign ends byte-identical to a clean one.
+func TestSupervisorAdoptionDiscardsDamagedAnalysis(t *testing.T) {
+	clean := newEnv(t)
+	cleanDir := t.TempDir()
+	supC, err := New(clean, cleanDir, Config{}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := supC.Run(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	supC.Close()
+	ref := snapshotDigests(t, clean, cleanDir)
+
+	env := newEnv(t)
+	dir := t.TempDir()
+	if _, err := capture.WriteCampaign(context.Background(), env, dir); err != nil {
+		t.Fatal(err)
+	}
+	man, err := capture.ReadManifest(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const damaged = 5 // index into the manifest
+	path := filepath.Join(dir, man.Files[damaged])
+	if _, err := faultline.FlipFileBit(path, 4096); err != nil {
+		t.Fatal(err)
+	}
+
+	cfs := &countFS{FS: vfs.OS{}, read: make(map[string]int64)}
+	env.FS = cfs
+	reg := obs.NewRegistry()
+	sup, err := New(env, dir, Config{}, reg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	analyses := 0
+	sup.Hooks.BeforeStage = func(week int, stage string, attempt int) error {
+		if week == man.Weeks[damaged] && stage == StageAnalyze {
+			analyses++
+		}
+		return nil
+	}
+	rep, err := sup.Run(context.Background())
+	sup.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Completed != env.World.Cfg.Weeks || rep.Quarantined != 0 {
+		t.Fatalf("report: %+v (first err: %v)", rep, firstErr(rep))
+	}
+	if got := reg.Counters()["supervise_capture_digest_mismatch_total"]; got != 1 {
+		t.Fatalf("supervise_capture_digest_mismatch_total = %d, want 1", got)
+	}
+	if analyses != 2 {
+		t.Fatalf("damaged week analyzed %d times, want 2 (one discarded, one over the regenerated file)", analyses)
+	}
+	if got, err := capture.FileDigest(path); err != nil || got != man.Digests[damaged] {
+		t.Fatalf("damaged week not regenerated: digest %s (%v), manifest %s", got, err, man.Digests[damaged])
+	}
+	// The discarded analysis already saw the damage: no re-hash before the
+	// rewrite, so three passes in all (it, the read-back, the re-analysis).
+	fi, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, max := cfs.read[man.Files[damaged]], 3*(fi.Size()+64<<10); got > max {
+		t.Fatalf("damaged week read %d bytes, want at most %d (three passes)", got, max)
+	}
+	for wk, d := range snapshotDigests(t, env, dir) {
+		if ref[wk] != d {
+			t.Fatalf("week %d snapshot differs from a clean campaign", wk)
+		}
+	}
+}
+
+// TestSupervisorCancelAfterAnalysis: a cancel that lands after the
+// analysis succeeded (here right on its checkpoint) must not turn the
+// week into a "done" with no snapshot. The week in flight finishes with
+// its real snapshot, the campaign stops with context.Canceled, and a
+// second run completes to the same bytes as an undisturbed one.
+func TestSupervisorCancelAfterAnalysis(t *testing.T) {
+	clean := newEnv(t)
+	cleanDir := t.TempDir()
+	supC, err := New(clean, cleanDir, Config{}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := supC.Run(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	supC.Close()
+	ref := snapshotDigests(t, clean, cleanDir)
+
+	env := newEnv(t)
+	dir := t.TempDir()
+	if _, err := capture.WriteCampaign(context.Background(), env, dir); err != nil {
+		t.Fatal(err)
+	}
+	cfg := &env.World.Cfg
+	hit := cfg.FirstWeek + 2
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	sup, err := New(env, dir, Config{}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sup.Hooks.AfterCheckpoint = func(week int, stage string) error {
+		if week == hit && stage == StageAnalyze {
+			cancel()
+		}
+		return nil
+	}
+	seen := 0
+	sup.Hooks.OnWeek = func(ws WeekStatus, snap *snapshot.Snapshot) {
+		seen++
+		if ws.Status == "done" && (snap == nil || snap.Result == nil) {
+			t.Errorf("week %d reported done without a snapshot", ws.Week)
+		}
+	}
+	rep, err := sup.Run(ctx)
+	sup.Close()
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("Run error = %v, want context.Canceled", err)
+	}
+	if want := hit - cfg.FirstWeek + 1; rep.Completed != want || seen != want {
+		t.Fatalf("cancelled run: %d completed, %d observed, want %d", rep.Completed, seen, want)
+	}
+
+	sup2, err := New(env, dir, Config{}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep2, err := sup2.Run(context.Background())
+	sup2.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep2.Completed != cfg.Weeks || rep2.Quarantined != 0 || rep2.Resumed != rep.Completed {
+		t.Fatalf("second run: %+v (first err: %v)", rep2, firstErr(rep2))
+	}
+	for wk, d := range snapshotDigests(t, env, dir) {
+		if ref[wk] != d {
+			t.Fatalf("week %d snapshot differs from an undisturbed campaign", wk)
+		}
+	}
 }
