@@ -9,10 +9,8 @@ package ixplens_test
 
 import (
 	"context"
-	"runtime"
 	"testing"
 
-	"ixplens/internal/analysis"
 	"ixplens/internal/core/blindspot"
 	"ixplens/internal/core/cluster"
 	"ixplens/internal/core/dissect"
@@ -20,14 +18,11 @@ import (
 	"ixplens/internal/core/metadata"
 	"ixplens/internal/core/visibility"
 	"ixplens/internal/core/webserver"
-	"ixplens/internal/entity"
 	"ixplens/internal/experiments"
 	"ixplens/internal/ispview"
-	"ixplens/internal/ixp"
 	"ixplens/internal/netmodel"
 	"ixplens/internal/packet"
 	"ixplens/internal/pipeline"
-	"ixplens/internal/sflow"
 	"ixplens/internal/traffic"
 )
 
@@ -62,12 +57,16 @@ func setup(b *testing.B) *fixture {
 	return fx
 }
 
-// dissectPass runs the cascade over the cached capture.
+// dissectPass runs the cascade over the cached capture through the
+// driver's serial reference.
 func (f *fixture) dissectPass(b *testing.B, fn func(*dissect.Record)) dissect.Counts {
 	b.Helper()
 	f.src.Reset()
-	cls := dissect.NewClassifier(f.env.Fabric)
-	counts, err := dissect.Process(f.src, cls, fn)
+	var obs dissect.ShardObserver
+	if fn != nil {
+		obs = func(_ int, rec *dissect.Record, _ uint64) { fn(rec) }
+	}
+	counts, err := dissect.ProcessSharded(context.Background(), f.src, f.env.Fabric, 1, obs, nil)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -101,240 +100,6 @@ func BenchmarkServerIdentification(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(len(f.week.Servers.Servers)), "servers")
-}
-
-// --- streaming vs buffered capture→analysis ---
-//
-// The acceptance gate of the streaming refactor: per analyzed week, the
-// streaming path must allocate at least 5× less than materializing the
-// capture in a SliceSource first. Compare allocated bytes/op between
-// the buffered and streaming sub-benchmarks.
-
-func BenchmarkWeekCapture(b *testing.B) {
-	f := setup(b)
-	env := f.env
-	b.Run("buffered", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			src, _, err := env.CaptureWeek(context.Background(), 45)
-			if err != nil {
-				b.Fatal(err)
-			}
-			counts, err := dissect.Process(src, dissect.NewClassifier(env.Fabric), nil)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if counts.Total == 0 {
-				b.Fatal("empty capture")
-			}
-		}
-	})
-	b.Run("streaming", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			counts, _, _, err := env.StreamWeek(context.Background(), 45, nil)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if counts.Total == 0 {
-				b.Fatal("empty capture")
-			}
-		}
-	})
-}
-
-func BenchmarkWeekIdentify(b *testing.B) {
-	f := setup(b)
-	env := f.env
-	b.Run("buffered", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			src, _, err := env.CaptureWeek(context.Background(), 45)
-			if err != nil {
-				b.Fatal(err)
-			}
-			ident := webserver.NewIdentifier()
-			if _, err := dissect.Process(src, dissect.NewClassifier(env.Fabric), ident.Observe); err != nil {
-				b.Fatal(err)
-			}
-			if len(ident.Identify(45, env.Crawler).Servers) == 0 {
-				b.Fatal("no servers identified")
-			}
-		}
-	})
-	b.Run("streaming", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			ident := webserver.NewIdentifier()
-			if _, _, _, err := env.StreamWeek(context.Background(), 45, ident.Observe); err != nil {
-				b.Fatal(err)
-			}
-			if len(ident.Identify(45, env.Crawler).Servers) == 0 {
-				b.Fatal("no servers identified")
-			}
-		}
-	})
-}
-
-// --- sharded vs serial observation (interned-entity refactor gate) ---
-//
-// Both sub-benchmarks drive the identical cached week-45 capture, so
-// the comparison isolates decode+classify+observe: "serial" is the
-// pre-refactor path (single classifier goroutine feeding one
-// identifier in stream order), "sharded" fans batches over a worker
-// pool where each worker feeds its own identifier shard, merged
-// deterministically inside Identify. The golden-equivalence test pins
-// both paths to bit-identical results.
-
-func BenchmarkIdentifyWeekSharded(b *testing.B) {
-	f := setup(b)
-	env := f.env
-	b.Run("serial", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			f.src.Reset()
-			ident := webserver.NewIdentifier()
-			if _, err := dissect.Process(f.src, dissect.NewClassifier(env.Fabric), ident.Observe); err != nil {
-				b.Fatal(err)
-			}
-			if len(ident.Identify(45, env.Crawler).Servers) == 0 {
-				b.Fatal("no servers identified")
-			}
-		}
-	})
-	workers := runtime.GOMAXPROCS(0)
-	if workers > 8 {
-		workers = 8
-	}
-	b.Run("sharded", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			f.src.Reset()
-			ident := webserver.NewSharded(workers)
-			if _, err := dissect.ProcessSharded(context.Background(), f.src, env.Fabric,
-				workers, ident.ObserveShard, nil); err != nil {
-				b.Fatal(err)
-			}
-			if len(ident.Identify(45, env.Crawler).Servers) == 0 {
-				b.Fatal("no servers identified")
-			}
-		}
-	})
-}
-
-// BenchmarkEntityResolve measures the interning layer itself: "cold"
-// pays the full RIB trie walk + geo binary search + intern per address
-// on a fresh table, "memoized" replays the same addresses against a
-// warm table (the steady state every analysis stage after the first
-// runs in).
-func BenchmarkEntityResolve(b *testing.B) {
-	f := setup(b)
-	ips := make([]packet.IPv4Addr, 0, len(f.week.Servers.Servers))
-	for ip := range f.week.Servers.Servers {
-		ips = append(ips, ip)
-	}
-	if len(ips) == 0 {
-		b.Fatal("no server IPs in fixture")
-	}
-	rib, gdb := f.env.World.RIB(), f.env.World.GeoDB()
-	b.Run("cold", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			tab := entity.NewTable(rib, gdb)
-			for _, ip := range ips {
-				tab.Resolve(ip)
-			}
-		}
-		b.ReportMetric(float64(len(ips)), "ips/op")
-	})
-	b.Run("memoized", func(b *testing.B) {
-		b.ReportAllocs()
-		tab := entity.NewTable(rib, gdb)
-		for _, ip := range ips {
-			tab.Resolve(ip)
-		}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			for _, ip := range ips {
-				tab.Resolve(ip)
-			}
-		}
-		b.ReportMetric(float64(len(ips)), "ips/op")
-	})
-}
-
-// --- fused analyzer registry vs sequential per-analysis passes ---
-//
-// The analyzer-registry refactor's acceptance benchmark: "sequential"
-// replays the pre-registry shape — one full streamed pass (traffic
-// generation, sFlow export, decode, classify) per analysis product:
-// server identification, visibility aggregation, link-flow roll-up —
-// while "fused" drives the same three products from the single
-// AnalyzeWeek pass. Both sub-benchmarks cover all 17 study weeks per
-// iteration, so the comparison measures exactly what the registry
-// saves: the number of times each week's stream is produced and
-// decoded. The golden-equivalence test (internal/pipeline/
-// fused_test.go) pins the two paths to bit-identical products.
-
-func BenchmarkAnalyzeWeeksFused(b *testing.B) {
-	cfg := netmodel.Tiny()
-	opts := traffic.Options{SamplesPerWeek: 10_000, SamplingRate: 16384, SnapLen: 128}
-	env, err := pipeline.NewEnv(cfg, opts)
-	if err != nil {
-		b.Fatal(err)
-	}
-	ctx := context.Background()
-	first, last := env.World.Cfg.FirstWeek, env.World.Cfg.LastWeek()
-
-	b.Run("sequential", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			for wk := first; wk <= last; wk++ {
-				res, _, _, err := env.IdentifyWeekSerial(ctx, wk)
-				if err != nil {
-					b.Fatal(err)
-				}
-				agg := visibility.NewAggregatorWith(env.EntityTable())
-				if _, err := dissect.Process(env.Replay(wk), dissect.NewClassifier(env.Fabric), agg.Observe); err != nil {
-					b.Fatal(err)
-				}
-				flows := make(map[analysis.FlowKey]*analysis.Flow)
-				if _, err := dissect.Process(env.Replay(wk), dissect.NewClassifier(env.Fabric), func(rec *dissect.Record) {
-					if !rec.Class.IsPeering() {
-						return
-					}
-					k := analysis.FlowKey{Src: rec.SrcIP, Dst: rec.DstIP, In: rec.InMember, Out: rec.OutMember}
-					f := flows[k]
-					if f == nil {
-						f = &analysis.Flow{FlowKey: k}
-						flows[k] = f
-					}
-					f.Bytes += rec.Bytes
-					f.Samples++
-				}); err != nil {
-					b.Fatal(err)
-				}
-				if len(res.Servers) == 0 || agg.NumObservedIPs() == 0 || len(flows) == 0 {
-					b.Fatal("empty sequential products")
-				}
-			}
-		}
-	})
-	b.Run("fused", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			for wk := first; wk <= last; wk++ {
-				week, _, err := env.AnalyzeWeek(ctx, wk, nil)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if len(week.Servers.Servers) == 0 ||
-					week.Visibility.ObservedIPs() == 0 || len(week.Links.Flows) == 0 {
-					b.Fatal("empty fused products")
-				}
-			}
-		}
-	})
 }
 
 // --- E3: Fig. 2 ---
@@ -740,11 +505,11 @@ func BenchmarkSamplingRateSweep(b *testing.B) {
 			b.ResetTimer()
 			var found int
 			for i := 0; i < b.N; i++ {
-				res, _, _, err := env.IdentifyWeek(context.Background(), 45)
+				wk, _, err := env.AnalyzeWeek(context.Background(), 45, nil)
 				if err != nil {
 					b.Fatal(err)
 				}
-				found = len(res.Servers)
+				found = len(wk.Servers.Servers)
 			}
 			b.ReportMetric(float64(found), "servers")
 		})
@@ -763,74 +528,3 @@ func rateName(rate uint32) string {
 		return "1-in-64K"
 	}
 }
-
-// BenchmarkFlowAggregation measures the per-sample cost of the whole
-// observation path: sFlow decode, cascade, per-IP aggregation.
-func BenchmarkFlowAggregation(b *testing.B) {
-	f := setup(b)
-	// Pre-encode the capture so the loop exercises decode too.
-	var wires [][]byte
-	for i := range f.src.Datagrams {
-		wires = append(wires, f.src.Datagrams[i].AppendEncode(nil))
-	}
-	cls := dissect.NewClassifier(f.env.Fabric)
-	agg := visibility.NewAggregator(f.env.World.RIB(), f.env.World.GeoDB())
-	var d sflow.Datagram
-	var rec dissect.Record
-	samples := 0
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		wire := wires[i%len(wires)]
-		if err := sflow.Decode(wire, &d); err != nil {
-			b.Fatal(err)
-		}
-		for k := range d.Flows {
-			cls.Classify(&d.Flows[k], &rec)
-			agg.Observe(&rec)
-			samples++
-		}
-	}
-	b.ReportMetric(float64(samples)/float64(b.N), "samples/op")
-}
-
-// BenchmarkEndToEndWeek measures the full weekly pipeline: traffic
-// generation, sFlow export, dissection, identification.
-func BenchmarkEndToEndWeek(b *testing.B) {
-	cfg := netmodel.Tiny()
-	opts := traffic.Options{SamplesPerWeek: 10_000, SamplingRate: 16384, SnapLen: 128}
-	env, err := pipeline.NewEnv(cfg, opts)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, _, err := env.IdentifyWeek(context.Background(), 45); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkCaptureStreamRoundTrip measures the on-disk capture format:
-// encode + frame + decode of the week's datagrams.
-func BenchmarkCaptureStreamRoundTrip(b *testing.B) {
-	f := setup(b)
-	col := &countingSink{}
-	sw := ixp.NewCollector(f.env.Fabric, 16384, col.add)
-	_ = sw
-	b.ReportAllocs()
-	var d sflow.Datagram
-	var buf []byte
-	for i := 0; i < b.N; i++ {
-		dg := &f.src.Datagrams[i%len(f.src.Datagrams)]
-		buf = dg.AppendEncode(buf[:0])
-		if err := sflow.Decode(buf, &d); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-type countingSink struct{ n int }
-
-func (c *countingSink) add(*sflow.Datagram) error { c.n++; return nil }

@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"os"
@@ -93,7 +94,9 @@ func main() {
 	if err := sw.Close(); err != nil {
 		log.Fatal(err)
 	}
-	out.Close()
+	if err := out.Close(); err != nil {
+		log.Fatal(err)
+	}
 	received, malformed := recv.Stats()
 	fmt.Printf("exported %d datagrams, collected %d (%d malformed)\n",
 		exp.Count(), received, malformed)
@@ -110,9 +113,8 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	cls := dissect.NewClassifier(env.Fabric)
 	ident := webserver.NewIdentifier()
-	counts, err := dissect.Process(sr, cls, ident.Observe)
+	counts, err := dissect.ProcessSharded(context.Background(), sr, env.Fabric, 1, ident.ObserveShard, nil)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -14,9 +14,7 @@ import (
 	"log"
 
 	"ixplens/internal/core/blindspot"
-	"ixplens/internal/core/dissect"
 	"ixplens/internal/core/visibility"
-	"ixplens/internal/core/webserver"
 	"ixplens/internal/netmodel"
 	"ixplens/internal/packet"
 	"ixplens/internal/pipeline"
@@ -30,19 +28,17 @@ func main() {
 		log.Fatal(err)
 	}
 
-	// One streaming pass feeds both the per-IP visibility aggregator and
-	// the server identifier; no datagram buffer is ever materialized. The
-	// aggregator shares the environment's entity table, so every IP is
-	// resolved through RIB and geo exactly once across all stages.
-	agg := visibility.NewAggregatorWith(env.EntityTable())
-	ident := webserver.NewIdentifier()
-	if _, _, _, err := env.StreamWeek(context.Background(), 45, func(rec *dissect.Record) {
-		agg.Observe(rec)
-		ident.Observe(rec)
-	}); err != nil {
+	// One streaming pass feeds every analyzer — the server identifier and
+	// the per-IP visibility product among them; no datagram buffer is ever
+	// materialized. The aggregator rebuilt from the visibility product
+	// shares the environment's entity table, so every IP is resolved
+	// through RIB and geo exactly once across all stages.
+	wk, _, err := env.AnalyzeWeek(context.Background(), 45, nil)
+	if err != nil {
 		log.Fatal(err)
 	}
-	res := ident.Identify(45, env.Crawler)
+	agg := wk.Visibility.Aggregator(env.EntityTable())
+	res := wk.Servers
 	isServer := func(ip packet.IPv4Addr) bool { _, ok := res.Servers[ip]; return ok }
 
 	// --- Table 1 ---

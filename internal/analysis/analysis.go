@@ -170,8 +170,8 @@ func (r *Registry) Len() int { return len(r.analyzers) }
 
 // NewRun prepares one week's fused pass: a per-worker state for every
 // registered analyzer. Run.Observe satisfies dissect.ShardObserver, so
-// one ProcessSharded (or streamWeekSharded) pass fans each record to
-// all analyzers.
+// one dissect.ProcessSharded pass (or a StreamProcessor fed by the
+// pipeline's streaming loop) fans each record to all analyzers.
 func (r *Registry) NewRun(actx *Context, workers int) *Run {
 	if workers < 1 {
 		workers = 1

@@ -161,10 +161,10 @@ func DecodeLinks(version uint16, payload []byte) (*LinksProduct, error) {
 }
 
 // LinkStats replays the flows through hetero's per-flow attribution for
-// one organization, reproducing the second-pass hetero.Attribute result
-// exactly: every record of one flow key takes the same branch, so
-// attributing the pre-summed flow is bit-identical to attributing each
-// record.
+// one organization, reproducing a per-record LinkStats.Observe pass over
+// the week exactly: every record of one flow key takes the same branch,
+// so attributing the pre-summed flow is bit-identical to attributing
+// each record.
 func (p *LinksProduct) LinkStats(homeMember int32, table *entity.Table, isServer func(packet.IPv4Addr) bool) *hetero.LinkStats {
 	ls := hetero.NewLinkStatsWith(homeMember, table)
 	for i := range p.Flows {

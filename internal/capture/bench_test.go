@@ -52,7 +52,7 @@ func benchSetup(b *testing.B) *benchFixture {
 		bench.env = env
 		bench.week = cfg.FirstWeek
 		bench.v2 = filepath.Join(dir, WeekFile(bench.week))
-		if _, err := WriteCampaign(context.Background(), env, dir); err != nil {
+		if _, err := WriteCampaignOpts(context.Background(), env, dir, WriteOptions{}); err != nil {
 			bench.err = err
 			return
 		}
@@ -103,21 +103,21 @@ func fileSize(errp *error, path string) int64 {
 	return fi.Size()
 }
 
-// BenchmarkAnalyzeWeekFile measures the full capture-to-result pass per
-// container format. On GOMAXPROCS>=4 hosts the v2 sub-benchmark fans
+// BenchmarkAnalyzeWeekSnapshot measures the full capture-to-result pass
+// per container format. On GOMAXPROCS>=4 hosts the v2 sub-benchmark fans
 // block decoding over the parallel reader; v1 is pinned to the serial
 // stream decode.
-func BenchmarkAnalyzeWeekFile(b *testing.B) {
+func BenchmarkAnalyzeWeekSnapshot(b *testing.B) {
 	fx := benchSetup(b)
 	run := func(b *testing.B, path string, size int64) {
 		b.SetBytes(size)
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			res, counts, err := AnalyzeWeekFile(context.Background(), fx.env, path, fx.week)
+			snap, err := AnalyzeWeekSnapshot(context.Background(), fx.env, path, fx.week)
 			if err != nil {
 				b.Fatal(err)
 			}
-			if counts.Total == 0 || len(res.Servers) == 0 {
+			if snap.Counts.Total == 0 || len(snap.Result.Servers) == 0 {
 				b.Fatal("empty analysis")
 			}
 		}

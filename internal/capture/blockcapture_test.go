@@ -44,7 +44,7 @@ func writeV1Week(t *testing.T, env *pipeline.Env, isoWeek int, path string) int 
 }
 
 // TestGoldenV1V2Equivalence writes the same full 17-week campaign in
-// both container formats and requires AnalyzeWeekFile to produce
+// both container formats and requires AnalyzeWeekSnapshot to produce
 // identical results from either — the v2 migration must be invisible to
 // the analysis.
 func TestGoldenV1V2Equivalence(t *testing.T) {
@@ -60,7 +60,7 @@ func TestGoldenV1V2Equivalence(t *testing.T) {
 	v1dir, v2dir := t.TempDir(), t.TempDir()
 
 	// Week generation is deterministic in (seed, week) alone, so the v1
-	// files written here carry the same datagrams WriteCampaign renders.
+	// files written here carry the same datagrams WriteCampaignOpts renders.
 	v1counts := make([]int, 0, cfg.Weeks)
 	for wk := cfg.FirstWeek; wk <= cfg.LastWeek(); wk++ {
 		v1counts = append(v1counts, writeV1Week(t, env, wk, filepath.Join(v1dir, WeekFile(wk))))
@@ -87,7 +87,7 @@ func TestGoldenV1V2Equivalence(t *testing.T) {
 		if man.Datagrams[i] != v2counts[i] {
 			t.Fatalf("week %d: manifest says %d datagrams, writer reported %d", wk, man.Datagrams[i], v2counts[i])
 		}
-		got, err := fileDigest(vfs.Default, filepath.Join(v2dir, man.Files[i]))
+		got, err := FileDigestFS(vfs.Default, filepath.Join(v2dir, man.Files[i]))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -95,21 +95,21 @@ func TestGoldenV1V2Equivalence(t *testing.T) {
 			t.Fatalf("week %d digest mismatch", wk)
 		}
 
-		res1, c1, err := AnalyzeWeekFile(context.Background(), env, filepath.Join(v1dir, man.Files[i]), wk)
+		s1, err := AnalyzeWeekSnapshot(context.Background(), env, filepath.Join(v1dir, man.Files[i]), wk)
 		if err != nil {
 			t.Fatalf("v1 week %d: %v", wk, err)
 		}
-		res2, c2, err := AnalyzeWeekFile(context.Background(), env, filepath.Join(v2dir, man.Files[i]), wk)
+		s2, err := AnalyzeWeekSnapshot(context.Background(), env, filepath.Join(v2dir, man.Files[i]), wk)
 		if err != nil {
 			t.Fatalf("v2 week %d: %v", wk, err)
 		}
-		if c1 != c2 {
-			t.Fatalf("week %d cascade diverges: v1 %+v, v2 %+v", wk, c1, c2)
+		if s1.Counts != s2.Counts {
+			t.Fatalf("week %d cascade diverges: v1 %+v, v2 %+v", wk, s1.Counts, s2.Counts)
 		}
-		if !reflect.DeepEqual(res1, res2) {
+		if !reflect.DeepEqual(s1.Result, s2.Result) {
 			t.Fatalf("week %d analysis diverges between containers", wk)
 		}
-		if c1.Total == 0 || len(res1.Servers) == 0 {
+		if s1.Counts.Total == 0 || len(s1.Result.Servers) == 0 {
 			t.Fatalf("week %d analysis empty", wk)
 		}
 	}
@@ -129,7 +129,7 @@ func instrumented(t *testing.T, weeks int) (*pipeline.Env, *obs.Registry, string
 	reg := obs.NewRegistry()
 	env.Instrument(reg)
 	dir := t.TempDir()
-	if _, err := WriteCampaign(context.Background(), env, dir); err != nil {
+	if _, err := WriteCampaignOpts(context.Background(), env, dir, WriteOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	return env, reg, dir
@@ -148,7 +148,7 @@ func TestCorruptedBlockQuarantine(t *testing.T) {
 	env, reg, dir := instrumented(t, 2)
 	path := filepath.Join(dir, WeekFile(env.World.Cfg.FirstWeek))
 
-	_, clean, err := AnalyzeWeekFile(context.Background(), env, path, env.World.Cfg.FirstWeek)
+	clean, err := AnalyzeWeekSnapshot(context.Background(), env, path, env.World.Cfg.FirstWeek)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +163,7 @@ func TestCorruptedBlockQuarantine(t *testing.T) {
 	}
 	t.Logf("flipped one bit at offset %d of %d", off, fi.Size())
 
-	res, counts, err := AnalyzeWeekFile(context.Background(), env, path, env.World.Cfg.FirstWeek)
+	damaged, err := AnalyzeWeekSnapshot(context.Background(), env, path, env.World.Cfg.FirstWeek)
 	if err != nil {
 		t.Fatalf("bit flip must degrade, not fail: %v", err)
 	}
@@ -173,10 +173,10 @@ func TestCorruptedBlockQuarantine(t *testing.T) {
 	if got := counterValue(t, reg, "capture_datagrams_quarantined_total"); got == 0 {
 		t.Fatal("no quarantined datagrams counted")
 	}
-	if counts.Total >= clean.Total {
-		t.Fatalf("quarantine lost nothing: %d of %d samples survived", counts.Total, clean.Total)
+	if damaged.Counts.Total >= clean.Counts.Total {
+		t.Fatalf("quarantine lost nothing: %d of %d samples survived", damaged.Counts.Total, clean.Counts.Total)
 	}
-	if res.EstLoss <= 0 {
+	if damaged.Result.EstLoss <= 0 {
 		t.Fatal("quarantined datagrams must surface as estimated loss")
 	}
 }
@@ -189,7 +189,7 @@ func TestTruncatedCaptureDegrades(t *testing.T) {
 	wk := env.World.Cfg.FirstWeek
 	path := filepath.Join(dir, WeekFile(wk))
 
-	_, clean, err := AnalyzeWeekFile(context.Background(), env, path, wk)
+	clean, err := AnalyzeWeekSnapshot(context.Background(), env, path, wk)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,12 +200,12 @@ func TestTruncatedCaptureDegrades(t *testing.T) {
 	if err := os.Truncate(path, fi.Size()*6/10); err != nil {
 		t.Fatal(err)
 	}
-	_, counts, err := AnalyzeWeekFile(context.Background(), env, path, wk)
+	cut, err := AnalyzeWeekSnapshot(context.Background(), env, path, wk)
 	if err != nil {
 		t.Fatalf("truncated capture must degrade, not fail: %v", err)
 	}
-	if counts.Total == 0 || counts.Total >= clean.Total {
-		t.Fatalf("truncated analysis saw %d of %d samples", counts.Total, clean.Total)
+	if cut.Counts.Total == 0 || cut.Counts.Total >= clean.Counts.Total {
+		t.Fatalf("truncated analysis saw %d of %d samples", cut.Counts.Total, clean.Counts.Total)
 	}
 	if got := counterValue(t, reg, "capture_truncated_files_total"); got != 1 {
 		t.Fatalf("truncated files counted = %d, want 1", got)
@@ -234,11 +234,11 @@ func TestTruncatedV1CaptureDegrades(t *testing.T) {
 	if err := os.Truncate(path, fi.Size()*6/10); err != nil {
 		t.Fatal(err)
 	}
-	_, counts, err := AnalyzeWeekFile(context.Background(), env, path, cfg.FirstWeek)
+	cut, err := AnalyzeWeekSnapshot(context.Background(), env, path, cfg.FirstWeek)
 	if err != nil {
 		t.Fatalf("truncated v1 capture must degrade, not fail: %v", err)
 	}
-	if counts.Total == 0 {
+	if cut.Counts.Total == 0 {
 		t.Fatal("nothing decoded before the cut")
 	}
 	if got := counterValue(t, reg, "capture_truncated_files_total"); got != 1 {
@@ -252,7 +252,7 @@ func TestTruncatedV1CaptureDegrades(t *testing.T) {
 func TestCampaignResume(t *testing.T) {
 	env := smallEnv(t)
 	dir := t.TempDir()
-	counts1, err := WriteCampaign(context.Background(), env, dir)
+	counts1, err := WriteCampaignOpts(context.Background(), env, dir, WriteOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -319,7 +319,7 @@ func TestCampaignResume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := fileDigest(vfs.Default, filepath.Join(dir, damaged))
+	got, err := FileDigestFS(vfs.Default, filepath.Join(dir, damaged))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -371,7 +371,7 @@ func TestAnalyzeStampsObservedDigest(t *testing.T) {
 	}
 	onDisk := func(path string) string {
 		t.Helper()
-		d, err := fileDigest(vfs.Default, path)
+		d, err := FileDigestFS(vfs.Default, path)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -23,7 +23,6 @@ import (
 
 	"ixplens/internal/anonymize"
 	"ixplens/internal/core/dissect"
-	"ixplens/internal/core/webserver"
 	"ixplens/internal/faultline"
 	"ixplens/internal/ixp"
 	"ixplens/internal/netmodel"
@@ -106,24 +105,12 @@ type WriteOptions struct {
 	AnonKey   uint64
 }
 
-// WriteCampaign renders every study week of env into dir and writes the
-// manifest. It returns the per-week datagram counts. Cancelling ctx
-// aborts mid-week within one datagram flush; env.Faults, when active,
-// degrades the written streams exactly as it would a live capture.
-func WriteCampaign(ctx context.Context, env *pipeline.Env, dir string) ([]int, error) {
-	return WriteCampaignOpts(ctx, env, dir, WriteOptions{})
-}
-
-// WriteCampaignAnonymized is WriteCampaign with prefix-preserving
-// address anonymization applied to every sampled frame, like the data
-// the paper's authors could share. The key never leaves the process.
-func WriteCampaignAnonymized(ctx context.Context, env *pipeline.Env, dir string, key uint64) ([]int, error) {
-	return WriteCampaignOpts(ctx, env, dir, WriteOptions{Anonymize: true, AnonKey: key})
-}
-
-// WriteCampaignOpts is WriteCampaign with explicit options. The manifest
-// is rewritten after every completed week, so a crash part-way leaves a
-// directory a Resume run can pick up.
+// WriteCampaignOpts renders every study week of env into dir and writes
+// the manifest. It returns the per-week datagram counts. The manifest is
+// rewritten after every completed week, so a crash part-way leaves a
+// directory a Resume run can pick up. Cancelling ctx aborts mid-week
+// within one datagram flush; env.Faults, when active, degrades the
+// written streams exactly as it would a live capture.
 func WriteCampaignOpts(ctx context.Context, env *pipeline.Env, dir string, opts WriteOptions) ([]int, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -242,13 +229,8 @@ func (m *Manifest) SetWeek(wk int, file, digest string, datagrams int) bool {
 	return true
 }
 
-// SaveManifest writes dir's manifest atomically (temp file, fsync,
-// rename, parent-directory fsync).
-func SaveManifest(dir string, man *Manifest) error {
-	return SaveManifestFS(vfs.Default, dir, man)
-}
-
-// SaveManifestFS is SaveManifest through an explicit filesystem seam.
+// SaveManifestFS writes dir's manifest atomically through fsys (temp
+// file, fsync, rename, parent-directory fsync).
 func SaveManifestFS(fsys vfs.FS, dir string, man *Manifest) error {
 	return writeManifest(fsys, filepath.Join(dir, ManifestName), man)
 }
@@ -328,7 +310,7 @@ func reuseWeek(fsys vfs.FS, prev *Manifest, wk int, name, path string) (n int, d
 		if w != wk || prev.Files[i] != name {
 			continue
 		}
-		got, err := fileDigest(fsys, path)
+		got, err := FileDigestFS(fsys, path)
 		if err != nil || got != prev.Digests[i] {
 			return 0, "", false
 		}
@@ -337,15 +319,19 @@ func reuseWeek(fsys vfs.FS, prev *Manifest, wk int, name, path string) (n int, d
 	return 0, "", false
 }
 
-// FileDigest returns the sha256 hex digest of a file's contents — the
-// same digest the manifest records per week.
-func FileDigest(path string) (string, error) {
-	return fileDigest(vfs.Default, path)
-}
-
-// FileDigestFS is FileDigest through an explicit filesystem seam.
+// FileDigestFS returns the sha256 hex digest of a file's contents, read
+// through fsys — the same digest the manifest records per week.
 func FileDigestFS(fsys vfs.FS, path string) (string, error) {
-	return fileDigest(fsys, path)
+	f, err := fsys.Open(path)
+	if err != nil {
+		return "", err
+	}
+	defer f.Close()
+	h := sha256.New()
+	if _, err := io.Copy(h, f); err != nil {
+		return "", err
+	}
+	return hex.EncodeToString(h.Sum(nil)), nil
 }
 
 // WriteWeekFile renders one study week of env into path and returns the
@@ -362,20 +348,6 @@ func WriteWeekFile(ctx context.Context, env *pipeline.Env, isoWeek int, path str
 		anon = anonymize.New(opts.AnonKey)
 	}
 	return writeWeek(ctx, env, isoWeek, path, anon, opts.Compress)
-}
-
-// fileDigest returns the sha256 hex digest of a file's contents.
-func fileDigest(fsys vfs.FS, path string) (string, error) {
-	f, err := fsys.Open(path)
-	if err != nil {
-		return "", err
-	}
-	defer f.Close()
-	h := sha256.New()
-	if _, err := io.Copy(h, f); err != nil {
-		return "", err
-	}
-	return hex.EncodeToString(h.Sum(nil)), nil
 }
 
 func writeWeek(ctx context.Context, env *pipeline.Env, isoWeek int, path string, anon *anonymize.PrefixPreserving, compress bool) (int, string, error) {
@@ -628,15 +600,4 @@ func AnalyzeWeekSnapshot(ctx context.Context, env *pipeline.Env, path string, is
 			isoWeek, snap.Result.EstLoss, env.MaxLoss, pipeline.ErrLossExceeded)
 	}
 	return snap, nil
-}
-
-// AnalyzeWeekFile is the identification-only view of
-// AnalyzeWeekSnapshot, kept for callers that need just the webserver
-// result and cascade counts.
-func AnalyzeWeekFile(ctx context.Context, env *pipeline.Env, path string, isoWeek int) (*webserver.Result, dissect.Counts, error) {
-	snap, err := AnalyzeWeekSnapshot(ctx, env, path, isoWeek)
-	if err != nil {
-		return nil, dissect.Counts{}, err
-	}
-	return snap.Result, snap.Counts, nil
 }

@@ -31,7 +31,7 @@ func smallEnv(t testing.TB) *pipeline.Env {
 func TestCampaignRoundTrip(t *testing.T) {
 	env := smallEnv(t)
 	dir := t.TempDir()
-	counts, err := WriteCampaign(context.Background(), env, dir)
+	counts, err := WriteCampaignOpts(context.Background(), env, dir, WriteOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,19 +61,21 @@ func TestCampaignRoundTrip(t *testing.T) {
 
 	// Analysing the on-disk capture must agree with analysing the same
 	// week in memory.
-	res, counts0, err := AnalyzeWeekFile(context.Background(), env2, filepath.Join(dir, man.Files[0]), man.Weeks[0])
+	snap, err := AnalyzeWeekSnapshot(context.Background(), env2, filepath.Join(dir, man.Files[0]), man.Weeks[0])
 	if err != nil {
 		t.Fatal(err)
 	}
-	if counts0.Total == 0 || len(res.Servers) == 0 {
+	res := snap.Result
+	if snap.Counts.Total == 0 || len(res.Servers) == 0 {
 		t.Fatal("file analysis empty")
 	}
-	memRes, memCounts, _, err := env.IdentifyWeek(context.Background(), man.Weeks[0])
+	mem, _, err := env.AnalyzeWeek(context.Background(), man.Weeks[0], nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if counts0.Total != memCounts.Total {
-		t.Fatalf("file analysis saw %d samples, in-memory %d", counts0.Total, memCounts.Total)
+	memRes := mem.Servers
+	if snap.Counts.Total != mem.Counts.Total {
+		t.Fatalf("file analysis saw %d samples, in-memory %d", snap.Counts.Total, mem.Counts.Total)
 	}
 	if len(res.Servers) != len(memRes.Servers) {
 		t.Fatalf("file analysis found %d servers, in-memory %d", len(res.Servers), len(memRes.Servers))
@@ -105,9 +107,9 @@ func TestReadManifestErrors(t *testing.T) {
 	}
 }
 
-func TestAnalyzeWeekFileErrors(t *testing.T) {
+func TestAnalyzeWeekSnapshotErrors(t *testing.T) {
 	env := smallEnv(t)
-	if _, _, err := AnalyzeWeekFile(context.Background(), env, "/nonexistent/file.sflow", 35); err == nil {
+	if _, err := AnalyzeWeekSnapshot(context.Background(), env, "/nonexistent/file.sflow", 35); err == nil {
 		t.Fatal("missing file must fail")
 	}
 	// A non-capture file must fail the stream header check.
@@ -116,7 +118,7 @@ func TestAnalyzeWeekFileErrors(t *testing.T) {
 	if err := os.WriteFile(bad, []byte("garbage bytes here"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := AnalyzeWeekFile(context.Background(), env, bad, 35); err == nil {
+	if _, err := AnalyzeWeekSnapshot(context.Background(), env, bad, 35); err == nil {
 		t.Fatal("bad magic must fail")
 	}
 }
@@ -135,7 +137,7 @@ func TestWeekFileNaming(t *testing.T) {
 func TestReadManifestRejectsMisshapenArrays(t *testing.T) {
 	env := smallEnv(t)
 	dir := t.TempDir()
-	counts1, err := WriteCampaign(context.Background(), env, dir)
+	counts1, err := WriteCampaignOpts(context.Background(), env, dir, WriteOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,7 +196,7 @@ func TestReadManifestRejectsMisshapenArrays(t *testing.T) {
 func TestResumeRefusesAnonKeyMismatch(t *testing.T) {
 	env := smallEnv(t)
 	dir := t.TempDir()
-	if _, err := WriteCampaignAnonymized(context.Background(), env, dir, 0xdeadbeef); err != nil {
+	if _, err := WriteCampaignOpts(context.Background(), env, dir, WriteOptions{Anonymize: true, AnonKey: 0xdeadbeef}); err != nil {
 		t.Fatal(err)
 	}
 	man, err := ReadManifest(dir)
@@ -221,7 +223,7 @@ func TestResumeRefusesAnonKeyMismatch(t *testing.T) {
 		t.Fatalf("same-key resume: %v", err)
 	}
 	// Different key: hard refusal, directory untouched.
-	before, err := fileDigest(vfs.Default, filepath.Join(dir, man.Files[0]))
+	before, err := FileDigestFS(vfs.Default, filepath.Join(dir, man.Files[0]))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,7 +233,7 @@ func TestResumeRefusesAnonKeyMismatch(t *testing.T) {
 	if !errors.Is(err, ErrAnonKeyMismatch) {
 		t.Fatalf("different-key resume returned %v, want ErrAnonKeyMismatch", err)
 	}
-	after, err := fileDigest(vfs.Default, filepath.Join(dir, man.Files[0]))
+	after, err := FileDigestFS(vfs.Default, filepath.Join(dir, man.Files[0]))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -256,7 +258,7 @@ func TestResumeRefusesAnonKeyMismatch(t *testing.T) {
 	}); err != nil {
 		t.Fatalf("legacy-manifest resume: %v", err)
 	}
-	rewritten, err := fileDigest(vfs.Default, filepath.Join(dir, man.Files[0]))
+	rewritten, err := FileDigestFS(vfs.Default, filepath.Join(dir, man.Files[0]))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -279,7 +281,7 @@ func TestResumeRefusesAnonKeyMismatch(t *testing.T) {
 func TestAnonymizedCampaign(t *testing.T) {
 	env := smallEnv(t)
 	dir := t.TempDir()
-	if _, err := WriteCampaignAnonymized(context.Background(), env, dir, 0xdeadbeef); err != nil {
+	if _, err := WriteCampaignOpts(context.Background(), env, dir, WriteOptions{Anonymize: true, AnonKey: 0xdeadbeef}); err != nil {
 		t.Fatal(err)
 	}
 	man, err := ReadManifest(dir)
@@ -289,10 +291,11 @@ func TestAnonymizedCampaign(t *testing.T) {
 	if !man.Anonymized {
 		t.Fatal("manifest must record anonymization")
 	}
-	res, counts, err := AnalyzeWeekFile(context.Background(), env, filepath.Join(dir, man.Files[0]), man.Weeks[0])
+	snap, err := AnalyzeWeekSnapshot(context.Background(), env, filepath.Join(dir, man.Files[0]), man.Weeks[0])
 	if err != nil {
 		t.Fatal(err)
 	}
+	res, counts := snap.Result, snap.Counts
 	// The cascade is address-agnostic and must survive anonymization.
 	if counts.Undecodable != 0 {
 		t.Fatalf("%d undecodable frames after anonymization", counts.Undecodable)

@@ -254,26 +254,6 @@ type RewindableSource interface {
 	Reset()
 }
 
-// Process drains a datagram source through the classifier, invoking fn
-// for every sample (of every class; fn filters on rec.Class). It returns
-// the cascade tallies. A panic while classifying a datagram quarantines
-// that datagram's remaining samples (see ClassifyDatagram) instead of
-// propagating.
-func Process(src DatagramSource, cls *Classifier, fn func(*Record)) (Counts, error) {
-	var counts Counts
-	var d sflow.Datagram
-	for {
-		err := src.Next(&d)
-		if err == io.EOF {
-			return counts, nil
-		}
-		if err != nil {
-			return counts, err
-		}
-		cls.ClassifyDatagram(&d, &counts, fn)
-	}
-}
-
 // ClassifyDatagram classifies every flow sample of one datagram,
 // tallying into counts and invoking fn (which may be nil) per record —
 // with panic isolation: if classifying a sample (or its fn callback)
@@ -308,7 +288,7 @@ func (c *Classifier) ClassifyDatagram(d *sflow.Datagram, counts *Counts, fn func
 // DatagramSource. It is the buffered, hold-a-whole-week-in-memory
 // capture representation — useful for tests and for experiment runners
 // that make many passes over one week; production paths should stream
-// (see StreamProcessor and pipeline.ReplaySource) instead.
+// (see ProcessSharded and pipeline.ReplaySource) instead.
 //
 // Next hands out defensive copies backed by source-owned scratch
 // buffers, so a consumer that mutates the datagram it was given — the

@@ -1,6 +1,7 @@
 package dissect
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -42,10 +43,19 @@ func buildWeek(t testing.TB, week int) (*netmodel.World, *ixp.Fabric, *SliceSour
 	return w, fabric, &src, stats
 }
 
+// serial runs the one driver's serial reference (workers=1) with a
+// plain per-record observer.
+func serial(src DatagramSource, members MemberResolver, fn func(*Record)) (Counts, error) {
+	var obs ShardObserver
+	if fn != nil {
+		obs = func(_ int, rec *Record, _ uint64) { fn(rec) }
+	}
+	return ProcessSharded(context.Background(), src, members, 1, obs, nil)
+}
+
 func TestCascadeMatchesGenerator(t *testing.T) {
 	_, fabric, src, stats := buildWeek(t, 45)
-	cls := NewClassifier(fabric)
-	counts, err := Process(src, cls, nil)
+	counts, err := serial(src, fabric, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,9 +89,8 @@ func TestCascadeMatchesGenerator(t *testing.T) {
 
 func TestRecordsCarryMembersAndPayload(t *testing.T) {
 	w, fabric, src, _ := buildWeek(t, 45)
-	cls := NewClassifier(fabric)
 	withPayload := 0
-	_, err := Process(src, cls, func(rec *Record) {
+	_, err := serial(src, fabric, func(rec *Record) {
 		if !rec.Class.IsPeering() {
 			return
 		}
@@ -256,12 +265,13 @@ func (f *failingSource) Next(d *sflow.Datagram) error {
 }
 
 func TestProcessPropagatesSourceError(t *testing.T) {
-	cls := NewClassifier(fakeMembers{})
-	counts, err := Process(&failingSource{}, cls, nil)
-	if err == nil {
-		t.Fatal("source error swallowed")
-	}
-	if counts.Total != 0 {
-		t.Fatalf("counted %d samples from empty datagrams", counts.Total)
+	for _, workers := range []int{1, 4} {
+		counts, err := ProcessSharded(context.Background(), &failingSource{}, fakeMembers{}, workers, nil, nil)
+		if err == nil {
+			t.Fatalf("workers=%d: source error swallowed", workers)
+		}
+		if counts.Total != 0 {
+			t.Fatalf("workers=%d: counted %d samples from empty datagrams", workers, counts.Total)
+		}
 	}
 }

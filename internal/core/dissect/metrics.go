@@ -15,7 +15,7 @@ type Metrics struct {
 	Peering     *obs.Counter
 	// Batches counts work units dispatched to the classifier workers;
 	// QueueDepth tracks how many sit unclaimed in the job queue; and
-	// BatchNanos is the dispatch-to-merge latency distribution.
+	// BatchNanos is the dispatch-to-done latency distribution.
 	Batches    *obs.Counter
 	QueueDepth *obs.Gauge
 	BatchNanos *obs.Histogram

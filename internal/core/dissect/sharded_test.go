@@ -3,8 +3,10 @@ package dissect
 import (
 	"context"
 	"sort"
+	"sync/atomic"
 	"testing"
 
+	"ixplens/internal/obs"
 	"ixplens/internal/packet"
 )
 
@@ -15,18 +17,21 @@ type seqKey struct {
 	bytes    uint64
 }
 
-// TestProcessShardedMatchesSequential pins the sharded mode's core
-// contract: every sample is observed exactly once, on exactly one
-// worker, carrying the stream position a sequential pass would have
-// seen it at — so re-sorting the shards' observations by seq must
-// reproduce the serial record sequence bit for bit.
+// TestProcessShardedMatchesSequential pins the pool's core contract
+// against the serial reference (workers=1): every sample is observed
+// exactly once, on exactly one worker, carrying the stream position the
+// serial pass saw it at — so re-sorting the shards' observations by seq
+// must reproduce the serial record sequence bit for bit. The shared
+// metrics bundle must agree with the summed tallies even though every
+// worker classifier updated it concurrently.
 func TestProcessShardedMatchesSequential(t *testing.T) {
 	_, fabric, src, _ := buildWeek(t, 45)
 
 	var serial []seqKey
-	seqCounts, err := Process(src, NewClassifier(fabric), func(rec *Record) {
-		serial = append(serial, seqKey{uint64(len(serial)), rec.Class, rec.SrcIP, rec.DstIP, rec.Bytes})
-	})
+	seqCounts, err := ProcessSharded(context.Background(), src, fabric, 1,
+		func(w int, rec *Record, seq uint64) {
+			serial = append(serial, seqKey{seq, rec.Class, rec.SrcIP, rec.DstIP, rec.Bytes})
+		}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,15 +39,25 @@ func TestProcessShardedMatchesSequential(t *testing.T) {
 
 	const workers = 4
 	perWorker := make([][]seqKey, workers)
+	reg := obs.NewRegistry()
 	shCounts, err := ProcessSharded(context.Background(), src, fabric, workers,
 		func(w int, rec *Record, seq uint64) {
 			perWorker[w] = append(perWorker[w], seqKey{seq, rec.Class, rec.SrcIP, rec.DstIP, rec.Bytes})
-		}, nil)
+		}, NewMetrics(reg))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if seqCounts != shCounts {
 		t.Fatalf("counts diverged:\nseq %+v\nsha %+v", seqCounts, shCounts)
+	}
+	if got := reg.Counter("dissect_records_total").Value(); got != uint64(shCounts.Total) {
+		t.Fatalf("metrics counted %d records, tallies say %d", got, shCounts.Total)
+	}
+	if got := reg.Counter("dissect_peering_total").Value(); got != uint64(shCounts.Peering()) {
+		t.Fatalf("metrics counted %d peering, tallies say %d", got, shCounts.Peering())
+	}
+	if reg.Counter("dissect_batches_total").Value() == 0 {
+		t.Fatal("no batches recorded")
 	}
 
 	var merged []seqKey
@@ -87,9 +102,8 @@ func TestProcessShardedSerialFallback(t *testing.T) {
 // panicking batch quarantines its remaining samples, the rest of the
 // stream still flows, and tallied + quarantined adds up.
 func TestShardedQuarantineConservation(t *testing.T) {
-	lookups := 0
 	sp := NewShardedStreamProcessor(context.Background(),
-		panickyMembers{n: &lookups, at: 101}, 1, nil, nil)
+		panickyMembers{n: new(atomic.Int64), at: 101}, 1, nil, nil)
 	const total = 600
 	for i := 0; i < total/10; i++ {
 		if err := sp.Add(peeringDatagram(t, 10)); err != nil {

@@ -9,31 +9,31 @@ import (
 	"ixplens/internal/sflow"
 )
 
-// Streaming dissection. The buffered path (SliceSource + Process) holds
-// an entire week of datagrams in memory before the first sample is
-// classified; the StreamProcessor instead classifies samples while the
-// capture is still being produced, holding only a bounded number of
-// in-flight batches. A producer (the sFlow collector's emit callback, a
-// capture-file reader, a UDP receiver) pushes datagrams in with Add; a
-// pool of workers — each owning its own Classifier and scratch Record
-// slice — decodes and classifies them in parallel; a single merger
-// goroutine re-establishes input order and invokes the observer
-// callback, so observers see exactly the sequence a sequential Process
-// call would deliver. Results are therefore bit-identical to the
-// buffered path, deterministic, and produced with O(batch) memory
-// instead of O(week).
+// Streaming dissection. ProcessSharded (or a NewShardedStreamProcessor
+// fed through Add) is the one decode→classify→observe driver every
+// analysis path uses. With one worker it classifies and observes on the
+// caller's goroutine — the serial reference. With more, a producer (the
+// sFlow collector's emit callback, a capture-file reader, a UDP
+// receiver) pushes datagrams in with Add, copying their samples into
+// bounded batches; a pool of workers — each owning its own Classifier —
+// classifies AND observes its batches inline, handing the observer its
+// worker index and every sample's global stream position. There is no
+// ordered merge: observers keep per-worker state and merge it
+// deterministically afterwards (webserver.Identifier and the analysis
+// registry's shards do), so aggregates are identical to the serial
+// reference while memory stays O(batch) instead of O(week).
 //
-// Two robustness properties ride on top of the ordering machinery:
+// Two robustness properties ride on top:
 //
 //   - Cancellation: the processor carries a context. Add fails fast once
 //     the context is cancelled — including while blocked waiting for a
 //     free batch — so a producer unwinds within one batch instead of
 //     deadlocking against a pipeline that stopped consuming.
-//   - Panic isolation: a panic inside a classifier worker (a poisoned
-//     datagram hitting a buggy resolver) or inside the observer callback
-//     quarantines the affected batch — its samples are counted in
-//     Counts.PanicQuarantined and reported via metrics — instead of
-//     crashing the whole run.
+//   - Panic isolation: a panic inside classification (a poisoned
+//     datagram hitting a buggy resolver) or inside the observer
+//     quarantines the rest of the affected batch — its samples are
+//     counted in Counts.PanicQuarantined and reported via metrics —
+//     instead of crashing the whole run.
 
 const (
 	// defaultBatchSamples is how many flow samples ride in one work unit.
@@ -43,65 +43,50 @@ const (
 	batchesPerWorker = 2
 )
 
-// streamBatch is one unit of work: a contiguous run of flow samples
-// (with their header bytes copied into a batch-owned arena) plus the
-// records the classifier worker fills in.
+// streamBatch is one unit of work: a contiguous run of flow samples,
+// with their header bytes copied into a batch-owned arena.
 type streamBatch struct {
 	flows []sflow.FlowSample
 	arena []byte
-	recs  []Record
-	done  chan struct{} // signaled by the worker when recs are ready
-	start time.Time     // dispatch time, set only when metrics are on
-	// seqBase is the global stream index of the batch's first sample
-	// (sharded mode only): assigned at dispatch, so seqBase + i is the
-	// position a sequential pass would have seen sample i at.
+	start time.Time // dispatch time, set only when metrics are on
+	// seqBase is the global stream index of the batch's first sample:
+	// assigned at dispatch, so seqBase + i is the position a sequential
+	// pass would have seen sample i at.
 	seqBase uint64
-	// quarantined marks a batch whose classification panicked; the
-	// merger counts its samples instead of delivering them.
-	quarantined bool
 }
 
 func (b *streamBatch) reset() {
 	b.flows = b.flows[:0]
 	b.arena = b.arena[:0]
-	b.recs = b.recs[:0]
-	b.quarantined = false
 }
 
 // StreamProcessor classifies a datagram stream with bounded memory.
-// Add may be used directly as an ixp.Collector sink. The observer fn is
-// invoked from a single goroutine, in exact input order, with records
-// that are only valid for the duration of the callback (the same
-// contract as Process). Close flushes the final partial batch, waits
-// for all in-flight work and returns the merged cascade tallies.
+// Add may be used directly as an ixp.Collector sink. Workers invoke the
+// observer inline with their worker index and the sample's global
+// stream position, and tally into their own counts slot; Close flushes
+// the final partial batch, waits for all in-flight work and returns the
+// summed cascade tallies.
 type StreamProcessor struct {
 	ctx          context.Context
-	fn           func(*Record)
 	batchSamples int
 	m            *Metrics
 
-	// Sharded mode (NewShardedStreamProcessor): no merger, no ordering.
-	// Workers invoke shardFn inline with their worker index and the
-	// sample's global stream position, and tally into their own counts
-	// slot; Close sums the slots.
 	shardFn      ShardObserver
 	workerCounts []Counts
 	sampleSeq    uint64
 
-	jobs  chan *streamBatch // to the classifier workers
-	order chan *streamBatch // to the merger, in dispatch order
-	free  chan *streamBatch // recycled batches, bounds memory
+	jobs chan *streamBatch // to the classifier workers
+	free chan *streamBatch // recycled batches, bounds memory
 
 	cur    *streamBatch
 	closed bool
 
-	counts    Counts
-	workerWG  sync.WaitGroup
-	mergeDone chan struct{}
+	counts   Counts
+	workerWG sync.WaitGroup
 }
 
-// ShardObserver is the per-worker observer of the sharded streaming
-// mode. worker identifies the calling goroutine (0 <= worker < workers,
+// ShardObserver is the per-worker observer of the streaming driver.
+// worker identifies the calling goroutine (0 <= worker < workers,
 // stable for the processor's lifetime), seq is the record's global
 // stream position. Calls for the same worker are sequential; calls for
 // different workers are concurrent — the observer must keep per-worker
@@ -109,50 +94,18 @@ type StreamProcessor struct {
 // after Close. The record is only valid for the duration of the call.
 type ShardObserver func(worker int, rec *Record, seq uint64)
 
-// NewStreamProcessor starts workers classifier goroutines (plus one
-// merger) against the given member resolver. workers below 1 is treated
-// as 1. fn may be nil to only tally the cascade; m may be nil to run
-// uninstrumented. ctx may be nil (treated as context.Background());
-// once it is cancelled, Add returns the context error — in-flight
-// batches still drain through Close.
-func NewStreamProcessor(ctx context.Context, members MemberResolver, workers int, fn func(*Record), m *Metrics) *StreamProcessor {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	pool := workers*batchesPerWorker + 2
-	p := &StreamProcessor{
-		ctx:          ctx,
-		fn:           fn,
-		batchSamples: defaultBatchSamples,
-		m:            m,
-		jobs:         make(chan *streamBatch, pool),
-		order:        make(chan *streamBatch, pool),
-		free:         make(chan *streamBatch, pool),
-		mergeDone:    make(chan struct{}),
-	}
-	for i := 0; i < pool; i++ {
-		p.free <- &streamBatch{done: make(chan struct{}, 1)}
-	}
-	for i := 0; i < workers; i++ {
-		p.workerWG.Add(1)
-		go p.worker(members)
-	}
-	go p.merge()
-	return p
-}
-
-// NewShardedStreamProcessor starts a pool like NewStreamProcessor, but
-// with the ordered merge removed: each worker classifies AND observes
-// its batches inline through obs, passing its worker index and the
-// sample's global stream position. Observation runs on all workers
-// concurrently instead of serializing behind a merger — the observer
-// must shard its state by worker index (see ShardObserver). Per-batch
-// panic isolation still applies: a panic in classification or the
-// observer quarantines the batch's remaining samples into
-// Counts.PanicQuarantined and the pool keeps flowing.
+// NewShardedStreamProcessor starts workers classifier goroutines
+// against the given member resolver (workers below 1 is treated as 1).
+// Each worker classifies AND observes its batches inline through obs,
+// passing its worker index and the sample's global stream position, so
+// observation runs on all workers concurrently — the observer must
+// shard its state by worker index (see ShardObserver). obs may be nil to
+// only tally the cascade; m may be nil to run uninstrumented. ctx may be
+// nil (treated as context.Background()); once it is cancelled, Add
+// returns the context error — in-flight batches still drain through
+// Close. A panic in classification or the observer quarantines the
+// batch's remaining samples into Counts.PanicQuarantined and the pool
+// keeps flowing.
 func NewShardedStreamProcessor(ctx context.Context, members MemberResolver, workers int, obs ShardObserver, m *Metrics) *StreamProcessor {
 	if ctx == nil {
 		ctx = context.Background()
@@ -171,7 +124,7 @@ func NewShardedStreamProcessor(ctx context.Context, members MemberResolver, work
 		free:         make(chan *streamBatch, pool),
 	}
 	for i := 0; i < pool; i++ {
-		p.free <- &streamBatch{done: make(chan struct{}, 1)}
+		p.free <- &streamBatch{}
 	}
 	for i := 0; i < workers; i++ {
 		p.workerWG.Add(1)
@@ -198,7 +151,7 @@ func (p *StreamProcessor) shardWorker(idx int, members MemberResolver) {
 
 // shardBatch classifies and observes one batch on worker idx. A panic —
 // in the classifier or the observer — quarantines the current sample
-// and the batch's remainder, mirroring the ordered path's deliver.
+// and the batch's remainder, like ClassifyDatagram does per datagram.
 func (p *StreamProcessor) shardBatch(idx int, cls *Classifier, b *streamBatch, rec *Record) {
 	counts := &p.workerCounts[idx]
 	i := 0
@@ -217,79 +170,6 @@ func (p *StreamProcessor) shardBatch(idx int, cls *Classifier, b *streamBatch, r
 			p.shardFn(idx, rec, b.seqBase+uint64(i))
 		}
 		counts.Tally(rec)
-	}
-}
-
-func (p *StreamProcessor) worker(members MemberResolver) {
-	defer p.workerWG.Done()
-	cls := NewClassifier(members)
-	cls.SetMetrics(p.m)
-	for b := range p.jobs {
-		classifyBatch(cls, b)
-		b.done <- struct{}{}
-	}
-}
-
-// classifyBatch fills b.recs from b.flows, flagging the batch as
-// quarantined instead of unwinding if classification panics. The done
-// signal is the caller's job, so a panicking batch still reaches the
-// merger and the pipeline keeps flowing.
-func classifyBatch(cls *Classifier, b *streamBatch) {
-	defer func() {
-		if r := recover(); r != nil {
-			b.quarantined = true
-		}
-	}()
-	if cap(b.recs) < len(b.flows) {
-		b.recs = make([]Record, len(b.flows))
-	}
-	b.recs = b.recs[:len(b.flows)]
-	for i := range b.flows {
-		cls.Classify(&b.flows[i], &b.recs[i])
-	}
-}
-
-func (p *StreamProcessor) merge() {
-	defer close(p.mergeDone)
-	for b := range p.order {
-		<-b.done
-		if b.quarantined {
-			p.quarantine(len(b.flows))
-		} else {
-			p.deliver(b)
-		}
-		if p.m != nil {
-			p.m.BatchNanos.ObserveSince(b.start)
-			p.m.QueueDepth.Set(int64(len(p.jobs)))
-		}
-		b.reset()
-		p.free <- b
-	}
-}
-
-// deliver hands a classified batch to the observer, in order, with
-// panic isolation: if the callback panics, the current record and the
-// batch's remaining records are quarantined and merging continues with
-// the next batch.
-func (p *StreamProcessor) deliver(b *streamBatch) {
-	i := 0
-	defer func() {
-		if r := recover(); r != nil {
-			p.quarantine(len(b.recs) - i)
-		}
-	}()
-	for ; i < len(b.recs); i++ {
-		if p.fn != nil {
-			p.fn(&b.recs[i])
-		}
-		p.counts.Tally(&b.recs[i])
-	}
-}
-
-func (p *StreamProcessor) quarantine(n int) {
-	p.counts.PanicQuarantined += n
-	if p.m != nil {
-		p.m.PanicQuarantined.Add(uint64(n))
 	}
 }
 
@@ -327,9 +207,10 @@ func (p *StreamProcessor) Add(d *sflow.Datagram) error {
 	return nil
 }
 
-// dispatch hands the current batch to the workers and the merger. The
-// order channel's capacity equals the pool size, so pushing there never
-// blocks for a batch obtained from the pool.
+// dispatch stamps the current batch's global stream position and hands
+// it to the workers. Batches are dispatched by the single producer in
+// fill order, so seqBase is monotone in stream order even though batches
+// complete out of order on the workers.
 func (p *StreamProcessor) dispatch() {
 	b := p.cur
 	p.cur = nil
@@ -345,36 +226,23 @@ func (p *StreamProcessor) dispatch() {
 		b.start = time.Now()
 		p.m.QueueDepth.Set(int64(len(p.jobs) + 1))
 	}
-	if p.order == nil {
-		// Sharded mode: stamp the batch's global stream position. Batches
-		// are dispatched by the single producer in fill order, so seqBase
-		// is monotone in stream order even though batches complete out of
-		// order on the workers.
-		b.seqBase = p.sampleSeq
-		p.sampleSeq += uint64(len(b.flows))
-		p.jobs <- b
-		return
-	}
-	p.order <- b
+	b.seqBase = p.sampleSeq
+	p.sampleSeq += uint64(len(b.flows))
 	p.jobs <- b
 }
 
 // Close flushes the final batch, drains all in-flight work and returns
-// the merged counts. The observer will not be called again after Close
+// the summed counts. The observer will not be called again after Close
 // returns. Close is idempotent, and safe to call after cancellation —
-// whatever was dispatched before the cancel still merges.
+// whatever was dispatched before the cancel is still counted.
 func (p *StreamProcessor) Close() Counts {
 	if !p.closed {
 		p.closed = true
 		p.dispatch()
 		close(p.jobs)
 		p.workerWG.Wait()
-		if p.order != nil {
-			close(p.order)
-			<-p.mergeDone
-		}
-		// Sharded mode: fold the per-worker tallies. Counts fields are
-		// additive, so the sum is independent of shard assignment.
+		// Fold the per-worker tallies. Counts fields are additive, so the
+		// sum is independent of shard assignment.
 		for i := range p.workerCounts {
 			p.counts.add(&p.workerCounts[i])
 		}
@@ -397,50 +265,19 @@ func (c *Counts) add(o *Counts) {
 	c.PeeringUDPBytes += o.PeeringUDPBytes
 }
 
-// ProcessParallel drains a datagram source through a StreamProcessor:
-// the same contract and the same (deterministic, input-ordered) results
-// as Process, but with decoding and classification spread over workers
-// goroutines. With workers <= 1 it runs sequentially on the caller's
-// goroutine. Either way the drain honours ctx (nil means Background):
-// cancellation stops consuming the source within one datagram and
-// returns the tallies accumulated so far alongside the context error.
-// m may be nil to run uninstrumented.
-func ProcessParallel(ctx context.Context, src DatagramSource, members MemberResolver, workers int, fn func(*Record), m *Metrics) (Counts, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	if workers <= 1 {
-		cls := NewClassifier(members)
-		cls.SetMetrics(m)
-		var counts Counts
-		var d sflow.Datagram
-		for {
-			if err := ctx.Err(); err != nil {
-				return counts, err
-			}
-			err := src.Next(&d)
-			if err == io.EOF {
-				return counts, nil
-			}
-			if err != nil {
-				return counts, err
-			}
-			cls.ClassifyDatagram(&d, &counts, fn)
-		}
-	}
-	p := NewStreamProcessor(ctx, members, workers, fn, m)
-	return drainInto(p, src)
-}
-
-// ProcessSharded drains a datagram source through the sharded (merge-
-// free) streaming mode: classification and observation both spread over
-// workers goroutines, with obs receiving each worker's index and every
-// sample's global stream position. Aggregates built from the calls are
-// deterministic as long as the observer's per-IP state merges
-// order-independently (webserver.Identifier's sharded form does).
-// With workers <= 1 it runs sequentially on the caller's goroutine,
-// still passing stream positions. The drain honours ctx like
-// ProcessParallel; m may be nil.
+// ProcessSharded drains a datagram source through the classifier,
+// invoking obs (which may be nil) for every sample of every class — obs
+// filters on rec.Class — and returns the cascade tallies. With
+// workers <= 1 it runs sequentially on the caller's goroutine, observing
+// in stream order on worker 0: the serial reference. With more it spreads
+// classification and observation over a NewShardedStreamProcessor pool,
+// obs receiving each worker's index and every sample's global stream
+// position; aggregates built from the calls are deterministic as long as
+// the observer's per-IP state merges order-independently
+// (webserver.Identifier's sharded form does). Either way the drain
+// honours ctx (nil means Background): cancellation stops consuming the
+// source within one datagram and returns the tallies accumulated so far
+// alongside the context error. m may be nil to run uninstrumented.
 func ProcessSharded(ctx context.Context, src DatagramSource, members MemberResolver, workers int, obs ShardObserver, m *Metrics) (Counts, error) {
 	if ctx == nil {
 		ctx = context.Background()

@@ -2,6 +2,7 @@ package dissect
 
 import (
 	"context"
+	"sync/atomic"
 	"testing"
 
 	"ixplens/internal/obs"
@@ -66,8 +67,7 @@ func TestClassifyZeroRateAndTruncation(t *testing.T) {
 // sample fields alike — must not corrupt what a second pass reads.
 func TestSliceSourceMutationSafety(t *testing.T) {
 	_, fabric, src, _ := buildWeek(t, 45)
-	cls := NewClassifier(fabric)
-	first, err := Process(src, cls, nil)
+	first, err := serial(src, fabric, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +87,7 @@ func TestSliceSourceMutationSafety(t *testing.T) {
 	}
 	src.Reset()
 
-	second, err := Process(src, NewClassifier(fabric), nil)
+	second, err := serial(src, fabric, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,62 +99,10 @@ func TestSliceSourceMutationSafety(t *testing.T) {
 	}
 }
 
-// TestProcessParallelMatchesSequential checks the ordered merge: the
-// parallel path must deliver identical counts AND the identical record
-// sequence, because downstream observers are order-dependent.
-func TestProcessParallelMatchesSequential(t *testing.T) {
-	_, fabric, src, _ := buildWeek(t, 45)
-
-	type key struct {
-		class    Class
-		src, dst packet.IPv4Addr
-		bytes    uint64
-	}
-	var seqRecs []key
-	seqCounts, err := Process(src, NewClassifier(fabric), func(rec *Record) {
-		seqRecs = append(seqRecs, key{rec.Class, rec.SrcIP, rec.DstIP, rec.Bytes})
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	src.Reset()
-
-	var parRecs []key
-	reg := obs.NewRegistry()
-	parCounts, err := ProcessParallel(context.Background(), src, fabric, 4, func(rec *Record) {
-		parRecs = append(parRecs, key{rec.Class, rec.SrcIP, rec.DstIP, rec.Bytes})
-	}, NewMetrics(reg))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if seqCounts != parCounts {
-		t.Fatalf("counts diverged:\nseq %+v\npar %+v", seqCounts, parCounts)
-	}
-	// The shared metrics bundle must agree with the merged tallies even
-	// though every worker classifier updated it concurrently.
-	if got := reg.Counter("dissect_records_total").Value(); got != uint64(parCounts.Total) {
-		t.Fatalf("metrics counted %d records, tallies say %d", got, parCounts.Total)
-	}
-	if got := reg.Counter("dissect_peering_total").Value(); got != uint64(parCounts.Peering()) {
-		t.Fatalf("metrics counted %d peering, tallies say %d", got, parCounts.Peering())
-	}
-	if reg.Counter("dissect_batches_total").Value() == 0 {
-		t.Fatal("no batches recorded")
-	}
-	if len(seqRecs) != len(parRecs) {
-		t.Fatalf("record count diverged: %d vs %d", len(seqRecs), len(parRecs))
-	}
-	for i := range seqRecs {
-		if seqRecs[i] != parRecs[i] {
-			t.Fatalf("record %d diverged: seq %+v, par %+v", i, seqRecs[i], parRecs[i])
-		}
-	}
-}
-
 // TestStreamProcessorSmallBatches drives partial batches and an empty
 // close through the processor.
 func TestStreamProcessorSmallBatches(t *testing.T) {
-	empty := NewStreamProcessor(context.Background(), fakeMembers{}, 2, nil, nil)
+	empty := NewShardedStreamProcessor(context.Background(), fakeMembers{}, 2, nil, nil)
 	if counts := empty.Close(); counts.Total != 0 {
 		t.Fatalf("empty close counted %d", counts.Total)
 	}
@@ -163,7 +111,7 @@ func TestStreamProcessorSmallBatches(t *testing.T) {
 		t.Fatalf("second close counted %d", counts.Total)
 	}
 
-	sp := NewStreamProcessor(context.Background(), fakeMembers{}, 2, nil, nil)
+	sp := NewShardedStreamProcessor(context.Background(), fakeMembers{}, 2, nil, nil)
 	d := sflow.Datagram{Flows: []sflow.FlowSample{{
 		SamplingRate: 10, InputIf: 1001, OutputIf: 1002, HasRaw: true,
 		Raw: sflow.RawPacketHeader{Protocol: sflow.HeaderProtoEthernet, FrameLength: 100, Header: []byte{1, 2, 3}},
@@ -177,18 +125,21 @@ func TestStreamProcessorSmallBatches(t *testing.T) {
 	if counts.Total != 3 || counts.Undecodable != 3 {
 		t.Fatalf("counts = %+v", counts)
 	}
+	if again := sp.Close(); again != counts {
+		t.Fatalf("second close changed counts: %+v vs %+v", again, counts)
+	}
 }
 
 // panickyMembers panics on the Nth lookup, then behaves like
-// fakeMembers — the poisoned-datagram scenario.
+// fakeMembers — the poisoned-datagram scenario. The counter is shared
+// by every worker's classifier, so exactly one lookup panics.
 type panickyMembers struct {
-	n  *int
-	at int
+	n  *atomic.Int64
+	at int64
 }
 
 func (p panickyMembers) MemberOfPort(port uint32) (int32, bool) {
-	*p.n++
-	if *p.n == p.at {
+	if p.n.Add(1) == p.at {
 		panic("poisoned datagram")
 	}
 	return fakeMembers{}.MemberOfPort(port)
@@ -215,10 +166,9 @@ func peeringDatagram(t *testing.T, n int) *sflow.Datagram {
 // datagram: the samples processed before the panic stay tallied, the
 // rest are quarantined, and nothing is double-counted.
 func TestClassifyDatagramQuarantine(t *testing.T) {
-	lookups := 0
 	// Each peering sample costs two lookups (input and output port);
 	// panicking on lookup 5 poisons the third sample.
-	cls := NewClassifier(panickyMembers{n: &lookups, at: 5})
+	cls := NewClassifier(panickyMembers{n: new(atomic.Int64), at: 5})
 	reg := obs.NewRegistry()
 	cls.SetMetrics(NewMetrics(reg))
 	var counts Counts
@@ -261,12 +211,12 @@ func TestClassifyDatagramObserverPanic(t *testing.T) {
 	}
 }
 
-// TestStreamProcessorQuarantine poisons one worker lookup: exactly one
-// batch is quarantined, every other sample flows through, and the split
-// is conserved.
+// TestStreamProcessorQuarantine poisons one lookup in a four-worker
+// pool: exactly one batch is quarantined, every other sample flows
+// through on the other workers, and the split is conserved.
 func TestStreamProcessorQuarantine(t *testing.T) {
-	lookups := 0
-	sp := NewStreamProcessor(context.Background(), panickyMembers{n: &lookups, at: 101}, 1, nil, nil)
+	sp := NewShardedStreamProcessor(context.Background(),
+		panickyMembers{n: new(atomic.Int64), at: 101}, 4, nil, nil)
 	const total = 600 // > 2 batches of 256
 	for i := 0; i < total/10; i++ {
 		if err := sp.Add(peeringDatagram(t, 10)); err != nil {
@@ -288,17 +238,17 @@ func TestStreamProcessorQuarantine(t *testing.T) {
 	}
 }
 
-// TestStreamProcessorObserverPanicQuarantine panics in the merge-side
-// observer; the remainder of that batch quarantines, later batches
-// still deliver.
+// TestStreamProcessorObserverPanicQuarantine panics in one worker's
+// observer call of a four-worker pool; the remainder of that batch
+// quarantines, every other batch still delivers.
 func TestStreamProcessorObserverPanicQuarantine(t *testing.T) {
-	seen := 0
-	sp := NewStreamProcessor(context.Background(), fakeMembers{}, 2, func(rec *Record) {
-		seen++
-		if seen == 10 {
-			panic("observer bug")
-		}
-	}, nil)
+	var seen atomic.Int64
+	sp := NewShardedStreamProcessor(context.Background(), fakeMembers{}, 4,
+		func(w int, rec *Record, seq uint64) {
+			if seen.Add(1) == 10 {
+				panic("observer bug")
+			}
+		}, nil)
 	const total = 600
 	for i := 0; i < total/10; i++ {
 		if err := sp.Add(peeringDatagram(t, 10)); err != nil {
@@ -312,16 +262,17 @@ func TestStreamProcessorObserverPanicQuarantine(t *testing.T) {
 	if counts.Total+counts.PanicQuarantined != total {
 		t.Fatalf("conservation broken: %d + %d != %d", counts.Total, counts.PanicQuarantined, total)
 	}
-	if counts.Total < total-defaultBatchSamples {
-		t.Fatalf("only %d delivered; later batches must survive an observer panic", counts.Total)
+	if counts.Total < total-defaultBatchSamples-10 {
+		t.Fatalf("only %d delivered; other batches must survive an observer panic", counts.Total)
 	}
 }
 
 // TestStreamProcessorCancellation cancels mid-stream: Add starts
-// failing with the context error, and Close still drains cleanly.
+// failing with the context error, and Close still drains cleanly and
+// counts every sample added before the cancel.
 func TestStreamProcessorCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
-	sp := NewStreamProcessor(ctx, fakeMembers{}, 2, nil, nil)
+	sp := NewShardedStreamProcessor(ctx, fakeMembers{}, 4, nil, nil)
 	if err := sp.Add(peeringDatagram(t, 10)); err != nil {
 		t.Fatal(err)
 	}
@@ -335,16 +286,16 @@ func TestStreamProcessorCancellation(t *testing.T) {
 	}
 }
 
-// TestProcessParallelCancelled runs both drain paths against an
+// TestProcessShardedCancelled runs both drain paths against an
 // already-cancelled context: each must return the context error without
 // consuming the source to EOF.
-func TestProcessParallelCancelled(t *testing.T) {
+func TestProcessShardedCancelled(t *testing.T) {
 	_, fabric, src, _ := buildWeek(t, 45)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	for _, workers := range []int{1, 4} {
 		src.Reset()
-		_, err := ProcessParallel(ctx, src, fabric, workers, nil, nil)
+		_, err := ProcessSharded(ctx, src, fabric, workers, nil, nil)
 		if err != context.Canceled {
 			t.Fatalf("workers=%d: err = %v, want context.Canceled", workers, err)
 		}

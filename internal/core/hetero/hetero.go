@@ -161,7 +161,8 @@ func (ls *LinkStats) serverKey(ip packet.IPv4Addr) uint64 {
 }
 
 // Observe processes one dissected record against the org's server set.
-// Call it during a second pass over the week's capture.
+// analysis.LinksProduct.LinkStats replays a week's aggregated flows
+// through the same attribution without another pass over the capture.
 func (ls *LinkStats) Observe(rec *dissect.Record, isServer func(packet.IPv4Addr) bool) {
 	if !rec.Class.IsPeering() {
 		return
@@ -207,19 +208,6 @@ func (ls *LinkStats) ObserveFlow(src, dst packet.IPv4Addr, in, out int32, bytes 
 // NumDirectServers counts servers seen at least once over the direct
 // peering link.
 func (ls *LinkStats) NumDirectServers() int { return len(ls.directServers) }
-
-// Attribute runs the Fig. 7 second pass without a buffered week: it
-// drains src through the dissection cascade and feeds every record to
-// ls.Observe against the org's server set. src is typically a
-// pipeline.ReplaySource (the deterministic regeneration of the analysed
-// week) or a capture-file stream reader.
-func Attribute(src dissect.DatagramSource, members dissect.MemberResolver, ls *LinkStats, isServer func(packet.IPv4Addr) bool) error {
-	cls := dissect.NewClassifier(members)
-	_, err := dissect.Process(src, cls, func(rec *dissect.Record) {
-		ls.Observe(rec, isServer)
-	})
-	return err
-}
 
 // OffLinkShare is the fraction of the org's traffic that does NOT use
 // the direct peering link (11.1% for Akamai in the paper).

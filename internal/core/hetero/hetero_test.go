@@ -15,29 +15,27 @@ import (
 var (
 	cachedEnv *pipeline.Env
 	cachedWk  *pipeline.Week
-	cachedSrc dissect.RewindableSource
 )
 
-func analyzed(t testing.TB) (*pipeline.Env, *pipeline.Week, dissect.RewindableSource) {
+func analyzed(t testing.TB) (*pipeline.Env, *pipeline.Week) {
 	t.Helper()
 	if cachedEnv != nil {
-		cachedSrc.Reset()
-		return cachedEnv, cachedWk, cachedSrc
+		return cachedEnv, cachedWk
 	}
 	env, err := pipeline.NewEnv(netmodel.Tiny(), traffic.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
-	wk, src, err := env.AnalyzeWeek(context.Background(), 45, nil)
+	wk, _, err := env.AnalyzeWeek(context.Background(), 45, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cachedEnv, cachedWk, cachedSrc = env, wk, src
-	return env, wk, src
+	cachedEnv, cachedWk = env, wk
+	return env, wk
 }
 
 func TestOrgSpreadShapes(t *testing.T) {
-	env, wk, _ := analyzed(t)
+	env, wk := analyzed(t)
 	points := OrgSpread(wk.Clusters, 10)
 	if len(points) < 10 {
 		t.Fatalf("only %d org points", len(points))
@@ -78,7 +76,7 @@ func TestOrgSpreadShapes(t *testing.T) {
 }
 
 func TestASHostingShapes(t *testing.T) {
-	env, wk, _ := analyzed(t)
+	env, wk := analyzed(t)
 	points := ASHosting(wk.Clusters, 10)
 	if len(points) == 0 {
 		t.Fatal("no AS points")
@@ -109,10 +107,12 @@ func TestASHostingShapes(t *testing.T) {
 	}
 }
 
-// linkStatsFor runs the second pass for one special org.
+// linkStatsFor attributes one special org's traffic the way ixpmine,
+// the experiments and the heterogenization example do: by replaying the
+// week's persisted link-flow product.
 func linkStatsFor(t testing.TB, org int32) (*pipeline.Env, *LinkStats) {
 	t.Helper()
-	env, wk, src := analyzed(t)
+	env, wk := analyzed(t)
 	w := env.World
 	domain := w.Orgs[org].Domain
 	c := wk.Clusters.Clusters[domain]
@@ -123,12 +123,8 @@ func linkStatsFor(t testing.TB, org int32) (*pipeline.Env, *LinkStats) {
 	for _, ip := range c.IPs {
 		serverSet[ip] = true
 	}
-	ls := NewLinkStats(w.Orgs[org].HomeAS)
-	err := Attribute(src, env.Fabric, ls, func(ip packet.IPv4Addr) bool { return serverSet[ip] })
-	if err != nil {
-		t.Fatal(err)
-	}
-	src.Reset()
+	ls := wk.Links.LinkStats(w.Orgs[org].HomeAS, env.EntityTable(),
+		func(ip packet.IPv4Addr) bool { return serverSet[ip] })
 	return env, ls
 }
 
@@ -171,12 +167,12 @@ func TestFig7bAcmeLinks(t *testing.T) {
 }
 
 func cachedOrDefaultAcme(t testing.TB) int32 {
-	env, _, _ := analyzed(t)
+	env, _ := analyzed(t)
 	return env.World.Special.AcmeCDN
 }
 
 func TestFig7cCloudShieldLinks(t *testing.T) {
-	env, _, _ := analyzed(t)
+	env, _ := analyzed(t)
 	_, ls := linkStatsFor(t, env.World.Special.CloudShield)
 	if ls.TotalBytes == 0 {
 		t.Fatal("no cloudshield traffic")
@@ -196,7 +192,7 @@ func TestFig7cCloudShieldLinks(t *testing.T) {
 }
 
 func TestLinkPointsConsistency(t *testing.T) {
-	env, _, _ := analyzed(t)
+	env, _ := analyzed(t)
 	_, ls := linkStatsFor(t, env.World.Special.AcmeCDN)
 	var sum float64
 	for _, p := range ls.Points() {

@@ -32,11 +32,10 @@ func buildView(t testing.TB) *weekView {
 	}
 	agg := NewAggregator(env.World.RIB(), env.World.GeoDB())
 	ident := webserver.NewIdentifier()
-	cls := dissect.NewClassifier(env.Fabric)
-	_, err = dissect.Process(src, cls, func(rec *dissect.Record) {
+	_, err = dissect.ProcessSharded(context.Background(), src, env.Fabric, 1, func(w int, rec *dissect.Record, seq uint64) {
 		agg.Observe(rec)
-		ident.Observe(rec)
-	})
+		ident.ObserveShard(w, rec, seq)
+	}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -288,8 +287,9 @@ func TestGeoErrorRobustness(t *testing.T) {
 		t.Fatal(err)
 	}
 	agg := NewAggregator(env.World.RIB(), env.World.GeoDB())
-	cls := dissect.NewClassifier(env.Fabric)
-	if _, err := dissect.Process(src, cls, agg.Observe); err != nil {
+	if _, err := dissect.ProcessSharded(context.Background(), src, env.Fabric, 1, func(_ int, rec *dissect.Record, _ uint64) {
+		agg.Observe(rec)
+	}, nil); err != nil {
 		t.Fatal(err)
 	}
 	_, byBytes := agg.TopCountries(3, nil)

@@ -1,6 +1,7 @@
 package webserver
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -57,8 +58,7 @@ func buildEnv(t testing.TB, week int) *weekEnv {
 func identify(t testing.TB, env *weekEnv, week int) *Result {
 	t.Helper()
 	id := NewIdentifier()
-	cls := dissect.NewClassifier(env.fabric)
-	if _, err := dissect.Process(env.src, cls, id.Observe); err != nil {
+	if _, err := dissect.ProcessSharded(context.Background(), env.src, env.fabric, 1, id.ObserveShard, nil); err != nil {
 		t.Fatal(err)
 	}
 	env.src.Reset()
@@ -104,15 +104,14 @@ func TestIdentificationRecallOfSampled(t *testing.T) {
 
 func TestServerTrafficShare(t *testing.T) {
 	env := buildEnv(t, 45)
-	cls := dissect.NewClassifier(env.fabric)
 	id := NewIdentifier()
 	var peeringBytes uint64
-	_, err := dissect.Process(env.src, cls, func(rec *dissect.Record) {
+	_, err := dissect.ProcessSharded(context.Background(), env.src, env.fabric, 1, func(w int, rec *dissect.Record, seq uint64) {
 		if rec.Class.IsPeering() {
 			peeringBytes += rec.Bytes
 		}
-		id.Observe(rec)
-	})
+		id.ObserveShard(w, rec, seq)
+	}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -325,8 +324,7 @@ func TestIdentifyWithoutTrustStore(t *testing.T) {
 	}
 
 	id := NewIdentifier()
-	cls := dissect.NewClassifier(env.fabric)
-	if _, err := dissect.Process(env.src, cls, id.Observe); err != nil {
+	if _, err := dissect.ProcessSharded(context.Background(), env.src, env.fabric, 1, id.ObserveShard, nil); err != nil {
 		t.Fatal(err)
 	}
 	env.src.Reset()
@@ -362,8 +360,7 @@ func TestCrawlRejectAccounting(t *testing.T) {
 		reg := obs.NewRegistry()
 		id := NewIdentifier()
 		id.SetMetrics(NewMetrics(reg))
-		cls := dissect.NewClassifier(env.fabric)
-		if _, err := dissect.Process(env.src, cls, id.Observe); err != nil {
+		if _, err := dissect.ProcessSharded(context.Background(), env.src, env.fabric, 1, id.ObserveShard, nil); err != nil {
 			t.Fatal(err)
 		}
 		env.src.Reset()

@@ -4,8 +4,6 @@ import (
 	"errors"
 	"fmt"
 
-	"ixplens/internal/analysis"
-	"ixplens/internal/core/dissect"
 	"ixplens/internal/packet"
 )
 
@@ -35,29 +33,20 @@ func (r *Runner) ServerToServerTrend() (Report, error) {
 }
 
 // m2mShare measures, for one week, the fraction of server-involving
-// peering samples whose both endpoints are identified servers. A
-// narrowed analyzer registry (identification + link flows) runs in ONE
-// streamed pass; the split then reads off the aggregated flow product —
-// every peering sample is represented there with its endpoints — so no
-// replay pass is ever needed.
+// peering samples whose both endpoints are identified servers. One
+// streamed AnalyzeWeek pass yields the identification and the link-flow
+// product; the split then reads off the aggregated flows — every peering
+// sample is represented there with its endpoints — so no replay pass is
+// ever needed.
 func (r *Runner) m2mShare(isoWeek int) (float64, error) {
-	reg, err := analysis.Select(analysis.NameWebserver + "," + analysis.NameLinks)
+	wk, _, err := r.Env.AnalyzeWeek(r.ctx(), isoWeek, nil)
 	if err != nil {
 		return 0, err
 	}
-	run := reg.NewRun(r.Env.AnalysisContext(), 1)
-	var seq uint64
-	if _, _, _, err := r.Env.StreamWeek(r.ctx(), isoWeek, func(rec *dissect.Record) {
-		run.Observe(0, rec, seq)
-		seq++
-	}); err != nil {
-		return 0, err
+	if wk.Links == nil {
+		return 0, errors.New("experiments: links analyzer not in the registry")
 	}
-	prods, err := run.Finish(isoWeek)
-	if err != nil {
-		return 0, err
-	}
-	res, links := prods.Webserver(), prods.Links()
+	res, links := wk.Servers, wk.Links
 	isServer := func(ip packet.IPv4Addr) bool {
 		_, ok := res.Servers[ip]
 		return ok

@@ -102,25 +102,25 @@ func TestChaosTrackWeeks(t *testing.T) {
 	}
 }
 
-// TestChaosStreamWeekQuarantine checks the poisoned-lookup seam end to
+// TestChaosAnalyzeWeekQuarantine checks the poisoned-lookup seam end to
 // end: the panic fires inside a classifier, the batch quarantines, the
 // week still completes, and the quarantine is visible in the counts.
-func TestChaosStreamWeekQuarantine(t *testing.T) {
+func TestChaosAnalyzeWeekQuarantine(t *testing.T) {
 	env := newEnv(t)
 	env.Faults = &faultline.Config{Seed: 7, PanicAtLookup: 500}
-	counts, stats, est, err := env.StreamWeek(context.Background(), 45, nil)
+	wk, _, err := env.AnalyzeWeek(context.Background(), 45, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if counts.PanicQuarantined == 0 {
+	if wk.Counts.PanicQuarantined == 0 {
 		t.Fatal("poisoned lookup quarantined nothing")
 	}
-	if counts.Total+counts.PanicQuarantined != stats.Samples {
+	if wk.Counts.Total+wk.Counts.PanicQuarantined != wk.Truth.Samples {
 		t.Fatalf("conservation broken: %d tallied + %d quarantined != %d generated",
-			counts.Total, counts.PanicQuarantined, stats.Samples)
+			wk.Counts.Total, wk.Counts.PanicQuarantined, wk.Truth.Samples)
 	}
-	if est != 0 {
-		t.Fatalf("panic-only faults must not register as loss, got %.4f", est)
+	if wk.EstLoss != 0 {
+		t.Fatalf("panic-only faults must not register as loss, got %.4f", wk.EstLoss)
 	}
 }
 
@@ -135,11 +135,11 @@ func TestChaosDeterministic(t *testing.T) {
 	run := func(cfg faultline.Config) (total, quarantined int, est float64) {
 		env := newEnv(t)
 		env.Faults = &cfg
-		counts, _, est, err := env.StreamWeek(context.Background(), 45, nil)
+		wk, _, err := env.AnalyzeWeek(context.Background(), 45, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return counts.Total, counts.PanicQuarantined, est
+		return wk.Counts.Total, wk.Counts.PanicQuarantined, wk.EstLoss
 	}
 
 	wire := *chaosConfig()
@@ -165,11 +165,11 @@ func TestMaxLossAborts(t *testing.T) {
 	env := newEnv(t)
 	env.Faults = &faultline.Config{Seed: 7, Drop: 0.10}
 	env.MaxLoss = 0.02
-	if _, _, _, err := env.StreamWeek(context.Background(), 45, nil); !errors.Is(err, ErrLossExceeded) {
+	if _, _, err := env.AnalyzeWeek(context.Background(), 45, nil); !errors.Is(err, ErrLossExceeded) {
 		t.Fatalf("err = %v, want ErrLossExceeded", err)
 	}
 	env.MaxLoss = 0.5
-	if _, _, _, err := env.StreamWeek(context.Background(), 45, nil); err != nil {
+	if _, _, err := env.AnalyzeWeek(context.Background(), 45, nil); err != nil {
 		t.Fatalf("generous ceiling still failed: %v", err)
 	}
 }
@@ -264,23 +264,6 @@ func TestTrackWeeksCancelled(t *testing.T) {
 			t.Fatalf("goroutines leaked: %d before, %d after cancel", before, n)
 		}
 		time.Sleep(50 * time.Millisecond)
-	}
-}
-
-// TestStreamWeekCancelledPromptly: cancelling before the call aborts
-// within one datagram flush rather than generating the whole week.
-func TestStreamWeekCancelledPromptly(t *testing.T) {
-	env := newEnv(t)
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	counts, _, _, err := env.StreamWeek(ctx, 45, nil)
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-	// One datagram carries a handful of samples; anything near a full
-	// week (30k samples at test scale) means cancellation didn't bite.
-	if counts.Total > 100 {
-		t.Fatalf("classified %d samples after pre-cancel", counts.Total)
 	}
 }
 

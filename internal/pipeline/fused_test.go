@@ -94,11 +94,11 @@ func TestAnalyzeWeekSinglePass(t *testing.T) {
 	}
 }
 
-// TestGoldenAnalyzerEquivalence is the refactor's acceptance proof: for
-// every study week, the fused sharded pass must produce products
-// byte-identical to the pre-refactor multi-pass reference — the serial
-// ordered-merge identifier, a dedicated visibility pass, and an
-// independent per-record flow aggregation reimplemented here.
+// TestGoldenAnalyzerEquivalence is the fused pass's acceptance proof:
+// for every study week, the one driver at four workers must produce
+// products byte-identical to its serial reference (workers=1), and both
+// must match a dedicated visibility pass and an independent per-record
+// flow aggregation reimplemented here.
 func TestGoldenAnalyzerEquivalence(t *testing.T) {
 	env, err := NewEnv(netmodel.Tiny(),
 		traffic.Options{SamplesPerWeek: 2000, SamplingRate: 16384, SnapLen: 128})
@@ -109,20 +109,14 @@ func TestGoldenAnalyzerEquivalence(t *testing.T) {
 	ctx := context.Background()
 
 	for wk := cfg.FirstWeek; wk <= cfg.LastWeek(); wk++ {
-		fused, _, err := env.AnalyzeWeek(ctx, wk, nil)
-		if err != nil {
-			t.Fatalf("week %d fused: %v", wk, err)
-		}
+		fused := analyzeAt(t, env, wk, 4)
 
-		// Reference pass 1: serial ordered-merge identification.
-		serial, counts, _, err := env.IdentifyWeekSerial(ctx, wk)
-		if err != nil {
-			t.Fatalf("week %d serial: %v", wk, err)
+		// Reference pass 1: the serial driver.
+		serial := analyzeAt(t, env, wk, 1)
+		if serial.Counts != fused.Counts {
+			t.Fatalf("week %d counts diverged:\nserial %+v\nfused  %+v", wk, serial.Counts, fused.Counts)
 		}
-		if counts != fused.Counts {
-			t.Fatalf("week %d counts diverged:\nserial %+v\nfused  %+v", wk, counts, fused.Counts)
-		}
-		wantWS, err := (&analysis.WebserverProduct{Res: serial}).AppendEncode(nil)
+		wantWS, err := (&analysis.WebserverProduct{Res: serial.Servers}).AppendEncode(nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -134,13 +128,12 @@ func TestGoldenAnalyzerEquivalence(t *testing.T) {
 			t.Fatalf("week %d: fused webserver product differs from serial reference", wk)
 		}
 
-		// Reference passes 2 and 3 ride one replay: the bespoke
+		// Reference passes 2 and 3 ride one serial replay: the bespoke
 		// visibility aggregation and an independent flow roll-up, the way
 		// the pre-registry code rescanned the week per analysis.
 		agg := visibility.NewAggregatorWith(env.EntityTable())
 		flows := make(map[analysis.FlowKey]*analysis.Flow)
-		cls := dissect.NewClassifier(env.Fabric)
-		if _, err := dissect.Process(env.Replay(wk), cls, func(rec *dissect.Record) {
+		if _, err := dissect.ProcessSharded(ctx, env.Replay(wk), env.Fabric, 1, func(_ int, rec *dissect.Record, _ uint64) {
 			agg.Observe(rec)
 			if !rec.Class.IsPeering() {
 				return
@@ -153,7 +146,7 @@ func TestGoldenAnalyzerEquivalence(t *testing.T) {
 			}
 			f.Bytes += rec.Bytes
 			f.Samples++
-		}); err != nil {
+		}, nil); err != nil {
 			t.Fatalf("week %d reference pass: %v", wk, err)
 		}
 
@@ -161,12 +154,14 @@ func TestGoldenAnalyzerEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		gotVis, err := fused.Visibility.AppendEncode(nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(wantVis, gotVis) {
-			t.Fatalf("week %d: fused visibility product differs from dedicated-pass reference", wk)
+		for _, run := range []*Week{serial, fused} {
+			gotVis, err := run.Visibility.AppendEncode(nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(wantVis, gotVis) {
+				t.Fatalf("week %d: visibility product differs from dedicated-pass reference", wk)
+			}
 		}
 
 		ref := &analysis.LinksProduct{Flows: make([]analysis.Flow, 0, len(flows))}
@@ -190,12 +185,14 @@ func TestGoldenAnalyzerEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		gotLinks, err := fused.Links.AppendEncode(nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(wantLinks, gotLinks) {
-			t.Fatalf("week %d: fused links product differs from independent roll-up", wk)
+		for _, run := range []*Week{serial, fused} {
+			gotLinks, err := run.Links.AppendEncode(nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(wantLinks, gotLinks) {
+				t.Fatalf("week %d: links product differs from independent roll-up", wk)
+			}
 		}
 	}
 }

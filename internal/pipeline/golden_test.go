@@ -23,40 +23,50 @@ func goldenEnv(t testing.TB) *Env {
 	return env
 }
 
-// TestGoldenShardedMatchesSerial is the refactor's equivalence proof:
-// over every study week, the sharded pipeline (records fanned into
-// per-worker identifier shards, merged deterministically in Identify)
-// must produce results bit-identical to the pre-refactor ordered-merge
-// serial path — identification aggregates, the derived churn series,
-// and the visibility summaries alike.
+// analyzeAt streams one week through the one driver at an explicit
+// classifier pool size: workers=1 is the serial reference, more fans
+// records into per-worker analyzer shards merged deterministically
+// inside Finish.
+func analyzeAt(t testing.TB, env *Env, wk, workers int) *Week {
+	t.Helper()
+	week, _, err := env.analyzeWeek(context.Background(), wk, nil, workers)
+	if err != nil {
+		t.Fatalf("week %d at %d workers: %v", wk, workers, err)
+	}
+	return week
+}
+
+// TestGoldenShardedMatchesSerial is the driver's equivalence proof:
+// over every study week, the four-worker pool (records fanned into
+// per-worker analyzer shards) must produce results bit-identical to the
+// serial reference — cascade counts, identification aggregates,
+// visibility and link products, and the derived churn series alike.
 func TestGoldenShardedMatchesSerial(t *testing.T) {
 	env := goldenEnv(t)
 	cfg := &env.World.Cfg
-	ctx := context.Background()
 
 	serialTracker := churn.NewTracker()
 	shardedTracker := churn.NewTrackerWith(env.EntityTable())
 	for wk := cfg.FirstWeek; wk <= cfg.LastWeek(); wk++ {
-		serial, serialCounts, _, err := env.IdentifyWeekSerial(ctx, wk)
-		if err != nil {
-			t.Fatalf("week %d serial: %v", wk, err)
-		}
-		sharded, shardedCounts, _, err := env.IdentifyWeek(ctx, wk)
-		if err != nil {
-			t.Fatalf("week %d sharded: %v", wk, err)
-		}
-		if serialCounts != shardedCounts {
+		serial := analyzeAt(t, env, wk, 1)
+		sharded := analyzeAt(t, env, wk, 4)
+		if serial.Counts != sharded.Counts {
 			t.Fatalf("week %d counts diverged:\nserial  %+v\nsharded %+v",
-				wk, serialCounts, shardedCounts)
+				wk, serial.Counts, sharded.Counts)
 		}
-		if !reflect.DeepEqual(serial, sharded) {
+		if !reflect.DeepEqual(serial.Servers, sharded.Servers) {
 			t.Fatalf("week %d identification diverged: %d vs %d servers, %d vs %d bytes",
-				wk, len(serial.Servers), len(sharded.Servers), serial.ServerBytes, sharded.ServerBytes)
+				wk, len(serial.Servers.Servers), len(sharded.Servers.Servers),
+				serial.Servers.ServerBytes, sharded.Servers.ServerBytes)
 		}
-		if err := serialTracker.Add(env.Observation(serial)); err != nil {
+		if !reflect.DeepEqual(serial.Visibility, sharded.Visibility) ||
+			!reflect.DeepEqual(serial.Links, sharded.Links) {
+			t.Fatalf("week %d visibility or links products diverged", wk)
+		}
+		if err := serialTracker.Add(env.Observation(serial.Servers)); err != nil {
 			t.Fatal(err)
 		}
-		if err := shardedTracker.Add(env.Observation(sharded)); err != nil {
+		if err := shardedTracker.Add(env.Observation(sharded.Servers)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -75,8 +85,8 @@ func TestGoldenShardedMatchesSerial(t *testing.T) {
 }
 
 // TestGoldenAnalyzeWeekAggregates compares the full heavy pipeline:
-// the streamed (sharded) AnalyzeWeek against the buffered (ordered,
-// serial-observer) path, including the clustering built on interned
+// the streamed AnalyzeWeek on a four-worker pool against the buffered
+// (serial-observer) path, including the clustering built on interned
 // authority IDs. Cluster IP orderings are iteration-order dependent
 // upstream of this package, so sizes and aggregates are compared, not
 // orderings.
@@ -93,10 +103,7 @@ func TestGoldenAnalyzeWeekAggregates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	streamed, _, err := env.AnalyzeWeek(ctx, wk, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	streamed := analyzeAt(t, env, wk, 4)
 
 	if !reflect.DeepEqual(buffered.Servers, streamed.Servers) {
 		t.Fatal("identification diverged between buffered and streamed AnalyzeWeek")
@@ -141,11 +148,10 @@ func TestGoldenAnalyzeWeekAggregates(t *testing.T) {
 	src.Reset()
 	private := visibility.NewAggregator(env.World.RIB(), env.World.GeoDB())
 	shared := visibility.NewAggregatorWith(env.EntityTable())
-	cls := dissect.NewClassifier(env.Fabric)
-	if _, err := dissect.Process(src, cls, func(rec *dissect.Record) {
+	if _, err := dissect.ProcessSharded(ctx, src, env.Fabric, 1, func(_ int, rec *dissect.Record, _ uint64) {
 		private.Observe(rec)
 		shared.Observe(rec)
-	}); err != nil {
+	}, nil); err != nil {
 		t.Fatal(err)
 	}
 	if p, s := private.Summarize(nil), shared.Summarize(nil); p != s {
@@ -158,23 +164,17 @@ func TestGoldenAnalyzeWeekAggregates(t *testing.T) {
 	}
 }
 
-// TestGoldenDeterministicAcrossRuns runs the sharded path twice over the
-// same week: concurrent shard assignment must not leak into the result.
+// TestGoldenDeterministicAcrossRuns runs the four-worker pool twice
+// over the same week: concurrent shard assignment must not leak into
+// the result.
 func TestGoldenDeterministicAcrossRuns(t *testing.T) {
 	env := goldenEnv(t)
-	ctx := context.Background()
-	first, c1, _, err := env.IdentifyWeek(ctx, 40)
-	if err != nil {
-		t.Fatal(err)
+	first := analyzeAt(t, env, 40, 4)
+	second := analyzeAt(t, env, 40, 4)
+	if first.Counts != second.Counts {
+		t.Fatalf("counts diverged across runs: %+v vs %+v", first.Counts, second.Counts)
 	}
-	second, c2, _, err := env.IdentifyWeek(ctx, 40)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c1 != c2 {
-		t.Fatalf("counts diverged across runs: %+v vs %+v", c1, c2)
-	}
-	if !reflect.DeepEqual(first, second) {
+	if !reflect.DeepEqual(first.Servers, second.Servers) {
 		t.Fatal("sharded identification not deterministic across runs")
 	}
 }
@@ -184,22 +184,15 @@ func TestGoldenDeterministicAcrossRuns(t *testing.T) {
 func TestGoldenFaultedWeek(t *testing.T) {
 	env := goldenEnv(t)
 	env.Faults = &faultline.Config{Seed: 11, Drop: 0.05, Duplicate: 0.02, Reorder: 0.03}
-	ctx := context.Background()
-	serial, sc, _, err := env.IdentifyWeekSerial(ctx, 38)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sharded, shc, _, err := env.IdentifyWeek(ctx, 38)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sc != shc {
-		t.Fatalf("faulted counts diverged: %+v vs %+v", sc, shc)
+	serial := analyzeAt(t, env, 38, 1)
+	sharded := analyzeAt(t, env, 38, 4)
+	if serial.Counts != sharded.Counts {
+		t.Fatalf("faulted counts diverged: %+v vs %+v", serial.Counts, sharded.Counts)
 	}
 	if serial.EstLoss == 0 {
 		t.Fatal("fault injection produced no estimated loss")
 	}
-	if !reflect.DeepEqual(serial, sharded) {
+	if !reflect.DeepEqual(serial.Servers, sharded.Servers) {
 		t.Fatal("faulted-week identification diverged between serial and sharded paths")
 	}
 }

@@ -224,7 +224,7 @@ func (e *Env) checkLoss(isoWeek int, st sflow.SeqStats) (float64, error) {
 // in-memory, rewindable datagram source plus the generator ground truth.
 // This is the buffered, O(week)-memory representation — opt into it for
 // tests and for experiment runners that make many passes over one week;
-// analysis paths should use StreamWeek (single pass) or Replay
+// analysis paths should use AnalyzeWeek (one streamed pass) or Replay
 // (additional passes) instead. Configured faults are applied at capture
 // time, so the buffer holds the degraded stream an unreliable network
 // would have delivered; ctx cancellation aborts generation within one
@@ -273,106 +273,28 @@ func streamWorkers() int {
 	return n
 }
 
-// StreamWeek generates one week of traffic and classifies every sample
-// on the fly, invoking fn (which may be nil) for each record in capture
-// order. No datagram buffer is retained: the collector reuses its
-// buffers and the classifier pool holds O(batch) samples, so per-week
-// memory is bounded regardless of world size. Results are byte-identical
-// to dissecting a CaptureWeek source.
+// streamWeek generates one week of traffic with gen (a Generator is not
+// safe for concurrent use, so parallel callers each own one) and
+// classifies every sample on the fly, invoking obs (which may be nil)
+// with each record's worker index and global stream position. No
+// datagram buffer is retained: the collector reuses its buffers and the
+// classifier holds O(batch) samples, so per-week memory is bounded
+// regardless of world size. workers <= 1 classifies and observes inline
+// in the emit callback, in capture order, with zero extra goroutines;
+// more fans the records over a dissect.StreamProcessor pool.
 //
 // The third return value is the week's estimated datagram loss fraction
 // (sequence gaps over expected datagrams), measured after any configured
 // fault injection. Cancelling ctx aborts generation within one datagram
 // flush; a week whose loss crosses Env.MaxLoss fails with
 // ErrLossExceeded.
-func (e *Env) StreamWeek(ctx context.Context, isoWeek int, fn func(*dissect.Record)) (dissect.Counts, traffic.WeekStats, float64, error) {
-	return e.streamWeekWith(ctx, e.Gen, isoWeek, streamWorkers(), fn)
-}
-
-// streamWeekWith streams using an explicit generator, so parallel
-// callers can each own one (a Generator is not safe for concurrent use).
-// workers sizes the classifier pool; 1 classifies inline in the emit
-// callback with zero extra goroutines.
-func (e *Env) streamWeekWith(ctx context.Context, gen *traffic.Generator, isoWeek, workers int, fn func(*dissect.Record)) (dissect.Counts, traffic.WeekStats, float64, error) {
+func (e *Env) streamWeek(ctx context.Context, gen *traffic.Generator, isoWeek, workers int, obs dissect.ShardObserver) (dissect.Counts, traffic.WeekStats, float64, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	inj := e.injector(isoWeek)
-	var seq sflow.SeqTracker
-
 	var counts dissect.Counts
-	var stats traffic.WeekStats
-	var err error
-	if workers <= 1 {
-		cls := dissect.NewClassifier(e.members())
-		cls.SetMetrics(e.M.DissectMetrics())
-		base := func(d *sflow.Datagram) error {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			seq.Observe(d)
-			// ClassifyDatagram quarantines the datagram's samples if
-			// classification or the observer panics.
-			cls.ClassifyDatagram(d, &counts, fn)
-			return nil
-		}
-		sink := base
-		if inj != nil {
-			sink = inj.Sink(base)
-		}
-		col := ixp.NewCollector(e.Fabric, e.Opts.SamplingRate, sink)
-		col.SetMetrics(e.M.CollectorMetrics())
-		col.SetBufferReuse(true)
-		stats, err = gen.GenerateWeek(isoWeek, col)
-		if err == nil && inj != nil {
-			err = inj.Flush(base)
-		}
-	} else {
-		sp := dissect.NewStreamProcessor(ctx, e.members(), workers, fn, e.M.DissectMetrics())
-		base := func(d *sflow.Datagram) error {
-			seq.Observe(d)
-			return sp.Add(d)
-		}
-		sink := base
-		if inj != nil {
-			sink = inj.Sink(base)
-		}
-		col := ixp.NewCollector(e.Fabric, e.Opts.SamplingRate, sink)
-		col.SetMetrics(e.M.CollectorMetrics())
-		col.SetBufferReuse(true)
-		stats, err = gen.GenerateWeek(isoWeek, col)
-		if err == nil && inj != nil {
-			err = inj.Flush(base)
-		}
-		// Close drains in-flight batches even after an abort, so the
-		// worker pool never leaks.
-		counts = sp.Close()
-	}
-	if err != nil {
-		return counts, stats, seq.EstLoss(), err
-	}
-	est, err := e.checkLoss(isoWeek, seq.Stats())
-	return counts, stats, est, err
-}
-
-// streamWeekSharded streams one week through the merge-free sharded
-// pool: classification AND observation run on all workers, with obs
-// receiving each worker's index and the sample's global stream
-// position. Aggregates built from the calls (a sharded
-// webserver.Identifier) come out identical to the ordered path; the
-// record ordering itself is not reproduced — callers that need ordered
-// delivery use streamWeekWith. workers <= 1 observes inline on the
-// caller's goroutine, still passing stream positions.
-func (e *Env) streamWeekSharded(ctx context.Context, gen *traffic.Generator, isoWeek, workers int, obs dissect.ShardObserver) (dissect.Counts, traffic.WeekStats, float64, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	inj := e.injector(isoWeek)
-	var seq sflow.SeqTracker
-
-	var counts dissect.Counts
-	var stats traffic.WeekStats
-	var err error
+	var classify func(*sflow.Datagram) error
+	var sp *dissect.StreamProcessor
 	if workers <= 1 {
 		cls := dissect.NewClassifier(e.members())
 		cls.SetMetrics(e.M.DissectMetrics())
@@ -383,42 +305,40 @@ func (e *Env) streamWeekSharded(ctx context.Context, gen *traffic.Generator, iso
 			}
 			sampleSeq++
 		}
-		base := func(d *sflow.Datagram) error {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			seq.Observe(d)
+		classify = func(d *sflow.Datagram) error {
+			// ClassifyDatagram quarantines the datagram's samples if
+			// classification or the observer panics.
 			cls.ClassifyDatagram(d, &counts, fn)
 			return nil
 		}
-		sink := base
-		if inj != nil {
-			sink = inj.Sink(base)
-		}
-		col := ixp.NewCollector(e.Fabric, e.Opts.SamplingRate, sink)
-		col.SetMetrics(e.M.CollectorMetrics())
-		col.SetBufferReuse(true)
-		stats, err = gen.GenerateWeek(isoWeek, col)
-		if err == nil && inj != nil {
-			err = inj.Flush(base)
-		}
 	} else {
-		sp := dissect.NewShardedStreamProcessor(ctx, e.members(), workers, obs, e.M.DissectMetrics())
-		base := func(d *sflow.Datagram) error {
-			seq.Observe(d)
-			return sp.Add(d)
+		sp = dissect.NewShardedStreamProcessor(ctx, e.members(), workers, obs, e.M.DissectMetrics())
+		classify = sp.Add
+	}
+
+	var seq sflow.SeqTracker
+	base := func(d *sflow.Datagram) error {
+		if err := ctx.Err(); err != nil {
+			return err
 		}
-		sink := base
-		if inj != nil {
-			sink = inj.Sink(base)
-		}
-		col := ixp.NewCollector(e.Fabric, e.Opts.SamplingRate, sink)
-		col.SetMetrics(e.M.CollectorMetrics())
-		col.SetBufferReuse(true)
-		stats, err = gen.GenerateWeek(isoWeek, col)
-		if err == nil && inj != nil {
-			err = inj.Flush(base)
-		}
+		seq.Observe(d)
+		return classify(d)
+	}
+	sink := base
+	inj := e.injector(isoWeek)
+	if inj != nil {
+		sink = inj.Sink(base)
+	}
+	col := ixp.NewCollector(e.Fabric, e.Opts.SamplingRate, sink)
+	col.SetMetrics(e.M.CollectorMetrics())
+	col.SetBufferReuse(true)
+	stats, err := gen.GenerateWeek(isoWeek, col)
+	if err == nil && inj != nil {
+		err = inj.Flush(base)
+	}
+	if sp != nil {
+		// Close drains in-flight batches even after an abort, so the
+		// worker pool never leaks.
 		counts = sp.Close()
 	}
 	if err != nil {
@@ -449,20 +369,6 @@ type Week struct {
 	EstLoss float64
 }
 
-// ctxSource makes a pull-based dissection pass cancellable: Next fails
-// with the context's error once it is cancelled.
-type ctxSource struct {
-	ctx context.Context
-	src dissect.DatagramSource
-}
-
-func (c *ctxSource) Next(d *sflow.Datagram) error {
-	if err := c.ctx.Err(); err != nil {
-		return err
-	}
-	return c.src.Next(d)
-}
-
 // AnalyzeWeek runs the complete per-week pipeline: ONE pass over the
 // week's samples feeds every analyzer in the Env's registry
 // (identification, visibility, link flows, ...) simultaneously, instead
@@ -476,6 +382,13 @@ func (c *ctxSource) Next(d *sflow.Datagram) error {
 // pristine traffic: configured faults apply to live capture/stream
 // passes, not to replays.
 func (e *Env) AnalyzeWeek(ctx context.Context, isoWeek int, src dissect.RewindableSource) (*Week, dissect.RewindableSource, error) {
+	return e.analyzeWeek(ctx, isoWeek, src, streamWorkers())
+}
+
+// analyzeWeek is AnalyzeWeek with the streamed pass's classifier pool
+// size made explicit, so tests can compare worker counts of the one
+// driver whatever the host's GOMAXPROCS.
+func (e *Env) analyzeWeek(ctx context.Context, isoWeek int, src dissect.RewindableSource, workers int) (*Week, dissect.RewindableSource, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -488,29 +401,21 @@ func (e *Env) AnalyzeWeek(ctx context.Context, isoWeek int, src dissect.Rewindab
 	if src == nil {
 		// Streamed weeks fan records into per-worker analyzer shards;
 		// each analyzer's deterministic merge inside Finish reproduces
-		// the ordered path's aggregates exactly (the golden-equivalence
-		// test pins it).
-		workers := streamWorkers()
+		// the serial pass's aggregates exactly (the golden-equivalence
+		// tests pin it).
 		run = reg.NewRun(actx, workers)
 		var err error
-		counts, truth, est, err = e.streamWeekSharded(ctx, e.Gen, isoWeek, workers, run.Observe)
+		counts, truth, est, err = e.streamWeek(ctx, e.Gen, isoWeek, workers, run.Observe)
 		if err != nil {
 			return nil, nil, err
 		}
 		src = e.Replay(isoWeek)
 	} else {
 		run = reg.NewRun(actx, 1)
-		cls := dissect.NewClassifier(e.members())
-		cls.SetMetrics(e.M.DissectMetrics())
 		var seq sflow.SeqTracker
-		var sampleSeq uint64
 		var err error
-		counts, err = dissect.Process(
-			&ctxSource{ctx, &faultline.TrackSource{Src: src, Seq: &seq}}, cls,
-			func(rec *dissect.Record) {
-				run.Observe(0, rec, sampleSeq)
-				sampleSeq++
-			})
+		counts, err = dissect.ProcessSharded(ctx, &faultline.TrackSource{Src: src, Seq: &seq},
+			e.members(), 1, run.Observe, e.M.DissectMetrics())
 		if err != nil {
 			return nil, nil, err
 		}
@@ -550,44 +455,6 @@ func (e *Env) AnalyzeWeek(ctx context.Context, isoWeek int, src dissect.Rewindab
 		Links:      prods.Links(),
 		EstLoss:    est,
 	}, src, nil
-}
-
-// IdentifyWeek runs the light per-week pipeline (dissection and server
-// identification only) — what the longitudinal analysis needs for each
-// of the 17 weeks. Records fan into per-worker identifier shards (no
-// ordered merge), so observation scales with the classifier pool; the
-// deterministic shard merge inside Identify keeps the result identical
-// to IdentifyWeekSerial. The returned result carries the week's
-// estimated loss annotation.
-func (e *Env) IdentifyWeek(ctx context.Context, isoWeek int) (*webserver.Result, dissect.Counts, traffic.WeekStats, error) {
-	workers := streamWorkers()
-	ident := webserver.NewSharded(workers)
-	ident.SetMetrics(e.M.IdentifyMetrics())
-	counts, truth, est, err := e.streamWeekSharded(ctx, e.Gen, isoWeek, workers, ident.ObserveShard)
-	if err != nil {
-		return nil, counts, truth, err
-	}
-	res := ident.Identify(isoWeek, e.Crawler)
-	res.EstLoss = est
-	return res, counts, truth, nil
-}
-
-// IdentifyWeekSerial is the ordered-merge reference path: classification
-// may still run on a worker pool, but every record is observed by a
-// single identifier from the merger goroutine, in exact stream order.
-// It exists for callers that need the pre-shard behaviour (and for the
-// golden-equivalence test and benchmarks that prove the sharded path
-// matches it).
-func (e *Env) IdentifyWeekSerial(ctx context.Context, isoWeek int) (*webserver.Result, dissect.Counts, traffic.WeekStats, error) {
-	ident := webserver.NewIdentifier()
-	ident.SetMetrics(e.M.IdentifyMetrics())
-	counts, truth, est, err := e.StreamWeek(ctx, isoWeek, ident.Observe)
-	if err != nil {
-		return nil, counts, truth, err
-	}
-	res := ident.Identify(isoWeek, e.Crawler)
-	res.EstLoss = est
-	return res, counts, truth, nil
 }
 
 // Observation converts an identification result into the churn
@@ -680,7 +547,7 @@ func (e *Env) TrackWeeks(ctx context.Context) (*churn.Tracker, []*webserver.Resu
 				ident.SetMetrics(e.M.IdentifyMetrics())
 				// Weeks already run in parallel here; keep each week's
 				// classifier inline (workers=1) to avoid oversubscription.
-				_, _, est, err := e.streamWeekWith(ctx, gen, isoWeek, 1, ident.Observe)
+				_, _, est, err := e.streamWeek(ctx, gen, isoWeek, 1, ident.ObserveShard)
 				if err != nil {
 					errs[idx] = err
 					continue

@@ -62,10 +62,11 @@ func TestAnalyzeWeekEndToEnd(t *testing.T) {
 
 func TestObservationResolvesEverything(t *testing.T) {
 	env := newEnv(t)
-	res, _, _, err := env.IdentifyWeek(context.Background(), 45)
+	wk, _, err := env.AnalyzeWeek(context.Background(), 45, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
+	res := wk.Servers
 	obs := env.Observation(res)
 	if obs.Week != 45 || len(obs.Servers) != len(res.Servers) {
 		t.Fatal("observation shape wrong")
@@ -113,10 +114,11 @@ func TestTrackWeeksParallelConsistent(t *testing.T) {
 	}
 	// The parallel result must equal a fresh sequential re-run of one
 	// week (generation is deterministic per week).
-	res45, _, _, err := env.IdentifyWeek(context.Background(), cfg.FirstWeek+2)
+	wk, _, err := env.AnalyzeWeek(context.Background(), cfg.FirstWeek+2, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
+	res45 := wk.Servers
 	got := results[2]
 	if len(got.Servers) != len(res45.Servers) {
 		t.Fatalf("parallel week differs: %d vs %d servers", len(got.Servers), len(res45.Servers))
@@ -137,10 +139,11 @@ func TestInstrumentedPipelineConsistency(t *testing.T) {
 	reg := obs.NewRegistry()
 	env.Instrument(reg)
 
-	res, counts, _, err := env.IdentifyWeek(context.Background(), 45)
+	wk, _, err := env.AnalyzeWeek(context.Background(), 45, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
+	res, counts := wk.Servers, wk.Counts
 	samples := reg.Counter("ixp_samples_total").Value()
 	records := reg.Counter("dissect_records_total").Value()
 	if samples == 0 || samples != records {
@@ -183,7 +186,7 @@ func TestInstrumentedPipelineConsistency(t *testing.T) {
 	// Detaching must stop the counters moving.
 	env.Instrument(nil)
 	before := reg.Counter("ixp_samples_total").Value()
-	if _, _, _, err := env.IdentifyWeek(context.Background(), 46); err != nil {
+	if _, _, err := env.AnalyzeWeek(context.Background(), 46, nil); err != nil {
 		t.Fatal(err)
 	}
 	if after := reg.Counter("ixp_samples_total").Value(); after != before {

@@ -15,7 +15,7 @@ import (
 func identifyOver(t *testing.T, env *Env, src dissect.RewindableSource, isoWeek int) (dissect.Counts, *webserver.Result) {
 	t.Helper()
 	ident := webserver.NewIdentifier()
-	counts, err := dissect.Process(src, dissect.NewClassifier(env.Fabric), ident.Observe)
+	counts, err := dissect.ProcessSharded(context.Background(), src, env.Fabric, 1, ident.ObserveShard, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,8 +45,8 @@ func sameServers(t *testing.T, a, b *webserver.Result) {
 }
 
 // TestStreamMatchesBuffered is the acceptance gate of the streaming
-// refactor: StreamWeek must produce byte-identical counts and server
-// sets to dissecting a buffered CaptureWeek source.
+// path: a streamed AnalyzeWeek must produce byte-identical counts and
+// server sets to dissecting a buffered CaptureWeek source.
 func TestStreamMatchesBuffered(t *testing.T) {
 	env := newEnv(t)
 	src, bufTruth, err := env.CaptureWeek(context.Background(), 45)
@@ -55,20 +55,18 @@ func TestStreamMatchesBuffered(t *testing.T) {
 	}
 	bufCounts, bufRes := identifyOver(t, env, src, 45)
 
-	ident := webserver.NewIdentifier()
-	strCounts, strTruth, _, err := env.StreamWeek(context.Background(), 45, ident.Observe)
+	wk, _, err := env.AnalyzeWeek(context.Background(), 45, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	strRes := ident.Identify(45, env.Crawler)
 
-	if bufTruth != strTruth {
-		t.Fatalf("ground truth diverged:\nbuffered  %+v\nstreaming %+v", bufTruth, strTruth)
+	if bufTruth != wk.Truth {
+		t.Fatalf("ground truth diverged:\nbuffered  %+v\nstreaming %+v", bufTruth, wk.Truth)
 	}
-	if bufCounts != strCounts {
-		t.Fatalf("counts diverged:\nbuffered  %+v\nstreaming %+v", bufCounts, strCounts)
+	if bufCounts != wk.Counts {
+		t.Fatalf("counts diverged:\nbuffered  %+v\nstreaming %+v", bufCounts, wk.Counts)
 	}
-	sameServers(t, bufRes, strRes)
+	sameServers(t, bufRes, wk.Servers)
 }
 
 // TestReplayDeterminism sweeps the same week twice through a
@@ -112,7 +110,7 @@ func TestReplayResetMidStream(t *testing.T) {
 		}
 	}
 	src.Reset()
-	counts, err := dissect.Process(src, dissect.NewClassifier(env.Fabric), nil)
+	counts, err := dissect.ProcessSharded(context.Background(), src, env.Fabric, 1, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -27,6 +27,7 @@ import (
 	"ixplens/internal/pipeline"
 	"ixplens/internal/snapshot"
 	"ixplens/internal/traffic"
+	"ixplens/internal/vfs"
 )
 
 // fakeSnap builds a minimal distinct snapshot for cache unit tests.
@@ -92,7 +93,7 @@ func TestCacheAbandonedLoadIsCancelled(t *testing.T) {
 	loadDone := make(chan error, 1)
 	load := func(ctx context.Context, wk int) (*snapshot.Snapshot, error) {
 		// Simulate an analysis that honors cancellation, as
-		// AnalyzeWeekFile does (within one datagram batch).
+		// capture.AnalyzeWeekSnapshot does (within one datagram batch).
 		<-ctx.Done()
 		loadDone <- ctx.Err()
 		return nil, ctx.Err()
@@ -240,7 +241,7 @@ func campaign(t testing.TB, weeks, samples int) string {
 		t.Fatal(err)
 	}
 	dir := t.TempDir()
-	if _, err := capture.WriteCampaign(context.Background(), env, dir); err != nil {
+	if _, err := capture.WriteCampaignOpts(context.Background(), env, dir, capture.WriteOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	return dir
@@ -528,7 +529,7 @@ func TestGoldenServedAllWeeks(t *testing.T) {
 		t.Fatal(err)
 	}
 	dir := t.TempDir()
-	if _, err := capture.WriteCampaign(context.Background(), env, dir); err != nil {
+	if _, err := capture.WriteCampaignOpts(context.Background(), env, dir, capture.WriteOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	man, err := capture.ReadManifest(dir)
@@ -552,7 +553,7 @@ func TestGoldenServedAllWeeks(t *testing.T) {
 			t.Fatal(err)
 		}
 		wantBody[wk] = append(buf, '\n')
-		if err := snapshot.SaveFile(filepath.Join(dir, snapshot.FileName(wk)), snap); err != nil {
+		if _, err := snapshot.SaveFileFS(vfs.Default, filepath.Join(dir, snapshot.FileName(wk)), snap); err != nil {
 			t.Fatalf("week %d: %v", wk, err)
 		}
 	}
@@ -674,7 +675,7 @@ func TestStoreWriteSnapshots(t *testing.T) {
 	// Poison the snapshot's digest binding: the store must detect the
 	// stale snapshot and re-analyze.
 	stale := &snapshot.Snapshot{Result: snap1.Result, Counts: snap1.Counts, SourceDigest: "deadbeef"}
-	if err := snapshot.SaveFile(filepath.Join(dir, snapshot.FileName(first)), stale); err != nil {
+	if _, err := snapshot.SaveFileFS(vfs.Default, filepath.Join(dir, snapshot.FileName(first)), stale); err != nil {
 		t.Fatal(err)
 	}
 	store3, err := OpenStore(dir, false)
@@ -747,7 +748,7 @@ func TestStoreDoesNotPersistDamagedAnalysis(t *testing.T) {
 	if m.DigestMismatch.Value() != 2 || m.SnapshotWrites.Value() != 1 {
 		t.Fatalf("intact week: mismatches=%d writes=%d, want 2/1", m.DigestMismatch.Value(), m.SnapshotWrites.Value())
 	}
-	persisted, err := snapshot.LoadFile(filepath.Join(dir, snapshot.FileName(intact)))
+	persisted, err := snapshot.LoadFileFS(vfs.Default, filepath.Join(dir, snapshot.FileName(intact)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -776,7 +777,7 @@ func TestProductEndpointsServedFromSnapshot(t *testing.T) {
 		t.Fatal(err)
 	}
 	snap.SourceDigest = man.Digests[0]
-	if err := snapshot.SaveFile(filepath.Join(dir, snapshot.FileName(first)), snap); err != nil {
+	if _, err := snapshot.SaveFileFS(vfs.Default, filepath.Join(dir, snapshot.FileName(first)), snap); err != nil {
 		t.Fatal(err)
 	}
 

@@ -30,9 +30,8 @@
 //	file    := "IXPSNAP1" rawLen:u32 crc:u32 payload[rawLen]
 //	payload := digest counts result
 //
-// is still both readable (Decode sniffs the magic) and writable
-// (AppendEncodeV1/SaveFileV1), byte-identical to what PR 7 shipped, for
-// campaigns that must stay consumable by older builds.
+// is still readable (Decode sniffs the magic), so campaigns written by
+// older builds stay consumable; this build only writes IXPSNAP2.
 package snapshot
 
 import (
@@ -268,27 +267,6 @@ func AppendEncode(dst []byte, snap *Snapshot) ([]byte, error) {
 	return dst, nil
 }
 
-// AppendEncodeV1 appends the legacy IXPSNAP1 container — byte-identical
-// to what pre-registry builds wrote. It carries only the identification
-// result, counts and digest; visibility/links/Extra products are NOT
-// representable in v1 and are silently dropped, which is the point:
-// older consumers read exactly the file they always did.
-func AppendEncodeV1(dst []byte, snap *Snapshot) ([]byte, error) {
-	if snap == nil || snap.Result == nil {
-		return dst, errors.New("snapshot: nil result")
-	}
-	payload := analysis.AppendString(nil, snap.SourceDigest)
-	payload = appendCounts(payload, &snap.Counts)
-	payload, err := analysis.AppendResult(payload, snap.Result)
-	if err != nil {
-		return dst, err
-	}
-	dst = append(dst, magicV1[:]...)
-	dst = binary.BigEndian.AppendUint32(dst, uint32(len(payload)))
-	dst = binary.BigEndian.AppendUint32(dst, crc32.Checksum(payload, castagnoli))
-	return append(dst, payload...), nil
-}
-
 // Decode parses a full container from buf, sniffing the version.
 func Decode(buf []byte) (*Snapshot, error) {
 	if len(buf) >= 8 && [8]byte(buf[:8]) == magicV2 {
@@ -507,17 +485,11 @@ func Read(r io.Reader) (*Snapshot, error) {
 	}
 }
 
-// SaveFile writes snap to path atomically: encode to a temp file in the
-// same directory, write, fsync, close (all checked — a full disk must
-// not leave a truncated snapshot that parses as damage), rename into
-// place, then fsync the parent directory so the rename itself survives
-// power loss. Failed writes remove their temp file.
-func SaveFile(path string, snap *Snapshot) error {
-	_, err := SaveFileFS(vfs.Default, path, snap)
-	return err
-}
-
-// SaveFileFS is SaveFile through an explicit filesystem seam. It
+// SaveFileFS writes snap to path through fsys atomically: encode to a
+// temp file in the same directory, write, fsync, close (all checked — a
+// full disk must not leave a truncated snapshot that parses as damage),
+// rename into place, then fsync the parent directory so the rename
+// itself survives power loss. Failed writes remove their temp file. It
 // returns the sha256 hex digest of the encoded bytes it INTENDED to
 // persist; callers that must rule out silent write-back corruption (a
 // lying fsync) compare it against a fresh read-back digest of path.
@@ -526,21 +498,6 @@ func SaveFileFS(fsys vfs.FS, path string, snap *Snapshot) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	return saveBytes(fsys, path, buf)
-}
-
-// SaveFileV1 writes the legacy single-section container, for campaigns
-// that must stay readable by pre-registry builds.
-func SaveFileV1(path string, snap *Snapshot) error {
-	buf, err := AppendEncodeV1(nil, snap)
-	if err != nil {
-		return err
-	}
-	_, err = saveBytes(vfs.Default, path, buf)
-	return err
-}
-
-func saveBytes(fsys vfs.FS, path string, buf []byte) (string, error) {
 	if err := vfs.WriteFileAtomic(fsys, path, buf, ".snap-*"); err != nil {
 		return "", err
 	}
@@ -548,12 +505,7 @@ func saveBytes(fsys vfs.FS, path string, buf []byte) (string, error) {
 	return hex.EncodeToString(sum[:]), nil
 }
 
-// LoadFile reads and decodes the snapshot at path.
-func LoadFile(path string) (*Snapshot, error) {
-	return LoadFileFS(vfs.Default, path)
-}
-
-// LoadFileFS is LoadFile through an explicit filesystem seam.
+// LoadFileFS reads and decodes the snapshot at path through fsys.
 func LoadFileFS(fsys vfs.FS, path string) (*Snapshot, error) {
 	buf, err := vfs.ReadFile(fsys, path)
 	if err != nil {

@@ -3,7 +3,9 @@ package snapshot
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
 	"encoding/binary"
+	"encoding/hex"
 	"errors"
 	"hash/crc32"
 	"os"
@@ -20,6 +22,7 @@ import (
 	"ixplens/internal/packet"
 	"ixplens/internal/pipeline"
 	"ixplens/internal/traffic"
+	"ixplens/internal/vfs"
 )
 
 // syntheticV1 builds a snapshot with only the fields the legacy
@@ -80,6 +83,27 @@ func synthetic() *Snapshot {
 	return snap
 }
 
+// appendEncodeV1 appends the legacy IXPSNAP1 container — byte-identical
+// to what pre-registry builds wrote, so the reader can be tested against
+// fresh v1 encodings as well as the committed fixture. It carries only
+// the identification result, counts and digest; visibility/links/Extra
+// products are not representable in v1 and are dropped.
+func appendEncodeV1(dst []byte, snap *Snapshot) ([]byte, error) {
+	if snap == nil || snap.Result == nil {
+		return dst, errors.New("snapshot: nil result")
+	}
+	payload := analysis.AppendString(nil, snap.SourceDigest)
+	payload = appendCounts(payload, &snap.Counts)
+	payload, err := analysis.AppendResult(payload, snap.Result)
+	if err != nil {
+		return dst, err
+	}
+	dst = append(dst, magicV1[:]...)
+	dst = binary.BigEndian.AppendUint32(dst, uint32(len(payload)))
+	dst = binary.BigEndian.AppendUint32(dst, crc32.Checksum(payload, castagnoli))
+	return append(dst, payload...), nil
+}
+
 func TestRoundTripSynthetic(t *testing.T) {
 	snap := synthetic()
 	buf, err := AppendEncode(nil, snap)
@@ -106,7 +130,7 @@ func TestRoundTripSynthetic(t *testing.T) {
 
 func TestRoundTripV1(t *testing.T) {
 	snap := syntheticV1()
-	buf, err := AppendEncodeV1(nil, snap)
+	buf, err := appendEncodeV1(nil, snap)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,9 +148,8 @@ func TestRoundTripV1(t *testing.T) {
 
 // TestGoldenV1Fixture pins backward compatibility against a committed
 // file written by the pre-registry (single-section) snapshot writer:
-// it must still decode, and AppendEncodeV1 must reproduce it
-// byte-for-byte — the proof that the legacy writer survived the codec
-// refactor unchanged.
+// it must still decode, and the test-side v1 encoder must reproduce it
+// byte-for-byte.
 func TestGoldenV1Fixture(t *testing.T) {
 	fixture, err := os.ReadFile(filepath.Join("testdata", "week-45.v1.snap"))
 	if err != nil {
@@ -139,12 +162,12 @@ func TestGoldenV1Fixture(t *testing.T) {
 	if !reflect.DeepEqual(snap, syntheticV1()) {
 		t.Fatalf("legacy fixture decoded to unexpected snapshot:\n%+v", snap)
 	}
-	reenc, err := AppendEncodeV1(nil, snap)
+	reenc, err := appendEncodeV1(nil, snap)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(fixture, reenc) {
-		t.Fatal("AppendEncodeV1 no longer byte-identical to the legacy writer")
+		t.Fatal("appendEncodeV1 no longer byte-identical to the legacy writer")
 	}
 }
 
@@ -155,7 +178,7 @@ func TestRoundTripViaReaderWriter(t *testing.T) {
 		snap   *Snapshot
 	}{
 		{"v2", AppendEncode, synthetic()},
-		{"v1", AppendEncodeV1, syntheticV1()},
+		{"v1", appendEncodeV1, syntheticV1()},
 	} {
 		buf, err := tc.encode(nil, tc.snap)
 		if err != nil {
@@ -174,17 +197,25 @@ func TestRoundTripViaReaderWriter(t *testing.T) {
 func TestFileRoundTrip(t *testing.T) {
 	snap := synthetic()
 	path := filepath.Join(t.TempDir(), FileName(45))
-	if err := SaveFile(path, snap); err != nil {
+	digest, err := SaveFileFS(vfs.Default, path, snap)
+	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := LoadFile(path)
+	got, err := LoadFileFS(vfs.Default, path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(snap, got) {
 		t.Fatal("file round trip diverged")
 	}
-	// SaveFile is atomic: no temp files left behind.
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sum := sha256.Sum256(raw); hex.EncodeToString(sum[:]) != digest {
+		t.Fatal("SaveFileFS digest does not match the bytes on disk")
+	}
+	// SaveFileFS is atomic: no temp files left behind.
 	entries, err := os.ReadDir(filepath.Dir(path))
 	if err != nil {
 		t.Fatal(err)
@@ -202,7 +233,7 @@ func TestDecodeRejectsDamage(t *testing.T) {
 		headerLen int
 	}{
 		{"v2", AppendEncode, synthetic(), headerLenV2},
-		{"v1", AppendEncodeV1, syntheticV1(), headerLenV1},
+		{"v1", appendEncodeV1, syntheticV1(), headerLenV1},
 	} {
 		buf, err := tc.encode(nil, tc.snap)
 		if err != nil {

@@ -46,7 +46,7 @@ func snapshotDigests(t *testing.T, env *pipeline.Env, dir string) map[int]string
 	cfg := &env.World.Cfg
 	out := make(map[int]string, cfg.Weeks)
 	for wk := cfg.FirstWeek; wk <= cfg.LastWeek(); wk++ {
-		d, err := capture.FileDigest(filepath.Join(dir, snapshot.FileName(wk)))
+		d, err := capture.FileDigestFS(vfs.Default, filepath.Join(dir, snapshot.FileName(wk)))
 		if err != nil {
 			t.Fatalf("week %d snapshot: %v", wk, err)
 		}
@@ -380,7 +380,7 @@ func TestCrashResumeEquivalence(t *testing.T) {
 			env.Faults = chaosFaults()
 			dir := t.TempDir()
 			if adopt {
-				if _, err := capture.WriteCampaign(context.Background(), env, dir); err != nil {
+				if _, err := capture.WriteCampaignOpts(context.Background(), env, dir, capture.WriteOptions{}); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -510,7 +510,7 @@ func TestSupervisorSelfHealsDamage(t *testing.T) {
 }
 
 // TestSupervisorAdoptsUnsupervisedCampaign: the supervisor must be a
-// drop-in over a campaign written by plain WriteCampaign — no journal,
+// drop-in over a campaign written by plain WriteCampaignOpts — no journal,
 // manifest digests only. The anonymized case is the sharp one: without
 // adoption the supervisor would need the key to rewrite every week and
 // quarantine them all with ErrAnonKeyRequired; with adoption the
@@ -518,7 +518,7 @@ func TestSupervisorSelfHealsDamage(t *testing.T) {
 func TestSupervisorAdoptsUnsupervisedCampaign(t *testing.T) {
 	env := newEnv(t)
 	dir := t.TempDir()
-	if _, err := capture.WriteCampaignAnonymized(context.Background(), env, dir, 0xfeedface); err != nil {
+	if _, err := capture.WriteCampaignOpts(context.Background(), env, dir, capture.WriteOptions{Anonymize: true, AnonKey: 0xfeedface}); err != nil {
 		t.Fatal(err)
 	}
 	cfg := &env.World.Cfg
@@ -618,7 +618,7 @@ func (f *countFile) ReadAt(p []byte, off int64) (int, error) {
 func TestSupervisorReadsEachCaptureOnce(t *testing.T) {
 	env := newEnv(t)
 	dir := t.TempDir()
-	if _, err := capture.WriteCampaign(context.Background(), env, dir); err != nil {
+	if _, err := capture.WriteCampaignOpts(context.Background(), env, dir, capture.WriteOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	cfs := &countFS{FS: vfs.OS{}, read: make(map[string]int64)}
@@ -690,7 +690,7 @@ func TestSupervisorAdoptionDiscardsDamagedAnalysis(t *testing.T) {
 
 	env := newEnv(t)
 	dir := t.TempDir()
-	if _, err := capture.WriteCampaign(context.Background(), env, dir); err != nil {
+	if _, err := capture.WriteCampaignOpts(context.Background(), env, dir, capture.WriteOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	man, err := capture.ReadManifest(dir)
@@ -731,7 +731,7 @@ func TestSupervisorAdoptionDiscardsDamagedAnalysis(t *testing.T) {
 	if analyses != 2 {
 		t.Fatalf("damaged week analyzed %d times, want 2 (one discarded, one over the regenerated file)", analyses)
 	}
-	if got, err := capture.FileDigest(path); err != nil || got != man.Digests[damaged] {
+	if got, err := capture.FileDigestFS(vfs.Default, path); err != nil || got != man.Digests[damaged] {
 		t.Fatalf("damaged week not regenerated: digest %s (%v), manifest %s", got, err, man.Digests[damaged])
 	}
 	// The discarded analysis already saw the damage: no re-hash before the
@@ -770,7 +770,7 @@ func TestSupervisorCancelAfterAnalysis(t *testing.T) {
 
 	env := newEnv(t)
 	dir := t.TempDir()
-	if _, err := capture.WriteCampaign(context.Background(), env, dir); err != nil {
+	if _, err := capture.WriteCampaignOpts(context.Background(), env, dir, capture.WriteOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	cfg := &env.World.Cfg
