@@ -3,6 +3,7 @@ package analysis
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"sort"
 
 	"ixplens/internal/core/dissect"
@@ -25,11 +26,7 @@ func (linksAnalyzer) Name() string    { return NameLinks }
 func (linksAnalyzer) Version() uint16 { return 1 }
 
 func (linksAnalyzer) NewState(_ *Context, workers int) State {
-	shards := make([]map[FlowKey]*flowAgg, workers)
-	for i := range shards {
-		shards[i] = make(map[FlowKey]*flowAgg)
-	}
-	return &linksState{shards: shards}
+	return &linksState{shards: make([][][]flowRec, workers)}
 }
 
 func (linksAnalyzer) Decode(version uint16, payload []byte) (Product, error) {
@@ -51,61 +48,164 @@ type Flow struct {
 	Samples uint64
 }
 
-type flowAgg struct {
-	bytes   uint64
-	samples uint64
+// flowRec is one peering sample with its flow key packed into two
+// words: hi = Src<<32 | Dst and lo = In'<<32 | Out', where ' flips the
+// sign bit. Unsigned (hi, lo) order is then (Src, Dst, In, Out) order
+// with the members compared as signed integers.
+type flowRec struct {
+	hi, lo uint64
+	bytes  uint64
 }
 
+const signBit = 1 << 31
+
+func (r *flowRec) key() FlowKey {
+	return FlowKey{
+		Src: packet.IPv4Addr(r.hi >> 32),
+		Dst: packet.IPv4Addr(uint32(r.hi)),
+		In:  int32(uint32(r.lo>>32) ^ signBit),
+		Out: int32(uint32(r.lo) ^ signBit),
+	}
+}
+
+// flowChunkLen is the number of samples in one buffer chunk (96 KiB).
+// A full chunk is never copied while observing.
+const flowChunkLen = 1 << 12
+
+// linksState appends every peering sample to its worker's chunked
+// buffer and aggregates once, in Finish, by sorting: 24 B per peering
+// sample, no per-flow allocation and no map probe on the classifying
+// goroutine.
 type linksState struct {
-	shards []map[FlowKey]*flowAgg
+	shards [][][]flowRec // worker → chunks of up to flowChunkLen samples
 }
 
 func (s *linksState) Observe(worker int, rec *dissect.Record, _ uint64) {
 	if !rec.Class.IsPeering() {
 		return
 	}
-	m := s.shards[worker]
-	k := FlowKey{Src: rec.SrcIP, Dst: rec.DstIP, In: rec.InMember, Out: rec.OutMember}
-	a := m[k]
-	if a == nil {
-		a = &flowAgg{}
-		m[k] = a
+	chunks := s.shards[worker]
+	last := len(chunks) - 1
+	if last < 0 || len(chunks[last]) == flowChunkLen {
+		chunks = append(chunks, make([]flowRec, 0, flowChunkLen))
+		s.shards[worker] = chunks
+		last++
 	}
-	a.bytes += rec.Bytes
-	a.samples++
+	chunks[last] = append(chunks[last], flowRec{
+		hi:    uint64(rec.SrcIP)<<32 | uint64(rec.DstIP),
+		lo:    uint64(uint32(rec.InMember)^signBit)<<32 | uint64(uint32(rec.OutMember)^signBit),
+		bytes: rec.Bytes,
+	})
 }
 
+// Finish sorts every worker's samples by flow key and sums each run of
+// equal keys into one Flow. Sums commute, so the product does not
+// depend on how samples landed on workers.
 func (s *linksState) Finish(int) (Product, error) {
-	merged := s.shards[0]
-	for _, sh := range s.shards[1:] {
-		for k, a := range sh {
-			if m := merged[k]; m != nil {
-				m.bytes += a.bytes
-				m.samples += a.samples
-			} else {
-				merged[k] = a
-			}
+	var chunks [][]flowRec
+	for _, sh := range s.shards {
+		chunks = append(chunks, sh...)
+	}
+	s.shards = nil
+	recs := sortChunks(chunks)
+
+	newKey := func(i int) bool {
+		return i == 0 || recs[i].hi != recs[i-1].hi || recs[i].lo != recs[i-1].lo
+	}
+	distinct := 0
+	for i := range recs {
+		if newKey(i) {
+			distinct++
 		}
 	}
-	flows := make([]Flow, 0, len(merged))
-	for k, a := range merged {
-		flows = append(flows, Flow{FlowKey: k, Bytes: a.bytes, Samples: a.samples})
+	flows := make([]Flow, 0, distinct)
+	for i := range recs {
+		if newKey(i) {
+			flows = append(flows, Flow{FlowKey: recs[i].key()})
+		}
+		f := &flows[len(flows)-1]
+		f.Bytes += recs[i].bytes
+		f.Samples++
 	}
-	sort.Slice(flows, func(i, j int) bool { return flows[i].FlowKey.less(&flows[j].FlowKey) })
 	return &LinksProduct{Flows: flows}, nil
 }
 
-func (k *FlowKey) less(o *FlowKey) bool {
-	if k.Src != o.Src {
-		return k.Src < o.Src
+// sortChunks returns the samples of all chunks in one slice sorted by
+// (hi, lo). It is an LSD radix sort over 16-bit digits whose first pass
+// scatters straight out of the chunks, so it holds at most two copies
+// of the samples at once. A digit that is the same in every key cannot
+// reorder anything, so its pass is skipped.
+func sortChunks(chunks [][]flowRec) []flowRec {
+	n := 0
+	andHi, andLo := ^uint64(0), ^uint64(0)
+	var orHi, orLo uint64
+	for _, c := range chunks {
+		n += len(c)
+		for i := range c {
+			andHi &= c[i].hi
+			orHi |= c[i].hi
+			andLo &= c[i].lo
+			orLo |= c[i].lo
+		}
 	}
-	if k.Dst != o.Dst {
-		return k.Dst < o.Dst
+	if n == 0 {
+		return nil
 	}
-	if k.In != o.In {
-		return k.In < o.In
+	varyHi, varyLo := orHi^andHi, orLo^andLo
+
+	var bufs [2][]flowRec
+	var count []int
+	src, passes := chunks, 0
+	for d := 0; d < 8; d++ {
+		useHi, shift := d >= 4, uint(d%4)*16
+		vary := varyLo
+		if useHi {
+			vary = varyHi
+		}
+		if vary>>shift&0xffff == 0 {
+			continue
+		}
+		digit := func(r *flowRec) int {
+			k := r.lo
+			if useHi {
+				k = r.hi
+			}
+			return int(k >> shift & 0xffff)
+		}
+		if count == nil {
+			count = make([]int, 1<<16)
+		} else {
+			clear(count)
+		}
+		for _, c := range src {
+			for i := range c {
+				count[digit(&c[i])]++
+			}
+		}
+		sum := 0
+		for i, c := range count {
+			count[i] = sum
+			sum += c
+		}
+		dst := bufs[passes%2]
+		if dst == nil {
+			dst = make([]flowRec, n)
+			bufs[passes%2] = dst
+		}
+		for _, c := range src {
+			for i := range c {
+				k := digit(&c[i])
+				dst[count[k]] = c[i]
+				count[k]++
+			}
+		}
+		src = [][]flowRec{dst}
+		passes++
 	}
-	return k.Out < o.Out
+	if passes == 0 {
+		return slices.Concat(chunks...)
+	}
+	return src[0]
 }
 
 // LinksProduct is the persisted flow aggregation, sorted by
@@ -118,6 +218,7 @@ type LinksProduct struct {
 //
 //	links := nFlows:u32 (src:u32 dst:u32 in:u32 out:u32 bytes:u64 samples:u64)*
 func (p *LinksProduct) AppendEncode(dst []byte) ([]byte, error) {
+	dst = slices.Grow(dst, 4+32*len(p.Flows))
 	dst = binary.BigEndian.AppendUint32(dst, uint32(len(p.Flows)))
 	for i := range p.Flows {
 		f := &p.Flows[i]
@@ -137,9 +238,10 @@ func DecodeLinks(version uint16, payload []byte) (*LinksProduct, error) {
 		return nil, fmt.Errorf("%w: links v%d", ErrVersion, version)
 	}
 	cur := NewCursor(payload)
-	n := int(cur.U32())
-	if cur.Bad() || n > cur.Len() {
-		return nil, fmt.Errorf("%w: truncated links header", ErrFormat)
+	n := uint64(cur.U32())
+	if cur.Bad() || uint64(cur.Len()) != 32*n {
+		// Checked before allocating, so a forged count costs nothing.
+		return nil, fmt.Errorf("%w: links payload of %d bytes for %d flows", ErrFormat, len(payload), n)
 	}
 	out := &LinksProduct{Flows: make([]Flow, n)}
 	for i := range out.Flows {
@@ -150,12 +252,6 @@ func DecodeLinks(version uint16, payload []byte) (*LinksProduct, error) {
 		f.Out = int32(cur.U32())
 		f.Bytes = cur.U64()
 		f.Samples = cur.U64()
-	}
-	if cur.Bad() {
-		return nil, fmt.Errorf("%w: truncated links entries", ErrFormat)
-	}
-	if cur.Len() != 0 {
-		return nil, fmt.Errorf("%w: %d trailing bytes", ErrFormat, cur.Len())
 	}
 	return out, nil
 }

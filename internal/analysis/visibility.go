@@ -81,20 +81,15 @@ func DecodeVisibility(version uint16, payload []byte) (*VisibilityProduct, error
 		return nil, fmt.Errorf("%w: visibility v%d", ErrVersion, version)
 	}
 	cur := NewCursor(payload)
-	n := int(cur.U32())
-	if cur.Bad() || n > cur.Len() {
-		return nil, fmt.Errorf("%w: truncated visibility header", ErrFormat)
+	n := uint64(cur.U32())
+	if cur.Bad() || uint64(cur.Len()) != 12*n {
+		// Checked before allocating, so a forged count costs nothing.
+		return nil, fmt.Errorf("%w: visibility payload of %d bytes for %d IPs", ErrFormat, len(payload), n)
 	}
 	out := &VisibilityProduct{PerIP: make([]visibility.IPTraffic, n)}
 	for i := range out.PerIP {
 		out.PerIP[i].IP = packet.IPv4Addr(cur.U32())
 		out.PerIP[i].Bytes = cur.U64()
-	}
-	if cur.Bad() {
-		return nil, fmt.Errorf("%w: truncated visibility entries", ErrFormat)
-	}
-	if cur.Len() != 0 {
-		return nil, fmt.Errorf("%w: %d trailing bytes", ErrFormat, cur.Len())
 	}
 	return out, nil
 }

@@ -6,6 +6,8 @@
 package visibility
 
 import (
+	"cmp"
+	"slices"
 	"sort"
 
 	"ixplens/internal/core/dissect"
@@ -88,7 +90,7 @@ func (a *Aggregator) PerIP() []IPTraffic {
 	for _, id := range a.order {
 		out = append(out, IPTraffic{IP: a.table.IP(id), Bytes: a.bytes[id]})
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].IP < out[j].IP })
+	slices.SortFunc(out, func(a, b IPTraffic) int { return cmp.Compare(a.IP, b.IP) })
 	return out
 }
 
