@@ -505,7 +505,7 @@ func BenchmarkSamplingRateSweep(b *testing.B) {
 			b.ResetTimer()
 			var found int
 			for i := 0; i < b.N; i++ {
-				wk, _, err := env.AnalyzeWeek(context.Background(), 45, nil)
+				wk, err := env.AnalyzeWeek(context.Background(), 45, nil)
 				if err != nil {
 					b.Fatal(err)
 				}

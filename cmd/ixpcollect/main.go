@@ -136,8 +136,8 @@ func run(ctx context.Context, listen, out string, count int, maxLoss float64, fl
 	received, malformed := recv.Stats()
 	st := recv.SeqStats()
 	fmt.Printf("wrote %d datagrams (%d received, %d malformed)\n", written, received, malformed)
-	fmt.Printf("transport quality: %d seq gaps, %d dups, %d reordered, est loss %.2f%%, %d queue drops\n",
-		st.GapDatagrams, st.Duplicates, st.Reordered, 100*st.EstLoss(), recv.QueueDrops())
+	fmt.Printf("transport quality: %d seq gaps, %d dups, %d reordered, est loss %.2f%%\n",
+		st.GapDatagrams, st.Duplicates, st.Reordered, 100*st.EstLoss())
 	if err := f.Sync(); err != nil {
 		return err
 	}

@@ -67,7 +67,6 @@ func main() {
 		retryQ  = flag.Bool("retry-quarantined", false, "re-open weeks a previous run quarantined instead of skipping them")
 		anlz    = flag.String("analyzers", "all", "comma-separated analyzer names to run in the fused pass (webserver is always included); \"all\" runs every registered analyzer")
 		fullB   = flag.Int("storage-full-budget", 0, "how many storage-full waits one week may accumulate before ENOSPC fails the attempt normally (0 = wait indefinitely)")
-		_       = flag.Bool("snapshots", true, "deprecated no-op: snapshots are always persisted — they are the supervisor's resume checkpoints")
 
 		fsSeed        = flag.Uint64("fault-fs-seed", 1, "storage fault injection seed")
 		fsQuota       = flag.Int64("fault-fs-quota", 0, "write-byte budget before injected ENOSPC (0 = unlimited)")

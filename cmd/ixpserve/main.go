@@ -4,12 +4,13 @@
 // (/week/{n}/visibility), peering-link flow (/week/{n}/links) and
 // longitudinal churn queries. Weeks are analyzed lazily on first
 // request — from the on-disk snapshot when one exists and carries every
-// product the analyzer registry requires (ixpmine -snapshots, or
-// -write-snapshots here), from the raw capture otherwise — behind a
-// bounded in-memory cache with single-flight deduplication, a
-// per-request timeout, and load shedding past the in-flight limit. A
-// week mined under a narrowed registry answers 404 for the missing
-// products instead of recomputing them.
+// product the analyzer registry requires (ixpmine always writes them;
+// -write-snapshots persists them here too), from the raw capture
+// otherwise — behind a bounded in-memory cache with single-flight
+// deduplication, a per-request timeout, and load shedding past the
+// in-flight limit. A week mined under a narrowed registry answers 404
+// for the missing products instead of recomputing them. Loss budgets
+// belong to ixpmine: a week it quarantined answers 422 here.
 //
 // Usage:
 //
@@ -45,7 +46,6 @@ func main() {
 		in         = flag.String("in", "capture", "capture directory written by ixpgen")
 		addr       = flag.String("addr", ":8437", "HTTP listen address")
 		debug      = flag.String("debug-addr", "", "serve expvar+pprof on this address (empty = off)")
-		maxLoss    = flag.Float64("max-loss", 0, "fail a week's analysis when its estimated datagram loss fraction exceeds this (0 = no limit)")
 		cacheWeeks = flag.Int("cache-weeks", 32, "maximum analyzed weeks held in memory")
 		inflight   = flag.Int("max-inflight", 64, "maximum concurrently handled requests; excess load is shed with 503")
 		timeout    = flag.Duration("timeout", defaultTimeout, "per-request deadline, including any analysis it triggers (negative = none)")
@@ -56,7 +56,7 @@ func main() {
 	flag.Parse()
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-	if err := run(ctx, *in, *addr, *debug, *maxLoss, serve.Config{
+	if err := run(ctx, *in, *addr, *debug, serve.Config{
 		CacheWeeks:  *cacheWeeks,
 		MaxInFlight: *inflight,
 		Timeout:     *timeout,
@@ -67,7 +67,7 @@ func main() {
 	}
 }
 
-func run(ctx context.Context, dir, addr, debugAddr string, maxLoss float64, cfg serve.Config, writeSnaps bool, drain time.Duration) error {
+func run(ctx context.Context, dir, addr, debugAddr string, cfg serve.Config, writeSnaps bool, drain time.Duration) error {
 	man, err := capture.ReadManifest(dir)
 	if err != nil {
 		return err
@@ -86,7 +86,6 @@ func run(ctx context.Context, dir, addr, debugAddr string, maxLoss float64, cfg 
 		fmt.Fprintf(os.Stderr, "debug endpoint: http://%s/debug/vars\n", dbgAddr)
 	}
 	env.Instrument(reg)
-	env.MaxLoss = maxLoss
 	fmt.Fprintf(os.Stderr, "substrates rebuilt: %s\n", env)
 
 	store := serve.NewStore(dir, env, man, writeSnaps)

@@ -107,9 +107,7 @@ func main() {
 		log.Fatal(err)
 	}
 	defer in.Close()
-	// OpenReader sniffs the container magic, so the same analysis code
-	// reads v1 stream and v2 block captures.
-	sr, err := sflow.OpenReader(in)
+	sr, err := sflow.NewBlockReader(in)
 	if err != nil {
 		log.Fatal(err)
 	}

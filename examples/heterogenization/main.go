@@ -25,7 +25,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	week, _, err := env.AnalyzeWeek(context.Background(), 45, nil)
+	week, err := env.AnalyzeWeek(context.Background(), 45, nil)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -102,7 +102,14 @@ const (
 	flagHTTP = 1 << iota
 	flagHTTPS
 	flagAlsoClient
+
+	flagsKnown = flagHTTP | flagHTTPS | flagAlsoClient
 )
+
+// minServerLen is the smallest encoded server record: ip 4, flags 1,
+// bytes 8, member 4, and the four empty set/string counts (ports 1,
+// hosts 2, subject 2, alt names 2).
+const minServerLen = 24
 
 // AppendResult appends the deterministic identification-result encoding
 // (servers sorted by IP, sets in their stored order):
@@ -165,6 +172,10 @@ func AppendResult(b []byte, r *webserver.Result) ([]byte, error) {
 
 // ReadResult decodes one result from the cursor, leaving any trailing
 // bytes unconsumed (the v1 container embeds the result mid-payload).
+// Only the canonical encoding AppendResult writes is accepted — servers
+// in strictly ascending IP order, no unknown flag bits, a loss fraction
+// in [0, 1] — so a decoded result re-encodes to exactly its input and
+// damage cannot collapse into a smaller, plausible-looking result.
 func ReadResult(cur *Cursor) (*webserver.Result, error) {
 	r := &webserver.Result{Week: int(cur.U32())}
 	r.EstLoss = math.Float64frombits(cur.U64())
@@ -174,15 +185,26 @@ func ReadResult(cur *Cursor) (*webserver.Result, error) {
 	r.ServerBytes = cur.U64()
 
 	nServers := int(cur.U32())
-	if cur.Bad() || nServers > cur.Len() {
-		// Each server occupies well over one payload byte, so a count
-		// exceeding the remaining payload is structurally impossible.
+	if cur.Bad() || nServers > cur.Len()/minServerLen {
+		// A count the remaining payload cannot hold is rejected before
+		// the map is sized by it.
 		return nil, fmt.Errorf("%w: truncated result header", ErrFormat)
 	}
+	if !(r.EstLoss >= 0 && r.EstLoss <= 1) {
+		return nil, fmt.Errorf("%w: loss fraction %v", ErrFormat, r.EstLoss)
+	}
 	r.Servers = make(map[packet.IPv4Addr]*webserver.Server, nServers)
+	var prev packet.IPv4Addr
 	for i := 0; i < nServers; i++ {
 		s := &webserver.Server{IP: packet.IPv4Addr(cur.U32())}
+		if i > 0 && s.IP <= prev {
+			return nil, fmt.Errorf("%w: server %v out of order", ErrFormat, s.IP)
+		}
+		prev = s.IP
 		flags := cur.U8()
+		if flags&^flagsKnown != 0 {
+			return nil, fmt.Errorf("%w: server %v has unknown flags %#x", ErrFormat, s.IP, flags)
+		}
 		s.HTTP = flags&flagHTTP != 0
 		s.HTTPS = flags&flagHTTPS != 0
 		s.AlsoClient = flags&flagAlsoClient != 0

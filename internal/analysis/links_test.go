@@ -2,15 +2,20 @@ package analysis
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
+	"os"
+	"path/filepath"
 	"runtime"
 	"sort"
 	"testing"
 
+	"ixplens/internal/certsim"
 	"ixplens/internal/core/dissect"
 	"ixplens/internal/core/visibility"
+	"ixplens/internal/core/webserver"
 	"ixplens/internal/packet"
 )
 
@@ -207,12 +212,75 @@ func TestDecodeRejectsForgedCount(t *testing.T) {
 	}
 }
 
+// TestDecodeResultRejectsForgedCount is the webserver result's case: a
+// server count the payload cannot hold fails before the server map is
+// sized, and records that would decode into a different (smaller)
+// result — repeated IPs, unknown flag bits — are rejected, not merged.
+func TestDecodeResultRejectsForgedCount(t *testing.T) {
+	header := func(est float64, n uint32) []byte {
+		b := binary.BigEndian.AppendUint32(nil, 45)
+		b = binary.BigEndian.AppendUint64(b, math.Float64bits(est))
+		b = append(b, make([]byte, 5*8)...) // funnel counts, server bytes
+		return binary.BigEndian.AppendUint32(b, n)
+	}
+
+	// One declared server per payload byte: 1 MiB may not cost 40 MiB.
+	const n = 1 << 20
+	payload := append(header(0, n), make([]byte, n)...)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := DecodeResult(1, payload)
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, ErrFormat) {
+		t.Errorf("count %d in %d bytes: err = %v, want ErrFormat", n, n, err)
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc > n/16 {
+		t.Errorf("rejecting a forged count allocated %d bytes", alloc)
+	}
+
+	// A count one record short of its payload still fails.
+	if _, err := DecodeResult(1, append(header(0, 2), make([]byte, 2*minServerLen-1)...)); !errors.Is(err, ErrFormat) {
+		t.Errorf("2 records in %d bytes: err = %v, want ErrFormat", 2*minServerLen-1, err)
+	}
+
+	// 1000 minimal records of one repeated IP used to decode, without
+	// error, into a single server.
+	if _, err := DecodeResult(1, append(header(0, 1000), make([]byte, 1000*minServerLen)...)); !errors.Is(err, ErrFormat) {
+		t.Errorf("1000 records of IP 0.0.0.0: err = %v, want ErrFormat", err)
+	}
+
+	rec := make([]byte, minServerLen)
+	rec[3] = 1 // ip 0.0.0.1
+	rec[4] = flagAlsoClient << 1
+	if _, err := DecodeResult(1, append(header(0, 1), rec...)); !errors.Is(err, ErrFormat) {
+		t.Errorf("unknown flag bit: err = %v, want ErrFormat", err)
+	}
+	rec[4] = flagsKnown
+	if _, err := DecodeResult(1, append(header(0, 1), rec...)); err != nil {
+		t.Errorf("minimal record with every known flag: %v", err)
+	}
+	for _, est := range []float64{math.NaN(), -0.5, 1.5} {
+		if _, err := DecodeResult(1, append(header(est, 1), rec...)); !errors.Is(err, ErrFormat) {
+			t.Errorf("loss fraction %v: err = %v, want ErrFormat", est, err)
+		}
+	}
+}
+
 // fuzzSeeds returns encoded products to seed a decoder fuzz target
 // with: the snapshot package's synthetic products, an empty product,
 // and the products of the synthetic record stream.
 func fuzzSeeds(f *testing.F, name string) [][]byte {
 	var prods []Product
 	switch name {
+	case NameWebserver:
+		// The webserver analyzer needs a crawler, so its seeds are the
+		// snapshot package's synthetic result, an empty one, and the
+		// result segment of the committed IXPSNAP1 fixture as written.
+		seeds := [][]byte{
+			encode(f, &WebserverProduct{Res: &webserver.Result{Week: 45}}),
+			encode(f, &WebserverProduct{Res: syntheticResult()}),
+		}
+		return append(seeds, fixtureResult(f))
 	case NameLinks:
 		prods = []Product{
 			&LinksProduct{},
@@ -282,6 +350,55 @@ func FuzzDecodeLinks(f *testing.F) {
 
 func FuzzDecodeVisibility(f *testing.F) {
 	fuzzDecoder(f, NameVisibility, func(v uint16, b []byte) (Product, error) { return DecodeVisibility(v, b) })
+}
+
+func FuzzDecodeResult(f *testing.F) {
+	fuzzDecoder(f, NameWebserver, func(v uint16, b []byte) (Product, error) {
+		res, err := DecodeResult(v, b)
+		if err != nil {
+			return nil, err
+		}
+		return &WebserverProduct{Res: res}, nil
+	})
+}
+
+// syntheticResult mirrors the snapshot package's synthetic result: every
+// flag combination, empty and populated sets, alt names, a loss figure.
+func syntheticResult() *webserver.Result {
+	res := &webserver.Result{
+		Week: 45, Servers: map[packet.IPv4Addr]*webserver.Server{},
+		Candidates443: 7, Responded443: 6, Valid443: 5, TotalIPs: 1234,
+		ServerBytes: 1 << 40, EstLoss: 0.0321,
+	}
+	for _, s := range []*webserver.Server{
+		{IP: packet.MakeIPv4(10, 0, 0, 1), HTTP: true, Bytes: 99, Member: 17, AlsoClient: true,
+			Ports: []uint16{80, 443, 8080}, Hosts: []string{"a.example", "b.example"}},
+		{IP: packet.MakeIPv4(10, 0, 0, 2), HTTPS: true, Bytes: 1 << 50, Member: -1, Ports: []uint16{443},
+			Cert: certsim.Info{Subject: "shop.example", AltNames: []string{"cdn.example", "img.example"}}},
+		{IP: packet.MakeIPv4(10, 0, 0, 3), HTTP: true, HTTPS: true,
+			Cert: certsim.Info{Subject: "only-subject.example"}},
+	} {
+		res.Servers[s.IP] = s
+	}
+	return res
+}
+
+// fixtureResult cuts the result segment out of the snapshot package's
+// IXPSNAP1 fixture: past the 16-byte container header, the source
+// digest and the eleven u64 cascade counts.
+func fixtureResult(f *testing.F) []byte {
+	buf, err := os.ReadFile(filepath.Join("..", "snapshot", "testdata", "week-45.v1.snap"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	cur := NewCursor(buf[16:])
+	cur.Str()
+	cur.Take(11 * 8)
+	seg := cur.Take(cur.Len())
+	if cur.Bad() || len(seg) == 0 {
+		f.Fatal("fixture too short")
+	}
+	return seg
 }
 
 // BenchmarkLinksObserveFinish measures one week of the links analyzer

@@ -245,15 +245,6 @@ type DatagramSource interface {
 	Next(*sflow.Datagram) error
 }
 
-// RewindableSource is a DatagramSource that supports additional passes.
-// Reset rewinds to the beginning of the stream; the data seen by the
-// next pass is pristine even if a previous consumer mutated the
-// datagrams it was handed.
-type RewindableSource interface {
-	DatagramSource
-	Reset()
-}
-
 // ClassifyDatagram classifies every flow sample of one datagram,
 // tallying into counts and invoking fn (which may be nil) per record —
 // with panic isolation: if classifying a sample (or its fn callback)
@@ -287,8 +278,8 @@ func (c *Classifier) ClassifyDatagram(d *sflow.Datagram, counts *Counts, fn func
 // SliceSource adapts an in-memory datagram slice to a rewindable
 // DatagramSource. It is the buffered, hold-a-whole-week-in-memory
 // capture representation — useful for tests and for experiment runners
-// that make many passes over one week; production paths should stream
-// (see ProcessSharded and pipeline.ReplaySource) instead.
+// that make many passes over one week; production paths stream through
+// ProcessSharded instead.
 //
 // Next hands out defensive copies backed by source-owned scratch
 // buffers, so a consumer that mutates the datagram it was given — the

@@ -136,7 +136,7 @@ func (r *Runner) Week45() (*pipeline.Week, *visibility.Aggregator, *dissect.Slic
 	// identifier, visibility, link flows — from the same decode, and the
 	// aggregator Tables 1-3 need rebuilds from the persisted visibility
 	// product over the environment's shared entity table.
-	wk, _, err := r.Env.AnalyzeWeek(r.ctx(), r.focusWeek(), src)
+	wk, err := r.Env.AnalyzeWeek(r.ctx(), r.focusWeek(), src)
 	if err != nil {
 		return nil, nil, nil, err
 	}

@@ -39,7 +39,7 @@ func (r *Runner) ServerToServerTrend() (Report, error) {
 // sample is represented there with its endpoints — so no replay pass is
 // ever needed.
 func (r *Runner) m2mShare(isoWeek int) (float64, error) {
-	wk, _, err := r.Env.AnalyzeWeek(r.ctx(), isoWeek, nil)
+	wk, err := r.Env.AnalyzeWeek(r.ctx(), isoWeek, nil)
 	if err != nil {
 		return 0, err
 	}

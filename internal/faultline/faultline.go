@@ -8,10 +8,9 @@
 // reproducible: rerunning with the same configuration faults the same
 // datagrams in the same way.
 //
-// The package sits between a datagram producer and its consumer in
-// either direction of flow: Injector.Sink wraps a push-style collector
-// sink (the streaming pipeline), Injector.Source wraps a pull-style
-// dissect.DatagramSource (the buffered pipeline and capture files).
+// The package sits between a datagram producer and its consumer:
+// Injector.Sink wraps a push-style collector sink, which is how every
+// faulted capture, stream and export path applies the fault model.
 // PanickyResolver poisons member-port lookups to exercise the dissection
 // layer's panic quarantine, and TrackSource feeds a sequence tracker so
 // the loss the injector creates is measured the same way real loss is.
@@ -19,7 +18,6 @@ package faultline
 
 import (
 	"fmt"
-	"io"
 	"os"
 	"sync/atomic"
 	"time"
@@ -93,7 +91,7 @@ func (c *Config) Active() bool {
 }
 
 // Stats counts what the injector actually did. All fields are atomics:
-// a Sink or Source is driven from one goroutine, but chaos tests read
+// a Sink is driven from one goroutine, but chaos tests read
 // the stats while the pipeline is still running.
 type Stats struct {
 	Seen       atomic.Int64
@@ -232,95 +230,6 @@ func (inj *Injector) Flush(next func(*sflow.Datagram) error) error {
 		return next(h)
 	}
 	return nil
-}
-
-// Source wraps a pull-style DatagramSource with the same fault model as
-// Sink. If the underlying source is rewindable, Reset replays the
-// stream with the identical fault pattern.
-type Source struct {
-	inj   *Injector
-	src   dissect.DatagramSource
-	queue []*sflow.Datagram // clones pending delivery (dup, reorder)
-}
-
-// Source wraps src with this injector's fault model.
-func (inj *Injector) Source(src dissect.DatagramSource) *Source {
-	return &Source{inj: inj, src: src}
-}
-
-func (s *Source) pop(d *sflow.Datagram) {
-	q := s.queue[0]
-	s.queue = s.queue[1:]
-	*d = *q
-}
-
-// Next yields the next surviving datagram, faults applied.
-func (s *Source) Next(d *sflow.Datagram) error {
-	if len(s.queue) > 0 {
-		s.pop(d)
-		return nil
-	}
-	inj := s.inj
-	for {
-		err := s.src.Next(d)
-		if err == io.EOF {
-			if h := inj.held; h != nil {
-				inj.held = nil
-				*d = *h
-				return nil
-			}
-			return io.EOF
-		}
-		if err != nil {
-			return err
-		}
-		n := uint64(inj.n.Add(1))
-		inj.Stats.Seen.Add(1)
-		inj.maybeStall(n)
-		switch inj.decide(n) {
-		case faultDrop:
-			inj.Stats.Dropped.Add(1)
-			continue
-		case faultDup:
-			inj.Stats.Duplicated.Add(1)
-			// A held-back datagram goes out between the two copies, the
-			// same order the push-side wrapper produces.
-			if h := inj.held; h != nil {
-				inj.held = nil
-				s.queue = append(s.queue, h)
-			}
-			s.queue = append(s.queue, d.Clone())
-		case faultReorder:
-			if inj.held == nil {
-				inj.Stats.Reordered.Add(1)
-				inj.held = d.Clone()
-				continue
-			}
-		case faultTrunc:
-			inj.Stats.Truncated.Add(1)
-			truncateDatagram(d, randutil.Hash64(inj.cfg.Seed, inj.salt, n, 1))
-		case faultFlip:
-			inj.Stats.BitFlipped.Add(1)
-			flipDatagram(d, randutil.Hash64(inj.cfg.Seed, inj.salt, n, 2))
-		}
-		if h := inj.held; h != nil {
-			inj.held = nil
-			s.queue = append(s.queue, h)
-		}
-		return nil
-	}
-}
-
-// Reset rewinds the wrapped source (when it supports it) and restarts
-// the fault pattern from the beginning, so a second pass sees the
-// identical faulted stream.
-func (s *Source) Reset() {
-	if r, ok := s.src.(dissect.RewindableSource); ok {
-		r.Reset()
-	}
-	s.queue = nil
-	s.inj.held = nil
-	s.inj.n.Store(0)
 }
 
 // truncateDatagram snaps one sampled header to a shorter (possibly

@@ -1,11 +1,9 @@
 package faultline
 
 import (
-	"io"
 	"math"
 	"testing"
 
-	"ixplens/internal/core/dissect"
 	"ixplens/internal/sflow"
 )
 
@@ -153,68 +151,6 @@ func TestFaultsAsSeenBySequenceTracker(t *testing.T) {
 	}
 	if st.Reordered == 0 {
 		t.Fatal("tracker saw no reordering")
-	}
-}
-
-// TestSourceMatchesSink: the pull-side wrapper must produce the exact
-// delivery sequence the push-side wrapper does for the same seed/salt.
-func TestSourceMatchesSink(t *testing.T) {
-	ds := synthDatagrams(3000)
-	fromSink, _ := runSink(t, chaosMix, 45, synthDatagrams(3000))
-
-	src := New(chaosMix, 45).Source(&dissect.SliceSource{Datagrams: ds})
-	var fromSource []uint32
-	var d sflow.Datagram
-	for {
-		err := src.Next(&d)
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		fromSource = append(fromSource, d.SequenceNum)
-	}
-	if len(fromSink) != len(fromSource) {
-		t.Fatalf("sink delivered %d, source %d", len(fromSink), len(fromSource))
-	}
-	for i := range fromSink {
-		if fromSink[i] != fromSource[i] {
-			t.Fatalf("delivery %d diverged: sink %d, source %d", i, fromSink[i], fromSource[i])
-		}
-	}
-}
-
-// TestSourceResetReplaysFaults: a rewound faulted source replays the
-// identical faulted stream, including the mutated header bytes.
-func TestSourceResetReplaysFaults(t *testing.T) {
-	cfg := chaosMix
-	cfg.Truncate, cfg.BitFlip = 0.2, 0.2
-	src := New(cfg, 45).Source(&dissect.SliceSource{Datagrams: synthDatagrams(500)})
-	pass := func() (seqs []uint32, hdrs []string) {
-		var d sflow.Datagram
-		for {
-			err := src.Next(&d)
-			if err == io.EOF {
-				return
-			}
-			if err != nil {
-				t.Fatal(err)
-			}
-			seqs = append(seqs, d.SequenceNum)
-			hdrs = append(hdrs, string(d.Flows[0].Raw.Header))
-		}
-	}
-	seq1, hdr1 := pass()
-	src.Reset()
-	seq2, hdr2 := pass()
-	if len(seq1) != len(seq2) {
-		t.Fatalf("replay length diverged: %d vs %d", len(seq1), len(seq2))
-	}
-	for i := range seq1 {
-		if seq1[i] != seq2[i] || hdr1[i] != hdr2[i] {
-			t.Fatalf("replay diverged at %d", i)
-		}
 	}
 }
 

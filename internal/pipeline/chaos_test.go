@@ -108,7 +108,7 @@ func TestChaosTrackWeeks(t *testing.T) {
 func TestChaosAnalyzeWeekQuarantine(t *testing.T) {
 	env := newEnv(t)
 	env.Faults = &faultline.Config{Seed: 7, PanicAtLookup: 500}
-	wk, _, err := env.AnalyzeWeek(context.Background(), 45, nil)
+	wk, err := env.AnalyzeWeek(context.Background(), 45, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +135,7 @@ func TestChaosDeterministic(t *testing.T) {
 	run := func(cfg faultline.Config) (total, quarantined int, est float64) {
 		env := newEnv(t)
 		env.Faults = &cfg
-		wk, _, err := env.AnalyzeWeek(context.Background(), 45, nil)
+		wk, err := env.AnalyzeWeek(context.Background(), 45, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -165,11 +165,11 @@ func TestMaxLossAborts(t *testing.T) {
 	env := newEnv(t)
 	env.Faults = &faultline.Config{Seed: 7, Drop: 0.10}
 	env.MaxLoss = 0.02
-	if _, _, err := env.AnalyzeWeek(context.Background(), 45, nil); !errors.Is(err, ErrLossExceeded) {
+	if _, err := env.AnalyzeWeek(context.Background(), 45, nil); !errors.Is(err, ErrLossExceeded) {
 		t.Fatalf("err = %v, want ErrLossExceeded", err)
 	}
 	env.MaxLoss = 0.5
-	if _, _, err := env.AnalyzeWeek(context.Background(), 45, nil); err != nil {
+	if _, err := env.AnalyzeWeek(context.Background(), 45, nil); err != nil {
 		t.Fatalf("generous ceiling still failed: %v", err)
 	}
 }
@@ -277,7 +277,7 @@ func TestChaosAnalyzeWeekBuffered(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wk, _, err := env.AnalyzeWeek(context.Background(), 45, src)
+	wk, err := env.AnalyzeWeek(context.Background(), 45, src)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -29,7 +29,7 @@ func goldenEnv(t testing.TB) *Env {
 // inside Finish.
 func analyzeAt(t testing.TB, env *Env, wk, workers int) *Week {
 	t.Helper()
-	week, _, err := env.analyzeWeek(context.Background(), wk, nil, workers)
+	week, err := env.analyzeWeek(context.Background(), wk, nil, workers)
 	if err != nil {
 		t.Fatalf("week %d at %d workers: %v", wk, workers, err)
 	}
@@ -99,7 +99,7 @@ func TestGoldenAnalyzeWeekAggregates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	buffered, _, err := env.AnalyzeWeek(ctx, wk, src)
+	buffered, err := env.AnalyzeWeek(ctx, wk, src)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,7 +180,7 @@ func TestGoldenDeterministicAcrossRuns(t *testing.T) {
 }
 
 // TestGoldenFaultedWeek repeats the equivalence under deterministic
-// fault injection: the replay/fault paths must stay byte-identical too.
+// fault injection: the fault paths must stay byte-identical too.
 func TestGoldenFaultedWeek(t *testing.T) {
 	env := goldenEnv(t)
 	env.Faults = &faultline.Config{Seed: 11, Drop: 0.05, Duplicate: 0.02, Reorder: 0.03}

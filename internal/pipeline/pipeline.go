@@ -114,8 +114,7 @@ type Env struct {
 	M *Metrics
 	// Faults, when non-nil and active, threads every captured or
 	// streamed week through a deterministic fault injector (seeded with
-	// Faults.Seed, salted with the ISO week). Replay passes regenerate
-	// the pristine stream and are not faulted.
+	// Faults.Seed, salted with the ISO week).
 	Faults *faultline.Config
 	// MaxLoss, when positive, is the largest estimated per-week datagram
 	// loss fraction the analysis tolerates; a week above it fails with
@@ -224,8 +223,9 @@ func (e *Env) checkLoss(isoWeek int, st sflow.SeqStats) (float64, error) {
 // in-memory, rewindable datagram source plus the generator ground truth.
 // This is the buffered, O(week)-memory representation — opt into it for
 // tests and for experiment runners that make many passes over one week;
-// analysis paths should use AnalyzeWeek (one streamed pass) or Replay
-// (additional passes) instead. Configured faults are applied at capture
+// analysis paths should stream through AnalyzeWeek instead. Generation
+// is deterministic in (seed, ISO week), so a second call yields the same
+// datagrams. Configured faults are applied at capture
 // time, so the buffer holds the degraded stream an unreliable network
 // would have delivered; ctx cancellation aborts generation within one
 // datagram flush.
@@ -371,24 +371,20 @@ type Week struct {
 
 // AnalyzeWeek runs the complete per-week pipeline: ONE pass over the
 // week's samples feeds every analyzer in the Env's registry
-// (identification, visibility, link flows, ...) simultaneously, instead
-// of one rewind per analysis. When src is nil the week is streamed —
-// classified as it is generated, with bounded memory — and the returned
-// source is a ReplaySource that regenerates the identical stream for
-// callers that need further passes. Passing a non-nil rewindable source
-// (a buffered SliceSource, or a Replay from an earlier call) dissects
-// that instead, tracking sequence gaps so a lossy capture is annotated
-// just like a lossy live stream. Note that replay sources regenerate
-// pristine traffic: configured faults apply to live capture/stream
-// passes, not to replays.
-func (e *Env) AnalyzeWeek(ctx context.Context, isoWeek int, src dissect.RewindableSource) (*Week, dissect.RewindableSource, error) {
+// (identification, visibility, link flows, ...) simultaneously. When src
+// is nil the week is streamed — classified as it is generated, with
+// bounded memory. A non-nil src (a buffered CaptureWeek source) is
+// dissected instead, tracking sequence gaps so a lossy capture is
+// annotated just like a lossy live stream; it is left drained, and a
+// caller that wants another pass rewinds it.
+func (e *Env) AnalyzeWeek(ctx context.Context, isoWeek int, src dissect.DatagramSource) (*Week, error) {
 	return e.analyzeWeek(ctx, isoWeek, src, streamWorkers())
 }
 
 // analyzeWeek is AnalyzeWeek with the streamed pass's classifier pool
 // size made explicit, so tests can compare worker counts of the one
 // driver whatever the host's GOMAXPROCS.
-func (e *Env) analyzeWeek(ctx context.Context, isoWeek int, src dissect.RewindableSource, workers int) (*Week, dissect.RewindableSource, error) {
+func (e *Env) analyzeWeek(ctx context.Context, isoWeek int, src dissect.DatagramSource, workers int) (*Week, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -407,9 +403,8 @@ func (e *Env) analyzeWeek(ctx context.Context, isoWeek int, src dissect.Rewindab
 		var err error
 		counts, truth, est, err = e.streamWeek(ctx, e.Gen, isoWeek, workers, run.Observe)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
-		src = e.Replay(isoWeek)
 	} else {
 		run = reg.NewRun(actx, 1)
 		var seq sflow.SeqTracker
@@ -417,20 +412,19 @@ func (e *Env) analyzeWeek(ctx context.Context, isoWeek int, src dissect.Rewindab
 		counts, err = dissect.ProcessSharded(ctx, &faultline.TrackSource{Src: src, Seq: &seq},
 			e.members(), 1, run.Observe, e.M.DissectMetrics())
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		if est, err = e.checkLoss(isoWeek, seq.Stats()); err != nil {
-			return nil, nil, err
+			return nil, err
 		}
-		src.Reset()
 	}
 	prods, err := run.Finish(isoWeek)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	res := prods.Webserver()
 	if res == nil {
-		return nil, nil, errors.New("pipeline: analyzer registry lacks the webserver analyzer")
+		return nil, errors.New("pipeline: analyzer registry lacks the webserver analyzer")
 	}
 	res.EstLoss = est
 	metas, cov := metadata.Collect(res, e.DNS)
@@ -454,7 +448,7 @@ func (e *Env) analyzeWeek(ctx context.Context, isoWeek int, src dissect.Rewindab
 		Visibility: prods.Visibility(),
 		Links:      prods.Links(),
 		EstLoss:    est,
-	}, src, nil
+	}, nil
 }
 
 // Observation converts an identification result into the churn

@@ -30,7 +30,7 @@ func TestNewEnvRejectsBadConfig(t *testing.T) {
 
 func TestAnalyzeWeekEndToEnd(t *testing.T) {
 	env := newEnv(t)
-	wk, src, err := env.AnalyzeWeek(context.Background(), 45, nil)
+	wk, err := env.AnalyzeWeek(context.Background(), 45, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,26 +43,23 @@ func TestAnalyzeWeekEndToEnd(t *testing.T) {
 	if len(wk.Servers.Servers) == 0 || len(wk.Metas) == 0 || len(wk.Clusters.Clusters) == 0 {
 		t.Fatal("pipeline stages empty")
 	}
-	if src == nil {
-		t.Fatal("capture not returned for second passes")
+	// A second pass over the buffered capture of the same week must agree.
+	src, _, err := env.CaptureWeek(context.Background(), 45)
+	if err != nil {
+		t.Fatal(err)
 	}
-	// The returned source must be rewound and reusable.
-	n := 0
-	var d = src
-	_ = d
-	wk2, _, err := env.AnalyzeWeek(context.Background(), 45, src)
+	wk2, err := env.AnalyzeWeek(context.Background(), 45, src)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(wk2.Servers.Servers) != len(wk.Servers.Servers) {
 		t.Fatalf("re-analysis differs: %d vs %d servers", len(wk2.Servers.Servers), len(wk.Servers.Servers))
 	}
-	_ = n
 }
 
 func TestObservationResolvesEverything(t *testing.T) {
 	env := newEnv(t)
-	wk, _, err := env.AnalyzeWeek(context.Background(), 45, nil)
+	wk, err := env.AnalyzeWeek(context.Background(), 45, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +111,7 @@ func TestTrackWeeksParallelConsistent(t *testing.T) {
 	}
 	// The parallel result must equal a fresh sequential re-run of one
 	// week (generation is deterministic per week).
-	wk, _, err := env.AnalyzeWeek(context.Background(), cfg.FirstWeek+2, nil)
+	wk, err := env.AnalyzeWeek(context.Background(), cfg.FirstWeek+2, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +136,7 @@ func TestInstrumentedPipelineConsistency(t *testing.T) {
 	reg := obs.NewRegistry()
 	env.Instrument(reg)
 
-	wk, _, err := env.AnalyzeWeek(context.Background(), 45, nil)
+	wk, err := env.AnalyzeWeek(context.Background(), 45, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,7 +183,7 @@ func TestInstrumentedPipelineConsistency(t *testing.T) {
 	// Detaching must stop the counters moving.
 	env.Instrument(nil)
 	before := reg.Counter("ixp_samples_total").Value()
-	if _, _, err := env.AnalyzeWeek(context.Background(), 46, nil); err != nil {
+	if _, err := env.AnalyzeWeek(context.Background(), 46, nil); err != nil {
 		t.Fatal(err)
 	}
 	if after := reg.Counter("ixp_samples_total").Value(); after != before {

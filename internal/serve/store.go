@@ -64,7 +64,7 @@ func OpenStore(dir string, writeSnapshots bool) (*Store, error) {
 }
 
 // NewStore wraps an already rebuilt environment. Callers that need to
-// instrument or configure env (Instrument, MaxLoss) use this form.
+// instrument env (Instrument) use this form.
 func NewStore(dir string, env *pipeline.Env, man *capture.Manifest, writeSnapshots bool) *Store {
 	return &Store{dir: dir, env: env, man: man, writeSnapshots: writeSnapshots, m: NewMetrics(nil)}
 }

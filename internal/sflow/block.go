@@ -84,14 +84,6 @@ const (
 // hardware CRC instructions for it where available.
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
-// DatagramReader is the common surface of the v1 and v2 capture readers:
-// Next decodes the next datagram or returns io.EOF at a clean end of
-// input. Decoded header bytes alias reader-owned buffers and are valid
-// only until a subsequent Next call.
-type DatagramReader interface {
-	Next(d *Datagram) error
-}
-
 // BlockStats is a snapshot of a v2 reader's block accounting.
 type BlockStats struct {
 	// Blocks counts blocks that verified and decoded cleanly.
@@ -519,12 +511,7 @@ func NewBlockReader(r io.Reader) (*BlockReader, error) {
 	if magic != blockMagic {
 		return nil, ErrBadMagic
 	}
-	return newBlockReaderFrom(br), nil
-}
-
-// newBlockReaderFrom wraps a bufio.Reader positioned just past the magic.
-func newBlockReaderFrom(br *bufio.Reader) *BlockReader {
-	return &BlockReader{r: br}
+	return &BlockReader{r: br}, nil
 }
 
 // Next decodes the next datagram into d. It returns io.EOF at the end of
@@ -582,25 +569,6 @@ func (r *BlockReader) Next(d *Datagram) error {
 
 // Stats returns the block accounting so far.
 func (r *BlockReader) Stats() BlockStats { return r.st }
-
-// OpenReader sniffs the container magic and returns a sequential reader
-// for either capture format: a StreamReader for v1 files, a BlockReader
-// for v2. The reader consumes r from the current position.
-func OpenReader(r io.Reader) (DatagramReader, error) {
-	br := bufio.NewReaderSize(r, 1<<16)
-	var magic [8]byte
-	if _, err := io.ReadFull(br, magic[:]); err != nil {
-		return nil, fmt.Errorf("sflow: reading container header: %w", err)
-	}
-	switch magic {
-	case streamMagic:
-		return &StreamReader{r: br}, nil
-	case blockMagic:
-		return newBlockReaderFrom(br), nil
-	default:
-		return nil, ErrBadMagic
-	}
-}
 
 // CaptureFormat reports the container version a magic header announces:
 // 1, 2, or 0 for neither.

@@ -81,9 +81,15 @@ func writeBlockCapture(t *testing.T, n int, compress bool, flushEvery int) ([]by
 	return buf.Bytes(), want
 }
 
+// datagramReader is the Next method the serial and parallel block
+// readers share.
+type datagramReader interface {
+	Next(d *Datagram) error
+}
+
 // drainEncoded reads r to its end, returning each datagram re-encoded
 // (the decoded form aliases reader buffers, so encoding snapshots it).
-func drainEncoded(r DatagramReader) ([][]byte, error) {
+func drainEncoded(r datagramReader) ([][]byte, error) {
 	var got [][]byte
 	var d Datagram
 	for {
@@ -169,7 +175,7 @@ func TestBlockParallelMatchesSerial(t *testing.T) {
 func TestBlockTruncationSweep(t *testing.T) {
 	data, want := writeBlockCapture(t, 300, true, 41)
 	for cut := 8; cut < len(data); cut += 397 {
-		check := func(name string, r DatagramReader, stats func() BlockStats) {
+		check := func(name string, r datagramReader, stats func() BlockStats) {
 			got, err := drainEncoded(r)
 			if err != nil && !errors.Is(err, ErrTruncated) {
 				t.Fatalf("cut=%d %s: unexpected error %v", cut, name, err)
@@ -229,7 +235,7 @@ func TestBlockBitFlipQuarantine(t *testing.T) {
 	flipped[8+blockHeaderLen+11] ^= 0x10 // inside the first block's payload
 
 	for _, mode := range []string{"serial", "parallel"} {
-		var r DatagramReader
+		var r datagramReader
 		var stats func() BlockStats
 		switch mode {
 		case "serial":
@@ -292,53 +298,30 @@ func TestBlockHeaderFlipIndexedResync(t *testing.T) {
 	mustEqualEncodings(t, got, want[len(want)-len(got):])
 }
 
-func TestOpenReaderBothFormats(t *testing.T) {
-	// v1 container through the sniffing opener.
+// TestReadersRejectForeignMagic pins that each container reader refuses
+// the other format's bytes: callers pick the reader by CaptureFormat,
+// and a wrong pick must fail at the header, not mid-stream.
+func TestReadersRejectForeignMagic(t *testing.T) {
 	var v1 bytes.Buffer
 	sw, err := NewStreamWriter(&v1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var want [][]byte
-	for i := 0; i < 50; i++ {
-		d := blockTestDatagram(i)
-		want = append(want, d.AppendEncode(nil))
-		if err := sw.WriteDatagram(d); err != nil {
-			t.Fatal(err)
-		}
+	if err := sw.WriteDatagram(blockTestDatagram(0)); err != nil {
+		t.Fatal(err)
 	}
 	if err := sw.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	r1, err := OpenReader(bytes.NewReader(v1.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := r1.(*StreamReader); !ok {
-		t.Fatalf("v1 bytes opened as %T", r1)
-	}
-	got, err := drainEncoded(r1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mustEqualEncodings(t, got, want)
+	v2, _ := writeBlockCapture(t, 1, false, 0)
 
-	// v2 container through the same opener.
-	v2, want2 := writeBlockCapture(t, 50, true, 0)
-	r2, err := OpenReader(bytes.NewReader(v2))
-	if err != nil {
-		t.Fatal(err)
+	if _, err := NewBlockReader(bytes.NewReader(v1.Bytes())); !errors.Is(err, ErrBadMagic) {
+		t.Fatalf("block reader on v1 bytes: %v", err)
 	}
-	if _, ok := r2.(*BlockReader); !ok {
-		t.Fatalf("v2 bytes opened as %T", r2)
+	if _, err := NewStreamReader(bytes.NewReader(v2)); !errors.Is(err, ErrBadMagic) {
+		t.Fatalf("stream reader on v2 bytes: %v", err)
 	}
-	got2, err := drainEncoded(r2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mustEqualEncodings(t, got2, want2)
-
-	if _, err := OpenReader(bytes.NewReader([]byte("NOTACAPTstuff"))); !errors.Is(err, ErrBadMagic) {
+	if _, err := NewBlockReader(bytes.NewReader([]byte("NOTACAPTstuff"))); !errors.Is(err, ErrBadMagic) {
 		t.Fatalf("garbage magic: %v", err)
 	}
 }

@@ -96,11 +96,10 @@ const livenessInterval = 250 * time.Millisecond
 // feeds a sequence tracker, so the receiver can estimate how much of the
 // stream it lost (socket overruns, network drops).
 type Receiver struct {
-	pc           net.PacketConn
-	received     atomic.Int64
-	malformed    atomic.Int64
-	queueDropped atomic.Int64
-	seq          SeqTracker
+	pc        net.PacketConn
+	received  atomic.Int64
+	malformed atomic.Int64
+	seq       SeqTracker
 }
 
 // NewReceiver binds a UDP listening socket. addr like "127.0.0.1:0"
@@ -169,63 +168,11 @@ func (r *Receiver) RunContext(ctx context.Context, fn func(*Datagram) error) err
 	}
 }
 
-// RunQueued is RunContext with a bounded hand-off queue between the
-// socket read loop and the consumer: a dedicated goroutine reads and
-// decodes as fast as the socket delivers, and fn consumes from a queue
-// of at most depth datagrams. When the consumer falls behind, the oldest
-// unconsumed backlog is preserved and NEW datagrams are dropped and
-// counted (QueueDrops) — bounded memory and an honest loss figure
-// instead of unbounded blocking back into the kernel. Queued datagrams
-// are deep copies, so fn may retain them.
-func (r *Receiver) RunQueued(ctx context.Context, depth int, fn func(*Datagram) error) error {
-	if depth < 1 {
-		depth = 1
-	}
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-
-	ch := make(chan *Datagram, depth)
-	readErr := make(chan error, 1)
-	go func() {
-		defer close(ch)
-		readErr <- r.RunContext(ctx, func(d *Datagram) error {
-			select {
-			case ch <- d.Clone():
-			default:
-				r.queueDropped.Add(1)
-			}
-			return nil
-		})
-	}()
-
-	var consumeErr error
-	for d := range ch {
-		if consumeErr != nil {
-			continue // drain so the reader can exit
-		}
-		if err := fn(d); err != nil {
-			consumeErr = err
-			cancel()
-		}
-	}
-	err := <-readErr
-	if consumeErr != nil {
-		// The consumer failed; the reader's context.Canceled is just the
-		// shutdown we triggered.
-		return consumeErr
-	}
-	return err
-}
-
 // Stats returns the number of decoded and malformed datagrams so far.
 // Safe to call concurrently with Run.
 func (r *Receiver) Stats() (received, malformed int64) {
 	return r.received.Load(), r.malformed.Load()
 }
-
-// QueueDrops returns how many datagrams RunQueued discarded because the
-// consumer queue was full.
-func (r *Receiver) QueueDrops() int64 { return r.queueDropped.Load() }
 
 // SeqStats returns the receiver's sequence-gap accounting: what the
 // datagram sequence numbers say about datagrams that never arrived.

@@ -264,61 +264,6 @@ func TestReceiverTracksSequenceGaps(t *testing.T) {
 	}
 }
 
-// TestRunQueuedDeliversAndBounds: the queued consumer must see the
-// datagrams (as retainable copies) and stop cleanly on context cancel.
-func TestRunQueuedDeliversAndBounds(t *testing.T) {
-	recv, err := NewReceiver("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer recv.Close()
-
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	const rounds = 50
-	got := make(chan *Datagram, rounds)
-	done := make(chan error, 1)
-	go func() {
-		done <- recv.RunQueued(ctx, 16, func(d *Datagram) error {
-			got <- d // retained beyond the callback: must be a copy
-			return nil
-		})
-	}()
-
-	exp, err := NewExporter(recv.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer exp.Close()
-	base := sampleDatagram()
-	for i := 0; i < rounds; i++ {
-		base.SequenceNum = uint32(i + 1)
-		if err := exp.Send(base); err != nil {
-			t.Fatal(err)
-		}
-		time.Sleep(time.Millisecond) // let the slow queue keep up
-	}
-	deadline := time.Now().Add(2 * time.Second)
-	for len(got) < rounds*9/10 && time.Now().After(deadline) == false {
-		time.Sleep(5 * time.Millisecond)
-	}
-	cancel()
-	if err := <-done; err != nil && !errors.Is(err, context.Canceled) {
-		t.Fatalf("RunQueued = %v", err)
-	}
-	close(got)
-	n := 0
-	for d := range got {
-		if len(d.Flows) != len(base.Flows) {
-			t.Fatalf("queued datagram lost flows: %d", len(d.Flows))
-		}
-		n++
-	}
-	if n < rounds*9/10 {
-		t.Fatalf("consumer saw %d of %d datagrams", n, rounds)
-	}
-}
-
 // flakyConn fails the first write with a transient error, then behaves.
 type flakyConn struct {
 	net.Conn // nil; only Write/Close are called

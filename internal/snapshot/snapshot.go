@@ -342,6 +342,11 @@ func decodeV2(buf []byte) (*Snapshot, error) {
 		if entries[i].name == "" {
 			return nil, fmt.Errorf("%w: empty section name", ErrFormat)
 		}
+		// AppendEncode writes sections sorted by name; any other order
+		// (a duplicate included) would not survive a rewrite unchanged.
+		if i > 0 && entries[i].name <= entries[i-1].name {
+			return nil, fmt.Errorf("%w: section %q out of order", ErrFormat, entries[i].name)
+		}
 		if entries[i].length > maxPayload {
 			return nil, fmt.Errorf("%w: section %q payload of %d bytes",
 				ErrFormat, entries[i].name, entries[i].length)
@@ -358,15 +363,10 @@ func decodeV2(buf []byte) (*Snapshot, error) {
 	}
 
 	snap := &Snapshot{}
-	seen := make(map[string]bool, n)
 	var sawMeta, sawCounts bool
 	for i := range entries {
 		e := &entries[i]
 		payload := cur.Take(int(e.length))
-		if seen[e.name] {
-			return nil, fmt.Errorf("%w: duplicate section %q", ErrFormat, e.name)
-		}
-		seen[e.name] = true
 		if crc32.Checksum(payload, castagnoli) != e.crc {
 			return nil, fmt.Errorf("%w: section %q", ErrChecksum, e.name)
 		}

@@ -11,6 +11,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"ixplens/internal/analysis"
@@ -395,6 +396,82 @@ func TestMissingRequiredSection(t *testing.T) {
 	}
 }
 
+// TestSectionsOutOfOrderRejected pins the canonical section order: the
+// writer sorts sections by name, so a table in any other order (which
+// would decode to a different Extra order than its rewrite) is ErrFormat.
+func TestSectionsOutOfOrderRejected(t *testing.T) {
+	crc := func(b []byte) uint32 { return crc32.Checksum(b, crc32.MakeTable(crc32.Castagnoli)) }
+	build := func(names ...string) []byte {
+		var table, payloads []byte
+		for _, name := range names {
+			payload := []byte(name)
+			table = append(table, byte(len(name)))
+			table = append(table, name...)
+			table = binary.BigEndian.AppendUint16(table, 1)
+			table = binary.BigEndian.AppendUint32(table, uint32(len(payload)))
+			table = binary.BigEndian.AppendUint32(table, crc(payload))
+			payloads = append(payloads, payload...)
+		}
+		buf := []byte("IXPSNAP2")
+		buf = binary.BigEndian.AppendUint32(buf, uint32(len(names)))
+		buf = binary.BigEndian.AppendUint32(buf, uint32(len(table)))
+		buf = binary.BigEndian.AppendUint32(buf, crc(table))
+		buf = append(buf, table...)
+		return append(buf, payloads...)
+	}
+	for _, names := range [][]string{{"zz", "aa"}, {"aa", "aa"}} {
+		if _, err := Decode(build(names...)); !errors.Is(err, ErrFormat) || !strings.Contains(err.Error(), "out of order") {
+			t.Fatalf("sections %q: got %v, want ErrFormat (out of order)", names, err)
+		}
+	}
+}
+
+// FuzzSnapshotDecode checks the container's codec property: Decode
+// returns one of the package's typed errors, or a snapshot that
+// re-encodes and decodes back to the same value.
+func FuzzSnapshotDecode(f *testing.F) {
+	fixture, err := os.ReadFile(filepath.Join("testdata", "week-45.v1.snap"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(fixture)
+	v1, err := appendEncodeV1(nil, syntheticV1())
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(v1)
+	for _, snap := range []*Snapshot{syntheticV1(), synthetic()} {
+		buf, err := AppendEncode(nil, snap)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(buf)
+		f.Add(buf[:len(buf)-1])
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		snap, err := Decode(data)
+		if err != nil {
+			for _, typed := range []error{ErrBadMagic, ErrChecksum, ErrFormat, ErrSectionVersion} {
+				if errors.Is(err, typed) {
+					return
+				}
+			}
+			t.Fatalf("untyped error: %v", err)
+		}
+		buf, err := AppendEncode(nil, snap)
+		if err != nil {
+			t.Fatalf("decoded snapshot does not re-encode: %v", err)
+		}
+		got, err := Decode(buf)
+		if err != nil {
+			t.Fatalf("re-encoded snapshot does not decode: %v", err)
+		}
+		if !reflect.DeepEqual(snap, got) {
+			t.Fatalf("round trip diverged:\n got %+v\nwant %+v", got, snap)
+		}
+	})
+}
+
 func TestHasProduct(t *testing.T) {
 	snap := synthetic()
 	for _, name := range []string{"webserver", "visibility", "links", "zz-future"} {
@@ -430,7 +507,7 @@ func TestGoldenAllWeeks(t *testing.T) {
 	}
 	ctx := context.Background()
 	for wk := cfg.FirstWeek; wk <= cfg.LastWeek(); wk++ {
-		week, _, err := env.AnalyzeWeek(ctx, wk, nil)
+		week, err := env.AnalyzeWeek(ctx, wk, nil)
 		if err != nil {
 			t.Fatalf("week %d: %v", wk, err)
 		}

@@ -217,19 +217,3 @@ func (g *Generator) GenerateWeek(isoWeek int, col *ixp.Collector) (WeekStats, er
 	stats.SampledServers = len(sampled)
 	return stats, col.Flush()
 }
-
-// GenerateAll renders every week of the study into per-week collectors
-// created by mkCollector. Convenience for cmd/ixpgen and tests.
-func (g *Generator) GenerateAll(mkCollector func(isoWeek int) *ixp.Collector) ([]WeekStats, error) {
-	cfg := &g.w.Cfg
-	out := make([]WeekStats, 0, cfg.Weeks)
-	for wk := cfg.FirstWeek; wk <= cfg.LastWeek(); wk++ {
-		col := mkCollector(wk)
-		st, err := g.GenerateWeek(wk, col)
-		if err != nil {
-			return out, err
-		}
-		out = append(out, st)
-	}
-	return out, nil
-}

@@ -264,30 +264,6 @@ func TestHTTPSShareGrows(t *testing.T) {
 	}
 }
 
-func TestGenerateAll(t *testing.T) {
-	w, err := netmodel.Generate(netmodel.Tiny())
-	if err != nil {
-		t.Fatal(err)
-	}
-	fabric := ixp.NewFabric(w)
-	gen := NewGenerator(w, dnssim.New(w), fabric, Options{SamplesPerWeek: 1000, SamplingRate: 16384, SnapLen: 128})
-	drop := func(*sflow.Datagram) error { return nil }
-	stats, err := gen.GenerateAll(func(int) *ixp.Collector {
-		return ixp.NewCollector(fabric, 16384, drop)
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(stats) != w.Cfg.Weeks {
-		t.Fatalf("generated %d weeks, want %d", len(stats), w.Cfg.Weeks)
-	}
-	for i, st := range stats {
-		if st.Week != w.Cfg.FirstWeek+i {
-			t.Fatalf("week %d stats carry week %d", i, st.Week)
-		}
-	}
-}
-
 func TestDeterministicGeneration(t *testing.T) {
 	_, _, cap1, st1 := genWeek(t, 40)
 	_, _, cap2, st2 := genWeek(t, 40)
