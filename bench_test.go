@@ -59,13 +59,9 @@ func setup(b *testing.B) *fixture {
 
 // dissectPass runs the cascade over the cached capture through the
 // driver's serial reference.
-func (f *fixture) dissectPass(b *testing.B, fn func(*dissect.Record)) dissect.Counts {
+func (f *fixture) dissectPass(b *testing.B, obs dissect.ShardObserver) dissect.Counts {
 	b.Helper()
 	f.src.Reset()
-	var obs dissect.ShardObserver
-	if fn != nil {
-		obs = func(_ int, rec *dissect.Record, _ uint64) { fn(rec) }
-	}
 	counts, err := dissect.ProcessSharded(context.Background(), f.src, f.env.Fabric, 1, obs, nil)
 	if err != nil {
 		b.Fatal(err)
@@ -93,7 +89,7 @@ func BenchmarkServerIdentification(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		ident := webserver.NewIdentifier()
-		f.dissectPass(b, ident.Observe)
+		f.dissectPass(b, ident.ObserveShard)
 		res := ident.Identify(45, f.env.Crawler)
 		if len(res.Servers) == 0 {
 			b.Fatal("no servers identified")
@@ -370,7 +366,7 @@ func benchLinkStudy(b *testing.B, org int32) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		ls := hetero.NewLinkStats(w.Orgs[org].HomeAS)
-		f.dissectPass(b, func(rec *dissect.Record) {
+		f.dissectPass(b, func(_ int, rec *dissect.Record, _ uint64) {
 			ls.Observe(rec, func(ip packet.IPv4Addr) bool { return set[ip] })
 		})
 		if ls.TotalBytes == 0 {
@@ -415,7 +411,7 @@ func BenchmarkHTTPDetectionMethods(b *testing.B) {
 		var res *webserver.Result
 		for i := 0; i < b.N; i++ {
 			ident := webserver.NewIdentifier()
-			f.dissectPass(b, ident.Observe)
+			f.dissectPass(b, ident.ObserveShard)
 			res = ident.Identify(45, f.env.Crawler)
 		}
 		b.ReportMetric(float64(len(res.Servers)), "servers")
@@ -425,7 +421,7 @@ func BenchmarkHTTPDetectionMethods(b *testing.B) {
 		var count int
 		for i := 0; i < b.N; i++ {
 			servers := make(map[packet.IPv4Addr]bool)
-			f.dissectPass(b, func(rec *dissect.Record) {
+			f.dissectPass(b, func(_ int, rec *dissect.Record, _ uint64) {
 				if rec.Class != dissect.ClassPeeringTCP {
 					return
 				}

@@ -67,11 +67,14 @@ type Product interface {
 // State is one run's accumulator for one analyzer. Observe is called
 // concurrently from the classifier pool, with each worker index used by
 // at most one goroutine at a time — state must be per-worker, like the
-// webserver identifier's shards. seq is the record's global stream
-// position (for last-writer-wins tie-breaks); it carries no ordering
-// guarantee across workers.
+// webserver identifier's shards. It sees peering records only, with
+// both endpoints already resolved through Context.Entities: src and dst
+// are the IDs of rec.SrcIP and rec.DstIP, equal exactly when the record
+// is self-addressed. seq is the record's global stream position (for
+// last-writer-wins tie-breaks); it carries no ordering guarantee across
+// workers.
 type State interface {
-	Observe(worker int, rec *dissect.Record, seq uint64)
+	Observe(worker int, rec *dissect.Record, src, dst entity.ID, seq uint64)
 	Finish(isoWeek int) (Product, error)
 }
 
@@ -180,20 +183,26 @@ func (r *Registry) NewRun(actx *Context, workers int) *Run {
 	for i, a := range r.analyzers {
 		states[i] = a.NewState(actx, workers)
 	}
-	return &Run{reg: r, states: states}
+	return &Run{reg: r, states: states, entities: actx.Entities}
 }
 
 // Run is one in-flight fused analysis pass.
 type Run struct {
-	reg    *Registry
-	states []State
+	reg      *Registry
+	states   []State
+	entities *entity.Table
 }
 
-// Observe fans one classified record to every analyzer's worker state.
-// It matches dissect.ShardObserver.
+// Observe resolves a peering record's endpoints once and fans the
+// record and its IDs to every analyzer's worker state; other records
+// return before any resolve. It matches dissect.ShardObserver.
 func (r *Run) Observe(worker int, rec *dissect.Record, seq uint64) {
+	if !rec.Class.IsPeering() {
+		return
+	}
+	src, dst := r.entities.ResolvePair(rec.SrcIP, rec.DstIP)
 	for _, st := range r.states {
-		st.Observe(worker, rec, seq)
+		st.Observe(worker, rec, src, dst, seq)
 	}
 }
 

@@ -317,3 +317,82 @@ func sumBytes(per []visibility.IPTraffic) uint64 {
 	}
 	return sum
 }
+
+// TestNilCrawlerMeansNoCrawl pins that the optional crawler may be left
+// out: a port-443 candidate is still counted, but nothing is crawled,
+// so none responds or validates.
+func TestNilCrawlerMeansNoCrawl(t *testing.T) {
+	run := Default().NewRun(&Context{Entities: entity.NewTable(nil, nil)}, 1)
+	rec := dissect.Record{
+		Class: dissect.ClassPeeringTCP,
+		SrcIP: packet.MakeIPv4(10, 0, 0, 1), DstIP: packet.MakeIPv4(10, 0, 0, 2),
+		SrcPort: 50000, DstPort: 443, Bytes: 1500 * 16384,
+		Payload: []byte{0x16, 0x03, 0x01},
+	}
+	run.Observe(0, &rec, 0)
+	prods, err := run.Finish(45)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := prods.Webserver()
+	if res.Candidates443 != 1 || res.Responded443 != 0 || res.Valid443 != 0 || len(res.Servers) != 0 {
+		t.Fatalf("funnel %d → %d → %d with %d servers, want 1 → 0 → 0 with none",
+			res.Candidates443, res.Responded443, res.Valid443, len(res.Servers))
+	}
+}
+
+// BenchmarkRunObserve measures the fused observe of the default
+// registry on one worker: a synthetic week of ~66K peering records over
+// an entity table warmed with ~90K IPs, as a mined week meets it.
+func BenchmarkRunObserve(b *testing.B) {
+	state := uint64(11)
+	next := func(n uint64) uint64 {
+		state ^= state << 13
+		state ^= state >> 7
+		state ^= state << 17
+		return state % n
+	}
+	const clients, servers = 1 << 16, 24 << 10
+	ctx := testContext()
+	for i := 0; i < clients; i++ {
+		ctx.Entities.Resolve(packet.IPv4Addr(0x0a000000 + i))
+	}
+	for i := 0; i < servers; i++ {
+		ctx.Entities.Resolve(packet.IPv4Addr(0x50000000 + i))
+	}
+	payloads := [][]byte{
+		[]byte("GET /index.html HTTP/1.1\r\nHost: www.example.org\r\nAccept: */*\r\n\r\n"),
+		[]byte("HTTP/1.1 200 OK\r\nServer: synth\r\nContent-Type: text/html\r\n"),
+		[]byte("ge: 3600\r\nContent-Length: 1024\r\n\r\n"),
+		{0x17, 0x03, 0x03, 0x01, 0x00, 0x8a, 0x91, 0x5c, 0x22, 0x07},
+	}
+	recs := make([]dissect.Record, 66000)
+	for i := range recs {
+		kind := next(uint64(len(payloads)))
+		rec := dissect.Record{
+			Class:     dissect.ClassPeeringTCP,
+			SrcIP:     packet.IPv4Addr(0x0a000000 | next(clients)),
+			DstIP:     packet.IPv4Addr(0x50000000 | next(servers)),
+			SrcPort:   uint16(1024 + next(60000)),
+			DstPort:   []uint16{80, 443, 8080}[next(3)],
+			InMember:  int32(next(30)),
+			OutMember: int32(next(31)) - 1,
+			Bytes:     (64 + next(1400)) * 16384,
+			Payload:   payloads[kind],
+		}
+		if kind == 1 { // a response travels from the server
+			rec.SrcIP, rec.DstIP = rec.DstIP, rec.SrcIP
+			rec.SrcPort, rec.DstPort = rec.DstPort, rec.SrcPort
+		}
+		recs[i] = rec
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		run := Default().NewRun(ctx, 1)
+		for j := range recs {
+			run.Observe(0, &recs[j], uint64(j))
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(recs)), "ns/sample")
+}

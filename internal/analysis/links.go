@@ -80,10 +80,7 @@ type linksState struct {
 	shards [][][]flowRec // worker → chunks of up to flowChunkLen samples
 }
 
-func (s *linksState) Observe(worker int, rec *dissect.Record, _ uint64) {
-	if !rec.Class.IsPeering() {
-		return
-	}
+func (s *linksState) Observe(worker int, rec *dissect.Record, _, _ entity.ID, _ uint64) {
 	chunks := s.shards[worker]
 	last := len(chunks) - 1
 	if last < 0 || len(chunks[last]) == flowChunkLen {

@@ -63,17 +63,21 @@ func mapLinks(shards [][]dissect.Record) *LinksProduct {
 // linksOf runs the links analyzer over the shards, shard i observed by
 // worker i.
 func linksOf(t testing.TB, shards [][]dissect.Record) *LinksProduct {
-	st := Links().NewState(testContext(), len(shards))
-	for w, recs := range shards {
-		for i := range recs {
-			st.Observe(w, &recs[i], uint64(i))
-		}
-	}
-	p, err := st.Finish(45)
+	reg, err := NewRegistry(Links())
 	if err != nil {
 		t.Fatal(err)
 	}
-	return p.(*LinksProduct)
+	run := reg.NewRun(testContext(), len(shards))
+	for w, recs := range shards {
+		for i := range recs {
+			run.Observe(w, &recs[i], uint64(i))
+		}
+	}
+	prods, err := run.Finish(45)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return prods.Links()
 }
 
 func encode(t testing.TB, p Product) []byte {
@@ -428,7 +432,7 @@ func BenchmarkLinksObserveFinish(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		st := Links().NewState(ctx, 1)
 		for j := range recs {
-			st.Observe(0, &recs[j], uint64(j))
+			st.Observe(0, &recs[j], 0, 0, uint64(j))
 		}
 		if _, err := st.Finish(45); err != nil {
 			b.Fatal(err)

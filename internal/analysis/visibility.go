@@ -26,9 +26,9 @@ func (visibilityAnalyzer) Version() uint16 { return 1 }
 func (visibilityAnalyzer) NewState(actx *Context, workers int) State {
 	shards := make([]*visibility.Aggregator, workers)
 	for i := range shards {
-		// Sharing one table across shards is safe (Resolve is
-		// synchronized) and makes shard-local IDs directly comparable,
-		// which is what the ID-level merge relies on.
+		// The run resolves every record through this one table, which
+		// makes shard-local IDs directly comparable: the ID-level merge
+		// relies on it.
 		shards[i] = visibility.NewAggregatorWith(actx.Entities)
 	}
 	return &visibilityState{shards: shards}
@@ -42,8 +42,8 @@ type visibilityState struct {
 	shards []*visibility.Aggregator
 }
 
-func (s *visibilityState) Observe(worker int, rec *dissect.Record, _ uint64) {
-	s.shards[worker].Observe(rec)
+func (s *visibilityState) Observe(worker int, rec *dissect.Record, src, dst entity.ID, _ uint64) {
+	s.shards[worker].ObserveIDs(src, dst, rec.Bytes)
 }
 
 func (s *visibilityState) Finish(int) (Product, error) {

@@ -3,6 +3,7 @@ package analysis
 import (
 	"ixplens/internal/core/dissect"
 	"ixplens/internal/core/webserver"
+	"ixplens/internal/entity"
 )
 
 // Webserver returns the server-identification analyzer: the sharded
@@ -16,7 +17,7 @@ func (webserverAnalyzer) Name() string    { return NameWebserver }
 func (webserverAnalyzer) Version() uint16 { return 1 }
 
 func (webserverAnalyzer) NewState(actx *Context, workers int) State {
-	ident := webserver.NewSharded(workers)
+	ident := webserver.NewSharded(workers, actx.Entities)
 	ident.SetMetrics(actx.Ident)
 	return &webserverState{ident: ident, crawler: actx.Crawler}
 }
@@ -34,8 +35,8 @@ type webserverState struct {
 	crawler webserver.CertCrawler
 }
 
-func (s *webserverState) Observe(worker int, rec *dissect.Record, seq uint64) {
-	s.ident.ObserveShard(worker, rec, seq)
+func (s *webserverState) Observe(worker int, rec *dissect.Record, src, dst entity.ID, seq uint64) {
+	s.ident.ObserveIDs(worker, rec, src, dst, seq)
 }
 
 func (s *webserverState) Finish(isoWeek int) (Product, error) {

@@ -73,6 +73,10 @@ func WeekFile(isoWeek int) string {
 	return fmt.Sprintf("week-%02d.sflow", isoWeek)
 }
 
+// ErrManifest marks manifest bytes that do not parse or do not describe
+// a consistent campaign. Test with errors.Is.
+var ErrManifest = errors.New("capture: malformed manifest")
+
 // ErrAnonKeyMismatch marks a resume attempt whose anonymization key
 // fingerprint differs from the manifest's. Test with errors.Is.
 var ErrAnonKeyMismatch = errors.New("capture: resume with a different anonymization key")
@@ -432,13 +436,22 @@ func writeWeek(ctx context.Context, env *pipeline.Env, isoWeek int, path string,
 // complete), rename into place, then fsync the parent directory so the
 // rename itself survives power loss. Failed writes remove their temp.
 func writeManifest(fsys vfs.FS, path string, man *Manifest) error {
+	raw, err := encodeManifest(man)
+	if err != nil {
+		return err
+	}
+	return vfs.WriteFileAtomic(fsys, path, raw, ".manifest-*")
+}
+
+// encodeManifest renders the manifest as it is stored: indented JSON.
+func encodeManifest(man *Manifest) ([]byte, error) {
 	var buf bytes.Buffer
 	enc := json.NewEncoder(&buf)
 	enc.SetIndent("", "  ")
 	if err := enc.Encode(man); err != nil {
-		return err
+		return nil, err
 	}
-	return vfs.WriteFileAtomic(fsys, path, buf.Bytes(), ".manifest-*")
+	return buf.Bytes(), nil
 }
 
 // ReadManifest loads and validates a campaign manifest.
@@ -452,16 +465,21 @@ func ReadManifestFS(fsys vfs.FS, dir string) (*Manifest, error) {
 	if err != nil {
 		return nil, err
 	}
+	return decodeManifest(raw)
+}
+
+// decodeManifest parses and validates a manifest's bytes.
+func decodeManifest(raw []byte) (*Manifest, error) {
 	var man Manifest
 	if err := json.Unmarshal(raw, &man); err != nil {
-		return nil, fmt.Errorf("capture: parsing manifest: %w", err)
+		return nil, fmt.Errorf("%w: %w", ErrManifest, err)
 	}
 	if err := man.Config.Validate(); err != nil {
-		return nil, fmt.Errorf("capture: manifest config: %w", err)
+		return nil, fmt.Errorf("%w: config: %w", ErrManifest, err)
 	}
 	if len(man.Weeks) != len(man.Files) {
-		return nil, fmt.Errorf("capture: manifest weeks/files mismatch: %d vs %d",
-			len(man.Weeks), len(man.Files))
+		return nil, fmt.Errorf("%w: weeks/files mismatch: %d vs %d",
+			ErrManifest, len(man.Weeks), len(man.Files))
 	}
 	// The v2 fields are parallel to Files when present at all. A manifest
 	// violating that shape (hand-edited, or damaged in a way that still
@@ -470,12 +488,12 @@ func ReadManifestFS(fsys vfs.FS, dir string) (*Manifest, error) {
 	// clean rewrite, analysis tools fail with a diagnosis instead of a
 	// panic.
 	if n := len(man.Digests); n != 0 && n != len(man.Files) {
-		return nil, fmt.Errorf("capture: manifest digests/files mismatch: %d vs %d",
-			n, len(man.Files))
+		return nil, fmt.Errorf("%w: digests/files mismatch: %d vs %d",
+			ErrManifest, n, len(man.Files))
 	}
 	if n := len(man.Datagrams); n != 0 && n != len(man.Files) {
-		return nil, fmt.Errorf("capture: manifest datagrams/files mismatch: %d vs %d",
-			n, len(man.Files))
+		return nil, fmt.Errorf("%w: datagrams/files mismatch: %d vs %d",
+			ErrManifest, n, len(man.Files))
 	}
 	return &man, nil
 }

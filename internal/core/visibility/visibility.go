@@ -40,9 +40,11 @@ func NewAggregator(rib *routing.Table, gdb *geo.DB) *Aggregator {
 
 // NewAggregatorWith builds an aggregator sharing an existing entity
 // table, so IPs already interned by other pipeline stages resolve for
-// free.
+// free. Its accumulators start at the table's size, so a table shared
+// across weeks does not make every week regrow them.
 func NewAggregatorWith(table *entity.Table) *Aggregator {
-	return &Aggregator{table: table}
+	n := table.Len()
+	return &Aggregator{table: table, bytes: make([]uint64, n), seen: make([]bool, n)}
 }
 
 // Observe feeds one dissected record; only peering traffic counts. Each
@@ -52,9 +54,19 @@ func (a *Aggregator) Observe(rec *dissect.Record) {
 	if !rec.Class.IsPeering() {
 		return
 	}
-	a.credit(rec.SrcIP, rec.Bytes)
-	if rec.DstIP != rec.SrcIP {
-		a.credit(rec.DstIP, rec.Bytes)
+	src, dst := a.table.ResolvePair(rec.SrcIP, rec.DstIP)
+	a.ObserveIDs(src, dst, rec.Bytes)
+}
+
+// ObserveIDs credits one peering record whose endpoints the caller has
+// already resolved through the aggregator's table, so a driver that
+// resolves each record once can feed every consumer the same IDs. The
+// IDs are equal exactly when the record is self-addressed, which then
+// credits its one IP once.
+func (a *Aggregator) ObserveIDs(src, dst entity.ID, bytes uint64) {
+	a.creditID(src, bytes)
+	if dst != src {
+		a.creditID(dst, bytes)
 	}
 }
 
@@ -63,7 +75,7 @@ func (a *Aggregator) Observe(rec *dissect.Record) {
 // aggregator. Every derived view is iteration-order-independent, so an
 // aggregator rebuilt from IP-sorted entries answers identically to the
 // one that observed the live record stream.
-func (a *Aggregator) Add(ip packet.IPv4Addr, bytes uint64) { a.credit(ip, bytes) }
+func (a *Aggregator) Add(ip packet.IPv4Addr, bytes uint64) { a.creditID(a.table.Resolve(ip), bytes) }
 
 // Merge folds another aggregator built over the SAME entity table into
 // this one — the deterministic shard merge of the fused analysis pass.
@@ -92,10 +104,6 @@ func (a *Aggregator) PerIP() []IPTraffic {
 	}
 	slices.SortFunc(out, func(a, b IPTraffic) int { return cmp.Compare(a.IP, b.IP) })
 	return out
-}
-
-func (a *Aggregator) credit(ip packet.IPv4Addr, bytes uint64) {
-	a.creditID(a.table.Resolve(ip), bytes)
 }
 
 func (a *Aggregator) creditID(id entity.ID, bytes uint64) {

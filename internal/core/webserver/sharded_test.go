@@ -59,14 +59,34 @@ func feedSharded(id *Identifier, recs []dissect.Record, assign func(i int) int) 
 	}
 }
 
+// ipState is one IP's merged evidence with its out-of-line sets inlined,
+// comparable across identifiers whatever their slot and set layout.
+type ipState struct {
+	IPStats
+	Ports []uint16
+	Hosts []string
+}
+
+// mergedByIP merges id's shards and returns every IP's evidence.
+func mergedByIP(id *Identifier) map[packet.IPv4Addr]*ipState {
+	sh := id.merged()
+	out := make(map[packet.IPv4Addr]*ipState, sh.slots.n)
+	for pos := 1; pos <= sh.slots.n; pos++ {
+		sl := sh.slots.at(uint32(pos))
+		srv := sh.server(sl)
+		st := &ipState{IPStats: sl.IPStats, Ports: srv.Ports, Hosts: srv.Hosts}
+		st.sets = 0
+		out[sl.ip] = st
+	}
+	return out
+}
+
 func TestShardedMergeMatchesSerial(t *testing.T) {
 	recs := synthRecords(4000)
 
 	serial := NewIdentifier()
-	for i := range recs {
-		serial.Observe(&recs[i])
-	}
-	want := serial.merged()
+	feedSharded(serial, recs, func(int) int { return 0 })
+	want := mergedByIP(serial)
 
 	assignments := map[string]func(i int) int{
 		"round-robin": func(i int) int { return i % 4 },
@@ -74,9 +94,9 @@ func TestShardedMergeMatchesSerial(t *testing.T) {
 		"skewed":      func(i int) int { return (i * i) % 4 },
 	}
 	for name, assign := range assignments {
-		sharded := NewSharded(4)
+		sharded := NewSharded(4, nil)
 		feedSharded(sharded, recs, assign)
-		got := sharded.merged()
+		got := mergedByIP(sharded)
 		if len(got) != len(want) {
 			t.Fatalf("%s: %d IPs, want %d", name, len(got), len(want))
 		}
@@ -95,7 +115,7 @@ func TestShardedMergeMatchesSerial(t *testing.T) {
 func TestKSmallestCapsArePartitionIndependent(t *testing.T) {
 	// Overflow the port cap from two shards in opposite orders; the
 	// merged set must be the k smallest of the union either way.
-	a, b := NewSharded(2), NewSharded(2)
+	a, b := NewSharded(2, nil), NewSharded(2, nil)
 	rec := func(port uint16) *dissect.Record {
 		return &dissect.Record{
 			Class: dissect.ClassPeeringTCP,
@@ -112,8 +132,8 @@ func TestKSmallestCapsArePartitionIndependent(t *testing.T) {
 		b.ObserveShard(0, rec(219-p+100), seq+1)
 		seq += 2
 	}
-	sa := a.merged()[packet.MakeIPv4(2, 2, 2, 2)]
-	sb := b.merged()[packet.MakeIPv4(2, 2, 2, 2)]
+	sa := mergedByIP(a)[packet.MakeIPv4(2, 2, 2, 2)]
+	sb := mergedByIP(b)[packet.MakeIPv4(2, 2, 2, 2)]
 	if !reflect.DeepEqual(sa.Ports, sb.Ports) {
 		t.Fatalf("port sets differ across partitions: %v vs %v", sa.Ports, sb.Ports)
 	}
@@ -136,11 +156,11 @@ func TestSrcMemberSeqTieBreak(t *testing.T) {
 			Payload: []byte{0x00},
 		}
 	}
-	id := NewSharded(3)
+	id := NewSharded(3, nil)
 	id.ObserveShard(2, mk(7), 10) // latest sample, on shard 2
 	id.ObserveShard(0, mk(3), 2)
 	id.ObserveShard(1, mk(5), 5)
-	st := id.merged()[packet.MakeIPv4(9, 9, 9, 9)]
+	st := mergedByIP(id)[packet.MakeIPv4(9, 9, 9, 9)]
 	if st.SrcMember != 7 {
 		t.Fatalf("SrcMember = %d, want 7 (highest seq wins)", st.SrcMember)
 	}

@@ -10,11 +10,13 @@ package webserver
 import (
 	"bytes"
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
 	"ixplens/internal/certsim"
 	"ixplens/internal/core/dissect"
+	"ixplens/internal/entity"
 	"ixplens/internal/obs"
 	"ixplens/internal/packet"
 )
@@ -99,35 +101,44 @@ var methodWords = [][]byte{
 
 var responsePrefixes = [][]byte{[]byte("HTTP/1.1 "), []byte("HTTP/1.0 ")}
 
-// Pattern 2: common header field words from the RFCs and W3C specs.
-var headerWords = [][]byte{
-	[]byte("Host: "), []byte("Server: "), []byte("Content-Type: "),
-	[]byte("Content-Length: "), []byte("User-Agent: "), []byte("Cache-Control: "),
-	[]byte("Access-Control-Allow-Methods: "), []byte("Set-Cookie: "),
-	[]byte("Accept: "), []byte("Location: "),
+// Pattern 2: common header field names from the RFCs and W3C specs,
+// each matched as "Name: ".
+func isHeaderName(tok []byte) bool {
+	switch string(tok) {
+	case "Host", "Server", "Content-Type", "Content-Length", "User-Agent",
+		"Cache-Control", "Access-Control-Allow-Methods", "Set-Cookie",
+		"Accept", "Location":
+		return true
+	}
+	return false
 }
 
-var httpVersionWord = []byte(" HTTP/1.")
+var (
+	httpVersionWord = []byte(" HTTP/1.")
+	fieldSeparator  = []byte(": ")
+)
 
-// classifyPayload applies the two string-matching patterns.
+// classifyPayload applies the two string-matching patterns. The initial
+// line prefixes are only tried when the first byte can start one.
 func classifyPayload(p []byte) payloadKind {
 	if len(p) == 0 {
 		return payloadOpaque
 	}
-	for _, m := range methodWords {
-		if bytes.HasPrefix(p, m) && bytes.Contains(p, httpVersionWord) {
-			return payloadHTTPRequest
+	switch p[0] {
+	case 'G', 'P', 'H', 'D', 'O', 'C':
+		for _, m := range methodWords {
+			if bytes.HasPrefix(p, m) && bytes.Contains(p, httpVersionWord) {
+				return payloadHTTPRequest
+			}
+		}
+		for _, r := range responsePrefixes {
+			if bytes.HasPrefix(p, r) {
+				return payloadHTTPResponse
+			}
 		}
 	}
-	for _, r := range responsePrefixes {
-		if bytes.HasPrefix(p, r) {
-			return payloadHTTPResponse
-		}
-	}
-	for _, h := range headerWords {
-		if containsHeaderField(p, h) {
-			return payloadHTTPHeaderOnly
-		}
+	if hasHeaderField(p) {
+		return payloadHTTPHeaderOnly
 	}
 	return payloadOpaque
 }
@@ -139,23 +150,28 @@ func fieldNameByte(c byte) bool {
 		('a' <= c && c <= 'z') || ('A' <= c && c <= 'Z') || ('0' <= c && c <= '9')
 }
 
-// containsHeaderField reports whether name occurs where a header field
-// can actually start. A bare bytes.Contains also matches mid-token
-// occurrences — "Host: " inside "X-Forwarded-Host: " — and misattributes
-// them. Because the 128-byte snap can begin mid-stream, a match is
-// accepted at the payload start, after CR/LF, or after any byte that
-// cannot be part of a longer field name.
-func containsHeaderField(p, name []byte) bool {
+// hasHeaderField reports whether a known header field occurs where a
+// field can actually start, in one pass over the ": " separators: the
+// maximal run of field-name bytes before a separator must be a header
+// name. A bare substring match would also accept mid-token occurrences
+// — "Host: " inside "X-Forwarded-Host: " — and misattribute them.
+// Because the 128-byte snap can begin mid-stream, a name may open the
+// payload or follow CR/LF or any byte that cannot extend a field name.
+func hasHeaderField(p []byte) bool {
 	for off := 0; ; {
-		j := bytes.Index(p[off:], name)
+		j := bytes.Index(p[off:], fieldSeparator)
 		if j < 0 {
 			return false
 		}
-		k := off + j
-		if k == 0 || !fieldNameByte(p[k-1]) {
+		end := off + j
+		start := end
+		for start > 0 && fieldNameByte(p[start-1]) {
+			start--
+		}
+		if isHeaderName(p[start:end]) {
 			return true
 		}
-		off = k + 1
+		off = end + len(fieldSeparator)
 	}
 }
 
@@ -187,11 +203,12 @@ func indexHeaderValue(p, name []byte) int {
 // :port suffix are trimmed. A value that might itself be truncated
 // cannot be told apart from a complete one at payload end — the snap
 // boundary falls where it falls — so payload-end values are accepted;
-// the meta-data cleaning step downstream drops junk.
-func extractHost(p []byte) (string, bool) {
+// the meta-data cleaning step downstream drops junk. The value aliases
+// p; it becomes a string only if it enters an IP's capped host set.
+func extractHost(p []byte) ([]byte, bool) {
 	i := indexHeaderValue(p, []byte("Host:"))
 	if i < 0 {
-		return "", false
+		return nil, false
 	}
 	rest := p[i:]
 	if end := bytes.IndexAny(rest, "\r\n"); end >= 0 {
@@ -204,9 +221,9 @@ func extractHost(p []byte) (string, bool) {
 		rest = rest[:j]
 	}
 	if len(rest) == 0 {
-		return "", false
+		return nil, false
 	}
-	return string(rest), true
+	return rest, true
 }
 
 func allDigits(b []byte) bool {
@@ -218,29 +235,16 @@ func allDigits(b []byte) bool {
 	return true
 }
 
-// IPStats aggregates everything observed about one IP endpoint.
+// IPStats aggregates everything observed about one IP endpoint. It is
+// held by value in its shard's slot array; the capped port and host
+// sets, which most endpoints (the clients) never fill, live out of line
+// in the shard's set table so the per-IP slot stays small.
 type IPStats struct {
-	// ServerHits counts samples where string matching placed the IP on
-	// the server side; ClientHits the client side.
-	ServerHits int
-	ClientHits int
 	// BytesTotal is the represented traffic of every peering sample the
 	// IP participated in (either side). Once an IP is identified as a
 	// server, this is the traffic it is "responsible for or sees",
 	// matching the paper's >70%-of-peering-traffic accounting.
 	BytesTotal uint64
-	// Ports the IP was contacted on (server side), capped small set.
-	Ports []uint16
-	// Hosts collects observed Host header values for requests to this
-	// IP (the URI meta-data of Section 2.4), capped.
-	Hosts []string
-	// Candidate443 marks port-443 contact (HTTPS candidate set).
-	Candidate443 bool
-	// SrcMember is the member AS index whose port last carried traffic
-	// sourced by this IP (-1 before any source-side sample). The IXP
-	// knows its port-to-customer mapping, so this is measurement-side
-	// information (used e.g. to watch reseller growth).
-	SrcMember int32
 	// Bytes443 is represented traffic on port 443.
 	Bytes443 uint64
 	// srcSeq is the stream position of the sample that last set
@@ -248,6 +252,20 @@ type IPStats struct {
 	// last-writer-wins outcome regardless of how samples were
 	// partitioned across shards.
 	srcSeq uint64
+	// ServerHits counts samples where string matching placed the IP on
+	// the server side; ClientHits the client side.
+	ServerHits uint32
+	ClientHits uint32
+	// SrcMember is the member AS index whose port last carried traffic
+	// sourced by this IP (-1 before any source-side sample). The IXP
+	// knows its port-to-customer mapping, so this is measurement-side
+	// information (used e.g. to watch reseller growth).
+	SrcMember int32
+	// sets is the position of the IP's port and host sets in its
+	// shard's set table; 0 until the first port or host is added.
+	sets uint32
+	// Candidate443 marks port-443 contact (HTTPS candidate set).
+	Candidate443 bool
 }
 
 const (
@@ -255,162 +273,233 @@ const (
 	maxHostsPerIP = 12
 )
 
+// ipSets holds one IP's capped sets: the ports it was contacted on
+// (server side) and the Host header values of requests to it (the URI
+// meta-data of Section 2.4).
+type ipSets struct {
+	ports  [maxPortsPerIP]uint16
+	nPorts uint8
+	hosts  []string
+}
+
 // addPort keeps the maxPortsPerIP numerically smallest distinct ports,
 // sorted ascending. "k smallest" (rather than "first k encountered")
 // makes the capped set a pure function of the sample multiset: merging
 // two shards' sets yields exactly the set a serial pass over the union
 // would keep, which the deterministic shard merge depends on.
-func (s *IPStats) addPort(p uint16) {
-	i := sort.Search(len(s.Ports), func(i int) bool { return s.Ports[i] >= p })
-	if i < len(s.Ports) && s.Ports[i] == p {
+func (s *ipSets) addPort(p uint16) {
+	i, found := slices.BinarySearch(s.ports[:s.nPorts], p)
+	if found {
 		return
 	}
-	if len(s.Ports) < maxPortsPerIP {
-		s.Ports = append(s.Ports, 0)
-	} else if i == len(s.Ports) {
+	if s.nPorts < maxPortsPerIP {
+		s.nPorts++
+	} else if i == maxPortsPerIP {
 		return // full and p is larger than everything kept
 	}
-	copy(s.Ports[i+1:], s.Ports[i:])
-	s.Ports[i] = p
+	kept := s.ports[:s.nPorts]
+	copy(kept[i+1:], kept[i:])
+	kept[i] = p
 }
 
 // addHost keeps the maxHostsPerIP lexicographically smallest distinct
 // Host values, sorted — partition-independent for the same reason as
-// addPort.
-func (s *IPStats) addHost(h string) {
-	i := sort.SearchStrings(s.Hosts, h)
-	if i < len(s.Hosts) && s.Hosts[i] == h {
+// addPort. A []byte value becomes a string only when it enters the set.
+func addHost[H string | []byte](s *ipSets, h H) {
+	i := sort.Search(len(s.hosts), func(i int) bool { return s.hosts[i] >= string(h) })
+	if i < len(s.hosts) && s.hosts[i] == string(h) {
 		return
 	}
-	if len(s.Hosts) < maxHostsPerIP {
-		s.Hosts = append(s.Hosts, "")
-	} else if i == len(s.Hosts) {
+	if len(s.hosts) < maxHostsPerIP {
+		s.hosts = append(s.hosts, "")
+	} else if i == len(s.hosts) {
 		return
 	}
-	copy(s.Hosts[i+1:], s.Hosts[i:])
-	s.Hosts[i] = h
+	copy(s.hosts[i+1:], s.hosts[i:])
+	s.hosts[i] = string(h)
 }
 
-// merge folds another shard's evidence about the same IP into s. All
+// chunkBits sets the element count of one storage chunk. A chunk is
+// never copied as a shard grows, so element pointers stay valid and a
+// week's state allocates its final size once instead of every regrowth.
+const chunkBits = 10
+
+// chunked is an append-only sequence stored in fixed-size chunks and
+// addressed by 1-based position.
+type chunked[T any] struct {
+	chunks [][]T
+	n      int
+}
+
+// push appends v and returns a pointer to it and its position.
+func (c *chunked[T]) push(v T) (*T, uint32) {
+	if c.n&(1<<chunkBits-1) == 0 {
+		c.chunks = append(c.chunks, make([]T, 1<<chunkBits))
+	}
+	p := c.at(uint32(c.n + 1))
+	*p = v
+	c.n++
+	return p, uint32(c.n)
+}
+
+// at returns the element at position pos (1 ≤ pos ≤ n).
+func (c *chunked[T]) at(pos uint32) *T {
+	i := pos - 1
+	return &c.chunks[i>>chunkBits][i&(1<<chunkBits-1)]
+}
+
+// slot is one observed IP's state in a shard.
+type slot struct {
+	ip packet.IPv4Addr
+	id entity.ID
+	IPStats
+}
+
+// shard is one worker's private accumulator: a value slot per observed
+// IP, reached through an index over entity IDs, and the port and host
+// sets those slots refer to.
+type shard struct {
+	index []uint32 // entity ID → slot position; 0 = not observed
+	slots chunked[slot]
+	sets  chunked[ipSets]
+}
+
+// slotOf returns id's slot, appending a fresh one on first sight.
+func (sh *shard) slotOf(id entity.ID, ip packet.IPv4Addr) *slot {
+	if int(id) >= len(sh.index) {
+		grown := make([]uint32, int(id)+1+len(sh.index)/2)
+		copy(grown, sh.index)
+		sh.index = grown
+	}
+	if pos := sh.index[id]; pos != 0 {
+		return sh.slots.at(pos)
+	}
+	sl, pos := sh.slots.push(slot{ip: ip, id: id, IPStats: IPStats{SrcMember: -1}})
+	sh.index[id] = pos
+	return sl
+}
+
+// setsOf returns st's port and host sets, creating them on first use.
+func (sh *shard) setsOf(st *IPStats) *ipSets {
+	if st.sets == 0 {
+		var sets *ipSets
+		sets, st.sets = sh.sets.push(ipSets{})
+		return sets
+	}
+	return sh.sets.at(st.sets)
+}
+
+// candidate443 records one port-443 contact of st.
+func (sh *shard) candidate443(st *IPStats, bytes uint64) {
+	st.Candidate443 = true
+	st.Bytes443 += bytes
+	sh.setsOf(st).addPort(443)
+}
+
+// merge folds o, a slot of shard from, into st, a slot of sh. All
 // fields are either commutative-associative (counters, byte totals,
 // candidacy OR, k-smallest capped sets) or resolved by the global
 // sample sequence (SrcMember), so the result is independent of shard
 // assignment and merge order.
-func (s *IPStats) merge(o *IPStats) {
-	s.ServerHits += o.ServerHits
-	s.ClientHits += o.ClientHits
-	s.BytesTotal += o.BytesTotal
-	s.Bytes443 += o.Bytes443
-	s.Candidate443 = s.Candidate443 || o.Candidate443
-	for _, p := range o.Ports {
-		s.addPort(p)
+func (sh *shard) merge(st, o *IPStats, from *shard) {
+	st.ServerHits += o.ServerHits
+	st.ClientHits += o.ClientHits
+	st.BytesTotal += o.BytesTotal
+	st.Bytes443 += o.Bytes443
+	st.Candidate443 = st.Candidate443 || o.Candidate443
+	if o.sets != 0 {
+		os, sets := from.sets.at(o.sets), sh.setsOf(st)
+		for _, p := range os.ports[:os.nPorts] {
+			sets.addPort(p)
+		}
+		for _, h := range os.hosts {
+			addHost(sets, h)
+		}
 	}
-	for _, h := range o.Hosts {
-		s.addHost(h)
-	}
-	if o.SrcMember != -1 && (s.SrcMember == -1 || o.srcSeq > s.srcSeq) {
-		s.SrcMember = o.SrcMember
-		s.srcSeq = o.srcSeq
+	if o.SrcMember != -1 && (st.SrcMember == -1 || o.srcSeq > st.srcSeq) {
+		st.SrcMember = o.SrcMember
+		st.srcSeq = o.srcSeq
 	}
 }
 
-// shard is one worker's private accumulator: a stats map plus the
-// auto-sequence used when records arrive through the serial Observe
-// path.
-type shard struct {
-	stats map[packet.IPv4Addr]*IPStats
-	seq   uint64
-}
-
-// Identifier consumes peering records and accumulates per-IP evidence.
-// With one shard (NewIdentifier) it is the familiar serial accumulator;
-// NewSharded builds one accumulator per worker so a parallel dissect
-// pool can observe records concurrently — each worker owning one shard
-// index — with Identify merging the shards deterministically.
+// Identifier consumes peering records and accumulates per-IP evidence,
+// keyed by the IPs' dense IDs in an entity table. With one shard
+// (NewIdentifier) it is the familiar serial accumulator; NewSharded
+// builds one accumulator per worker so a parallel dissect pool can
+// observe records concurrently — each worker owning one shard index —
+// with Identify merging the shards deterministically.
 type Identifier struct {
+	table  *entity.Table
 	shards []shard
 	m      *Metrics
 }
 
-// NewIdentifier returns an empty single-shard identifier.
-func NewIdentifier() *Identifier { return NewSharded(1) }
+// NewIdentifier returns an empty single-shard identifier with a private
+// interning table.
+func NewIdentifier() *Identifier { return NewSharded(1, nil) }
 
 // NewSharded returns an identifier with n independent shards (n < 1 is
-// treated as 1). ObserveShard(i, ...) may be called concurrently for
+// treated as 1) keyed by table's IDs; a nil table gives it a private,
+// identity-only one. ObserveShard(i, ...) may be called concurrently for
 // distinct i; the merge in Identify produces results identical to a
-// serial pass over the same samples in stream order.
-func NewSharded(n int) *Identifier {
+// serial pass over the same samples in stream order. Each shard's ID
+// index starts at the table's current size, so a table shared across
+// weeks does not make every week regrow it.
+func NewSharded(n int, table *entity.Table) *Identifier {
 	if n < 1 {
 		n = 1
 	}
-	id := &Identifier{shards: make([]shard, n)}
+	if table == nil {
+		table = entity.NewTable(nil, nil)
+	}
+	id := &Identifier{table: table, shards: make([]shard, n)}
+	size := table.Len()
 	for i := range id.shards {
-		id.shards[i].stats = make(map[packet.IPv4Addr]*IPStats, 1<<12/n)
+		id.shards[i].index = make([]uint32, size)
 	}
 	return id
 }
-
-// NumShards returns the shard count the identifier was built with.
-func (id *Identifier) NumShards() int { return len(id.shards) }
 
 // SetMetrics attaches an observability bundle (nil detaches). Call
 // before the identifier is shared between goroutines.
 func (id *Identifier) SetMetrics(m *Metrics) { id.m = m }
 
-func (sh *shard) get(ip packet.IPv4Addr) *IPStats {
-	s := sh.stats[ip]
-	if s == nil {
-		s = &IPStats{SrcMember: -1}
-		sh.stats[ip] = s
-	}
-	return s
-}
-
-// Observe processes one peering record on shard 0, with an
-// automatically assigned stream sequence. This is the serial path: it
-// must not race with ObserveShard or a concurrent Observe.
-func (id *Identifier) Observe(rec *dissect.Record) {
-	sh := &id.shards[0]
-	seq := sh.seq
-	sh.seq++
-	id.observe(sh, rec, seq)
-}
-
-// ObserveShard processes one peering record on the given shard. seq is
-// the record's global stream position (assigned by the producer before
-// fan-out); it breaks last-writer ties during the merge, so equal
-// results fall out regardless of which worker saw which record.
-// Concurrent calls must use distinct shard indices.
+// ObserveShard processes one record on the given shard, resolving its
+// endpoints through the identifier's table; non-peering records are
+// ignored before any resolve. seq is the record's global stream
+// position (assigned by the producer before fan-out); it breaks
+// last-writer ties during the merge, so equal results fall out
+// regardless of which worker saw which record. Concurrent calls must
+// use distinct shard indices.
 func (id *Identifier) ObserveShard(shardIdx int, rec *dissect.Record, seq uint64) {
-	id.observe(&id.shards[shardIdx], rec, seq)
-}
-
-func (id *Identifier) observe(sh *shard, rec *dissect.Record, seq uint64) {
 	if !rec.Class.IsPeering() {
 		return
 	}
+	src, dst := id.table.ResolvePair(rec.SrcIP, rec.DstIP)
+	id.ObserveIDs(shardIdx, rec, src, dst, seq)
+}
+
+// ObserveIDs is ObserveShard for a peering record whose endpoints the
+// caller already resolved through the identifier's table; src == dst
+// exactly when the record is self-addressed.
+func (id *Identifier) ObserveIDs(shardIdx int, rec *dissect.Record, src, dst entity.ID, seq uint64) {
+	sh := &id.shards[shardIdx]
+	s, d := &sh.slotOf(src, rec.SrcIP).IPStats, &sh.slotOf(dst, rec.DstIP).IPStats
 	if rec.Class == dissect.ClassPeeringTCP {
 		// HTTPS candidates: any endpoint contacted on TCP 443.
 		if rec.DstPort == 443 {
-			d := sh.get(rec.DstIP)
-			d.Candidate443 = true
-			d.Bytes443 += rec.Bytes
-			d.addPort(443)
+			sh.candidate443(d, rec.Bytes)
 		}
 		if rec.SrcPort == 443 {
-			s := sh.get(rec.SrcIP)
-			s.Candidate443 = true
-			s.Bytes443 += rec.Bytes
-			s.addPort(443)
+			sh.candidate443(s, rec.Bytes)
 		}
 	}
 	// Every endpoint accumulates its total peering traffic; server
 	// identification later decides whose totals count as server-related.
-	src := sh.get(rec.SrcIP)
-	src.BytesTotal += rec.Bytes
-	src.SrcMember = rec.InMember
-	src.srcSeq = seq
-	sh.get(rec.DstIP).BytesTotal += rec.Bytes
+	s.BytesTotal += rec.Bytes
+	s.SrcMember = rec.InMember
+	s.srcSeq = seq
+	d.BytesTotal += rec.Bytes
 
 	kind := classifyPayload(rec.Payload)
 	if id.m != nil {
@@ -419,66 +508,75 @@ func (id *Identifier) observe(sh *shard, rec *dissect.Record, seq uint64) {
 	switch kind {
 	case payloadHTTPRequest:
 		// The destination acts as server, the source as client.
-		srv := sh.get(rec.DstIP)
-		srv.ServerHits++
-		srv.addPort(rec.DstPort)
+		d.ServerHits++
+		sets := sh.setsOf(d)
+		sets.addPort(rec.DstPort)
 		if h, ok := extractHost(rec.Payload); ok {
-			srv.addHost(h)
+			addHost(sets, h)
 			if id.m != nil {
 				id.m.HostsExtracted.Inc()
 			}
 		}
-		sh.get(rec.SrcIP).ClientHits++
+		s.ClientHits++
 	case payloadHTTPResponse:
-		srv := sh.get(rec.SrcIP)
-		srv.ServerHits++
-		srv.addPort(rec.SrcPort)
-		sh.get(rec.DstIP).ClientHits++
+		s.ServerHits++
+		sh.setsOf(s).addPort(rec.SrcPort)
+		d.ClientHits++
 	case payloadHTTPHeaderOnly:
 		// Mid-stream header material: attribute the server role to the
 		// well-known-port side when one exists.
 		switch {
 		case isWebPort(rec.SrcPort):
-			srv := sh.get(rec.SrcIP)
-			srv.ServerHits++
-			srv.addPort(rec.SrcPort)
+			s.ServerHits++
+			sh.setsOf(s).addPort(rec.SrcPort)
 		case isWebPort(rec.DstPort):
-			srv := sh.get(rec.DstIP)
-			srv.ServerHits++
-			srv.addPort(rec.DstPort)
+			d.ServerHits++
+			sh.setsOf(d).addPort(rec.DstPort)
 		}
 	default:
 		// Opaque payload: still track RTMP-style multi-purpose port use
 		// for IPs that string matching identifies elsewhere.
 		if rec.Class == dissect.ClassPeeringTCP && rec.SrcPort == 1935 {
-			sh.get(rec.SrcIP).addPort(1935)
+			sh.setsOf(s).addPort(1935)
 		}
 	}
 }
 
-// merged collapses all shards into shard 0's map and returns it. The
-// per-IP merge is order-independent (see IPStats.merge), so the result
-// does not depend on how the stream was partitioned.
-func (id *Identifier) merged() map[packet.IPv4Addr]*IPStats {
-	dst := id.shards[0].stats
+// merged collapses all shards into shard 0 and returns it, matching
+// slots by entity ID. The per-IP merge is order-independent (see
+// shard.merge), so the result does not depend on how the stream was
+// partitioned.
+func (id *Identifier) merged() *shard {
+	dst := &id.shards[0]
 	if len(id.shards) == 1 {
 		return dst
 	}
 	start := time.Now()
 	for i := 1; i < len(id.shards); i++ {
-		for ip, st := range id.shards[i].stats {
-			if d, ok := dst[ip]; ok {
-				d.merge(st)
-			} else {
-				dst[ip] = st
-			}
+		from := &id.shards[i]
+		for pos := 1; pos <= from.slots.n; pos++ {
+			o := from.slots.at(uint32(pos))
+			dst.merge(&dst.slotOf(o.id, o.ip).IPStats, &o.IPStats, from)
 		}
-		id.shards[i].stats = nil
+		id.shards[i] = shard{}
 	}
 	if id.m != nil {
 		id.m.MergeNanos.ObserveSince(start)
 	}
 	return dst
+}
+
+// server builds the Server record of a slot from its aggregates.
+func (sh *shard) server(sl *slot) *Server {
+	srv := &Server{IP: sl.ip, Bytes: sl.BytesTotal, AlsoClient: sl.ClientHits > 0, Member: sl.SrcMember}
+	if sl.sets != 0 {
+		sets := sh.sets.at(sl.sets)
+		if sets.nPorts > 0 {
+			srv.Ports = slices.Clone(sets.ports[:sets.nPorts])
+		}
+		srv.Hosts = sets.hosts
+	}
+	return srv
 }
 
 func isWebPort(p uint16) bool {
@@ -536,53 +634,61 @@ type Result struct {
 
 // Identify finalizes the week: merges the shards deterministically,
 // applies the server criteria and runs the HTTPS crawl over the
-// candidate set. It must not run concurrently with Observe/ObserveShard.
+// candidate set. A nil crawler means no crawl: candidates are still
+// counted, but none responds or validates. It must not run concurrently
+// with ObserveShard/ObserveIDs.
 func (id *Identifier) Identify(isoWeek int, crawler CertCrawler) *Result {
-	stats := id.merged()
+	sh := id.merged()
 	res := &Result{
-		Week:    isoWeek,
-		Servers: make(map[packet.IPv4Addr]*Server, len(stats)/4),
+		Week:     isoWeek,
+		Servers:  make(map[packet.IPv4Addr]*Server, sh.slots.n/4),
+		TotalIPs: sh.slots.n,
 	}
-	res.TotalIPs = len(stats)
 	roots := crawlRoots(crawler)
-	for ip, st := range stats {
-		isHTTP := st.ServerHits > 0
+	for pos := 1; pos <= sh.slots.n; pos++ {
+		sl := sh.slots.at(uint32(pos))
 		var srv *Server
-		if isHTTP {
-			srv = &Server{
-				IP: ip, HTTP: true, Bytes: st.BytesTotal,
-				Ports: st.Ports, Hosts: st.Hosts,
-				AlsoClient: st.ClientHits > 0, Member: st.SrcMember,
-			}
+		if sl.ServerHits > 0 {
+			srv = sh.server(sl)
+			srv.HTTP = true
 		}
-		if st.Candidate443 {
+		if sl.Candidate443 {
 			res.Candidates443++
-			id.m.crawlAttempt()
-			crawl := crawler.Crawl(ip, isoWeek)
-			if crawl.Responded {
-				res.Responded443++
-				id.m.crawlResponse()
-			}
-			info, reason := validateCrawl(crawler, roots, ip, crawl, isoWeek)
-			if reason == certsim.RejectNone {
-				res.Valid443++
-				id.m.crawlValid()
-				if srv == nil {
-					srv = &Server{IP: ip, Bytes: st.BytesTotal, Ports: st.Ports,
-						Hosts: st.Hosts, AlsoClient: st.ClientHits > 0, Member: st.SrcMember}
+			if crawler != nil {
+				if info, ok := id.crawl(res, crawler, roots, sl.ip, isoWeek); ok {
+					if srv == nil {
+						srv = sh.server(sl)
+					}
+					srv.HTTPS = true
+					srv.Cert = info
 				}
-				srv.HTTPS = true
-				srv.Cert = info
-			} else {
-				id.m.crawlReject(reason)
 			}
 		}
 		if srv != nil {
-			res.Servers[ip] = srv
+			res.Servers[sl.ip] = srv
 			res.ServerBytes += srv.Bytes
 		}
 	}
 	return res
+}
+
+// crawl runs the HTTPS check on one port-443 candidate, counting the
+// funnel in res and the metrics, and reports whether it validated.
+func (id *Identifier) crawl(res *Result, crawler CertCrawler, roots map[string]bool, ip packet.IPv4Addr, isoWeek int) (certsim.Info, bool) {
+	id.m.crawlAttempt()
+	crawl := crawler.Crawl(ip, isoWeek)
+	if crawl.Responded {
+		res.Responded443++
+		id.m.crawlResponse()
+	}
+	info, reason := validateCrawl(crawler, roots, ip, crawl, isoWeek)
+	if reason != certsim.RejectNone {
+		id.m.crawlReject(reason)
+		return certsim.Info{}, false
+	}
+	res.Valid443++
+	id.m.crawlValid()
+	return info, true
 }
 
 // validateCrawl applies the certificate checks to one candidate. With an

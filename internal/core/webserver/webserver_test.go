@@ -257,23 +257,23 @@ func TestExtractHost(t *testing.T) {
 	}
 	for _, c := range cases {
 		h, ok := extractHost([]byte(c.payload))
-		if ok != c.ok || h != c.want {
+		if ok != c.ok || string(h) != c.want {
 			t.Errorf("%s: extractHost(%q) = %q, %v; want %q, %v", c.name, c.payload, h, ok, c.want, c.ok)
 		}
 	}
 }
 
 func TestIPStatsCaps(t *testing.T) {
-	var st IPStats
+	var st ipSets
 	for i := 0; i < 50; i++ {
 		st.addPort(uint16(i))
-		st.addHost(string(rune('a' + i%26)))
+		addHost(&st, string(rune('a'+i%26)))
 	}
-	if len(st.Ports) > maxPortsPerIP || len(st.Hosts) > maxHostsPerIP {
-		t.Fatalf("caps not enforced: %d ports, %d hosts", len(st.Ports), len(st.Hosts))
+	if st.nPorts > maxPortsPerIP || len(st.hosts) > maxHostsPerIP {
+		t.Fatalf("caps not enforced: %d ports, %d hosts", st.nPorts, len(st.hosts))
 	}
 	st.addPort(3)
-	if len(st.Ports) != maxPortsPerIP {
+	if st.nPorts != maxPortsPerIP {
 		t.Fatal("duplicate port changed set")
 	}
 }
@@ -281,9 +281,29 @@ func TestIPStatsCaps(t *testing.T) {
 func TestObserveIgnoresNonPeering(t *testing.T) {
 	id := NewIdentifier()
 	rec := &dissect.Record{Class: dissect.ClassLocal, SrcIP: packet.MakeIPv4(1, 2, 3, 4)}
-	id.Observe(rec)
-	if len(id.shards[0].stats) != 0 {
+	id.ObserveShard(0, rec, 0)
+	if id.shards[0].slots.n != 0 || id.table.Len() != 0 {
 		t.Fatal("non-peering record created state")
+	}
+}
+
+// TestObserveKnownHostAllocatesNothing pins that a Host value already in
+// the capped set is matched without becoming a string.
+func TestObserveKnownHostAllocatesNothing(t *testing.T) {
+	id := NewIdentifier()
+	rec := &dissect.Record{
+		Class: dissect.ClassPeeringTCP,
+		SrcIP: packet.MakeIPv4(1, 2, 3, 4), DstIP: packet.MakeIPv4(5, 6, 7, 8),
+		SrcPort: 44444, DstPort: 80, Bytes: 1400,
+		Payload: []byte("GET / HTTP/1.1\r\nHost: www.example.org\r\n"),
+	}
+	id.ObserveShard(0, rec, 0)
+	if allocs := testing.AllocsPerRun(100, func() { id.ObserveShard(0, rec, 1) }); allocs != 0 {
+		t.Fatalf("observing a known host allocated %.1f times", allocs)
+	}
+	sh := &id.shards[0]
+	if hosts := sh.server(sh.slots.at(2)).Hosts; len(hosts) != 1 || hosts[0] != "www.example.org" {
+		t.Fatalf("hosts = %q", hosts)
 	}
 }
 
@@ -298,7 +318,7 @@ func BenchmarkObserve(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		id.Observe(rec)
+		id.ObserveShard(0, rec, uint64(i))
 	}
 }
 

@@ -142,10 +142,51 @@ func (t *Table) SetMetrics(m *Metrics) {
 }
 
 // Resolve interns ip, resolving its attributes through the RIB and geo
-// DB on first sight, and returns its dense ID.
+// DB on first sight, and returns its dense ID. A hit reads only the ID
+// map: the attribute memo is not touched.
 func (t *Table) Resolve(ip packet.IPv4Addr) ID {
-	id, _ := t.ResolveAttrs(ip)
+	t.mu.RLock()
+	id, ok := t.ids[ip]
+	t.mu.RUnlock()
+	if !ok {
+		id, _ = t.intern(ip)
+		return id
+	}
+	if t.m != nil {
+		t.m.Hits.Inc()
+	}
 	return id
+}
+
+// ResolvePair is Resolve for a record's two endpoints under one read
+// lock. A self-addressed pair (src == dst) is resolved once; misses
+// intern src before dst, as two Resolve calls would.
+func (t *Table) ResolvePair(src, dst packet.IPv4Addr) (ID, ID) {
+	t.mu.RLock()
+	s, okS := t.ids[src]
+	d, okD := s, okS
+	if dst != src {
+		d, okD = t.ids[dst]
+	}
+	t.mu.RUnlock()
+	if t.m != nil {
+		if okS {
+			t.m.Hits.Inc()
+		}
+		if okD && dst != src {
+			t.m.Hits.Inc()
+		}
+	}
+	if !okS {
+		s, _ = t.intern(src)
+	}
+	if dst == src {
+		return s, s
+	}
+	if !okD {
+		d, _ = t.intern(dst)
+	}
+	return s, d
 }
 
 // ResolveAttrs is Resolve plus the memoized attributes, fetched under

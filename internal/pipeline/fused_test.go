@@ -193,3 +193,48 @@ func TestGoldenAnalyzerEquivalence(t *testing.T) {
 		}
 	}
 }
+
+// TestIDIndexAcrossWeeks pins the ID-keyed analyzer state on an entity
+// table shared across weeks. The second week's state is built with its
+// ID indexes sized to the table the first week left behind, so it meets
+// IDs from the first week inside the index and IDs interned mid-run
+// beyond it (concurrently, at four workers). Its webserver and
+// visibility products must be byte-equal to the same week analysed on a
+// fresh table.
+func TestIDIndexAcrossWeeks(t *testing.T) {
+	const first, second = 40, 41
+	encode := func(p analysis.Product) []byte {
+		b, err := p.AppendEncode(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	for _, workers := range []int{1, 4} {
+		shared := goldenEnv(t)
+		analyzeAt(t, shared, first, workers)
+		table := shared.EntityTable()
+		sized := table.Len()
+		got := analyzeAt(t, shared, second, workers)
+		if table.Len() == sized {
+			t.Fatalf("w%d: week %d interned no new IPs, so no index grew", workers, second)
+		}
+		reused := 0
+		for _, e := range got.Visibility.PerIP {
+			if id, ok := table.Lookup(e.IP); ok && int(id) < sized {
+				reused++
+			}
+		}
+		if reused == 0 {
+			t.Fatalf("w%d: week %d met no IP of week %d", workers, second, first)
+		}
+
+		want := analyzeAt(t, goldenEnv(t), second, workers)
+		if !bytes.Equal(encode(&analysis.WebserverProduct{Res: got.Servers}), encode(&analysis.WebserverProduct{Res: want.Servers})) {
+			t.Fatalf("w%d: webserver product on the shared table differs from a fresh table's", workers)
+		}
+		if !bytes.Equal(encode(got.Visibility), encode(want.Visibility)) {
+			t.Fatalf("w%d: visibility product on the shared table differs from a fresh table's", workers)
+		}
+	}
+}
