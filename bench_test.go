@@ -11,6 +11,7 @@ import (
 	"context"
 	"testing"
 
+	"ixplens/internal/analysis"
 	"ixplens/internal/core/blindspot"
 	"ixplens/internal/core/cluster"
 	"ixplens/internal/core/dissect"
@@ -69,6 +70,23 @@ func (f *fixture) dissectPass(b *testing.B, obs dissect.ShardObserver) dissect.C
 	return counts
 }
 
+// identify runs server identification over the cached capture: a
+// webserver-only analysis run fed by the driver's serial reference.
+func (f *fixture) identify(b *testing.B) *webserver.Result {
+	b.Helper()
+	reg, err := analysis.Select(analysis.NameWebserver)
+	if err != nil {
+		b.Fatal(err)
+	}
+	run := reg.NewRun(f.env.AnalysisContext(), 1)
+	f.dissectPass(b, run.Observe)
+	prods, err := run.Finish(45)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return prods.Webserver()
+}
+
 // --- E1: Fig. 1 ---
 
 func BenchmarkFig1FilterCascade(b *testing.B) {
@@ -88,9 +106,7 @@ func BenchmarkServerIdentification(b *testing.B) {
 	f := setup(b)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		ident := webserver.NewIdentifier()
-		f.dissectPass(b, ident.ObserveShard)
-		res := ident.Identify(45, f.env.Crawler)
+		res := f.identify(b)
 		if len(res.Servers) == 0 {
 			b.Fatal("no servers identified")
 		}
@@ -410,9 +426,7 @@ func BenchmarkHTTPDetectionMethods(b *testing.B) {
 		b.ReportAllocs()
 		var res *webserver.Result
 		for i := 0; i < b.N; i++ {
-			ident := webserver.NewIdentifier()
-			f.dissectPass(b, ident.ObserveShard)
-			res = ident.Identify(45, f.env.Crawler)
+			res = f.identify(b)
 		}
 		b.ReportMetric(float64(len(res.Servers)), "servers")
 	})

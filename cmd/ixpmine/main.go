@@ -45,7 +45,6 @@ import (
 	"ixplens/internal/capture"
 	"ixplens/internal/core/churn"
 	"ixplens/internal/core/cluster"
-	"ixplens/internal/core/metadata"
 	"ixplens/internal/faultline"
 	"ixplens/internal/obs"
 	"ixplens/internal/packet"
@@ -236,15 +235,11 @@ func deepDive(env *pipeline.Env, snap *snapshot.Snapshot, anonymized bool) {
 	fmt.Printf("443 funnel: %d candidates -> %d responded -> %d valid\n",
 		res.Candidates443, res.Responded443, res.Valid443)
 
-	metas, cov := metadata.Collect(res, env.DNS)
+	_, cov, cl := env.Organizations(res)
 	fmt.Printf("meta-data: DNS %.1f%%, URI %.1f%%, cert %.1f%%, any %.1f%% (of %d servers)\n",
 		pct(cov.WithDNS, cov.Total), pct(cov.WithURI, cov.Total),
 		pct(cov.WithCert, cov.Total), pct(cov.WithAny, cov.Total), cov.Total)
 
-	opts := cluster.DefaultOptions()
-	opts.KnownShared = env.DNS.PublicDNSProviders()
-	opts.Entities = env.EntityTable()
-	cl := cluster.Run(metas, opts)
 	fmt.Printf("clustering: %d orgs; steps %.1f%% / %.1f%% / %.1f%%\n",
 		len(cl.Clusters),
 		100*cl.ClusteredShare(cluster.Step1),

@@ -16,9 +16,9 @@ import (
 	"sync"
 	"time"
 
+	"ixplens/internal/analysis"
 	"ixplens/internal/anonymize"
 	"ixplens/internal/core/dissect"
-	"ixplens/internal/core/webserver"
 	"ixplens/internal/ixp"
 	"ixplens/internal/netmodel"
 	"ixplens/internal/pipeline"
@@ -111,12 +111,20 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	ident := webserver.NewIdentifier()
-	counts, err := dissect.ProcessSharded(context.Background(), sr, env.Fabric, 1, ident.ObserveShard, nil)
+	reg, err := analysis.Select(analysis.NameWebserver)
 	if err != nil {
 		log.Fatal(err)
 	}
-	res := ident.Identify(45, env.Crawler)
+	run := reg.NewRun(env.AnalysisContext(), 1)
+	counts, err := dissect.ProcessSharded(context.Background(), sr, env.Fabric, 1, run.Observe, nil)
+	if err != nil {
+		log.Fatal(err)
+	}
+	prods, err := run.Finish(45)
+	if err != nil {
+		log.Fatal(err)
+	}
+	res := prods.Webserver()
 	fmt.Printf("analysis over anonymized capture: %d samples, %.2f%% peering, %d server IPs identified\n",
 		counts.Total, 100*counts.PeeringShare(), len(res.Servers))
 	fmt.Println("(addresses are anonymized; prefix-level aggregation still works, RIB lookups intentionally do not)")

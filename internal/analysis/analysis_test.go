@@ -341,6 +341,26 @@ func TestNilCrawlerMeansNoCrawl(t *testing.T) {
 	}
 }
 
+// TestRunObserveIgnoresNonPeering pins that a cascade reject reaches
+// no analyzer: it is dropped before any resolve, so it neither interns
+// its endpoints nor creates per-IP state.
+func TestRunObserveIgnoresNonPeering(t *testing.T) {
+	actx := testContext()
+	run := Default().NewRun(actx, 1)
+	rec := dissect.Record{Class: dissect.ClassLocal, SrcIP: packet.MakeIPv4(1, 2, 3, 4), DstIP: packet.MakeIPv4(5, 6, 7, 8)}
+	run.Observe(0, &rec, 0)
+	prods, err := run.Finish(45)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := actx.Entities.Len(); n != 0 {
+		t.Fatalf("non-peering record interned %d IPs", n)
+	}
+	if res := prods.Webserver(); res.TotalIPs != 0 {
+		t.Fatalf("non-peering record created state for %d IPs", res.TotalIPs)
+	}
+}
+
 // BenchmarkRunObserve measures the fused observe of the default
 // registry on one worker: a synthetic week of ~66K peering records over
 // an entity table warmed with ~90K IPs, as a mined week meets it.

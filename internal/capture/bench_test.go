@@ -9,7 +9,6 @@ import (
 	"sync"
 	"testing"
 
-	"ixplens/internal/ixp"
 	"ixplens/internal/netmodel"
 	"ixplens/internal/pipeline"
 	"ixplens/internal/sflow"
@@ -57,22 +56,7 @@ func benchSetup(b *testing.B) *benchFixture {
 			return
 		}
 		bench.v1 = filepath.Join(dir, "week-v1.sflow")
-		f, err := os.Create(bench.v1)
-		if err != nil {
-			bench.err = err
-			return
-		}
-		sw, err := sflow.NewStreamWriter(f)
-		if err == nil {
-			err = writeV1Bench(env, bench.week, sw)
-		}
-		if err == nil {
-			err = sw.Flush()
-		}
-		if cerr := f.Close(); err == nil {
-			err = cerr
-		}
-		if err != nil {
+		if _, err := writeV1Week(env, bench.week, bench.v1); err != nil {
 			bench.err = err
 			return
 		}
@@ -83,13 +67,6 @@ func benchSetup(b *testing.B) *benchFixture {
 		b.Fatal(bench.err)
 	}
 	return &bench
-}
-
-func writeV1Bench(env *pipeline.Env, isoWeek int, sw *sflow.StreamWriter) error {
-	col := ixp.NewCollector(env.Fabric, env.Opts.SamplingRate, sw.WriteDatagram)
-	col.SetBufferReuse(true)
-	_, err := env.Gen.GenerateWeek(isoWeek, col)
-	return err
 }
 
 func fileSize(errp *error, path string) int64 {

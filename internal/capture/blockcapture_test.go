@@ -20,27 +20,34 @@ import (
 )
 
 // writeV1Week renders one week into the legacy v1 stream container —
-// the format every pre-existing campaign on disk is in.
-func writeV1Week(t *testing.T, env *pipeline.Env, isoWeek int, path string) int {
-	t.Helper()
-	f, err := os.Create(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	sw, err := sflow.NewStreamWriter(f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	col := ixp.NewCollector(env.Fabric, env.Opts.SamplingRate, sw.WriteDatagram)
+// the format every pre-existing campaign on disk is in: the magic, then
+// each datagram's encoding behind its big-endian length — and returns
+// the week's datagram count.
+func writeV1Week(env *pipeline.Env, isoWeek int, path string) (int, error) {
+	buf := []byte("IXPSFLW1")
+	n := 0
+	col := ixp.NewCollector(env.Fabric, env.Opts.SamplingRate, func(d *sflow.Datagram) error {
+		off := len(buf)
+		buf = d.AppendEncode(append(buf, 0, 0, 0, 0))
+		binary.BigEndian.PutUint32(buf[off:], uint32(len(buf)-off-4))
+		n++
+		return nil
+	})
 	col.SetBufferReuse(true)
 	if _, err := env.Gen.GenerateWeek(isoWeek, col); err != nil {
+		return 0, err
+	}
+	return n, os.WriteFile(path, buf, 0o644)
+}
+
+// mustWriteV1Week is writeV1Week failing the test on error.
+func mustWriteV1Week(t *testing.T, env *pipeline.Env, isoWeek int, path string) int {
+	t.Helper()
+	n, err := writeV1Week(env, isoWeek, path)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := sw.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	return sw.Count()
+	return n
 }
 
 // TestGoldenV1V2Equivalence writes the same full 17-week campaign in
@@ -63,7 +70,7 @@ func TestGoldenV1V2Equivalence(t *testing.T) {
 	// files written here carry the same datagrams WriteCampaignOpts renders.
 	v1counts := make([]int, 0, cfg.Weeks)
 	for wk := cfg.FirstWeek; wk <= cfg.LastWeek(); wk++ {
-		v1counts = append(v1counts, writeV1Week(t, env, wk, filepath.Join(v1dir, WeekFile(wk))))
+		v1counts = append(v1counts, mustWriteV1Week(t, env, wk, filepath.Join(v1dir, WeekFile(wk))))
 	}
 	v2counts, err := WriteCampaignOpts(context.Background(), env, v2dir, WriteOptions{Compress: true})
 	if err != nil {
@@ -225,7 +232,7 @@ func TestTruncatedV1CaptureDegrades(t *testing.T) {
 	reg := obs.NewRegistry()
 	env.Instrument(reg)
 	path := filepath.Join(t.TempDir(), "week.sflow")
-	writeV1Week(t, env, cfg.FirstWeek, path)
+	mustWriteV1Week(t, env, cfg.FirstWeek, path)
 
 	fi, err := os.Stat(path)
 	if err != nil {
@@ -359,7 +366,7 @@ func TestAnalyzeStampsObservedDigest(t *testing.T) {
 	}
 	v2 := filepath.Join(dir, WeekFile(wk))
 	v1 := filepath.Join(t.TempDir(), "week.sflow")
-	writeV1Week(t, env, wk, v1)
+	mustWriteV1Week(t, env, wk, v1)
 
 	observed := func(path string) string {
 		t.Helper()

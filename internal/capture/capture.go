@@ -19,7 +19,6 @@ import (
 	"fmt"
 	"io"
 	"path/filepath"
-	"runtime"
 
 	"ixplens/internal/anonymize"
 	"ixplens/internal/core/dissect"
@@ -504,22 +503,6 @@ func (m *Manifest) Rebuild() (*pipeline.Env, error) {
 	return pipeline.NewEnv(m.Config, m.Options)
 }
 
-// analyzeWorkers sizes the per-file classify and block-decode pools: one
-// core is left for the reader side — the block reader's producer
-// goroutine, which reads and hashes the file — capped where sharding
-// stops paying off. On a 2-core host that is one worker: classification
-// runs on the caller's goroutine and the reader side on the other core.
-func analyzeWorkers() int {
-	workers := runtime.GOMAXPROCS(0) - 1
-	if workers > 8 {
-		workers = 8
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	return workers
-}
-
 // AnalyzeWeekSnapshot dissects one capture file through every analyzer
 // in env's registry — identification, visibility, link flows — in a
 // SINGLE pass, spreading classification over a worker pool; each worker
@@ -559,7 +542,9 @@ func AnalyzeWeekSnapshot(ctx context.Context, env *pipeline.Env, path string, is
 	if _, err := f.Seek(0, io.SeekStart); err != nil {
 		return nil, err
 	}
-	workers := analyzeWorkers()
+	// The driver's default pool leaves one core to the reader side —
+	// the block reader's producer, which reads and hashes the file.
+	workers := dissect.DefaultWorkers()
 	// Both formats hash the file while they read it; digest is only
 	// asked once the source has reported a clean io.EOF.
 	var src dissect.DatagramSource

@@ -3,6 +3,7 @@ package dissect
 import (
 	"context"
 	"io"
+	"runtime"
 	"sync"
 	"time"
 
@@ -11,17 +12,17 @@ import (
 
 // Streaming dissection. ProcessSharded (or a NewShardedStreamProcessor
 // fed through Add) is the one decode→classify→observe driver every
-// analysis path uses. With one worker it classifies and observes on the
-// caller's goroutine — the serial reference. With more, a producer (the
-// sFlow collector's emit callback, a capture-file reader, a UDP
-// receiver) pushes datagrams in with Add, copying their samples into
-// bounded batches; a pool of workers — each owning its own Classifier —
-// classifies AND observes its batches inline, handing the observer its
-// worker index and every sample's global stream position. There is no
-// ordered merge: observers keep per-worker state and merge it
-// deterministically afterwards (webserver.Identifier and the analysis
-// registry's shards do), so aggregates are identical to the serial
-// reference while memory stays O(batch) instead of O(week).
+// analysis path uses. With one worker, Add classifies and observes each
+// datagram on the caller's goroutine, in stream order — the serial
+// reference. With more, a producer (the sFlow collector's emit
+// callback, a capture-file reader) pushes datagrams in with Add,
+// copying their samples into bounded batches; a pool of workers — each
+// owning its own Classifier — classifies AND observes its batches
+// inline, handing the observer its worker index and every sample's
+// global stream position. There is no ordered merge: observers keep
+// per-worker state and merge it deterministically afterwards (the
+// analysis registry's shards do), so aggregates are identical to the
+// serial reference while memory stays O(batch) instead of O(week).
 //
 // Two robustness properties ride on top:
 //
@@ -31,9 +32,10 @@ import (
 //     deadlocking against a pipeline that stopped consuming.
 //   - Panic isolation: a panic inside classification (a poisoned
 //     datagram hitting a buggy resolver) or inside the observer
-//     quarantines the rest of the affected batch — its samples are
-//     counted in Counts.PanicQuarantined and reported via metrics —
-//     instead of crashing the whole run.
+//     quarantines the rest of the affected datagram (one worker) or
+//     batch (a pool) — its samples are counted in
+//     Counts.PanicQuarantined and reported via metrics — instead of
+//     crashing the whole run.
 
 const (
 	// defaultBatchSamples is how many flow samples ride in one work unit.
@@ -81,6 +83,11 @@ type StreamProcessor struct {
 	cur    *streamBatch
 	closed bool
 
+	// serial is the one-worker classifier: Add classifies through it on
+	// the caller's goroutine, observing via serialFn. Nil for a pool.
+	serial   *Classifier
+	serialFn func(*Record)
+
 	counts   Counts
 	workerWG sync.WaitGroup
 }
@@ -94,18 +101,21 @@ type StreamProcessor struct {
 // after Close. The record is only valid for the duration of the call.
 type ShardObserver func(worker int, rec *Record, seq uint64)
 
-// NewShardedStreamProcessor starts workers classifier goroutines
+// NewShardedStreamProcessor builds the driver for workers classifiers
 // against the given member resolver (workers below 1 is treated as 1).
-// Each worker classifies AND observes its batches inline through obs,
-// passing its worker index and the sample's global stream position, so
-// observation runs on all workers concurrently — the observer must
-// shard its state by worker index (see ShardObserver). obs may be nil to
-// only tally the cascade; m may be nil to run uninstrumented. ctx may be
-// nil (treated as context.Background()); once it is cancelled, Add
-// returns the context error — in-flight batches still drain through
-// Close. A panic in classification or the observer quarantines the
-// batch's remaining samples into Counts.PanicQuarantined and the pool
-// keeps flowing.
+// One worker starts no goroutine: Add classifies and observes each
+// datagram on the caller's goroutine, as worker 0 with stream-order
+// positions. More start a pool in which each worker classifies AND
+// observes its batches inline through obs, passing its worker index and
+// the sample's global stream position, so observation runs on all
+// workers concurrently — the observer must shard its state by worker
+// index (see ShardObserver). obs may be nil to only tally the cascade;
+// m may be nil to run uninstrumented. ctx may be nil (treated as
+// context.Background()); once it is cancelled, Add returns the context
+// error — in-flight batches still drain through Close. A panic in
+// classification or the observer quarantines the datagram's (one
+// worker) or batch's (a pool) remaining samples into
+// Counts.PanicQuarantined and the stream keeps flowing.
 func NewShardedStreamProcessor(ctx context.Context, members MemberResolver, workers int, obs ShardObserver, m *Metrics) *StreamProcessor {
 	if ctx == nil {
 		ctx = context.Background()
@@ -113,16 +123,27 @@ func NewShardedStreamProcessor(ctx context.Context, members MemberResolver, work
 	if workers < 1 {
 		workers = 1
 	}
-	pool := workers*batchesPerWorker + 2
 	p := &StreamProcessor{
 		ctx:          ctx,
 		shardFn:      obs,
 		workerCounts: make([]Counts, workers),
 		batchSamples: defaultBatchSamples,
 		m:            m,
-		jobs:         make(chan *streamBatch, pool),
-		free:         make(chan *streamBatch, pool),
 	}
+	if workers == 1 {
+		p.serial = NewClassifier(members)
+		p.serial.SetMetrics(m)
+		p.serialFn = func(rec *Record) {
+			if p.shardFn != nil {
+				p.shardFn(0, rec, p.sampleSeq)
+			}
+			p.sampleSeq++
+		}
+		return p
+	}
+	pool := workers*batchesPerWorker + 2
+	p.jobs = make(chan *streamBatch, pool)
+	p.free = make(chan *streamBatch, pool)
 	for i := 0; i < pool; i++ {
 		p.free <- &streamBatch{}
 	}
@@ -173,16 +194,22 @@ func (p *StreamProcessor) shardBatch(idx int, cls *Classifier, b *streamBatch, r
 	}
 }
 
-// Add copies the datagram's flow samples (header bytes included) into
-// the current batch and dispatches full batches to the workers. The
-// datagram only needs to stay valid for the duration of the call, so
-// Add composes with buffer-reusing producers. It blocks when all pool
-// batches are in flight — that is the backpressure bounding memory —
-// but never past cancellation of the processor's context, which it
-// reports as the context's error.
+// Add feeds one datagram to the driver. With one worker it classifies
+// and observes the datagram before returning; with a pool it copies the
+// flow samples (header bytes included) into the current batch and
+// dispatches full batches to the workers. Either way the datagram only
+// needs to stay valid for the duration of the call, so Add composes
+// with buffer-reusing producers. A pool's Add blocks when all batches
+// are in flight — that is the backpressure bounding memory — but never
+// past cancellation of the processor's context, which it reports as
+// the context's error.
 func (p *StreamProcessor) Add(d *sflow.Datagram) error {
 	if err := p.ctx.Err(); err != nil {
 		return err
+	}
+	if p.serial != nil {
+		p.serial.ClassifyDatagram(d, &p.workerCounts[0], p.serialFn)
+		return nil
 	}
 	b := p.cur
 	if b == nil {
@@ -238,9 +265,11 @@ func (p *StreamProcessor) dispatch() {
 func (p *StreamProcessor) Close() Counts {
 	if !p.closed {
 		p.closed = true
-		p.dispatch()
-		close(p.jobs)
-		p.workerWG.Wait()
+		if p.serial == nil {
+			p.dispatch()
+			close(p.jobs)
+			p.workerWG.Wait()
+		}
 		// Fold the per-worker tallies. Counts fields are additive, so the
 		// sum is independent of shard assignment.
 		for i := range p.workerCounts {
@@ -265,51 +294,29 @@ func (c *Counts) add(o *Counts) {
 	c.PeeringUDPBytes += o.PeeringUDPBytes
 }
 
-// ProcessSharded drains a datagram source through the classifier,
-// invoking obs (which may be nil) for every sample of every class — obs
-// filters on rec.Class — and returns the cascade tallies. With
-// workers <= 1 it runs sequentially on the caller's goroutine, observing
-// in stream order on worker 0: the serial reference. With more it spreads
-// classification and observation over a NewShardedStreamProcessor pool,
-// obs receiving each worker's index and every sample's global stream
-// position; aggregates built from the calls are deterministic as long as
-// the observer's per-IP state merges order-independently
-// (webserver.Identifier's sharded form does). Either way the drain
-// honours ctx (nil means Background): cancellation stops consuming the
-// source within one datagram and returns the tallies accumulated so far
-// alongside the context error. m may be nil to run uninstrumented.
+// ProcessSharded drains a datagram source through a
+// NewShardedStreamProcessor of the given worker count, invoking obs
+// (which may be nil) for every sample of every class — obs filters on
+// rec.Class — and returns the cascade tallies. With workers <= 1 it
+// observes on the caller's goroutine in stream order, on worker 0: the
+// serial reference. With more, obs receives each worker's index and
+// every sample's global stream position; aggregates built from the
+// calls are deterministic as long as the observer's per-IP state merges
+// order-independently (the analysis registry's shards do). Either way
+// the drain honours ctx (nil means Background): cancellation stops
+// consuming the source within one datagram and returns the tallies
+// accumulated so far alongside the context error. m may be nil to run
+// uninstrumented.
 func ProcessSharded(ctx context.Context, src DatagramSource, members MemberResolver, workers int, obs ShardObserver, m *Metrics) (Counts, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	if workers <= 1 {
-		cls := NewClassifier(members)
-		cls.SetMetrics(m)
-		var counts Counts
-		var seq uint64
-		fn := func(rec *Record) {
-			if obs != nil {
-				obs(0, rec, seq)
-			}
-			seq++
-		}
-		var d sflow.Datagram
-		for {
-			if err := ctx.Err(); err != nil {
-				return counts, err
-			}
-			err := src.Next(&d)
-			if err == io.EOF {
-				return counts, nil
-			}
-			if err != nil {
-				return counts, err
-			}
-			cls.ClassifyDatagram(&d, &counts, fn)
-		}
-	}
-	p := NewShardedStreamProcessor(ctx, members, workers, obs, m)
-	return drainInto(p, src)
+	return drainInto(NewShardedStreamProcessor(ctx, members, workers, obs, m), src)
+}
+
+// DefaultWorkers is the driver's pool size for a week: one core is left
+// to the producer — the traffic generator, or the block reader's
+// read-and-hash goroutine — capped where sharding stops paying off. On
+// a 2-core host it is one worker, the serial path.
+func DefaultWorkers() int {
+	return min(max(runtime.GOMAXPROCS(0)-1, 1), 8)
 }
 
 // drainInto feeds every datagram of src into p and closes it, in all

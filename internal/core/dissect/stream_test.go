@@ -2,6 +2,7 @@ package dissect
 
 import (
 	"context"
+	"runtime"
 	"sync/atomic"
 	"testing"
 
@@ -208,6 +209,78 @@ func TestClassifyDatagramObserverPanic(t *testing.T) {
 	}
 	if counts.PanicQuarantined != 4 {
 		t.Fatalf("quarantined %d, want 4", counts.PanicQuarantined)
+	}
+}
+
+// TestSerialProcessorRunsOnCaller pins the one-worker processor as the
+// serial reference: it starts no goroutine, and Add classifies and
+// observes the datagram before returning — as worker 0, in stream
+// order — so New, Add and Close leave the goroutine count unchanged.
+func TestSerialProcessorRunsOnCaller(t *testing.T) {
+	before := runtime.NumGoroutine()
+	var seen []uint64
+	sp := NewShardedStreamProcessor(context.Background(), fakeMembers{}, 1,
+		func(w int, rec *Record, seq uint64) {
+			if w != 0 {
+				t.Errorf("serial observer called as worker %d", w)
+			}
+			seen = append(seen, seq)
+		}, nil)
+	if n := runtime.NumGoroutine(); n > before {
+		t.Fatalf("New started %d goroutines", n-before)
+	}
+	for i := 0; i < 3; i++ {
+		if err := sp.Add(peeringDatagram(t, 4)); err != nil {
+			t.Fatal(err)
+		}
+		if len(seen) != 4*(i+1) {
+			t.Fatalf("after Add %d the observer saw %d records, want %d", i+1, len(seen), 4*(i+1))
+		}
+	}
+	if n := runtime.NumGoroutine(); n > before {
+		t.Fatalf("Add started %d goroutines", n-before)
+	}
+	counts := sp.Close()
+	if n := runtime.NumGoroutine(); n > before {
+		t.Fatalf("%d goroutines outlive Close", n-before)
+	}
+	if counts.Total != 12 {
+		t.Fatalf("counts = %+v, want 12 samples", counts)
+	}
+	for i, seq := range seen {
+		if seq != uint64(i) {
+			t.Fatalf("record %d observed at seq %d: not stream order", i, seq)
+		}
+	}
+}
+
+// TestSerialProcessorQuarantinesPerDatagram poisons one lookup under a
+// one-worker processor: exactly the poisoned datagram's remaining
+// samples quarantine — the same tallies ClassifyDatagram yields over the
+// same datagrams — not the rest of a batch.
+func TestSerialProcessorQuarantinesPerDatagram(t *testing.T) {
+	ref := NewClassifier(panickyMembers{n: new(atomic.Int64), at: 5})
+	var want Counts
+	for i := 0; i < 3; i++ {
+		ref.ClassifyDatagram(peeringDatagram(t, 8), &want, nil)
+	}
+	if want.Total != 18 || want.PanicQuarantined != 6 {
+		t.Fatalf("reference counts = %+v, want 18 tallied and 6 quarantined", want)
+	}
+
+	reg := obs.NewRegistry()
+	sp := NewShardedStreamProcessor(context.Background(),
+		panickyMembers{n: new(atomic.Int64), at: 5}, 1, nil, NewMetrics(reg))
+	for i := 0; i < 3; i++ {
+		if err := sp.Add(peeringDatagram(t, 8)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := sp.Close(); got != want {
+		t.Fatalf("serial processor counts = %+v, want ClassifyDatagram's %+v", got, want)
+	}
+	if got := reg.Counter("dissect_panic_quarantined_total").Value(); got != 6 {
+		t.Fatalf("metric reported %d quarantined, want 6", got)
 	}
 }
 

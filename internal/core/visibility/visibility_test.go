@@ -4,9 +4,9 @@ import (
 	"context"
 	"testing"
 
+	"ixplens/internal/analysis"
 	"ixplens/internal/core/dissect"
 	. "ixplens/internal/core/visibility"
-	"ixplens/internal/core/webserver"
 	"ixplens/internal/netmodel"
 	"ixplens/internal/packet"
 	"ixplens/internal/pipeline"
@@ -31,16 +31,23 @@ func buildView(t testing.TB) *weekView {
 		t.Fatal(err)
 	}
 	agg := NewAggregator(env.World.RIB(), env.World.GeoDB())
-	ident := webserver.NewIdentifier()
+	reg, err := analysis.Select(analysis.NameWebserver)
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := reg.NewRun(env.AnalysisContext(), 1)
 	_, err = dissect.ProcessSharded(context.Background(), src, env.Fabric, 1, func(w int, rec *dissect.Record, seq uint64) {
 		agg.Observe(rec)
-		ident.ObserveShard(w, rec, seq)
+		run.Observe(w, rec, seq)
 	}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := ident.Identify(45, env.Crawler)
-	return &weekView{env: env, wk: &pipeline.Week{Servers: res}, agg: agg}
+	prods, err := run.Finish(45)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return &weekView{env: env, wk: &pipeline.Week{Servers: prods.Webserver()}, agg: agg}
 }
 
 func (v *weekView) serverFilter() func(packet.IPv4Addr) bool {

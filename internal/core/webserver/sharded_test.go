@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"ixplens/internal/core/dissect"
+	"ixplens/internal/entity"
 	"ixplens/internal/packet"
 )
 
@@ -51,11 +52,33 @@ func synthRecords(n int) []dissect.Record {
 	return recs
 }
 
+// testIdentifier is an identifier over its own identity-only entity
+// table, fed the way analysis.Run.Observe feeds it: peering records
+// only, both endpoints resolved once.
+type testIdentifier struct {
+	*Identifier
+	table *entity.Table
+}
+
+func newTestIdentifier(shards int) *testIdentifier {
+	table := entity.NewTable(nil, nil)
+	return &testIdentifier{Identifier: NewSharded(shards, table), table: table}
+}
+
+// observe matches dissect.ShardObserver.
+func (id *testIdentifier) observe(shard int, rec *dissect.Record, seq uint64) {
+	if !rec.Class.IsPeering() {
+		return
+	}
+	src, dst := id.table.ResolvePair(rec.SrcIP, rec.DstIP)
+	id.ObserveIDs(shard, rec, src, dst, seq)
+}
+
 // feedSharded distributes recs over the identifier's shards using the
 // given assignment function, passing each record's stream index as seq.
-func feedSharded(id *Identifier, recs []dissect.Record, assign func(i int) int) {
+func feedSharded(id *testIdentifier, recs []dissect.Record, assign func(i int) int) {
 	for i := range recs {
-		id.ObserveShard(assign(i), &recs[i], uint64(i))
+		id.observe(assign(i), &recs[i], uint64(i))
 	}
 }
 
@@ -68,7 +91,7 @@ type ipState struct {
 }
 
 // mergedByIP merges id's shards and returns every IP's evidence.
-func mergedByIP(id *Identifier) map[packet.IPv4Addr]*ipState {
+func mergedByIP(id *testIdentifier) map[packet.IPv4Addr]*ipState {
 	sh := id.merged()
 	out := make(map[packet.IPv4Addr]*ipState, sh.slots.n)
 	for pos := 1; pos <= sh.slots.n; pos++ {
@@ -84,7 +107,7 @@ func mergedByIP(id *Identifier) map[packet.IPv4Addr]*ipState {
 func TestShardedMergeMatchesSerial(t *testing.T) {
 	recs := synthRecords(4000)
 
-	serial := NewIdentifier()
+	serial := newTestIdentifier(1)
 	feedSharded(serial, recs, func(int) int { return 0 })
 	want := mergedByIP(serial)
 
@@ -94,7 +117,7 @@ func TestShardedMergeMatchesSerial(t *testing.T) {
 		"skewed":      func(i int) int { return (i * i) % 4 },
 	}
 	for name, assign := range assignments {
-		sharded := NewSharded(4, nil)
+		sharded := newTestIdentifier(4)
 		feedSharded(sharded, recs, assign)
 		got := mergedByIP(sharded)
 		if len(got) != len(want) {
@@ -115,7 +138,7 @@ func TestShardedMergeMatchesSerial(t *testing.T) {
 func TestKSmallestCapsArePartitionIndependent(t *testing.T) {
 	// Overflow the port cap from two shards in opposite orders; the
 	// merged set must be the k smallest of the union either way.
-	a, b := NewSharded(2, nil), NewSharded(2, nil)
+	a, b := newTestIdentifier(2), newTestIdentifier(2)
 	rec := func(port uint16) *dissect.Record {
 		return &dissect.Record{
 			Class: dissect.ClassPeeringTCP,
@@ -126,10 +149,10 @@ func TestKSmallestCapsArePartitionIndependent(t *testing.T) {
 	}
 	var seq uint64
 	for p := uint16(100); p < 120; p++ {
-		a.ObserveShard(0, rec(p), seq)
-		a.ObserveShard(1, rec(219-p+100), seq+1)
-		b.ObserveShard(1, rec(p), seq)
-		b.ObserveShard(0, rec(219-p+100), seq+1)
+		a.observe(0, rec(p), seq)
+		a.observe(1, rec(219-p+100), seq+1)
+		b.observe(1, rec(p), seq)
+		b.observe(0, rec(219-p+100), seq+1)
 		seq += 2
 	}
 	sa := mergedByIP(a)[packet.MakeIPv4(2, 2, 2, 2)]
@@ -156,10 +179,10 @@ func TestSrcMemberSeqTieBreak(t *testing.T) {
 			Payload: []byte{0x00},
 		}
 	}
-	id := NewSharded(3, nil)
-	id.ObserveShard(2, mk(7), 10) // latest sample, on shard 2
-	id.ObserveShard(0, mk(3), 2)
-	id.ObserveShard(1, mk(5), 5)
+	id := newTestIdentifier(3)
+	id.observe(2, mk(7), 10) // latest sample, on shard 2
+	id.observe(0, mk(3), 2)
+	id.observe(1, mk(5), 5)
 	st := mergedByIP(id)[packet.MakeIPv4(9, 9, 9, 9)]
 	if st.SrcMember != 7 {
 		t.Fatalf("SrcMember = %d, want 7 (highest seq wins)", st.SrcMember)

@@ -423,36 +423,27 @@ func (sh *shard) merge(st, o *IPStats, from *shard) {
 }
 
 // Identifier consumes peering records and accumulates per-IP evidence,
-// keyed by the IPs' dense IDs in an entity table. With one shard
-// (NewIdentifier) it is the familiar serial accumulator; NewSharded
-// builds one accumulator per worker so a parallel dissect pool can
-// observe records concurrently — each worker owning one shard index —
-// with Identify merging the shards deterministically.
+// keyed by the IPs' dense IDs in an entity table. NewSharded builds one
+// accumulator per worker so a parallel dissect pool can observe records
+// concurrently — each worker owning one shard index — with Identify
+// merging the shards deterministically; one shard is the serial
+// accumulator.
 type Identifier struct {
-	table  *entity.Table
 	shards []shard
 	m      *Metrics
 }
 
-// NewIdentifier returns an empty single-shard identifier with a private
-// interning table.
-func NewIdentifier() *Identifier { return NewSharded(1, nil) }
-
 // NewSharded returns an identifier with n independent shards (n < 1 is
-// treated as 1) keyed by table's IDs; a nil table gives it a private,
-// identity-only one. ObserveShard(i, ...) may be called concurrently for
-// distinct i; the merge in Identify produces results identical to a
-// serial pass over the same samples in stream order. Each shard's ID
-// index starts at the table's current size, so a table shared across
-// weeks does not make every week regrow it.
+// treated as 1) keyed by table's IDs. ObserveIDs(i, ...) may be called
+// concurrently for distinct i; the merge in Identify produces results
+// identical to a serial pass over the same samples in stream order.
+// Each shard's ID index starts at the table's current size, so a table
+// shared across weeks does not make every week regrow it.
 func NewSharded(n int, table *entity.Table) *Identifier {
 	if n < 1 {
 		n = 1
 	}
-	if table == nil {
-		table = entity.NewTable(nil, nil)
-	}
-	id := &Identifier{table: table, shards: make([]shard, n)}
+	id := &Identifier{shards: make([]shard, n)}
 	size := table.Len()
 	for i := range id.shards {
 		id.shards[i].index = make([]uint32, size)
@@ -464,24 +455,13 @@ func NewSharded(n int, table *entity.Table) *Identifier {
 // before the identifier is shared between goroutines.
 func (id *Identifier) SetMetrics(m *Metrics) { id.m = m }
 
-// ObserveShard processes one record on the given shard, resolving its
-// endpoints through the identifier's table; non-peering records are
-// ignored before any resolve. seq is the record's global stream
-// position (assigned by the producer before fan-out); it breaks
-// last-writer ties during the merge, so equal results fall out
-// regardless of which worker saw which record. Concurrent calls must
-// use distinct shard indices.
-func (id *Identifier) ObserveShard(shardIdx int, rec *dissect.Record, seq uint64) {
-	if !rec.Class.IsPeering() {
-		return
-	}
-	src, dst := id.table.ResolvePair(rec.SrcIP, rec.DstIP)
-	id.ObserveIDs(shardIdx, rec, src, dst, seq)
-}
-
-// ObserveIDs is ObserveShard for a peering record whose endpoints the
-// caller already resolved through the identifier's table; src == dst
-// exactly when the record is self-addressed.
+// ObserveIDs processes one peering record on the given shard. src and
+// dst are its endpoints' IDs in the table the identifier was built
+// over, equal exactly when the record is self-addressed. seq is the
+// record's global stream position (assigned by the producer before
+// fan-out); it breaks last-writer ties during the merge, so equal
+// results fall out regardless of which worker saw which record.
+// Concurrent calls must use distinct shard indices.
 func (id *Identifier) ObserveIDs(shardIdx int, rec *dissect.Record, src, dst entity.ID, seq uint64) {
 	sh := &id.shards[shardIdx]
 	s, d := &sh.slotOf(src, rec.SrcIP).IPStats, &sh.slotOf(dst, rec.DstIP).IPStats
@@ -636,7 +616,7 @@ type Result struct {
 // applies the server criteria and runs the HTTPS crawl over the
 // candidate set. A nil crawler means no crawl: candidates are still
 // counted, but none responds or validates. It must not run concurrently
-// with ObserveShard/ObserveIDs.
+// with ObserveIDs.
 func (id *Identifier) Identify(isoWeek int, crawler CertCrawler) *Result {
 	sh := id.merged()
 	res := &Result{

@@ -57,8 +57,8 @@ func buildEnv(t testing.TB, week int) *weekEnv {
 
 func identify(t testing.TB, env *weekEnv, week int) *Result {
 	t.Helper()
-	id := NewIdentifier()
-	if _, err := dissect.ProcessSharded(context.Background(), env.src, env.fabric, 1, id.ObserveShard, nil); err != nil {
+	id := newTestIdentifier(1)
+	if _, err := dissect.ProcessSharded(context.Background(), env.src, env.fabric, 1, id.observe, nil); err != nil {
 		t.Fatal(err)
 	}
 	env.src.Reset()
@@ -104,13 +104,13 @@ func TestIdentificationRecallOfSampled(t *testing.T) {
 
 func TestServerTrafficShare(t *testing.T) {
 	env := buildEnv(t, 45)
-	id := NewIdentifier()
+	id := newTestIdentifier(1)
 	var peeringBytes uint64
 	_, err := dissect.ProcessSharded(context.Background(), env.src, env.fabric, 1, func(w int, rec *dissect.Record, seq uint64) {
 		if rec.Class.IsPeering() {
 			peeringBytes += rec.Bytes
 		}
-		id.ObserveShard(w, rec, seq)
+		id.observe(w, rec, seq)
 	}, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -278,27 +278,18 @@ func TestIPStatsCaps(t *testing.T) {
 	}
 }
 
-func TestObserveIgnoresNonPeering(t *testing.T) {
-	id := NewIdentifier()
-	rec := &dissect.Record{Class: dissect.ClassLocal, SrcIP: packet.MakeIPv4(1, 2, 3, 4)}
-	id.ObserveShard(0, rec, 0)
-	if id.shards[0].slots.n != 0 || id.table.Len() != 0 {
-		t.Fatal("non-peering record created state")
-	}
-}
-
 // TestObserveKnownHostAllocatesNothing pins that a Host value already in
 // the capped set is matched without becoming a string.
 func TestObserveKnownHostAllocatesNothing(t *testing.T) {
-	id := NewIdentifier()
+	id := newTestIdentifier(1)
 	rec := &dissect.Record{
 		Class: dissect.ClassPeeringTCP,
 		SrcIP: packet.MakeIPv4(1, 2, 3, 4), DstIP: packet.MakeIPv4(5, 6, 7, 8),
 		SrcPort: 44444, DstPort: 80, Bytes: 1400,
 		Payload: []byte("GET / HTTP/1.1\r\nHost: www.example.org\r\n"),
 	}
-	id.ObserveShard(0, rec, 0)
-	if allocs := testing.AllocsPerRun(100, func() { id.ObserveShard(0, rec, 1) }); allocs != 0 {
+	id.observe(0, rec, 0)
+	if allocs := testing.AllocsPerRun(100, func() { id.observe(0, rec, 1) }); allocs != 0 {
 		t.Fatalf("observing a known host allocated %.1f times", allocs)
 	}
 	sh := &id.shards[0]
@@ -308,7 +299,7 @@ func TestObserveKnownHostAllocatesNothing(t *testing.T) {
 }
 
 func BenchmarkObserve(b *testing.B) {
-	id := NewIdentifier()
+	id := newTestIdentifier(1)
 	payload := []byte("GET /index.html HTTP/1.1\r\nHost: www.example.org\r\nAccept: */*\r\n\r\n")
 	rec := &dissect.Record{
 		Class: dissect.ClassPeeringTCP,
@@ -318,7 +309,7 @@ func BenchmarkObserve(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		id.ObserveShard(0, rec, uint64(i))
+		id.observe(0, rec, uint64(i))
 	}
 }
 
@@ -343,8 +334,8 @@ func TestIdentifyWithoutTrustStore(t *testing.T) {
 		t.Fatal("direct crawler validated nothing; test is vacuous")
 	}
 
-	id := NewIdentifier()
-	if _, err := dissect.ProcessSharded(context.Background(), env.src, env.fabric, 1, id.ObserveShard, nil); err != nil {
+	id := newTestIdentifier(1)
+	if _, err := dissect.ProcessSharded(context.Background(), env.src, env.fabric, 1, id.observe, nil); err != nil {
 		t.Fatal(err)
 	}
 	env.src.Reset()
@@ -378,9 +369,9 @@ func TestCrawlRejectAccounting(t *testing.T) {
 	}
 	for name, crawler := range crawlers {
 		reg := obs.NewRegistry()
-		id := NewIdentifier()
+		id := newTestIdentifier(1)
 		id.SetMetrics(NewMetrics(reg))
-		if _, err := dissect.ProcessSharded(context.Background(), env.src, env.fabric, 1, id.ObserveShard, nil); err != nil {
+		if _, err := dissect.ProcessSharded(context.Background(), env.src, env.fabric, 1, id.observe, nil); err != nil {
 			t.Fatal(err)
 		}
 		env.src.Reset()

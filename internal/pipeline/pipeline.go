@@ -234,7 +234,7 @@ func (e *Env) CaptureWeek(ctx context.Context, isoWeek int) (*dissect.SliceSourc
 		ctx = context.Background()
 	}
 	src := &dissect.SliceSource{}
-	base := func(d *sflow.Datagram) error {
+	stats, err := e.generate(e.Gen, isoWeek, false, func(d *sflow.Datagram) error {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
@@ -242,88 +242,19 @@ func (e *Env) CaptureWeek(ctx context.Context, isoWeek int) (*dissect.SliceSourc
 		// backing arrays with every flush, so the shallow copy owns them.
 		src.Datagrams = append(src.Datagrams, *d)
 		return nil
-	}
-	sink := base
-	inj := e.injector(isoWeek)
-	if inj != nil {
-		sink = inj.Sink(base)
-	}
-	col := ixp.NewCollector(e.Fabric, e.Opts.SamplingRate, sink)
-	col.SetMetrics(e.M.CollectorMetrics())
-	stats, err := e.Gen.GenerateWeek(isoWeek, col)
-	if err == nil && inj != nil {
-		err = inj.Flush(base)
-	}
+	})
 	if err != nil {
 		return nil, stats, err
 	}
 	return src, stats, nil
 }
 
-// streamWorkers picks the classifier pool size for one week's stream:
-// leave a core to the generator, cap where batching stops paying off.
-func streamWorkers() int {
-	n := runtime.GOMAXPROCS(0) - 1
-	if n < 1 {
-		n = 1
-	}
-	if n > 8 {
-		n = 8
-	}
-	return n
-}
-
-// streamWeek generates one week of traffic with gen (a Generator is not
-// safe for concurrent use, so parallel callers each own one) and
-// classifies every sample on the fly, invoking obs (which may be nil)
-// with each record's worker index and global stream position. No
-// datagram buffer is retained: the collector reuses its buffers and the
-// classifier holds O(batch) samples, so per-week memory is bounded
-// regardless of world size. workers <= 1 classifies and observes inline
-// in the emit callback, in capture order, with zero extra goroutines;
-// more fans the records over a dissect.StreamProcessor pool.
-//
-// The third return value is the week's estimated datagram loss fraction
-// (sequence gaps over expected datagrams), measured after any configured
-// fault injection. Cancelling ctx aborts generation within one datagram
-// flush; a week whose loss crosses Env.MaxLoss fails with
-// ErrLossExceeded.
-func (e *Env) streamWeek(ctx context.Context, gen *traffic.Generator, isoWeek, workers int, obs dissect.ShardObserver) (dissect.Counts, traffic.WeekStats, float64, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	var counts dissect.Counts
-	var classify func(*sflow.Datagram) error
-	var sp *dissect.StreamProcessor
-	if workers <= 1 {
-		cls := dissect.NewClassifier(e.members())
-		cls.SetMetrics(e.M.DissectMetrics())
-		var sampleSeq uint64
-		fn := func(rec *dissect.Record) {
-			if obs != nil {
-				obs(0, rec, sampleSeq)
-			}
-			sampleSeq++
-		}
-		classify = func(d *sflow.Datagram) error {
-			// ClassifyDatagram quarantines the datagram's samples if
-			// classification or the observer panics.
-			cls.ClassifyDatagram(d, &counts, fn)
-			return nil
-		}
-	} else {
-		sp = dissect.NewShardedStreamProcessor(ctx, e.members(), workers, obs, e.M.DissectMetrics())
-		classify = sp.Add
-	}
-
-	var seq sflow.SeqTracker
-	base := func(d *sflow.Datagram) error {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		seq.Observe(d)
-		return classify(d)
-	}
+// generate runs one week of gen through the IXP collector into base,
+// with the week's fault injector (when faults are configured) between
+// the two and its held-back datagrams flushed at the end. With reuse the
+// collector recycles its buffers, so base must not retain a datagram
+// past the call.
+func (e *Env) generate(gen *traffic.Generator, isoWeek int, reuse bool, base func(*sflow.Datagram) error) (traffic.WeekStats, error) {
 	sink := base
 	inj := e.injector(isoWeek)
 	if inj != nil {
@@ -331,21 +262,69 @@ func (e *Env) streamWeek(ctx context.Context, gen *traffic.Generator, isoWeek, w
 	}
 	col := ixp.NewCollector(e.Fabric, e.Opts.SamplingRate, sink)
 	col.SetMetrics(e.M.CollectorMetrics())
-	col.SetBufferReuse(true)
+	col.SetBufferReuse(reuse)
 	stats, err := gen.GenerateWeek(isoWeek, col)
 	if err == nil && inj != nil {
 		err = inj.Flush(base)
 	}
-	if sp != nil {
-		// Close drains in-flight batches even after an abort, so the
-		// worker pool never leaks.
-		counts = sp.Close()
+	return stats, err
+}
+
+// streamWeek is the in-memory week driver: it generates one week of
+// traffic with gen (a Generator is not safe for concurrent use, so
+// parallel callers each own one), classifies every sample on the fly
+// through a dissect.StreamProcessor of the given worker count feeding a
+// run of reg over actx, and finishes the run. No datagram buffer is
+// retained: the collector reuses its buffers and the processor holds
+// O(batch) samples, so per-week memory is bounded regardless of world
+// size.
+//
+// The week's estimated datagram loss fraction (sequence gaps over
+// expected datagrams), measured after any configured fault injection,
+// is stamped on the products' webserver result. Cancelling ctx aborts
+// generation within one datagram flush; a week whose loss crosses
+// Env.MaxLoss fails with ErrLossExceeded.
+func (e *Env) streamWeek(ctx context.Context, gen *traffic.Generator, reg *analysis.Registry, actx *analysis.Context, isoWeek, workers int) (*analysis.Products, dissect.Counts, traffic.WeekStats, error) {
+	if ctx == nil {
+		ctx = context.Background()
 	}
+	run := reg.NewRun(actx, workers)
+	sp := dissect.NewShardedStreamProcessor(ctx, e.members(), workers, run.Observe, e.M.DissectMetrics())
+	var seq sflow.SeqTracker
+	stats, err := e.generate(gen, isoWeek, true, func(d *sflow.Datagram) error {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		seq.Observe(d)
+		return sp.Add(d)
+	})
+	// Close drains in-flight batches even after an abort, so the worker
+	// pool never leaks.
+	counts := sp.Close()
 	if err != nil {
-		return counts, stats, seq.EstLoss(), err
+		return nil, counts, stats, err
 	}
 	est, err := e.checkLoss(isoWeek, seq.Stats())
-	return counts, stats, est, err
+	if err != nil {
+		return nil, counts, stats, err
+	}
+	prods, err := finishRun(run, isoWeek, est)
+	return prods, counts, stats, err
+}
+
+// finishRun merges run's shards and stamps the week's estimated loss on
+// the webserver result every product set must carry.
+func finishRun(run *analysis.Run, isoWeek int, est float64) (*analysis.Products, error) {
+	prods, err := run.Finish(isoWeek)
+	if err != nil {
+		return nil, err
+	}
+	res := prods.Webserver()
+	if res == nil {
+		return nil, errors.New("pipeline: analyzer registry lacks the webserver analyzer")
+	}
+	res.EstLoss = est
+	return prods, nil
 }
 
 // Week is the fully analysed weekly snapshot.
@@ -378,7 +357,7 @@ type Week struct {
 // annotated just like a lossy live stream; it is left drained, and a
 // caller that wants another pass rewinds it.
 func (e *Env) AnalyzeWeek(ctx context.Context, isoWeek int, src dissect.DatagramSource) (*Week, error) {
-	return e.analyzeWeek(ctx, isoWeek, src, streamWorkers())
+	return e.analyzeWeek(ctx, isoWeek, src, dissect.DefaultWorkers())
 }
 
 // analyzeWeek is AnalyzeWeek with the streamed pass's classifier pool
@@ -392,50 +371,35 @@ func (e *Env) analyzeWeek(ctx context.Context, isoWeek int, src dissect.Datagram
 	actx := e.AnalysisContext()
 	var truth traffic.WeekStats
 	var counts dissect.Counts
-	var est float64
-	var run *analysis.Run
+	var prods *analysis.Products
+	var err error
 	if src == nil {
 		// Streamed weeks fan records into per-worker analyzer shards;
 		// each analyzer's deterministic merge inside Finish reproduces
 		// the serial pass's aggregates exactly (the golden-equivalence
 		// tests pin it).
-		run = reg.NewRun(actx, workers)
-		var err error
-		counts, truth, est, err = e.streamWeek(ctx, e.Gen, isoWeek, workers, run.Observe)
+		prods, counts, truth, err = e.streamWeek(ctx, e.Gen, reg, actx, isoWeek, workers)
 		if err != nil {
 			return nil, err
 		}
 	} else {
-		run = reg.NewRun(actx, 1)
+		run := reg.NewRun(actx, 1)
 		var seq sflow.SeqTracker
-		var err error
 		counts, err = dissect.ProcessSharded(ctx, &faultline.TrackSource{Src: src, Seq: &seq},
 			e.members(), 1, run.Observe, e.M.DissectMetrics())
 		if err != nil {
 			return nil, err
 		}
-		if est, err = e.checkLoss(isoWeek, seq.Stats()); err != nil {
+		est, err := e.checkLoss(isoWeek, seq.Stats())
+		if err != nil {
+			return nil, err
+		}
+		if prods, err = finishRun(run, isoWeek, est); err != nil {
 			return nil, err
 		}
 	}
-	prods, err := run.Finish(isoWeek)
-	if err != nil {
-		return nil, err
-	}
 	res := prods.Webserver()
-	if res == nil {
-		return nil, errors.New("pipeline: analyzer registry lacks the webserver analyzer")
-	}
-	res.EstLoss = est
-	metas, cov := metadata.Collect(res, e.DNS)
-
-	opts := cluster.DefaultOptions()
-	opts.KnownShared = e.DNS.PublicDNSProviders()
-	// The entity table both memoizes the per-IP AS resolution and interns
-	// authority names for the vote bookkeeping.
-	opts.Entities = e.EntityTable()
-	clusters := cluster.Run(metas, opts)
-
+	metas, cov, clusters := e.Organizations(res)
 	return &Week{
 		ISOWeek:    isoWeek,
 		Truth:      truth,
@@ -447,8 +411,21 @@ func (e *Env) analyzeWeek(ctx context.Context, isoWeek int, src dissect.Datagram
 		Products:   prods,
 		Visibility: prods.Visibility(),
 		Links:      prods.Links(),
-		EstLoss:    est,
+		EstLoss:    res.EstLoss,
 	}, nil
+}
+
+// Organizations runs the paper's §5 chain over one week's identified
+// servers: meta-data collection (DNS, URIs, certificates), then the
+// three-step clustering with the public DNS providers marked as shared
+// infrastructure. The Env's entity table both memoizes the per-IP AS
+// resolution and interns authority names for the vote bookkeeping.
+func (e *Env) Organizations(res *webserver.Result) ([]metadata.ServerMeta, metadata.Coverage, *cluster.Result) {
+	metas, cov := metadata.Collect(res, e.DNS)
+	opts := cluster.DefaultOptions()
+	opts.KnownShared = e.DNS.PublicDNSProviders()
+	opts.Entities = e.EntityTable()
+	return metas, cov, cluster.Run(metas, opts)
 }
 
 // Observation converts an identification result into the churn
@@ -477,11 +454,18 @@ func (e *Env) Observation(res *webserver.Result) churn.WeekObservation {
 	return obs
 }
 
+// webserverOnly is TrackWeeks' registry: the churn series needs only
+// the identification product. One analyzer cannot clash, so the
+// registry error is always nil.
+var webserverOnly, _ = analysis.NewRegistry(analysis.Webserver())
+
 // TrackWeeks runs the light pipeline over every study week and returns
-// the filled churn tracker plus per-week identification results. Weeks
-// are processed concurrently (they are independent: a generator per
-// worker, shared read-only substrates) and folded into the tracker in
-// chronological order. Cancelling ctx stops dispatching new weeks and
+// the filled churn tracker plus per-week identification results. Each
+// week is a webserver-only analysis run through the same streamWeek
+// driver AnalyzeWeek streams with, over the Env's shared analysis
+// context. Weeks are processed concurrently (they are independent: a
+// generator per worker, shared substrates) and folded into the tracker
+// in chronological order. Cancelling ctx stops dispatching new weeks and
 // unwinds in-flight ones within one datagram flush; the call then
 // returns the context's error with no goroutines left behind.
 //
@@ -498,10 +482,11 @@ func (e *Env) TrackWeeks(ctx context.Context) (*churn.Tracker, []*webserver.Resu
 	}
 	cfg := &e.World.Cfg
 
-	// Pre-build the lazily cached substrates so workers only read.
+	// Pre-build the lazily cached substrates (the analysis context
+	// builds the entity table) so workers only read.
 	e.World.RIB()
 	e.World.GeoDB()
-	e.EntityTable()
+	actx := e.AnalysisContext()
 	if len(e.World.Servers) > 0 {
 		e.World.ServerByIP(e.World.Servers[0].IP)
 	}
@@ -537,17 +522,15 @@ func (e *Env) TrackWeeks(ctx context.Context) (*churn.Tracker, []*webserver.Resu
 				if e.M != nil {
 					weekStart = time.Now()
 				}
-				ident := webserver.NewIdentifier()
-				ident.SetMetrics(e.M.IdentifyMetrics())
 				// Weeks already run in parallel here; keep each week's
-				// classifier inline (workers=1) to avoid oversubscription.
-				_, _, est, err := e.streamWeek(ctx, gen, isoWeek, 1, ident.ObserveShard)
+				// classifier on its worker (workers=1) to avoid
+				// oversubscription.
+				prods, _, _, err := e.streamWeek(ctx, gen, webserverOnly, actx, isoWeek, 1)
 				if err != nil {
 					errs[idx] = err
 					continue
 				}
-				results[idx] = ident.Identify(isoWeek, e.Crawler)
-				results[idx].EstLoss = est
+				results[idx] = prods.Webserver()
 				if e.M != nil {
 					busy := time.Since(weekStart)
 					e.M.WeekNanos.Observe(uint64(busy))

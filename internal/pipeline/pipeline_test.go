@@ -94,39 +94,6 @@ func TestEnvString(t *testing.T) {
 	}
 }
 
-func TestTrackWeeksParallelConsistent(t *testing.T) {
-	cfg := netmodel.Tiny()
-	cfg.Weeks = 4
-	opts := traffic.Options{SamplesPerWeek: 4000, SamplingRate: 16384, SnapLen: 128}
-	env, err := NewEnv(cfg, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tracker, results, err := env.TrackWeeks(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tracker.NumWeeks() != 4 || len(results) != 4 {
-		t.Fatalf("tracked %d weeks, %d results", tracker.NumWeeks(), len(results))
-	}
-	// The parallel result must equal a fresh sequential re-run of one
-	// week (generation is deterministic per week).
-	wk, err := env.AnalyzeWeek(context.Background(), cfg.FirstWeek+2, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res45 := wk.Servers
-	got := results[2]
-	if len(got.Servers) != len(res45.Servers) {
-		t.Fatalf("parallel week differs: %d vs %d servers", len(got.Servers), len(res45.Servers))
-	}
-	for ip := range res45.Servers {
-		if _, ok := got.Servers[ip]; !ok {
-			t.Fatalf("server %v missing from parallel result", ip)
-		}
-	}
-}
-
 // TestInstrumentedPipelineConsistency attaches a registry and checks
 // that the cross-stage invariants the metrics promise actually hold:
 // every exported sample is classified exactly once, the crawl funnel

@@ -3,8 +3,10 @@ package pipeline
 import (
 	"context"
 	"errors"
+	"reflect"
 	"testing"
 
+	"ixplens/internal/faultline"
 	"ixplens/internal/netmodel"
 	"ixplens/internal/traffic"
 )
@@ -20,7 +22,7 @@ func TestStreamingCancelledPromptly(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	for _, workers := range []int{1, 4} {
-		counts, _, _, err := env.streamWeek(ctx, env.Gen, 45, workers, nil)
+		_, counts, _, err := env.streamWeek(ctx, env.Gen, env.Registry(), env.AnalysisContext(), 45, workers)
 		if !errors.Is(err, context.Canceled) {
 			t.Fatalf("workers=%d: err = %v, want context.Canceled", workers, err)
 		}
@@ -29,5 +31,46 @@ func TestStreamingCancelledPromptly(t *testing.T) {
 		if counts.Total > 100 {
 			t.Fatalf("workers=%d: classified %d samples after pre-cancel", workers, counts.Total)
 		}
+	}
+}
+
+// TestTrackWeeksParallelConsistent pins TrackWeeks to the serial
+// reference: every week of the week-parallel, webserver-only campaign
+// must equal — in full, funnel, totals, ports, hosts and loss annotation
+// included — the webserver product of a fresh one-worker analyzeWeek of
+// the same week (generation and fault injection are deterministic per
+// week). Injected drops make the loss annotations non-zero.
+func TestTrackWeeksParallelConsistent(t *testing.T) {
+	cfg := netmodel.Tiny()
+	cfg.Weeks = 4
+	opts := traffic.Options{SamplesPerWeek: 4000, SamplingRate: 16384, SnapLen: 128}
+	env, err := NewEnv(cfg, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	env.Faults = &faultline.Config{Seed: 7, Drop: 0.05}
+	tracker, results, err := env.TrackWeeks(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tracker.NumWeeks() != 4 || len(results) != 4 {
+		t.Fatalf("tracked %d weeks, %d results", tracker.NumWeeks(), len(results))
+	}
+	lossy := 0
+	for idx, got := range results {
+		isoWeek := cfg.FirstWeek + idx
+		wk, err := env.analyzeWeek(context.Background(), isoWeek, nil, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, wk.Servers) {
+			t.Fatalf("week %d: TrackWeeks result differs from analyzeWeek's:\n%+v\n%+v", isoWeek, got, wk.Servers)
+		}
+		if got.EstLoss > 0 {
+			lossy++
+		}
+	}
+	if lossy == 0 {
+		t.Fatal("no week carries a loss annotation; the EstLoss comparison is vacuous")
 	}
 }

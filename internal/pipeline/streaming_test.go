@@ -4,21 +4,31 @@ import (
 	"context"
 	"testing"
 
+	"ixplens/internal/analysis"
 	"ixplens/internal/core/dissect"
 	"ixplens/internal/core/webserver"
 	. "ixplens/internal/pipeline"
 )
 
 // identifyOver runs dissection + identification over a datagram
-// source, the way the buffered path does.
+// source, the way the buffered path does: a webserver-only analysis run
+// on the driver's serial reference.
 func identifyOver(t *testing.T, env *Env, src dissect.DatagramSource, isoWeek int) (dissect.Counts, *webserver.Result) {
 	t.Helper()
-	ident := webserver.NewIdentifier()
-	counts, err := dissect.ProcessSharded(context.Background(), src, env.Fabric, 1, ident.ObserveShard, nil)
+	reg, err := analysis.Select(analysis.NameWebserver)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return counts, ident.Identify(isoWeek, env.Crawler)
+	run := reg.NewRun(env.AnalysisContext(), 1)
+	counts, err := dissect.ProcessSharded(context.Background(), src, env.Fabric, 1, run.Observe, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prods, err := run.Finish(isoWeek)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return counts, prods.Webserver()
 }
 
 // sameServers fails unless the two identification results are

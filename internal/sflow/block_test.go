@@ -302,20 +302,10 @@ func TestBlockHeaderFlipIndexedResync(t *testing.T) {
 // the other format's bytes: callers pick the reader by CaptureFormat,
 // and a wrong pick must fail at the header, not mid-stream.
 func TestReadersRejectForeignMagic(t *testing.T) {
-	var v1 bytes.Buffer
-	sw, err := NewStreamWriter(&v1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := sw.WriteDatagram(blockTestDatagram(0)); err != nil {
-		t.Fatal(err)
-	}
-	if err := sw.Flush(); err != nil {
-		t.Fatal(err)
-	}
+	v1 := v1Capture(blockTestDatagram(0))
 	v2, _ := writeBlockCapture(t, 1, false, 0)
 
-	if _, err := NewBlockReader(bytes.NewReader(v1.Bytes())); !errors.Is(err, ErrBadMagic) {
+	if _, err := NewBlockReader(bytes.NewReader(v1)); !errors.Is(err, ErrBadMagic) {
 		t.Fatalf("block reader on v1 bytes: %v", err)
 	}
 	if _, err := NewStreamReader(bytes.NewReader(v2)); !errors.Is(err, ErrBadMagic) {
@@ -369,20 +359,11 @@ func TestBlockWriterEmptyCapture(t *testing.T) {
 }
 
 func TestStreamReaderTruncatedTyped(t *testing.T) {
-	var v1 bytes.Buffer
-	sw, err := NewStreamWriter(&v1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	var ds []*Datagram
 	for i := 0; i < 20; i++ {
-		if err := sw.WriteDatagram(blockTestDatagram(i)); err != nil {
-			t.Fatal(err)
-		}
+		ds = append(ds, blockTestDatagram(i))
 	}
-	if err := sw.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	data := v1.Bytes()
+	data := v1Capture(ds...)
 	for _, cut := range []int{len(data) - 3, len(data) / 2, 10} {
 		sr, err := NewStreamReader(bytes.NewReader(data[:cut]))
 		if err != nil {

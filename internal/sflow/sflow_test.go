@@ -3,6 +3,7 @@ package sflow
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"io"
 	"math/rand"
 	"reflect"
@@ -235,28 +236,27 @@ func TestQuickFlowSampleRoundTrip(t *testing.T) {
 	}
 }
 
-func TestStreamRoundTrip(t *testing.T) {
-	var buf bytes.Buffer
-	sw, err := NewStreamWriter(&buf)
-	if err != nil {
-		t.Fatal(err)
+// v1Capture renders datagrams into the v1 stream container — the
+// magic, then each datagram's encoding behind its big-endian length —
+// which StreamReader still reads and the program no longer writes.
+func v1Capture(ds ...*Datagram) []byte {
+	buf := append([]byte(nil), streamMagic[:]...)
+	for _, d := range ds {
+		off := len(buf)
+		buf = d.AppendEncode(append(buf, 0, 0, 0, 0))
+		binary.BigEndian.PutUint32(buf[off:], uint32(len(buf)-off-4))
 	}
-	want := sampleDatagram()
-	const rounds = 17
-	for i := 0; i < rounds; i++ {
-		want.SequenceNum = uint32(i)
-		if err := sw.WriteDatagram(want); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if sw.Count() != rounds {
-		t.Fatalf("Count = %d", sw.Count())
-	}
-	if err := sw.Flush(); err != nil {
-		t.Fatal(err)
-	}
+	return buf
+}
 
-	sr, err := NewStreamReader(&buf)
+func TestStreamRoundTrip(t *testing.T) {
+	const rounds = 17
+	ds := make([]*Datagram, rounds)
+	for i := range ds {
+		ds[i] = sampleDatagram()
+		ds[i].SequenceNum = uint32(i)
+	}
+	sr, err := NewStreamReader(bytes.NewReader(v1Capture(ds...)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -271,6 +271,21 @@ func TestStreamRoundTrip(t *testing.T) {
 	}
 	if err := sr.Next(&got); err != io.EOF {
 		t.Fatalf("want io.EOF at end, got %v", err)
+	}
+}
+
+// TestStreamReaderRejectsOversize: a frame length above the datagram
+// limit fails before anything is allocated for it, and is reported as
+// corruption, not as a crash-truncated capture.
+func TestStreamReaderRejectsOversize(t *testing.T) {
+	data := binary.BigEndian.AppendUint32(append([]byte(nil), streamMagic[:]...), maxDatagramLen+1)
+	sr, err := NewStreamReader(bytes.NewReader(data))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var d Datagram
+	if err := sr.Next(&d); err == nil || err == io.EOF || errors.Is(err, ErrTruncated) {
+		t.Fatalf("oversize frame length: err = %v, want a corruption error", err)
 	}
 }
 

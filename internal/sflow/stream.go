@@ -10,9 +10,10 @@ import (
 
 // Capture stream framing, container v1. sFlow datagrams travel over UDP
 // on the wire; the original on-disk container is minimal: an 8-byte
-// magic header followed by naked length-prefixed datagrams. New captures
-// use the checksummed block container v2 (see block.go); this reader is
-// kept so every v1 capture ever written stays readable.
+// magic header followed by naked datagrams, each behind its big-endian
+// uint32 length. Captures are written in the checksummed block
+// container v2 (see block.go); this reader is kept so every v1 capture
+// ever written stays readable.
 
 var streamMagic = [8]byte{'I', 'X', 'P', 'S', 'F', 'L', 'W', '1'}
 
@@ -30,47 +31,7 @@ var ErrTruncated = errors.New("sflow: capture truncated mid-structure")
 // field cannot trigger a huge allocation.
 const maxDatagramLen = 1 << 20
 
-// StreamWriter writes a sequence of encoded datagrams to an io.Writer.
-type StreamWriter struct {
-	w   *bufio.Writer
-	buf []byte
-	n   int
-}
-
-// NewStreamWriter writes the stream header and returns a writer.
-func NewStreamWriter(w io.Writer) (*StreamWriter, error) {
-	bw := bufio.NewWriterSize(w, 1<<16)
-	if _, err := bw.Write(streamMagic[:]); err != nil {
-		return nil, err
-	}
-	return &StreamWriter{w: bw}, nil
-}
-
-// WriteDatagram encodes and appends one datagram.
-func (sw *StreamWriter) WriteDatagram(d *Datagram) error {
-	sw.buf = d.AppendEncode(sw.buf[:0])
-	if len(sw.buf) > maxDatagramLen {
-		return fmt.Errorf("sflow: datagram of %d bytes exceeds stream limit", len(sw.buf))
-	}
-	var lenbuf [4]byte
-	binary.BigEndian.PutUint32(lenbuf[:], uint32(len(sw.buf)))
-	if _, err := sw.w.Write(lenbuf[:]); err != nil {
-		return err
-	}
-	if _, err := sw.w.Write(sw.buf); err != nil {
-		return err
-	}
-	sw.n++
-	return nil
-}
-
-// Count returns the number of datagrams written so far.
-func (sw *StreamWriter) Count() int { return sw.n }
-
-// Flush flushes buffered data to the underlying writer.
-func (sw *StreamWriter) Flush() error { return sw.w.Flush() }
-
-// StreamReader reads datagrams written by StreamWriter.
+// StreamReader reads a v1 capture stream.
 type StreamReader struct {
 	r   *bufio.Reader
 	buf []byte

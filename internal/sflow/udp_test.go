@@ -147,23 +147,6 @@ func TestExporterRejectsOversize(t *testing.T) {
 	}
 }
 
-func TestStreamWriterRejectsOversize(t *testing.T) {
-	var sink discard
-	sw, err := NewStreamWriter(&sink)
-	if err != nil {
-		t.Fatal(err)
-	}
-	d := sampleDatagram()
-	d.Flows[0].Raw.Header = make([]byte, maxDatagramLen+1)
-	if err := sw.WriteDatagram(d); err == nil {
-		t.Fatal("oversize datagram must be rejected")
-	}
-}
-
-type discard struct{}
-
-func (discard) Write(p []byte) (int, error) { return len(p), nil }
-
 // TestRunContextCancelUnblocksIdleReceiver: a receiver blocked in
 // ReadFrom with no traffic must notice context cancellation via its
 // read-deadline liveness checks, without anyone calling Close.
