@@ -24,6 +24,7 @@ import (
 	"ixplens/internal/netmodel"
 	"ixplens/internal/packet"
 	"ixplens/internal/pipeline"
+	"ixplens/internal/sflow"
 	"ixplens/internal/traffic"
 )
 
@@ -50,8 +51,17 @@ func setup(b *testing.B) *fixture {
 	if err != nil {
 		b.Fatal(err)
 	}
-	week, agg, src, err := runner.Week45()
+	week, agg, err := runner.Week45()
 	if err != nil {
+		b.Fatal(err)
+	}
+	// The dissection benchmarks replay one buffered copy of the week,
+	// cloned out of the collector's recycled buffers.
+	src := &dissect.SliceSource{}
+	if _, err := runner.Env.EachDatagram(context.Background(), 45, func(d *sflow.Datagram) error {
+		src.Datagrams = append(src.Datagrams, *d.Clone())
+		return nil
+	}); err != nil {
 		b.Fatal(err)
 	}
 	fx = &fixture{env: runner.Env, week: week, src: src, agg: agg, runner: runner}
@@ -515,7 +525,7 @@ func BenchmarkSamplingRateSweep(b *testing.B) {
 			b.ResetTimer()
 			var found int
 			for i := 0; i < b.N; i++ {
-				wk, err := env.AnalyzeWeek(context.Background(), 45, nil)
+				wk, err := env.AnalyzeWeek(context.Background(), 45)
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -35,7 +35,6 @@ import (
 
 	"ixplens/internal/capture"
 	"ixplens/internal/faultline"
-	"ixplens/internal/ixp"
 	"ixplens/internal/netmodel"
 	"ixplens/internal/pipeline"
 	"ixplens/internal/sflow"
@@ -152,28 +151,10 @@ func exportUDP(ctx context.Context, env *pipeline.Env, addr string) (err error) 
 			err = cerr
 		}
 	}()
-	send := func(d *sflow.Datagram) error {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		return exp.Send(d)
-	}
 	cfg := &env.World.Cfg
 	for wk := cfg.FirstWeek; wk <= cfg.LastWeek(); wk++ {
-		sink := send
-		var inj *faultline.Injector
-		if env.Faults.Active() {
-			inj = faultline.New(*env.Faults, uint64(wk))
-			sink = inj.Sink(send)
-		}
-		col := ixp.NewCollector(env.Fabric, env.Opts.SamplingRate, sink)
-		if _, err := env.Gen.GenerateWeek(wk, col); err != nil {
+		if _, err := env.EachDatagram(ctx, wk, exp.Send); err != nil {
 			return fmt.Errorf("week %d: %w", wk, err)
-		}
-		if inj != nil {
-			if err := inj.Flush(send); err != nil {
-				return fmt.Errorf("week %d: %w", wk, err)
-			}
 		}
 		fmt.Printf("  week %d exported (%d datagrams total, %d send retries)\n", wk, exp.Count(), exp.Retries())
 	}

@@ -32,10 +32,8 @@ import (
 	"syscall"
 	"time"
 
-	"ixplens/internal/capture"
 	"ixplens/internal/obs"
 	"ixplens/internal/serve"
-	"ixplens/internal/supervise"
 )
 
 // defaultTimeout is the -timeout default.
@@ -68,11 +66,11 @@ func main() {
 }
 
 func run(ctx context.Context, dir, addr, debugAddr string, cfg serve.Config, writeSnaps bool, drain time.Duration) error {
-	man, err := capture.ReadManifest(dir)
-	if err != nil {
-		return err
-	}
-	env, err := man.Rebuild()
+	// OpenStore rebuilds the substrates from the manifest and reads the
+	// supervise journal: weeks the runner quarantined are served as
+	// explicit holes (422, /healthz degraded, /churn gap rows) rather
+	// than re-analyzed bad data.
+	store, err := serve.OpenStore(dir, writeSnaps)
 	if err != nil {
 		return err
 	}
@@ -85,18 +83,11 @@ func run(ctx context.Context, dir, addr, debugAddr string, cfg serve.Config, wri
 		defer closeDebug()
 		fmt.Fprintf(os.Stderr, "debug endpoint: http://%s/debug/vars\n", dbgAddr)
 	}
+	env := store.Env()
 	env.Instrument(reg)
 	fmt.Fprintf(os.Stderr, "substrates rebuilt: %s\n", env)
-
-	store := serve.NewStore(dir, env, man, writeSnaps)
-	// A supervise journal in the campaign directory marks weeks the
-	// runner quarantined: serve them as explicit holes (422, /healthz
-	// degraded, /churn gap rows) rather than re-analyzing bad data.
-	if jst, err := supervise.ReadState(dir); err == nil {
-		if q := jst.QuarantinedWeeks(); len(q) > 0 {
-			store.SetQuarantined(q)
-			fmt.Fprintf(os.Stderr, "degraded campaign: weeks %v quarantined by the supervisor\n", q)
-		}
+	if q := store.Quarantined(); len(q) > 0 {
+		fmt.Fprintf(os.Stderr, "degraded campaign: weeks %v quarantined by the supervisor\n", q)
 	}
 	s := serve.New(store, cfg, reg)
 	defer s.Close()
@@ -114,7 +105,7 @@ func run(ctx context.Context, dir, addr, debugAddr string, cfg serve.Config, wri
 	srv := &http.Server{Addr: addr, Handler: s, ReadHeaderTimeout: connTimeout, IdleTimeout: connTimeout}
 	errc := make(chan error, 1)
 	go func() {
-		fmt.Fprintf(os.Stderr, "serving %d weeks from %s on %s\n", len(man.Weeks), dir, addr)
+		fmt.Fprintf(os.Stderr, "serving %d weeks from %s on %s\n", len(store.Weeks()), dir, addr)
 		errc <- srv.ListenAndServe()
 	}()
 

@@ -18,8 +18,7 @@ import (
 
 	"ixplens/internal/analysis"
 	"ixplens/internal/anonymize"
-	"ixplens/internal/core/dissect"
-	"ixplens/internal/ixp"
+	"ixplens/internal/capture"
 	"ixplens/internal/netmodel"
 	"ixplens/internal/pipeline"
 	"ixplens/internal/sflow"
@@ -73,8 +72,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	col := ixp.NewCollector(env.Fabric, opts.SamplingRate, exp.Send)
-	if _, err := env.Gen.GenerateWeek(45, col); err != nil {
+	if _, err := env.EachDatagram(context.Background(), 45, exp.Send); err != nil {
 		log.Fatal(err)
 	}
 	exp.Close()
@@ -101,30 +99,17 @@ func main() {
 	fmt.Printf("exported %d datagrams, collected %d (%d malformed)\n",
 		exp.Count(), received, malformed)
 
-	// --- Analysis side: mine the anonymized capture.
-	in, err := os.Open(path)
+	// --- Analysis side: mine the anonymized capture with the same
+	// one-pass analysis ixpmine runs, narrowed to server identification.
+	env.Analyzers, err = analysis.Select(analysis.NameWebserver)
 	if err != nil {
 		log.Fatal(err)
 	}
-	defer in.Close()
-	sr, err := sflow.NewBlockReader(in)
+	snap, err := capture.AnalyzeWeekSnapshot(context.Background(), env, path, 45)
 	if err != nil {
 		log.Fatal(err)
 	}
-	reg, err := analysis.Select(analysis.NameWebserver)
-	if err != nil {
-		log.Fatal(err)
-	}
-	run := reg.NewRun(env.AnalysisContext(), 1)
-	counts, err := dissect.ProcessSharded(context.Background(), sr, env.Fabric, 1, run.Observe, nil)
-	if err != nil {
-		log.Fatal(err)
-	}
-	prods, err := run.Finish(45)
-	if err != nil {
-		log.Fatal(err)
-	}
-	res := prods.Webserver()
+	counts, res := snap.Counts, snap.Result
 	fmt.Printf("analysis over anonymized capture: %d samples, %.2f%% peering, %d server IPs identified\n",
 		counts.Total, 100*counts.PeeringShare(), len(res.Servers))
 	fmt.Println("(addresses are anonymized; prefix-level aggregation still works, RIB lookups intentionally do not)")

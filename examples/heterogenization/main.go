@@ -25,7 +25,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	week, err := env.AnalyzeWeek(context.Background(), 45, nil)
+	week, err := env.AnalyzeWeek(context.Background(), 45)
 	if err != nil {
 		log.Fatal(err)
 	}

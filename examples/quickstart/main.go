@@ -31,7 +31,7 @@ func main() {
 
 	// Stream and analyse one weekly snapshot (week 45, as in the paper):
 	// samples are classified as they are generated, with bounded memory.
-	week, err := env.AnalyzeWeek(context.Background(), 45, nil)
+	week, err := env.AnalyzeWeek(context.Background(), 45)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -33,7 +33,7 @@ func main() {
 	// materialized. The aggregator rebuilt from the visibility product
 	// shares the environment's entity table, so every IP is resolved
 	// through RIB and geo exactly once across all stages.
-	wk, err := env.AnalyzeWeek(context.Background(), 45, nil)
+	wk, err := env.AnalyzeWeek(context.Background(), 45)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"ixplens/internal/faultline"
-	"ixplens/internal/ixp"
 	"ixplens/internal/netmodel"
 	"ixplens/internal/obs"
 	"ixplens/internal/pipeline"
@@ -26,15 +25,13 @@ import (
 func writeV1Week(env *pipeline.Env, isoWeek int, path string) (int, error) {
 	buf := []byte("IXPSFLW1")
 	n := 0
-	col := ixp.NewCollector(env.Fabric, env.Opts.SamplingRate, func(d *sflow.Datagram) error {
+	if _, err := env.EachDatagram(context.Background(), isoWeek, func(d *sflow.Datagram) error {
 		off := len(buf)
 		buf = d.AppendEncode(append(buf, 0, 0, 0, 0))
 		binary.BigEndian.PutUint32(buf[off:], uint32(len(buf)-off-4))
 		n++
 		return nil
-	})
-	col.SetBufferReuse(true)
-	if _, err := env.Gen.GenerateWeek(isoWeek, col); err != nil {
+	}); err != nil {
 		return 0, err
 	}
 	return n, os.WriteFile(path, buf, 0o644)
@@ -164,7 +161,7 @@ func TestCorruptedBlockQuarantine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	off, err := faultline.FlipFileBit(path, uint64(fi.Size()/2))
+	off, err := faultline.FlipFileBitFS(vfs.Default, path, uint64(fi.Size()/2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,6 +182,42 @@ func TestCorruptedBlockQuarantine(t *testing.T) {
 	}
 	if damaged.Result.EstLoss <= 0 {
 		t.Fatal("quarantined datagrams must surface as estimated loss")
+	}
+}
+
+// TestLossyCaptureReportsLoss: a capture written under datagram drop
+// must report the loss its sequence gaps reveal through the same
+// metrics the streamed analysis feeds — the capture path is what
+// ixpmine and ixpserve run.
+func TestLossyCaptureReportsLoss(t *testing.T) {
+	cfg := netmodel.Tiny()
+	cfg.Weeks = 2
+	opts := traffic.Options{SamplesPerWeek: 3000, SamplingRate: 16384, SnapLen: 128}
+	env, err := pipeline.NewEnv(cfg, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	env.Faults = &faultline.Config{Drop: 0.05}
+	wk := cfg.FirstWeek
+	path := filepath.Join(t.TempDir(), WeekFile(wk))
+	if _, _, err := WriteWeekFile(context.Background(), env, wk, path, WriteOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	env.Faults = nil
+	reg := obs.NewRegistry()
+	env.Instrument(reg)
+	snap, err := AnalyzeWeekSnapshot(context.Background(), env, path, wk)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if snap.Result.EstLoss <= 0 {
+		t.Fatal("a 5% drop capture carries no estimated loss")
+	}
+	if got := counterValue(t, reg, "pipeline_seq_gap_datagrams_total"); got == 0 {
+		t.Fatal("pipeline_seq_gap_datagrams_total stayed 0 on a lossy capture")
+	}
+	if got, want := reg.Gauge("pipeline_est_loss_bp").Value(), int64(snap.Result.EstLoss*10_000); got != want {
+		t.Fatalf("pipeline_est_loss_bp = %d, want %d", got, want)
 	}
 }
 
@@ -303,7 +336,7 @@ func TestCampaignResume(t *testing.T) {
 
 	// Damage one week; only that week is rewritten.
 	damaged := man1.Files[1]
-	if _, err := faultline.FlipFileBit(filepath.Join(dir, damaged), 12345); err != nil {
+	if _, err := faultline.FlipFileBitFS(vfs.Default, filepath.Join(dir, damaged), 12345); err != nil {
 		t.Fatal(err)
 	}
 	if err := os.Chtimes(filepath.Join(dir, damaged), past, past); err != nil {
@@ -414,7 +447,7 @@ func TestAnalyzeStampsObservedDigest(t *testing.T) {
 		t.Fatalf("cancelled analysis returned a snapshot (digest %q)", snap.SourceDigest)
 	}
 
-	if _, err := faultline.FlipFileBit(v2, 4096); err != nil {
+	if _, err := faultline.FlipFileBitFS(vfs.Default, v2, 4096); err != nil {
 		t.Fatal(err)
 	}
 	if got := observed(v2); got == man.Digests[0] || got != onDisk(v2) {

@@ -22,8 +22,6 @@ import (
 
 	"ixplens/internal/anonymize"
 	"ixplens/internal/core/dissect"
-	"ixplens/internal/faultline"
-	"ixplens/internal/ixp"
 	"ixplens/internal/netmodel"
 	"ixplens/internal/packet"
 	"ixplens/internal/pipeline"
@@ -371,39 +369,17 @@ func writeWeek(ctx context.Context, env *pipeline.Env, isoWeek int, path string,
 		f.Close()
 		return sw.Count(), "", e
 	}
-	base := func(d *sflow.Datagram) error {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		return sw.WriteDatagram(d)
-	}
-	sink := base
+	// The generation sink puts the week's fault injector in front of
+	// the anonymizer: the injector corrupts the wire stream, the
+	// anonymizer is part of the trusted collector. Both the writer
+	// (serializes) and the anonymizer (rewrites in place and forwards)
+	// consume each datagram within the call.
+	sink := sw.WriteDatagram
 	if anon != nil {
 		sink = anon.Datagrams(sink)
 	}
-	// inner is where a flushed held-back datagram must go: through the
-	// anonymizer, never around it.
-	inner := sink
-	var inj *faultline.Injector
-	if env.Faults.Active() {
-		// Faults go in front of the anonymizer: the injector corrupts the
-		// wire stream, the anonymizer is part of the trusted collector.
-		inj = faultline.New(*env.Faults, uint64(isoWeek))
-		sink = inj.Sink(inner)
-	}
-	col := ixp.NewCollector(env.Fabric, env.Opts.SamplingRate, sink)
-	// All sinks consume the datagram within the call (the writer
-	// serializes, the anonymizer rewrites in place and forwards, the
-	// injector clones what it holds back), so the collector can recycle
-	// its buffers.
-	col.SetBufferReuse(true)
-	if _, err := env.Gen.GenerateWeek(isoWeek, col); err != nil {
+	if _, err := env.EachDatagram(ctx, isoWeek, sink); err != nil {
 		return fail(err)
-	}
-	if inj != nil {
-		if err := inj.Flush(inner); err != nil {
-			return fail(err)
-		}
 	}
 	if err := sw.Close(); err != nil {
 		return fail(err)
@@ -572,21 +548,32 @@ func AnalyzeWeekSnapshot(ctx context.Context, env *pipeline.Env, path string, is
 	default:
 		return nil, sflow.ErrBadMagic
 	}
-	run := env.Registry().NewRun(env.AnalysisContext(), workers)
-	var seq sflow.SeqTracker
-	tsrc := &faultline.TrackSource{Src: src, Seq: &seq}
-	counts, err := dissect.ProcessSharded(ctx, tsrc, env.Fabric, workers, run.Observe, env.M.DissectMetrics())
-	truncated := errors.Is(err, sflow.ErrTruncated)
-	if err != nil && !truncated {
-		return nil, err
-	}
+	// The file's end is accounted before the week is finished, so a
+	// week that then fails its loss budget still shows its quarantined
+	// blocks.
 	var st sflow.BlockStats
-	if blockStats != nil {
-		st = blockStats()
-	}
-	st.Truncated = st.Truncated || truncated
-	env.M.ObserveCapture(st)
-	prods, err := run.Finish(isoWeek)
+	prods, counts, err := env.AnalyzeFeed(ctx, isoWeek, workers, func(emit func(*sflow.Datagram) error) error {
+		var d sflow.Datagram
+		for {
+			err := src.Next(&d)
+			if err == io.EOF || errors.Is(err, sflow.ErrTruncated) {
+				// A crash-truncated capture ends the week at the cut; its
+				// missing tail reads as sequence gaps.
+				if blockStats != nil {
+					st = blockStats()
+				}
+				st.Truncated = st.Truncated || err != io.EOF
+				env.M.ObserveCapture(st)
+				return nil
+			}
+			if err != nil {
+				return err
+			}
+			if err := emit(&d); err != nil {
+				return err
+			}
+		}
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -596,11 +583,6 @@ func AnalyzeWeekSnapshot(ctx context.Context, env *pipeline.Env, path string, is
 	}
 	if !st.Truncated {
 		snap.SourceDigest = digest()
-	}
-	snap.Result.EstLoss = seq.EstLoss()
-	if env.MaxLoss > 0 && snap.Result.EstLoss > env.MaxLoss {
-		return nil, fmt.Errorf("capture: week %d estimated loss %.4f > max %.4f: %w",
-			isoWeek, snap.Result.EstLoss, env.MaxLoss, pipeline.ErrLossExceeded)
 	}
 	return snap, nil
 }

@@ -69,7 +69,7 @@ func TestCampaignRoundTrip(t *testing.T) {
 	if snap.Counts.Total == 0 || len(res.Servers) == 0 {
 		t.Fatal("file analysis empty")
 	}
-	mem, err := env.AnalyzeWeek(context.Background(), man.Weeks[0], nil)
+	mem, err := env.AnalyzeWeek(context.Background(), man.Weeks[0])
 	if err != nil {
 		t.Fatal(err)
 	}

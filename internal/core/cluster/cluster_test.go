@@ -20,7 +20,7 @@ func analyzedWeek(t testing.TB) (*pipeline.Env, *pipeline.Week) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wk, err := env.AnalyzeWeek(context.Background(), 45, nil)
+	wk, err := env.AnalyzeWeek(context.Background(), 45)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -283,7 +283,7 @@ func BenchmarkRun(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	wk, err := env.AnalyzeWeek(context.Background(), 45, nil)
+	wk, err := env.AnalyzeWeek(context.Background(), 45)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -277,9 +277,8 @@ func (c *Classifier) ClassifyDatagram(d *sflow.Datagram, counts *Counts, fn func
 
 // SliceSource adapts an in-memory datagram slice to a rewindable
 // DatagramSource. It is the buffered, hold-a-whole-week-in-memory
-// capture representation — useful for tests and for experiment runners
-// that make many passes over one week; production paths stream through
-// ProcessSharded instead.
+// representation, for tests and benchmarks that make many passes over
+// one week; every production path streams.
 //
 // Next hands out defensive copies backed by source-owned scratch
 // buffers, so a consumer that mutates the datagram it was given — the

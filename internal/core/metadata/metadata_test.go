@@ -19,7 +19,7 @@ func analyzedWeek(t testing.TB) (*pipeline.Env, *pipeline.Week) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wk, err := env.AnalyzeWeek(context.Background(), 45, nil)
+	wk, err := env.AnalyzeWeek(context.Background(), 45)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -20,13 +20,21 @@ type weekView struct {
 	agg *Aggregator
 }
 
-func buildView(t testing.TB) *weekView {
+// observeWeek classifies week 45 as the Env generates it, on the
+// driver's serial reference, handing every record to obs.
+func observeWeek(t testing.TB, env *pipeline.Env, obs dissect.ShardObserver) {
 	t.Helper()
-	env, err := pipeline.NewEnv(netmodel.Tiny(), traffic.DefaultOptions())
+	sp := dissect.NewShardedStreamProcessor(context.Background(), env.Fabric, 1, obs, nil)
+	_, err := env.EachDatagram(context.Background(), 45, sp.Add)
+	sp.Close()
 	if err != nil {
 		t.Fatal(err)
 	}
-	src, _, err := env.CaptureWeek(context.Background(), 45)
+}
+
+func buildView(t testing.TB) *weekView {
+	t.Helper()
+	env, err := pipeline.NewEnv(netmodel.Tiny(), traffic.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,13 +44,10 @@ func buildView(t testing.TB) *weekView {
 		t.Fatal(err)
 	}
 	run := reg.NewRun(env.AnalysisContext(), 1)
-	_, err = dissect.ProcessSharded(context.Background(), src, env.Fabric, 1, func(w int, rec *dissect.Record, seq uint64) {
+	observeWeek(t, env, func(w int, rec *dissect.Record, seq uint64) {
 		agg.Observe(rec)
 		run.Observe(w, rec, seq)
-	}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	})
 	prods, err := run.Finish(45)
 	if err != nil {
 		t.Fatal(err)
@@ -289,16 +294,10 @@ func TestGeoErrorRobustness(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	src, _, err := env.CaptureWeek(context.Background(), 45)
-	if err != nil {
-		t.Fatal(err)
-	}
 	agg := NewAggregator(env.World.RIB(), env.World.GeoDB())
-	if _, err := dissect.ProcessSharded(context.Background(), src, env.Fabric, 1, func(_ int, rec *dissect.Record, _ uint64) {
+	observeWeek(t, env, func(_ int, rec *dissect.Record, _ uint64) {
 		agg.Observe(rec)
-	}, nil); err != nil {
-		t.Fatal(err)
-	}
+	})
 	_, byBytes := agg.TopCountries(3, nil)
 	if byBytes[0].Key != "DE" {
 		t.Fatalf("8%% geo errors flipped the traffic ranking: %v", byBytes)

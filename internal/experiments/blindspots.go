@@ -11,7 +11,7 @@ import (
 // the IXP view, and the classification of the invisible remainder.
 func (r *Runner) BlindSpotAlexa() (Report, error) {
 	rep := Report{ID: "E8", Title: "§3.3 — Alexa recovery and active discovery"}
-	wk, _, _, err := r.Week45()
+	wk, _, err := r.Week45()
 	if err != nil {
 		return rep, err
 	}
@@ -73,7 +73,7 @@ func (r *Runner) BlindSpotAlexa() (Report, error) {
 // how the ISP's server view compares with the IXP's.
 func (r *Runner) BlindSpotISP() (Report, error) {
 	rep := Report{ID: "E9", Title: "§3.1 — Tier-1 ISP cross-validation"}
-	wk, _, _, err := r.Week45()
+	wk, _, err := r.Week45()
 	if err != nil {
 		return rep, err
 	}

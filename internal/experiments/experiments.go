@@ -12,7 +12,6 @@ import (
 	"strings"
 
 	"ixplens/internal/core/churn"
-	"ixplens/internal/core/dissect"
 	"ixplens/internal/core/visibility"
 	"ixplens/internal/core/webserver"
 	"ixplens/internal/netmodel"
@@ -86,7 +85,6 @@ type Runner struct {
 	runCtx context.Context
 
 	week45 *pipeline.Week
-	src45  *dissect.SliceSource
 	agg45  *visibility.Aggregator
 
 	tracker  *churn.Tracker
@@ -121,33 +119,26 @@ func New(cfg netmodel.Config, opts traffic.Options) (*Runner, error) {
 // (week 45, like the paper).
 const FocusWeek = 45
 
-// Week45 runs (once) the full week-45 analysis, including the
-// visibility aggregation that Tables 1-3 need.
-func (r *Runner) Week45() (*pipeline.Week, *visibility.Aggregator, *dissect.SliceSource, error) {
+// Week45 runs (once) the full week-45 analysis, streamed through
+// AnalyzeWeek, including the visibility aggregation that Tables 1-3
+// need.
+func (r *Runner) Week45() (*pipeline.Week, *visibility.Aggregator, error) {
 	if r.week45 != nil {
-		r.src45.Reset()
-		return r.week45, r.agg45, r.src45, nil
-	}
-	src, truth, err := r.Env.CaptureWeek(r.ctx(), r.focusWeek())
-	if err != nil {
-		return nil, nil, nil, err
+		return r.week45, r.agg45, nil
 	}
 	// ONE fused pass: AnalyzeWeek feeds every registered analyzer —
 	// identifier, visibility, link flows — from the same decode, and the
 	// aggregator Tables 1-3 need rebuilds from the persisted visibility
 	// product over the environment's shared entity table.
-	wk, err := r.Env.AnalyzeWeek(r.ctx(), r.focusWeek(), src)
+	wk, err := r.Env.AnalyzeWeek(r.ctx(), r.focusWeek())
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, nil, err
 	}
 	if wk.Visibility == nil {
-		return nil, nil, nil, errors.New("experiments: visibility analyzer not in the registry")
+		return nil, nil, errors.New("experiments: visibility analyzer not in the registry")
 	}
-	wk.Truth = truth
-	agg := wk.Visibility.Aggregator(r.Env.EntityTable())
-	r.week45, r.agg45, r.src45 = wk, agg, src
-	r.src45.Reset()
-	return wk, agg, src, nil
+	r.week45, r.agg45 = wk, wk.Visibility.Aggregator(r.Env.EntityTable())
+	return r.week45, r.agg45, nil
 }
 
 // focusWeek clamps FocusWeek into the configured window.

@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"ixplens/internal/packet"
+	"ixplens/internal/sflow"
 )
 
 // ServerToServerTrend tests the paper's closing prediction (Section 7):
@@ -39,7 +40,7 @@ func (r *Runner) ServerToServerTrend() (Report, error) {
 // sample is represented there with its endpoints — so no replay pass is
 // ever needed.
 func (r *Runner) m2mShare(isoWeek int) (float64, error) {
-	wk, err := r.Env.AnalyzeWeek(r.ctx(), isoWeek, nil)
+	wk, err := r.Env.AnalyzeWeek(r.ctx(), isoWeek)
 	if err != nil {
 		return 0, err
 	}
@@ -76,16 +77,17 @@ func (r *Runner) m2mShare(isoWeek int) (float64, error) {
 // demand for the headline organizations.
 func (r *Runner) SamplingCalibration() (Report, error) {
 	rep := Report{ID: "E23", Title: "§2.1 (extension) — sampling calibration"}
-	wk, _, src, err := r.Week45()
+	wk, _, err := r.Week45()
 	if err != nil {
 		return rep, err
 	}
 
-	// (a) Flow-sample volume estimates vs interface counters.
+	// (a) Flow-sample volume estimates vs interface counters, tallied
+	// per port while week 45 is regenerated (deterministically, so the
+	// same stream the analysis saw).
 	estimates := make(map[uint32]uint64)
 	counters := make(map[uint32]uint64)
-	for i := range src.Datagrams {
-		d := &src.Datagrams[i]
+	if _, err := r.Env.EachDatagram(r.ctx(), r.focusWeek(), func(d *sflow.Datagram) error {
 		for k := range d.Flows {
 			fs := &d.Flows[k]
 			estimates[fs.InputIf] += uint64(fs.Raw.FrameLength) * uint64(fs.SamplingRate)
@@ -96,6 +98,9 @@ func (r *Runner) SamplingCalibration() (Report, error) {
 				counters[cs.Generic.IfIndex] = cs.Generic.InOctets
 			}
 		}
+		return nil
+	}); err != nil {
+		return rep, err
 	}
 	ports, agree := 0, 0
 	var maxRel float64
@@ -146,7 +151,7 @@ func (r *Runner) SamplingCalibration() (Report, error) {
 // fabric's ground-truth peering matrix.
 func (r *Runner) PeeringFabricVisibility() (Report, error) {
 	rep := Report{ID: "E24", Title: "[13] (extension) — visible peering fabric"}
-	wk, _, _, err := r.Week45()
+	wk, _, err := r.Week45()
 	if err != nil {
 		return rep, err
 	}

@@ -14,7 +14,7 @@ import (
 // validation against ground truth.
 func (r *Runner) ClusterOrganizations() (Report, error) {
 	rep := Report{ID: "E16", Title: "§5.1 — clustering server IPs by organization"}
-	wk, _, _, err := r.Week45()
+	wk, _, err := r.Week45()
 	if err != nil {
 		return rep, err
 	}
@@ -57,7 +57,7 @@ func (r *Runner) truthOrgOf(ip packet.IPv4Addr) (int32, bool) {
 // organization.
 func (r *Runner) Fig6bOrgSpread() (Report, error) {
 	rep := Report{ID: "E17", Title: "Fig. 6(b) — org server IPs vs AS footprint"}
-	wk, _, _, err := r.Week45()
+	wk, _, err := r.Week45()
 	if err != nil {
 		return rep, err
 	}
@@ -90,7 +90,7 @@ func (r *Runner) Fig6bOrgSpread() (Report, error) {
 // AS.
 func (r *Runner) Fig6cASHosting() (Report, error) {
 	rep := Report{ID: "E18", Title: "Fig. 6(c) — orgs hosted vs server IPs per AS"}
-	wk, _, _, err := r.Week45()
+	wk, _, err := r.Week45()
 	if err != nil {
 		return rep, err
 	}
@@ -120,7 +120,7 @@ func (r *Runner) Fig6cASHosting() (Report, error) {
 // replaying week 45's persisted flow product — no second pass over the
 // capture.
 func (r *Runner) linkStudy(org int32) (*hetero.LinkStats, error) {
-	wk, _, _, err := r.Week45()
+	wk, _, err := r.Week45()
 	if err != nil {
 		return nil, err
 	}
@@ -196,7 +196,7 @@ func (r *Runner) Fig7cCloudflareLinks() (Report, error) {
 // MetadataCoverage reproduces the Section 2.4 coverage numbers.
 func (r *Runner) MetadataCoverage() (Report, error) {
 	rep := Report{ID: "E21", Title: "§2.4 — server IP meta-data coverage"}
-	wk, _, _, err := r.Week45()
+	wk, _, err := r.Week45()
 	if err != nil {
 		return rep, err
 	}

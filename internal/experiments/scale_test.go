@@ -28,7 +28,7 @@ func TestReportScaleShapes(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	wk, agg, _, err := r.Week45()
+	wk, agg, err := r.Week45()
 	if err != nil {
 		t.Fatal(err)
 	}

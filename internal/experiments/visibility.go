@@ -12,7 +12,7 @@ import (
 // TCP/UDP split.
 func (r *Runner) Fig1Filtering() (Report, error) {
 	rep := Report{ID: "E1", Title: "Fig. 1 — traffic filtering cascade"}
-	wk, _, _, err := r.Week45()
+	wk, _, err := r.Week45()
 	if err != nil {
 		return rep, err
 	}
@@ -35,7 +35,7 @@ func (r *Runner) Fig1Filtering() (Report, error) {
 // share, multi-purpose and dual-role counts.
 func (r *Runner) ServerIdentification() (Report, error) {
 	rep := Report{ID: "E2", Title: "§2.2.2 — Web server identification"}
-	wk, _, _, err := r.Week45()
+	wk, _, err := r.Week45()
 	if err != nil {
 		return rep, err
 	}
@@ -68,7 +68,7 @@ func (r *Runner) ServerIdentification() (Report, error) {
 // Fig2RankCurve reproduces Figure 2: per-server-IP traffic shares.
 func (r *Runner) Fig2RankCurve() (Report, error) {
 	rep := Report{ID: "E3", Title: "Fig. 2 — traffic per server IP, ranked"}
-	wk, _, _, err := r.Week45()
+	wk, _, err := r.Week45()
 	if err != nil {
 		return rep, err
 	}
@@ -86,7 +86,7 @@ func (r *Runner) Fig2RankCurve() (Report, error) {
 // IPs, ASes, prefixes and countries, against the world's ground truth.
 func (r *Runner) Table1Summary() (Report, error) {
 	rep := Report{ID: "E4", Title: "Table 1 — IXP summary statistics, week 45"}
-	wk, agg, _, err := r.Week45()
+	wk, agg, err := r.Week45()
 	if err != nil {
 		return rep, err
 	}
@@ -119,7 +119,7 @@ func (r *Runner) Table1Summary() (Report, error) {
 // per country.
 func (r *Runner) Fig3CountryShares() (Report, error) {
 	rep := Report{ID: "E5", Title: "Fig. 3 — percentage of IPs per country"}
-	_, agg, _, err := r.Week45()
+	_, agg, err := r.Week45()
 	if err != nil {
 		return rep, err
 	}
@@ -146,7 +146,7 @@ func (r *Runner) Fig3CountryShares() (Report, error) {
 // and by traffic, for all peering traffic and the server subset.
 func (r *Runner) Table2Top10() (Report, error) {
 	rep := Report{ID: "E6", Title: "Table 2 — top-10 contributors, week 45"}
-	wk, agg, _, err := r.Week45()
+	wk, agg, err := r.Week45()
 	if err != nil {
 		return rep, err
 	}
@@ -226,7 +226,7 @@ func (r *Runner) asLabel(asn uint32) string {
 // Table3LocalGlobal reproduces Table 3: the A(L)/A(M)/A(G) breakdown.
 func (r *Runner) Table3LocalGlobal() (Report, error) {
 	rep := Report{ID: "E7", Title: "Table 3 — IXP as local yet global player"}
-	wk, agg, _, err := r.Week45()
+	wk, agg, err := r.Week45()
 	if err != nil {
 		return rep, err
 	}

@@ -9,11 +9,10 @@
 // datagrams in the same way.
 //
 // The package sits between a datagram producer and its consumer:
-// Injector.Sink wraps a push-style collector sink, which is how every
-// faulted capture, stream and export path applies the fault model.
-// PanickyResolver poisons member-port lookups to exercise the dissection
-// layer's panic quarantine, and TrackSource feeds a sequence tracker so
-// the loss the injector creates is measured the same way real loss is.
+// Injector.Sink wraps a push-style collector sink, which is how the
+// pipeline's one generation sink applies the fault model to every
+// capture, stream and export. PanickyResolver poisons member-port
+// lookups to exercise the dissection layer's panic quarantine.
 package faultline
 
 import (
@@ -296,36 +295,14 @@ func (r *PanickyResolver) MemberOfPort(port uint32) (int32, bool) {
 // Fired reports whether the injected panic has been triggered.
 func (r *PanickyResolver) Fired() bool { return r.At > 0 && r.n.Load() >= r.At }
 
-// TrackSource passes a datagram stream through untouched while feeding
-// every datagram to a sequence tracker, so pull-based consumers (the
-// buffered pipeline, capture files) measure loss the same way the UDP
-// receiver does.
-type TrackSource struct {
-	Src dissect.DatagramSource
-	Seq *sflow.SeqTracker
-}
-
-// Next forwards to the wrapped source, observing each datagram.
-func (t *TrackSource) Next(d *sflow.Datagram) error {
-	err := t.Src.Next(d)
-	if err == nil {
-		t.Seq.Observe(d)
-	}
-	return err
-}
-
-// FlipFileBit inverts one key-derived bit of the file at path in place,
-// simulating silent disk corruption of a capture at rest. The byte
-// offset is key modulo the file size; the bit within it is derived from
-// the key. Returns the offset damaged.
-func FlipFileBit(path string, key uint64) (int64, error) {
-	return FlipFileBitFS(vfs.Default, path, key)
-}
-
-// FlipFileBitFS is FlipFileBit through an explicit vfs seam, so the
-// corruption itself composes with an injecting FS. The damaged byte is
-// synced to stable storage and close errors are surfaced — a corruptor
-// that silently fails to corrupt would make chaos tests vacuous.
+// FlipFileBitFS inverts one key-derived bit of the file at path in
+// place, through fsys, simulating silent disk corruption of a capture
+// at rest. The byte offset is key modulo the file size; the bit within
+// it is derived from the key. Returns the offset damaged. Going through
+// a seam lets the corruption itself compose with an injecting FS. The
+// damaged byte is synced to stable storage and close errors are
+// surfaced — a corruptor that silently fails to corrupt would make
+// chaos tests vacuous.
 func FlipFileBitFS(fsys vfs.FS, path string, key uint64) (off int64, err error) {
 	f, err := fsys.OpenFile(path, os.O_RDWR, 0)
 	if err != nil {
@@ -358,14 +335,9 @@ func FlipFileBitFS(fsys vfs.FS, path string, key uint64) (off int64, err error) 
 	return off, nil
 }
 
-// TruncateFileTail cuts the file at path to a key-derived prefix length
-// (key modulo the file size), simulating a crash mid-write. Returns the
-// resulting size.
-func TruncateFileTail(path string, key uint64) (int64, error) {
-	return TruncateFileTailFS(vfs.Default, path, key)
-}
-
-// TruncateFileTailFS is TruncateFileTail through an explicit vfs seam.
+// TruncateFileTailFS cuts the file at path to a key-derived prefix
+// length (key modulo the file size) through fsys, simulating a crash
+// mid-write. Returns the resulting size.
 func TruncateFileTailFS(fsys vfs.FS, path string, key uint64) (int64, error) {
 	fi, err := fsys.Stat(path)
 	if err != nil {

@@ -171,10 +171,6 @@ func NewFS(inner vfs.FS, cfg FSConfig) *FS {
 	}
 }
 
-// Inner exposes the wrapped FS (chaos tests verify final bytes through
-// it, outside the fault model).
-func (f *FS) Inner() vfs.FS { return f.inner }
-
 // AddQuota frees n bytes of write budget — the injected equivalent of
 // an operator deleting files from a full disk. No-op when the config
 // has no quota.

@@ -342,13 +342,13 @@ func TestFlipFileBitErrors(t *testing.T) {
 	}
 	// Plain seam still works and really flips a bit.
 	before, _ := os.ReadFile(path)
-	off, err := FlipFileBit(path, 12345)
+	off, err := FlipFileBitFS(vfs.Default, path, 12345)
 	if err != nil {
 		t.Fatal(err)
 	}
 	after, _ := os.ReadFile(path)
 	if before[off] == after[off] {
-		t.Fatal("FlipFileBit did not damage the byte it reported")
+		t.Fatal("FlipFileBitFS did not damage the byte it reported")
 	}
 	// TruncateFileTailFS through the seam.
 	n, err := TruncateFileTailFS(vfs.OS{}, path, 3)

@@ -198,9 +198,8 @@ func NewCollector(f *Fabric, rate uint32, sink func(*sflow.Datagram) error) *Col
 
 // SetBufferReuse toggles buffer-reuse mode. Off (the default), every
 // flushed datagram owns freshly allocated Flows and Raw.Header backing
-// arrays, so a sink may retain them indefinitely — that is what the
-// buffered SliceSource capture relies on. On, the collector recycles
-// those buffers across flushes: the datagram passed to the sink (and
+// arrays, so a sink may retain them indefinitely. On, the collector
+// recycles those buffers across flushes: the datagram passed to the sink (and
 // everything it points to) is valid only for the duration of the sink
 // call, and the sink must copy whatever it keeps. Streaming consumers
 // (dissect.StreamProcessor.Add, encoders that serialize immediately)

@@ -108,7 +108,7 @@ func TestChaosTrackWeeks(t *testing.T) {
 func TestChaosAnalyzeWeekQuarantine(t *testing.T) {
 	env := newEnv(t)
 	env.Faults = &faultline.Config{Seed: 7, PanicAtLookup: 500}
-	wk, err := env.AnalyzeWeek(context.Background(), 45, nil)
+	wk, err := env.AnalyzeWeek(context.Background(), 45)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +135,7 @@ func TestChaosDeterministic(t *testing.T) {
 	run := func(cfg faultline.Config) (total, quarantined int, est float64) {
 		env := newEnv(t)
 		env.Faults = &cfg
-		wk, err := env.AnalyzeWeek(context.Background(), 45, nil)
+		wk, err := env.AnalyzeWeek(context.Background(), 45)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -165,11 +165,11 @@ func TestMaxLossAborts(t *testing.T) {
 	env := newEnv(t)
 	env.Faults = &faultline.Config{Seed: 7, Drop: 0.10}
 	env.MaxLoss = 0.02
-	if _, err := env.AnalyzeWeek(context.Background(), 45, nil); !errors.Is(err, ErrLossExceeded) {
+	if _, err := env.AnalyzeWeek(context.Background(), 45); !errors.Is(err, ErrLossExceeded) {
 		t.Fatalf("err = %v, want ErrLossExceeded", err)
 	}
 	env.MaxLoss = 0.5
-	if _, err := env.AnalyzeWeek(context.Background(), 45, nil); err != nil {
+	if _, err := env.AnalyzeWeek(context.Background(), 45); err != nil {
 		t.Fatalf("generous ceiling still failed: %v", err)
 	}
 }
@@ -267,20 +267,18 @@ func TestTrackWeeksCancelled(t *testing.T) {
 	}
 }
 
-// TestChaosAnalyzeWeekBuffered drives the fault mix through the
-// buffered path: CaptureWeek applies the degradation, AnalyzeWeek
-// surfaces it as the Week's EstLoss annotation.
+// TestChaosAnalyzeWeekBuffered drives the fault mix through a buffered
+// feed: the generation sink applies the degradation, the analysis
+// driver surfaces it as the week's EstLoss annotation.
 func TestChaosAnalyzeWeekBuffered(t *testing.T) {
 	env := newEnv(t)
 	env.Faults = &faultline.Config{Seed: 7, Drop: 0.05}
-	src, _, err := env.CaptureWeek(context.Background(), 45)
+	buf, _ := BufferWeek(t, env, 45)
+	prods, _, err := env.AnalyzeFeed(context.Background(), 45, 1, buf.Feed)
 	if err != nil {
 		t.Fatal(err)
 	}
-	wk, err := env.AnalyzeWeek(context.Background(), 45, src)
-	if err != nil {
-		t.Fatal(err)
-	}
+	wk := &Week{Servers: prods.Webserver(), EstLoss: prods.Webserver().EstLoss}
 	if wk.EstLoss < 0.025 || wk.EstLoss > 0.10 {
 		t.Fatalf("buffered EstLoss %.4f outside [0.025, 0.10] for 5%% drop", wk.EstLoss)
 	}

@@ -14,16 +14,39 @@ import (
 	"ixplens/internal/traffic"
 )
 
-// countingSource counts the datagrams pulled through it, so a test can
-// prove how many decode passes a pipeline stage really made.
-type countingSource struct {
-	src   dissect.DatagramSource
-	nexts int
+// WeekBuffer is one generated week held in memory, for tests that
+// replay the same stream more than once or check the driver against an
+// independent pass over it.
+type WeekBuffer []sflow.Datagram
+
+// BufferWeek collects week wk from the Env's generation sink, cloning
+// every datagram out of the collector's recycled buffers.
+func BufferWeek(t testing.TB, env *Env, wk int) (WeekBuffer, traffic.WeekStats) {
+	t.Helper()
+	var buf WeekBuffer
+	truth, err := env.EachDatagram(context.Background(), wk, func(d *sflow.Datagram) error {
+		buf = append(buf, *d.Clone())
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return buf, truth
 }
 
-func (c *countingSource) Next(d *sflow.Datagram) error {
-	c.nexts++
-	return c.src.Next(d)
+// Feed pushes the buffered week into emit, in stream order.
+func (b WeekBuffer) Feed(emit func(*sflow.Datagram) error) error {
+	for i := range b {
+		if err := emit(&b[i]); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// Source returns the buffered week as a pull-side datagram source.
+func (b WeekBuffer) Source() *dissect.SliceSource {
+	return &dissect.SliceSource{Datagrams: b}
 }
 
 // TestAnalyzeWeekSinglePass pins the fused pass's core promise: the
@@ -32,39 +55,39 @@ func (c *countingSource) Next(d *sflow.Datagram) error {
 func TestAnalyzeWeekSinglePass(t *testing.T) {
 	env := goldenEnv(t)
 	ctx := context.Background()
-	src, _, err := env.CaptureWeek(ctx, 45)
-	if err != nil {
-		t.Fatal(err)
-	}
+	buf, _ := BufferWeek(t, env, 45)
 
-	pulls := func(list string) (int, *Week) {
+	emits := func(list string) (int, *Week) {
 		t.Helper()
 		reg, err := analysis.Select(list)
 		if err != nil {
 			t.Fatal(err)
 		}
 		env.Analyzers = reg
-		src.Reset()
-		cs := &countingSource{src: src}
-		wk, err := env.AnalyzeWeek(ctx, 45, cs)
+		n := 0
+		prods, _, err := env.AnalyzeFeed(ctx, 45, 1, func(emit func(*sflow.Datagram) error) error {
+			return buf.Feed(func(d *sflow.Datagram) error {
+				n++
+				return emit(d)
+			})
+		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		return cs.nexts, wk
+		return n, &Week{Servers: prods.Webserver(), Visibility: prods.Visibility(), Links: prods.Links()}
 	}
 
-	oneNexts, oneWk := pulls("webserver")
-	allNexts, allWk := pulls("all")
+	oneEmits, oneWk := emits("webserver")
+	allEmits, allWk := emits("all")
 	env.Analyzers = nil
 
-	if want := len(src.Datagrams) + 1; oneNexts != want { // every datagram once, plus EOF
-		t.Fatalf("single-analyzer run pulled %d datagrams, want %d", oneNexts, want)
+	if want := len(buf); oneEmits != want { // every datagram once
+		t.Fatalf("single-analyzer run took %d datagrams, want %d", oneEmits, want)
 	}
-	if allNexts != oneNexts {
-		t.Fatalf("three analyzers pulled %d datagrams, one analyzer pulled %d — the pass is not fused",
-			allNexts, oneNexts)
+	if allEmits != oneEmits {
+		t.Fatalf("three analyzers took %d datagrams, one analyzer took %d — the pass is not fused",
+			allEmits, oneEmits)
 	}
-
 	// The fan-out must not perturb any single analyzer's aggregates.
 	a, err := (&analysis.WebserverProduct{Res: oneWk.Servers}).AppendEncode(nil)
 	if err != nil {
@@ -124,13 +147,10 @@ func TestGoldenAnalyzerEquivalence(t *testing.T) {
 		// pristine stream the driver saw): the bespoke visibility
 		// aggregation and an independent flow roll-up, the way the
 		// pre-registry code rescanned the week per analysis.
-		src, _, err := env.CaptureWeek(ctx, wk)
-		if err != nil {
-			t.Fatal(err)
-		}
+		buf, _ := BufferWeek(t, env, wk)
 		agg := visibility.NewAggregatorWith(env.EntityTable())
 		flows := make(map[analysis.FlowKey]*analysis.Flow)
-		if _, err := dissect.ProcessSharded(ctx, src, env.Fabric, 1, func(_ int, rec *dissect.Record, _ uint64) {
+		if _, err := dissect.ProcessSharded(ctx, buf.Source(), env.Fabric, 1, func(_ int, rec *dissect.Record, _ uint64) {
 			agg.Observe(rec)
 			if !rec.Class.IsPeering() {
 				return

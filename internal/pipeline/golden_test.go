@@ -29,7 +29,7 @@ func goldenEnv(t testing.TB) *Env {
 // inside Finish.
 func analyzeAt(t testing.TB, env *Env, wk, workers int) *Week {
 	t.Helper()
-	week, err := env.analyzeWeek(context.Background(), wk, nil, workers)
+	week, err := env.analyzeWeek(context.Background(), wk, workers)
 	if err != nil {
 		t.Fatalf("week %d at %d workers: %v", wk, workers, err)
 	}
@@ -95,14 +95,15 @@ func TestGoldenAnalyzeWeekAggregates(t *testing.T) {
 	ctx := context.Background()
 	const wk = 45
 
-	src, _, err := env.CaptureWeek(ctx, wk)
+	// The buffered side: a test-held copy of the week fed through the
+	// one driver's serial reference.
+	buf, _ := BufferWeek(t, env, wk)
+	prods, counts, err := env.AnalyzeFeed(ctx, wk, 1, buf.Feed)
 	if err != nil {
 		t.Fatal(err)
 	}
-	buffered, err := env.AnalyzeWeek(ctx, wk, src)
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, cov, clusters := env.Organizations(prods.Webserver())
+	buffered := &Week{Servers: prods.Webserver(), Counts: counts, Coverage: cov, Clusters: clusters}
 	streamed := analyzeAt(t, env, wk, 4)
 
 	if !reflect.DeepEqual(buffered.Servers, streamed.Servers) {
@@ -145,10 +146,9 @@ func TestGoldenAnalyzeWeekAggregates(t *testing.T) {
 
 	// Visibility summaries must not depend on whether the aggregator owns
 	// its interning table or shares the environment's.
-	src.Reset()
 	private := visibility.NewAggregator(env.World.RIB(), env.World.GeoDB())
 	shared := visibility.NewAggregatorWith(env.EntityTable())
-	if _, err := dissect.ProcessSharded(ctx, src, env.Fabric, 1, func(_ int, rec *dissect.Record, _ uint64) {
+	if _, err := dissect.ProcessSharded(ctx, buf.Source(), env.Fabric, 1, func(_ int, rec *dissect.Record, _ uint64) {
 		private.Observe(rec)
 		shared.Observe(rec)
 	}, nil); err != nil {

@@ -199,14 +199,6 @@ func (e *Env) members() dissect.MemberResolver {
 	return e.Fabric
 }
 
-// injector builds the per-week fault injector, nil when faults are off.
-func (e *Env) injector(isoWeek int) *faultline.Injector {
-	if !e.Faults.Active() {
-		return nil
-	}
-	return faultline.New(*e.Faults, uint64(isoWeek))
-}
-
 // checkLoss turns a week's sequence-gap accounting into metrics and,
 // when MaxLoss is set, an abort decision.
 func (e *Env) checkLoss(isoWeek int, st sflow.SeqStats) (float64, error) {
@@ -219,50 +211,44 @@ func (e *Env) checkLoss(isoWeek int, st sflow.SeqStats) (float64, error) {
 	return est, nil
 }
 
-// CaptureWeek generates one week of traffic and returns it as an
-// in-memory, rewindable datagram source plus the generator ground truth.
-// This is the buffered, O(week)-memory representation — opt into it for
-// tests and for experiment runners that make many passes over one week;
-// analysis paths should stream through AnalyzeWeek instead. Generation
-// is deterministic in (seed, ISO week), so a second call yields the same
-// datagrams. Configured faults are applied at capture
-// time, so the buffer holds the degraded stream an unreliable network
-// would have delivered; ctx cancellation aborts generation within one
-// datagram flush.
-func (e *Env) CaptureWeek(ctx context.Context, isoWeek int) (*dissect.SliceSource, traffic.WeekStats, error) {
+// EachDatagram generates one week of traffic and hands every datagram
+// the IXP collector exports to fn, in stream order: the Env's one
+// generation sink, which every path that renders a week — the analysis
+// driver, capture files, UDP export — goes through. The collector
+// recycles its buffers, so fn must not retain a datagram (or anything
+// it points to) past the call; Datagram.Clone copies one out.
+// Configured faults sit between the collector and fn, with the
+// injector's held-back datagrams flushed into fn at the end, so fn sees
+// the degraded stream an unreliable network would have delivered.
+// Generation is deterministic in (seed, ISO week): a second call yields
+// the same datagrams. Cancelling ctx aborts within one datagram.
+func (e *Env) EachDatagram(ctx context.Context, isoWeek int, fn func(*sflow.Datagram) error) (traffic.WeekStats, error) {
+	return e.generate(ctx, e.Gen, isoWeek, fn)
+}
+
+// generate is EachDatagram over an explicit generator (a Generator is
+// not safe for concurrent use, so parallel callers each own one).
+func (e *Env) generate(ctx context.Context, gen *traffic.Generator, isoWeek int, fn func(*sflow.Datagram) error) (traffic.WeekStats, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	src := &dissect.SliceSource{}
-	stats, err := e.generate(e.Gen, isoWeek, false, func(d *sflow.Datagram) error {
+	base := func(d *sflow.Datagram) error {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		// In default (non-reuse) mode the collector hands off fresh
-		// backing arrays with every flush, so the shallow copy owns them.
-		src.Datagrams = append(src.Datagrams, *d)
-		return nil
-	})
-	if err != nil {
-		return nil, stats, err
+		return fn(d)
 	}
-	return src, stats, nil
-}
-
-// generate runs one week of gen through the IXP collector into base,
-// with the week's fault injector (when faults are configured) between
-// the two and its held-back datagrams flushed at the end. With reuse the
-// collector recycles its buffers, so base must not retain a datagram
-// past the call.
-func (e *Env) generate(gen *traffic.Generator, isoWeek int, reuse bool, base func(*sflow.Datagram) error) (traffic.WeekStats, error) {
 	sink := base
-	inj := e.injector(isoWeek)
-	if inj != nil {
+	var inj *faultline.Injector
+	if e.Faults.Active() {
+		inj = faultline.New(*e.Faults, uint64(isoWeek))
 		sink = inj.Sink(base)
 	}
 	col := ixp.NewCollector(e.Fabric, e.Opts.SamplingRate, sink)
 	col.SetMetrics(e.M.CollectorMetrics())
-	col.SetBufferReuse(reuse)
+	// Every sink consumes the datagram within the call (the injector
+	// clones what it holds back), so the collector can recycle buffers.
+	col.SetBufferReuse(true)
 	stats, err := gen.GenerateWeek(isoWeek, col)
 	if err == nil && inj != nil {
 		err = inj.Flush(base)
@@ -270,31 +256,36 @@ func (e *Env) generate(gen *traffic.Generator, isoWeek int, reuse bool, base fun
 	return stats, err
 }
 
-// streamWeek is the in-memory week driver: it generates one week of
-// traffic with gen (a Generator is not safe for concurrent use, so
-// parallel callers each own one), classifies every sample on the fly
-// through a dissect.StreamProcessor of the given worker count feeding a
-// run of reg over actx, and finishes the run. No datagram buffer is
-// retained: the collector reuses its buffers and the processor holds
-// O(batch) samples, so per-week memory is bounded regardless of world
-// size.
-//
-// The week's estimated datagram loss fraction (sequence gaps over
-// expected datagrams), measured after any configured fault injection,
-// is stamped on the products' webserver result. Cancelling ctx aborts
-// generation within one datagram flush; a week whose loss crosses
-// Env.MaxLoss fails with ErrLossExceeded.
-func (e *Env) streamWeek(ctx context.Context, gen *traffic.Generator, reg *analysis.Registry, actx *analysis.Context, isoWeek, workers int) (*analysis.Products, dissect.Counts, traffic.WeekStats, error) {
+// Feed pushes one week's datagrams, in stream order, into emit and
+// returns once the week is exhausted: nil for a complete stream, the
+// first error otherwise (an error from emit included). A datagram is
+// only valid for the duration of its emit call.
+type Feed func(emit func(*sflow.Datagram) error) error
+
+// AnalyzeFeed is the one week-level analysis driver: it runs every
+// analyzer in the Env's registry over the datagrams feed pushes — ONE
+// pass, classified as they arrive by a dissect.StreamProcessor of the
+// given worker count — measures the week's datagram loss from sFlow
+// sequence gaps exactly as a live collector would, and finishes the
+// run. The generator (AnalyzeWeek) and capture files both feed it. The
+// estimated loss fraction is recorded in the Env's metrics and stamped
+// on the products' webserver result; a week whose loss crosses
+// Env.MaxLoss fails with ErrLossExceeded. The returned counts are the
+// dissection cascade's tallies, also alongside a feed error.
+func (e *Env) AnalyzeFeed(ctx context.Context, isoWeek, workers int, feed Feed) (*analysis.Products, dissect.Counts, error) {
+	return e.analyzeFeed(ctx, e.Registry(), e.AnalysisContext(), isoWeek, workers, feed)
+}
+
+// analyzeFeed is AnalyzeFeed for an explicit registry and analysis
+// context.
+func (e *Env) analyzeFeed(ctx context.Context, reg *analysis.Registry, actx *analysis.Context, isoWeek, workers int, feed Feed) (*analysis.Products, dissect.Counts, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	run := reg.NewRun(actx, workers)
 	sp := dissect.NewShardedStreamProcessor(ctx, e.members(), workers, run.Observe, e.M.DissectMetrics())
 	var seq sflow.SeqTracker
-	stats, err := e.generate(gen, isoWeek, true, func(d *sflow.Datagram) error {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
+	err := feed(func(d *sflow.Datagram) error {
 		seq.Observe(d)
 		return sp.Add(d)
 	})
@@ -302,13 +293,27 @@ func (e *Env) streamWeek(ctx context.Context, gen *traffic.Generator, reg *analy
 	// pool never leaks.
 	counts := sp.Close()
 	if err != nil {
-		return nil, counts, stats, err
+		return nil, counts, err
 	}
 	est, err := e.checkLoss(isoWeek, seq.Stats())
 	if err != nil {
-		return nil, counts, stats, err
+		return nil, counts, err
 	}
 	prods, err := finishRun(run, isoWeek, est)
+	return prods, counts, err
+}
+
+// streamWeek analyzes one week as gen generates it: the analysis
+// driver fed by the generation sink. No datagram buffer is retained —
+// the collector reuses its buffers and the processor holds O(batch)
+// samples — so per-week memory is bounded regardless of world size.
+func (e *Env) streamWeek(ctx context.Context, gen *traffic.Generator, reg *analysis.Registry, actx *analysis.Context, isoWeek, workers int) (*analysis.Products, dissect.Counts, traffic.WeekStats, error) {
+	var stats traffic.WeekStats
+	prods, counts, err := e.analyzeFeed(ctx, reg, actx, isoWeek, workers, func(emit func(*sflow.Datagram) error) error {
+		var err error
+		stats, err = e.generate(ctx, gen, isoWeek, emit)
+		return err
+	})
 	return prods, counts, stats, err
 }
 
@@ -349,54 +354,24 @@ type Week struct {
 }
 
 // AnalyzeWeek runs the complete per-week pipeline: ONE pass over the
-// week's samples feeds every analyzer in the Env's registry
-// (identification, visibility, link flows, ...) simultaneously. When src
-// is nil the week is streamed — classified as it is generated, with
-// bounded memory. A non-nil src (a buffered CaptureWeek source) is
-// dissected instead, tracking sequence gaps so a lossy capture is
-// annotated just like a lossy live stream; it is left drained, and a
-// caller that wants another pass rewinds it.
-func (e *Env) AnalyzeWeek(ctx context.Context, isoWeek int, src dissect.DatagramSource) (*Week, error) {
-	return e.analyzeWeek(ctx, isoWeek, src, dissect.DefaultWorkers())
+// week's samples, classified as they are generated with bounded memory,
+// feeds every analyzer in the Env's registry (identification,
+// visibility, link flows, ...) simultaneously; then the §5 chain runs
+// over the identified servers.
+func (e *Env) AnalyzeWeek(ctx context.Context, isoWeek int) (*Week, error) {
+	return e.analyzeWeek(ctx, isoWeek, dissect.DefaultWorkers())
 }
 
-// analyzeWeek is AnalyzeWeek with the streamed pass's classifier pool
-// size made explicit, so tests can compare worker counts of the one
-// driver whatever the host's GOMAXPROCS.
-func (e *Env) analyzeWeek(ctx context.Context, isoWeek int, src dissect.DatagramSource, workers int) (*Week, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	reg := e.Registry()
-	actx := e.AnalysisContext()
-	var truth traffic.WeekStats
-	var counts dissect.Counts
-	var prods *analysis.Products
-	var err error
-	if src == nil {
-		// Streamed weeks fan records into per-worker analyzer shards;
-		// each analyzer's deterministic merge inside Finish reproduces
-		// the serial pass's aggregates exactly (the golden-equivalence
-		// tests pin it).
-		prods, counts, truth, err = e.streamWeek(ctx, e.Gen, reg, actx, isoWeek, workers)
-		if err != nil {
-			return nil, err
-		}
-	} else {
-		run := reg.NewRun(actx, 1)
-		var seq sflow.SeqTracker
-		counts, err = dissect.ProcessSharded(ctx, &faultline.TrackSource{Src: src, Seq: &seq},
-			e.members(), 1, run.Observe, e.M.DissectMetrics())
-		if err != nil {
-			return nil, err
-		}
-		est, err := e.checkLoss(isoWeek, seq.Stats())
-		if err != nil {
-			return nil, err
-		}
-		if prods, err = finishRun(run, isoWeek, est); err != nil {
-			return nil, err
-		}
+// analyzeWeek is AnalyzeWeek with the classifier pool size made
+// explicit, so tests can compare worker counts of the one driver
+// whatever the host's GOMAXPROCS. Streamed weeks fan records into
+// per-worker analyzer shards; each analyzer's deterministic merge
+// inside Finish reproduces the serial pass's aggregates exactly (the
+// golden-equivalence tests pin it).
+func (e *Env) analyzeWeek(ctx context.Context, isoWeek, workers int) (*Week, error) {
+	prods, counts, truth, err := e.streamWeek(ctx, e.Gen, e.Registry(), e.AnalysisContext(), isoWeek, workers)
+	if err != nil {
+		return nil, err
 	}
 	res := prods.Webserver()
 	metas, cov, clusters := e.Organizations(res)

@@ -30,7 +30,7 @@ func TestNewEnvRejectsBadConfig(t *testing.T) {
 
 func TestAnalyzeWeekEndToEnd(t *testing.T) {
 	env := newEnv(t)
-	wk, err := env.AnalyzeWeek(context.Background(), 45, nil)
+	wk, err := env.AnalyzeWeek(context.Background(), 45)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,23 +43,20 @@ func TestAnalyzeWeekEndToEnd(t *testing.T) {
 	if len(wk.Servers.Servers) == 0 || len(wk.Metas) == 0 || len(wk.Clusters.Clusters) == 0 {
 		t.Fatal("pipeline stages empty")
 	}
-	// A second pass over the buffered capture of the same week must agree.
-	src, _, err := env.CaptureWeek(context.Background(), 45)
+	// A second pass over a buffered copy of the same week must agree.
+	buf, _ := BufferWeek(t, env, 45)
+	prods, _, err := env.AnalyzeFeed(context.Background(), 45, 1, buf.Feed)
 	if err != nil {
 		t.Fatal(err)
 	}
-	wk2, err := env.AnalyzeWeek(context.Background(), 45, src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(wk2.Servers.Servers) != len(wk.Servers.Servers) {
-		t.Fatalf("re-analysis differs: %d vs %d servers", len(wk2.Servers.Servers), len(wk.Servers.Servers))
+	if n := len(prods.Webserver().Servers); n != len(wk.Servers.Servers) {
+		t.Fatalf("re-analysis differs: %d vs %d servers", n, len(wk.Servers.Servers))
 	}
 }
 
 func TestObservationResolvesEverything(t *testing.T) {
 	env := newEnv(t)
-	wk, err := env.AnalyzeWeek(context.Background(), 45, nil)
+	wk, err := env.AnalyzeWeek(context.Background(), 45)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +100,7 @@ func TestInstrumentedPipelineConsistency(t *testing.T) {
 	reg := obs.NewRegistry()
 	env.Instrument(reg)
 
-	wk, err := env.AnalyzeWeek(context.Background(), 45, nil)
+	wk, err := env.AnalyzeWeek(context.Background(), 45)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +147,7 @@ func TestInstrumentedPipelineConsistency(t *testing.T) {
 	// Detaching must stop the counters moving.
 	env.Instrument(nil)
 	before := reg.Counter("ixp_samples_total").Value()
-	if _, err := env.AnalyzeWeek(context.Background(), 46, nil); err != nil {
+	if _, err := env.AnalyzeWeek(context.Background(), 46); err != nil {
 		t.Fatal(err)
 	}
 	if after := reg.Counter("ixp_samples_total").Value(); after != before {

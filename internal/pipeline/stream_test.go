@@ -59,7 +59,7 @@ func TestTrackWeeksParallelConsistent(t *testing.T) {
 	lossy := 0
 	for idx, got := range results {
 		isoWeek := cfg.FirstWeek + idx
-		wk, err := env.analyzeWeek(context.Background(), isoWeek, nil, 1)
+		wk, err := env.analyzeWeek(context.Background(), isoWeek, 1)
 		if err != nil {
 			t.Fatal(err)
 		}

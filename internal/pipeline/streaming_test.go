@@ -55,16 +55,13 @@ func sameServers(t *testing.T, a, b *webserver.Result) {
 
 // TestStreamMatchesBuffered is the acceptance gate of the streaming
 // path: a streamed AnalyzeWeek must produce byte-identical counts and
-// server sets to dissecting a buffered CaptureWeek source.
+// server sets to dissecting a buffered copy of the week.
 func TestStreamMatchesBuffered(t *testing.T) {
 	env := newEnv(t)
-	src, bufTruth, err := env.CaptureWeek(context.Background(), 45)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bufCounts, bufRes := identifyOver(t, env, src, 45)
+	buf, bufTruth := BufferWeek(t, env, 45)
+	bufCounts, bufRes := identifyOver(t, env, buf.Source(), 45)
 
-	wk, err := env.AnalyzeWeek(context.Background(), 45, nil)
+	wk, err := env.AnalyzeWeek(context.Background(), 45)
 	if err != nil {
 		t.Fatal(err)
 	}

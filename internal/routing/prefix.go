@@ -7,7 +7,6 @@ package routing
 
 import (
 	"fmt"
-	"sort"
 
 	"ixplens/internal/packet"
 )
@@ -62,15 +61,4 @@ func (p Prefix) Overlaps(q Prefix) bool {
 // String formats the prefix in CIDR notation.
 func (p Prefix) String() string {
 	return fmt.Sprintf("%s/%d", p.Addr, p.Len)
-}
-
-// SortPrefixes orders prefixes by address, then shorter-first; the
-// canonical order used by RIB dumps and tests.
-func SortPrefixes(ps []Prefix) {
-	sort.Slice(ps, func(i, j int) bool {
-		if ps[i].Addr != ps[j].Addr {
-			return ps[i].Addr < ps[j].Addr
-		}
-		return ps[i].Len < ps[j].Len
-	})
 }

@@ -116,7 +116,8 @@ func (t *Table) Routes() []Route {
 	return out
 }
 
-// sortRoutes orders routes identically to SortPrefixes.
+// sortRoutes orders routes by prefix address, then shorter-first: the
+// canonical order of RIB dumps.
 func sortRoutes(rs []Route) {
 	sort.Slice(rs, func(i, j int) bool {
 		if rs[i].Prefix.Addr != rs[j].Prefix.Addr {

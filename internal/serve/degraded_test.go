@@ -12,6 +12,7 @@ import (
 
 	"ixplens/internal/obs"
 	"ixplens/internal/supervise"
+	"ixplens/internal/vfs"
 )
 
 // TestDegradedServing: with a quarantined week the server reports
@@ -142,7 +143,7 @@ func TestOpenStoreReadsSuperviseJournal(t *testing.T) {
 	}
 	bad := plain.Weeks()[2]
 
-	j, err := supervise.OpenJournal(dir, "test-config")
+	j, err := supervise.OpenJournalFS(vfs.Default, dir, "test-config")
 	if err != nil {
 		t.Fatal(err)
 	}

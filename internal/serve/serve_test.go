@@ -713,7 +713,7 @@ func TestStoreDoesNotPersistDamagedAnalysis(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := faultline.FlipFileBit(path, uint64(fi.Size()/2)); err != nil {
+	if _, err := faultline.FlipFileBitFS(vfs.Default, path, uint64(fi.Size()/2)); err != nil {
 		t.Fatal(err)
 	}
 

@@ -52,7 +52,7 @@ func OpenStore(dir string, writeSnapshots bool) (*Store, error) {
 	if err != nil {
 		return nil, err
 	}
-	st := NewStore(dir, env, man, writeSnapshots)
+	st := &Store{dir: dir, env: env, man: man, writeSnapshots: writeSnapshots, m: NewMetrics(nil)}
 	// A supervise journal in the campaign directory tells us which weeks
 	// the runner quarantined. A missing journal means an unsupervised
 	// campaign (nothing quarantined); a damaged one is ignored — the
@@ -63,14 +63,8 @@ func OpenStore(dir string, writeSnapshots bool) (*Store, error) {
 	return st, nil
 }
 
-// NewStore wraps an already rebuilt environment. Callers that need to
-// instrument env (Instrument) use this form.
-func NewStore(dir string, env *pipeline.Env, man *capture.Manifest, writeSnapshots bool) *Store {
-	return &Store{dir: dir, env: env, man: man, writeSnapshots: writeSnapshots, m: NewMetrics(nil)}
-}
-
 // SetMetrics attaches the serving metrics bundle (never nil after
-// NewStore; call before the store is shared).
+// OpenStore; call before the store is shared).
 func (st *Store) SetMetrics(m *Metrics) {
 	if m != nil {
 		st.m = m
@@ -122,12 +116,6 @@ func (st *Store) weekIndex(isoWeek int) (int, bool) {
 		}
 	}
 	return 0, false
-}
-
-// HasWeek reports whether the campaign contains isoWeek.
-func (st *Store) HasWeek(isoWeek int) bool {
-	_, ok := st.weekIndex(isoWeek)
-	return ok
 }
 
 // Load returns the analyzed week, from snapshot when possible. The

@@ -507,7 +507,7 @@ func TestGoldenAllWeeks(t *testing.T) {
 	}
 	ctx := context.Background()
 	for wk := cfg.FirstWeek; wk <= cfg.LastWeek(); wk++ {
-		week, err := env.AnalyzeWeek(ctx, wk, nil)
+		week, err := env.AnalyzeWeek(ctx, wk)
 		if err != nil {
 			t.Fatalf("week %d: %v", wk, err)
 		}

@@ -82,6 +82,11 @@ type Record struct {
 	CRC string `json:"crc,omitempty"`
 }
 
+// ErrJournalReadBack marks a journal whose bytes, read back after
+// re-appending what the disk lost, still replay to a different state
+// than the acknowledged records. Test with errors.Is.
+var ErrJournalReadBack = errors.New("supervise: journal read-back differs from acknowledged records")
+
 // castagnoli is the CRC32C table, matching the capture containers.
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
@@ -294,17 +299,12 @@ func ReadStateFS(fsys vfs.FS, dir string) (*State, error) {
 	return st, nil
 }
 
-// OpenJournal replays dir's journal and opens it for appending. Torn or
-// corrupted records are dropped by scan-forward resync; a journal whose
-// config digest does not match configDigest — or whose bytes defeat the
-// scanner entirely — is rotated aside (".bad") and a fresh one is
-// started: its checkpoints describe a different campaign and must not
-// vouch for the files on disk.
-func OpenJournal(dir, configDigest string) (*Journal, error) {
-	return OpenJournalFS(vfs.Default, dir, configDigest)
-}
-
-// OpenJournalFS is OpenJournal through an explicit filesystem seam.
+// OpenJournalFS replays dir's journal through fsys and opens it for
+// appending. Torn or corrupted records are dropped by scan-forward
+// resync; a journal whose config digest does not match configDigest —
+// or whose bytes defeat the scanner entirely — is rotated aside
+// (".bad") and a fresh one is started: its checkpoints describe a
+// different campaign and must not vouch for the files on disk.
 func OpenJournalFS(fsys vfs.FS, dir, configDigest string) (*Journal, error) {
 	if err := fsys.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
@@ -420,6 +420,89 @@ func (j *Journal) Append(rec *Record) error {
 	j.size += int64(len(line))
 	j.state.apply(rec)
 	return nil
+}
+
+// verifyReadBack reads the journal back through its filesystem and
+// compares the replayed state with the in-memory one the supervisor
+// acted on. A lying fsync can flip a bit in a record that was already
+// acknowledged; replay then drops it by CRC and the next open would
+// redo work the campaign already finished. Whatever the disk lost is
+// restated by appending records, and a second read-back that still
+// disagrees is an error wrapping ErrJournalReadBack.
+func (j *Journal) verifyReadBack() error {
+	for pass := 0; ; pass++ {
+		disk, err := ReadStateFS(j.fsys, filepath.Dir(j.path))
+		if err != nil {
+			return err
+		}
+		lost := j.state.restate(disk)
+		if len(lost) == 0 {
+			return nil
+		}
+		if pass > 0 {
+			return fmt.Errorf("%w: %d records still differ", ErrJournalReadBack, len(lost))
+		}
+		for _, rec := range lost {
+			if err := j.Append(rec); err != nil {
+				return err
+			}
+		}
+	}
+}
+
+// restate returns the records that, appended to a journal replaying to
+// disk, make it replay to s: the campaign record if disk lost it, and
+// for every week whose replayed state differs, that week's state in
+// apply order. Applying them to s itself changes nothing.
+func (s *State) restate(disk *State) []*Record {
+	var recs []*Record
+	if disk.ConfigDigest != s.ConfigDigest {
+		recs = append(recs, &Record{Event: EventCampaign, Config: s.ConfigDigest})
+	}
+	var weeks []int
+	for wk := range s.Weeks {
+		weeks = append(weeks, wk)
+	}
+	for wk := range disk.Weeks {
+		if s.Weeks[wk] == nil {
+			weeks = append(weeks, wk)
+		}
+	}
+	sortInts(weeks)
+	var zero WeekState
+	for _, wk := range weeks {
+		want, have := s.Weeks[wk], disk.Weeks[wk]
+		if want == nil {
+			want = &zero
+		}
+		if have == nil {
+			have = &zero
+		}
+		if *want == *have {
+			continue
+		}
+		recs = append(recs, &Record{Event: EventStart, Week: wk, Attempt: want.Attempts})
+		if want.LastErr != "" || want.LastClass != "" {
+			recs = append(recs, &Record{Event: EventFail, Week: wk, Attempt: want.Attempts,
+				Err: want.LastErr, Class: want.LastClass})
+		}
+		for _, st := range []struct {
+			stage string
+			StageState
+		}{{StageCapture, want.Capture}, {StageAnalyze, want.Analyze}, {StageSnapshot, want.Snapshot}} {
+			if st.Done {
+				recs = append(recs, &Record{Event: EventDone, Week: wk, Stage: st.stage,
+					Digest: st.Digest, Datagrams: st.Datagrams})
+			}
+		}
+		if want.Done {
+			recs = append(recs, &Record{Event: EventDone, Week: wk, Digest: want.DoneDigest})
+		}
+		if want.Quarantined {
+			recs = append(recs, &Record{Event: EventQuarantine, Week: wk})
+		}
+	}
+	return recs
 }
 
 // Close closes the journal file.

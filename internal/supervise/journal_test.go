@@ -6,6 +6,7 @@ import (
 	"errors"
 	"io/fs"
 	"os"
+	"reflect"
 	"syscall"
 	"testing"
 
@@ -17,9 +18,77 @@ import (
 	"ixplens/internal/vfs"
 )
 
+// TestJournalReadBackRestoresLostRecords damages acknowledged records
+// on disk — what a lying fsync does — and requires the read-back to
+// restate them, so the reopened journal replays to the state the run
+// acted on and a second read-back appends nothing.
+func TestJournalReadBackRestoresLostRecords(t *testing.T) {
+	dir := t.TempDir()
+	j, err := OpenJournalFS(vfs.Default, dir, "cfg-a")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j.Close()
+	for _, rec := range []*Record{
+		{Event: EventStart, Week: 35, Attempt: 1},
+		{Event: EventDone, Week: 35, Stage: StageCapture, Digest: "d-cap", Datagrams: 42},
+		{Event: EventDone, Week: 35, Stage: StageAnalyze, Digest: "d-cap"},
+		{Event: EventDone, Week: 35, Stage: StageSnapshot, Digest: "d-snap"},
+		{Event: EventDone, Week: 35, Digest: "d-snap"},
+		{Event: EventStart, Week: 36, Attempt: 2},
+		{Event: EventFail, Week: 36, Attempt: 2, Class: "transient", Err: "boom"},
+		{Event: EventQuarantine, Week: 36, Err: "boom"},
+	} {
+		if err := j.Append(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	path := journalPath(dir)
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Flip one digest character in week 35's snapshot record and one in
+	// week 36's failure: both fail their CRC on replay.
+	for _, needle := range []string{`"stage":"snapshot","digest":"d-snap"`, `"err":"boom"`} {
+		i := bytes.Index(raw, []byte(needle))
+		if i < 0 {
+			t.Fatalf("record %s not in journal", needle)
+		}
+		raw[i+len(needle)-2] ^= 0x20
+	}
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if disk, err := ReadStateFS(vfs.Default, dir); err != nil || reflect.DeepEqual(disk, j.State()) {
+		t.Fatalf("damage did not change the replayed state (err %v)", err)
+	}
+
+	if err := j.verifyReadBack(); err != nil {
+		t.Fatal(err)
+	}
+	disk, err := ReadStateFS(vfs.Default, dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(disk, j.State()) {
+		t.Fatalf("read-back left the disk behind:\ndisk   %+v\nmemory %+v", disk.Weeks[36], j.State().Weeks[36])
+	}
+	before, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := j.verifyReadBack(); err != nil {
+		t.Fatal(err)
+	}
+	if after, err := os.Stat(path); err != nil || after.Size() != before.Size() {
+		t.Fatalf("a matching journal grew on read-back: %d -> %d bytes", before.Size(), after.Size())
+	}
+}
+
 func TestJournalRoundTrip(t *testing.T) {
 	dir := t.TempDir()
-	j, err := OpenJournal(dir, "cfg-a")
+	j, err := OpenJournalFS(vfs.Default, dir, "cfg-a")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,7 +111,7 @@ func TestJournalRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	j2, err := OpenJournal(dir, "cfg-a")
+	j2, err := OpenJournalFS(vfs.Default, dir, "cfg-a")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +165,7 @@ func TestJournalRecaptureInvalidates(t *testing.T) {
 // replay drops it and keeps everything before.
 func TestJournalTornTail(t *testing.T) {
 	dir := t.TempDir()
-	j, err := OpenJournal(dir, "cfg-a")
+	j, err := OpenJournalFS(vfs.Default, dir, "cfg-a")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +182,7 @@ func TestJournalTornTail(t *testing.T) {
 	}
 	f.Close()
 
-	j2, err := OpenJournal(dir, "cfg-a")
+	j2, err := OpenJournalFS(vfs.Default, dir, "cfg-a")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +200,7 @@ func TestJournalTornTail(t *testing.T) {
 		t.Fatal(err)
 	}
 	j2.Close()
-	j3, err := OpenJournal(dir, "cfg-a")
+	j3, err := OpenJournalFS(vfs.Default, dir, "cfg-a")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,7 +221,7 @@ func TestJournalTornTail(t *testing.T) {
 // file digests anyway.
 func TestJournalCorruptMiddle(t *testing.T) {
 	dir := t.TempDir()
-	j, err := OpenJournal(dir, "cfg-a")
+	j, err := OpenJournalFS(vfs.Default, dir, "cfg-a")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,7 +240,7 @@ func TestJournalCorruptMiddle(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	j2, err := OpenJournal(dir, "cfg-a")
+	j2, err := OpenJournalFS(vfs.Default, dir, "cfg-a")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,7 +263,7 @@ func TestJournalCorruptMiddle(t *testing.T) {
 // healthy week via ErrDigestMismatch.
 func TestJournalCorruptRecordCRC(t *testing.T) {
 	dir := t.TempDir()
-	j, err := OpenJournal(dir, "cfg-a")
+	j, err := OpenJournalFS(vfs.Default, dir, "cfg-a")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,7 +283,7 @@ func TestJournalCorruptRecordCRC(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	j2, err := OpenJournal(dir, "cfg-a")
+	j2, err := OpenJournalFS(vfs.Default, dir, "cfg-a")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -260,7 +329,7 @@ func TestJournalAppendRollback(t *testing.T) {
 	}
 	jf.Close()
 
-	j2, err := OpenJournal(dir, "cfg-a")
+	j2, err := OpenJournalFS(vfs.Default, dir, "cfg-a")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -275,7 +344,7 @@ func TestJournalAppendRollback(t *testing.T) {
 		t.Fatal(err)
 	}
 	j2.Close()
-	j3, err := OpenJournal(dir, "cfg-a")
+	j3, err := OpenJournalFS(vfs.Default, dir, "cfg-a")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -289,14 +358,14 @@ func TestJournalAppendRollback(t *testing.T) {
 // config must not vouch for this one's files.
 func TestJournalConfigMismatch(t *testing.T) {
 	dir := t.TempDir()
-	j, err := OpenJournal(dir, "cfg-a")
+	j, err := OpenJournalFS(vfs.Default, dir, "cfg-a")
 	if err != nil {
 		t.Fatal(err)
 	}
 	j.Append(&Record{Event: EventDone, Week: 35, Stage: StageCapture, Digest: "d"})
 	j.Close()
 
-	j2, err := OpenJournal(dir, "cfg-b")
+	j2, err := OpenJournalFS(vfs.Default, dir, "cfg-b")
 	if err != nil {
 		t.Fatal(err)
 	}

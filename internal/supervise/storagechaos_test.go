@@ -2,6 +2,7 @@ package supervise_test
 
 import (
 	"context"
+	"fmt"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -36,13 +37,24 @@ func chaosDiskFaults(seed uint64) faultline.FSConfig {
 	}
 }
 
+// chaosSeeds are the fault schedules the convergence test sweeps: the
+// first forty seeds and the long-committed 1973.
+func chaosSeeds() []uint64 {
+	seeds := []uint64{1973}
+	for s := uint64(1); s <= 40; s++ {
+		seeds = append(seeds, s)
+	}
+	return seeds
+}
+
 // TestStorageChaosConvergence is the crash-consistency acceptance test:
 // a full 17-week supervised campaign where every byte to and from disk
 // crosses a seeded fault-injecting filesystem (short writes, fsync
 // failures, fsync-then-corrupt, torn renames, read EIO). The supervisor
 // is restarted after every error — a crash — against the same damaged
 // directory. The campaign must converge to snapshots byte-identical to
-// a clean run's, and never accept a corrupt artifact along the way.
+// a clean run's, never accept a corrupt artifact along the way, and
+// leave a journal whose rerun is a verified no-op — for every seed.
 func TestStorageChaosConvergence(t *testing.T) {
 	// Reference digests from an undamaged campaign of the same world.
 	clean := newEnv(t)
@@ -56,12 +68,21 @@ func TestStorageChaosConvergence(t *testing.T) {
 	}
 	supC.Close()
 	want := snapshotDigests(t, clean, cleanDir)
+	for _, seed := range chaosSeeds() {
+		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
+			storageChaosRun(t, seed, want)
+		})
+	}
+}
 
+// storageChaosRun drives one seeded chaos campaign to convergence and
+// checks it against the clean run's snapshot digests.
+func storageChaosRun(t *testing.T, seed uint64, want map[int]string) {
 	// Chaos run: one fault FS shared across every restart, so each
 	// rewrite of a path draws the next faults in its deterministic
 	// stream rather than replaying the same one forever.
 	env := newEnv(t)
-	ffs := faultline.NewFS(vfs.OS{}, chaosDiskFaults(1973))
+	ffs := faultline.NewFS(vfs.OS{}, chaosDiskFaults(seed))
 	env.FS = ffs
 	dir := t.TempDir()
 	cfg := Config{

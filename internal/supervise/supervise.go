@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"os"
 	"path/filepath"
 	"time"
 
@@ -304,6 +303,11 @@ func (s *Supervisor) Run(ctx context.Context) (*Report, error) {
 			return rep, err
 		}
 		s.manChanged = false
+	}
+	// The campaign is a verified no-op to rerun only if the journal on
+	// disk says what this run acted on.
+	if err := s.journal.verifyReadBack(); err != nil {
+		return rep, err
 	}
 	return rep, nil
 }
@@ -825,14 +829,4 @@ func (s *Supervisor) verifyDone(wk int, st *WeekState) (*snapshot.Snapshot, bool
 		return nil, false
 	}
 	return snap, true
-}
-
-// RemoveJournal deletes dir's journal (tests and explicit campaign
-// resets).
-func RemoveJournal(dir string) error {
-	err := os.Remove(journalPath(dir))
-	if errors.Is(err, os.ErrNotExist) {
-		return nil
-	}
-	return err
 }

@@ -480,7 +480,7 @@ func TestSupervisorSelfHealsDamage(t *testing.T) {
 
 	// Damage one capture (bit flip) and delete another week's snapshot.
 	flipWeek, delWeek := cfg.FirstWeek+3, cfg.FirstWeek+9
-	if _, err := faultline.FlipFileBit(filepath.Join(dir, capture.WeekFile(flipWeek)), 4096); err != nil {
+	if _, err := faultline.FlipFileBitFS(vfs.Default, filepath.Join(dir, capture.WeekFile(flipWeek)), 4096); err != nil {
 		t.Fatal(err)
 	}
 	if err := os.Remove(filepath.Join(dir, snapshot.FileName(delWeek))); err != nil {
@@ -699,7 +699,7 @@ func TestSupervisorAdoptionDiscardsDamagedAnalysis(t *testing.T) {
 	}
 	const damaged = 5 // index into the manifest
 	path := filepath.Join(dir, man.Files[damaged])
-	if _, err := faultline.FlipFileBit(path, 4096); err != nil {
+	if _, err := faultline.FlipFileBitFS(vfs.Default, path, 4096); err != nil {
 		t.Fatal(err)
 	}
 
