@@ -21,6 +21,7 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"sync"
 
 	"ixplens/internal/core/dissect"
 	"ixplens/internal/core/webserver"
@@ -73,6 +74,12 @@ type Product interface {
 // is self-addressed. seq is the record's global stream position (for
 // last-writer-wins tie-breaks); it carries no ordering guarantee across
 // workers.
+//
+// Finish runs after the last Observe, alongside the other states'
+// Finish calls on their own goroutines. It may read shared substrates
+// (the entity table, the crawler) but must never intern into the entity
+// table: intern order decides IDs, and a concurrent Finish would make
+// it vary from run to run.
 type State interface {
 	Observe(worker int, rec *dissect.Record, src, dst entity.ID, seq uint64)
 	Finish(isoWeek int) (Product, error)
@@ -207,19 +214,27 @@ func (r *Run) Observe(worker int, rec *dissect.Record, seq uint64) {
 }
 
 // Finish merges every analyzer's shards deterministically and returns
-// the product set.
+// the product set in registry order. The states finish concurrently,
+// one goroutine each, and all have returned before Finish does; when
+// several fail, the error is the first failing analyzer's in registry
+// order.
 func (r *Run) Finish(isoWeek int) (*Products, error) {
 	items := make([]NamedProduct, len(r.states))
+	errs := make([]error, len(r.states))
+	var wg sync.WaitGroup
 	for i, st := range r.states {
-		p, err := st.Finish(isoWeek)
-		if err != nil {
-			return nil, fmt.Errorf("analysis: %s: %w", r.reg.analyzers[i].Name(), err)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			items[i].P, errs[i] = st.Finish(isoWeek)
+		}()
+	}
+	wg.Wait()
+	for i, a := range r.reg.analyzers {
+		if errs[i] != nil {
+			return nil, fmt.Errorf("analysis: %s: %w", a.Name(), errs[i])
 		}
-		items[i] = NamedProduct{
-			Name:    r.reg.analyzers[i].Name(),
-			Version: r.reg.analyzers[i].Version(),
-			P:       p,
-		}
+		items[i].Name, items[i].Version = a.Name(), a.Version()
 	}
 	return &Products{items: items}, nil
 }

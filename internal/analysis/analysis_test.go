@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"errors"
 	"reflect"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"ixplens/internal/certsim"
 	"ixplens/internal/core/dissect"
@@ -415,4 +417,101 @@ func BenchmarkRunObserve(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(recs)), "ns/sample")
+}
+
+// finishProbe is a test analyzer whose Finish sleeps, then fails with
+// err or returns a product named after it, and records that it returned.
+type finishProbe struct {
+	name     string
+	delay    time.Duration
+	err      error
+	returned *atomic.Bool
+}
+
+func (a finishProbe) Name() string                                             { return a.name }
+func (finishProbe) Version() uint16                                            { return 1 }
+func (a finishProbe) NewState(*Context, int) State                             { return a }
+func (finishProbe) Decode(uint16, []byte) (Product, error)                     { return nil, ErrFormat }
+func (finishProbe) Observe(int, *dissect.Record, entity.ID, entity.ID, uint64) {}
+
+func (a finishProbe) Finish(int) (Product, error) {
+	defer a.returned.Store(true)
+	time.Sleep(a.delay)
+	if a.err != nil {
+		return nil, a.err
+	}
+	return probeProduct(a.name), nil
+}
+
+type probeProduct string
+
+func (p probeProduct) AppendEncode(dst []byte) ([]byte, error) { return append(dst, p...), nil }
+
+// TestRunFinishConcurrentErrors pins Run.Finish's contract now that the
+// states finish concurrently: every Finish has returned before it does,
+// the error is the first failing analyzer's in registry order (however
+// the goroutines interleave), and a clean run's products keep registry
+// order.
+func TestRunFinishConcurrentErrors(t *testing.T) {
+	errB, errD := errors.New("b failed"), errors.New("d failed")
+	probes := func(spec ...finishProbe) ([]Analyzer, []*atomic.Bool) {
+		var as []Analyzer
+		var flags []*atomic.Bool
+		for _, p := range spec {
+			p.returned = new(atomic.Bool)
+			as = append(as, p)
+			flags = append(flags, p.returned)
+		}
+		return as, flags
+	}
+	run := func(as []Analyzer) (*Products, error) {
+		reg, err := NewRegistry(as...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return reg.NewRun(testContext(), 1).Finish(45)
+	}
+
+	// The later-registered failure returns first; the slowest state
+	// succeeds.
+	as, flags := probes(
+		finishProbe{name: "a", delay: 30 * time.Millisecond},
+		finishProbe{name: "b", delay: 15 * time.Millisecond, err: errB},
+		finishProbe{name: "c"},
+		finishProbe{name: "d", err: errD},
+	)
+	_, err := run(as)
+	if !errors.Is(err, errB) || errors.Is(err, errD) {
+		t.Fatalf("err = %v, want b's error only", err)
+	}
+	if want := "analysis: b: b failed"; err.Error() != want {
+		t.Fatalf("err = %q, want %q", err, want)
+	}
+	for i, f := range flags {
+		if !f.Load() {
+			t.Fatalf("state %d had not returned from Finish when Run.Finish did", i)
+		}
+	}
+
+	// Registered out of order, finishing in reverse: products still come
+	// back in registry (name) order.
+	as, _ = probes(
+		finishProbe{name: "c"},
+		finishProbe{name: "a", delay: 20 * time.Millisecond},
+		finishProbe{name: "b", delay: 10 * time.Millisecond},
+	)
+	prods, err := run(as)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, p := range prods.All() {
+		if string(p.P.(probeProduct)) != p.Name || p.Version != 1 {
+			t.Fatalf("product %+v is not its analyzer's", p)
+		}
+		got = append(got, p.Name)
+	}
+	if !reflect.DeepEqual(got, []string{"a", "b", "c"}) {
+		t.Fatalf("products in order %v, want [a b c]", got)
+	}
 }

@@ -130,7 +130,10 @@ type MemberResolver interface {
 type Classifier struct {
 	members MemberResolver
 	frame   packet.Frame
-	m       *Metrics
+	// rec is ClassifyDatagram's scratch record, kept here so handing it
+	// to the callback does not move one to the heap per datagram.
+	rec Record
+	m   *Metrics
 }
 
 // NewClassifier builds a classifier using the fabric's port map.
@@ -263,15 +266,15 @@ func (c *Classifier) ClassifyDatagram(d *sflow.Datagram, counts *Counts, fn func
 			}
 		}
 	}()
-	var rec Record
+	rec := &c.rec
 	for ; i < len(d.Flows); i++ {
-		c.Classify(&d.Flows[i], &rec)
+		c.Classify(&d.Flows[i], rec)
 		if fn != nil {
-			fn(&rec)
+			fn(rec)
 		}
 		// Tally only after the observer returned: a sample whose callback
 		// panicked is quarantined, not half-counted.
-		counts.Tally(&rec)
+		counts.Tally(rec)
 	}
 }
 

@@ -215,6 +215,41 @@ func TestClassifyDirectCases(t *testing.T) {
 	}
 }
 
+// TestClassifyDatagramAllocatesNothing pins that classifying a datagram
+// costs no allocation per call, whether or not a callback receives the
+// records.
+func TestClassifyDatagramAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates")
+	}
+	b := packet.NewBuilder(256)
+	eth := packet.Ethernet{Src: packet.MAC{2}, Dst: packet.MAC{4}}
+	ip := packet.IPv4Header{TTL: 60, Src: packet.MakeIPv4(1, 2, 3, 4), Dst: packet.MakeIPv4(5, 6, 7, 8)}
+	headers := [][]byte{
+		append([]byte(nil), b.BuildTCPv4(eth, ip, packet.TCPHeader{SrcPort: 80, DstPort: 5555}, []byte("HTTP/1.1 200 OK\r\n"))...),
+		append([]byte(nil), b.BuildUDPv4(eth, ip, packet.UDPHeader{SrcPort: 53, DstPort: 5353}, []byte{1, 2, 3})...),
+		append([]byte(nil), b.BuildICMPv4(eth, ip, packet.ICMPHeader{Type: 8}, nil)...),
+		append([]byte(nil), b.BuildARP(eth, packet.MakeIPv4(10, 0, 0, 1), packet.MakeIPv4(10, 0, 0, 2))...),
+	}
+	var d sflow.Datagram
+	for i, h := range headers {
+		d.Flows = append(d.Flows, sflow.FlowSample{
+			SamplingRate: 16384, InputIf: 1001, OutputIf: uint32(1002 + i), HasRaw: true,
+			Raw: sflow.RawPacketHeader{Protocol: sflow.HeaderProtoEthernet, FrameLength: uint32(len(h)), Header: h},
+		})
+	}
+	cls := NewClassifier(fakeMembers{})
+	var counts Counts
+	for _, fn := range []func(*Record){nil, func(*Record) {}} {
+		if allocs := testing.AllocsPerRun(100, func() { cls.ClassifyDatagram(&d, &counts, fn) }); allocs != 0 {
+			t.Fatalf("callback %v: ClassifyDatagram allocated %.1f times per call", fn != nil, allocs)
+		}
+	}
+	if counts.Total == 0 || counts.Peering() == 0 {
+		t.Fatalf("nothing classified: %+v", counts)
+	}
+}
+
 func TestSliceSourceReset(t *testing.T) {
 	src := &SliceSource{Datagrams: make([]sflow.Datagram, 3)}
 	var d sflow.Datagram

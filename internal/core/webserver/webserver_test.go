@@ -95,10 +95,25 @@ func TestIdentificationRecallOfSampled(t *testing.T) {
 	// Every ground-truth server that was actually sampled with an HTTP
 	// header packet should be found; a weaker, robust check: recall over
 	// sampled servers is high.
-	recall := float64(len(res.Servers)) / float64(env.stats.SampledServers)
+	recall := float64(len(res.Servers)) / float64(env.stats.SampledServers())
 	if recall < 0.55 {
 		t.Fatalf("identified %d of %d sampled servers (recall %.2f)",
-			len(res.Servers), env.stats.SampledServers, recall)
+			len(res.Servers), env.stats.SampledServers(), recall)
+	}
+	// Set-based: the share of the sampled servers' IPs that were
+	// identified, so a false positive cannot stand in for a miss. The
+	// Tiny world's week 45 scores 1217 of 1515 (0.803); the floor leaves
+	// a little room below that.
+	found := 0
+	for _, si := range env.stats.Sampled {
+		if _, ok := res.Servers[env.w.Servers[si].IP]; ok {
+			found++
+		}
+	}
+	setRecall := float64(found) / float64(len(env.stats.Sampled))
+	t.Logf("set recall: %d of %d sampled servers identified (%.3f)", found, len(env.stats.Sampled), setRecall)
+	if setRecall < 0.78 {
+		t.Fatalf("identified %d of %d sampled server IPs (set recall %.3f)", found, len(env.stats.Sampled), setRecall)
 	}
 }
 

@@ -2,6 +2,7 @@ package pipeline_test
 
 import (
 	"context"
+	"reflect"
 	"testing"
 
 	"ixplens/internal/analysis"
@@ -66,7 +67,7 @@ func TestStreamMatchesBuffered(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if bufTruth != wk.Truth {
+	if !reflect.DeepEqual(bufTruth, wk.Truth) {
 		t.Fatalf("ground truth diverged:\nbuffered  %+v\nstreaming %+v", bufTruth, wk.Truth)
 	}
 	if bufCounts != wk.Counts {

@@ -359,7 +359,14 @@ func decodeBlockPayload(data []byte, raw []byte, dgs []Datagram, c *blockCodec, 
 		if n > maxDatagramLen || int(n) > len(rest)-4 {
 			return fail(errors.New("sflow: block payload framing damaged"))
 		}
-		dgs = append(dgs, Datagram{})
+		// Re-slice into spare capacity rather than appending a zero
+		// Datagram: Decode resets the slot but keeps its Flows and
+		// Counters arrays, so a recycled slot decodes without allocating.
+		if len(dgs) < cap(dgs) {
+			dgs = dgs[:len(dgs)+1]
+		} else {
+			dgs = append(dgs, Datagram{})
+		}
 		d := &dgs[len(dgs)-1]
 		if derr := Decode(rest[4:4+n], d); derr != nil {
 			dgs = dgs[:len(dgs)-1]
@@ -517,8 +524,9 @@ func NewBlockReader(r io.Reader) (*BlockReader, error) {
 // Next decodes the next datagram into d. It returns io.EOF at the end of
 // the container (clean, or after a missing/damaged footer — see Stats)
 // and an error wrapping ErrTruncated when the file stops mid-structure.
-// The datagram's header byte slices alias reader-owned buffers valid only
-// until a subsequent Next call.
+// The datagram — its Flows and Counters slices and the header bytes they
+// point to — aliases reader-owned buffers valid only until a subsequent
+// Next call.
 func (r *BlockReader) Next(d *Datagram) error {
 	for {
 		if r.cur < len(r.dgs) {
@@ -801,20 +809,28 @@ func (p *ParallelBlockReader) produce(r io.ReadSeeker, index []blockIndexEntry, 
 		p.finSum = hex.EncodeToString(h.Sum(nil))
 	}
 	if index != nil {
-		for i, e := range index {
-			var next uint64
+		// The verified index bounds every extent up front, so each slot's
+		// buffer is sized once, to the largest, instead of growing block
+		// by block.
+		extentAt := func(i int) int {
+			next := uint64(footerEnd)
 			if i+1 < len(index) {
 				next = index[i+1].offset
-			} else {
-				next = uint64(footerEnd)
 			}
-			extent := int(next - e.offset)
+			return int(next - index[i].offset)
+		}
+		maxExtent := 0
+		for i := range index {
+			maxExtent = max(maxExtent, extentAt(i))
+		}
+		for i, e := range index {
+			extent := extentAt(i)
 			slot := p.takeSlot()
 			if slot == nil {
 				return
 			}
-			if cap(slot.data) < extent {
-				slot.data = make([]byte, extent)
+			if cap(slot.data) < maxExtent {
+				slot.data = make([]byte, maxExtent)
 			}
 			slot.data = slot.data[:extent]
 			if _, err := io.ReadFull(br, slot.data); err != nil {
@@ -937,7 +953,8 @@ func (p *ParallelBlockReader) worker() {
 // Next hands back the next datagram in file order. It returns io.EOF at
 // the end of the container and an error wrapping ErrTruncated when the
 // file stopped mid-structure (after delivering everything intact before
-// the cut). Decoded header bytes alias pooled buffers valid only until a
+// the cut). The datagram — its Flows and Counters slices and the header
+// bytes they point to — aliases pooled slot buffers valid only until a
 // subsequent Next call.
 func (p *ParallelBlockReader) Next(d *Datagram) error {
 	if p.termErr != nil {

@@ -2,9 +2,11 @@ package sflow
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
+	"reflect"
 	"testing"
 )
 
@@ -396,4 +398,179 @@ func TestParallelBlockReaderClose(t *testing.T) {
 		}
 	}
 	t.Fatal("Next kept succeeding after Close")
+}
+
+// writeWire appends an already-encoded datagram to bw's pending block,
+// for wire shapes AppendEncode cannot produce (unknown sample types).
+func writeWire(bw *BlockWriter, wire []byte) {
+	if bw.count == 0 {
+		bw.firstPos = bw.pos
+	}
+	bw.raw = binary.BigEndian.AppendUint32(bw.raw, uint32(len(wire)))
+	bw.raw = append(bw.raw, wire...)
+	bw.count++
+	bw.pos++
+}
+
+// alternatingCapture writes blocks that alternate between datagrams with
+// many flow samples and longer runs of datagrams with at most one flow
+// but counter samples or unknown (skipped) samples, so every recycled
+// slot is refilled with a different shape. It returns the file (with or
+// without its footer) and every datagram's wire bytes in order.
+func alternatingCapture(t *testing.T, compress, footer bool) ([]byte, [][]byte) {
+	t.Helper()
+	var buf bytes.Buffer
+	bw, err := NewBlockWriter(&buf, compress)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wires [][]byte
+	i := 0
+	for block := 0; block < 24; block++ {
+		heavy := block%2 == 0
+		n := 5
+		if !heavy {
+			n = 9
+		}
+		for j := 0; j < n; j, i = j+1, i+1 {
+			d := blockTestDatagram(i)
+			switch {
+			case heavy:
+				for k := 1; k < 8; k++ {
+					d.Flows = append(d.Flows, blockTestDatagram(i + k).Flows[0])
+				}
+				d.Counters = nil
+			case j%3 == 0:
+				d.Flows = nil
+				d.Counters = blockTestDatagram(0).Counters
+			case j%3 == 1:
+				d.Counters = append(blockTestDatagram(0).Counters, blockTestDatagram(13).Counters...)
+			default:
+				d.Flows, d.Counters = nil, nil
+			}
+			wire := d.AppendEncode(nil)
+			if !heavy && j%3 != 0 {
+				// Append one unknown-type sample and bump the count.
+				binary.BigEndian.PutUint32(wire[24:], binary.BigEndian.Uint32(wire[24:])+1)
+				wire = appendUint32(wire, 999)
+				wire = appendUint32(wire, 4)
+				wire = appendUint32(wire, uint32(i))
+			}
+			writeWire(bw, wire)
+			wires = append(wires, wire)
+		}
+		if err := bw.Flush(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if footer {
+		if err := bw.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return buf.Bytes(), wires
+}
+
+// emptyAsNil maps empty sample slices to nil: a recycled slot hands out
+// an empty slice where a fresh Decode leaves nil, which is no difference
+// to a reader of the datagram.
+func emptyAsNil(d Datagram) Datagram {
+	if len(d.Flows) == 0 {
+		d.Flows = nil
+	}
+	if len(d.Counters) == 0 {
+		d.Counters = nil
+	}
+	return d
+}
+
+// TestBlockReadersReuseSlotsCleanly pins that recycled datagram slots
+// carry nothing over: every datagram either reader hands out deep-equals
+// a fresh Decode of its wire bytes, although its slot last held a
+// datagram of a different shape.
+func TestBlockReadersReuseSlotsCleanly(t *testing.T) {
+	readers := []struct {
+		name string
+		open func(data []byte) (datagramReader, error)
+	}{
+		{"serial", func(data []byte) (datagramReader, error) { return NewBlockReader(bytes.NewReader(data)) }},
+		{"parallel-1", func(data []byte) (datagramReader, error) { return NewParallelBlockReader(bytes.NewReader(data), 1) }},
+		{"parallel-2", func(data []byte) (datagramReader, error) { return NewParallelBlockReader(bytes.NewReader(data), 2) }},
+	}
+	for _, compress := range []bool{false, true} {
+		for _, footer := range []bool{true, false} {
+			data, wires := alternatingCapture(t, compress, footer)
+			for _, rd := range readers {
+				t.Run(fmt.Sprintf("compress=%v/footer=%v/%s", compress, footer, rd.name), func(t *testing.T) {
+					r, err := rd.open(data)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if c, ok := r.(io.Closer); ok {
+						defer c.Close()
+					}
+					var got Datagram
+					for i, wire := range wires {
+						if err := r.Next(&got); err != nil {
+							t.Fatalf("datagram %d: %v", i, err)
+						}
+						var want Datagram
+						if err := Decode(wire, &want); err != nil {
+							t.Fatal(err)
+						}
+						if !reflect.DeepEqual(emptyAsNil(got), want) {
+							t.Fatalf("datagram %d differs from a fresh decode:\ngot  %+v\nwant %+v", i, got, want)
+						}
+					}
+					if err := r.Next(&got); err != io.EOF {
+						t.Fatalf("after %d datagrams: %v, want io.EOF", len(wires), err)
+					}
+				})
+			}
+		}
+	}
+}
+
+// TestBlockReadAllocs pins the read side's steady state: once every
+// recycled slot has held a datagram of each shape, draining more of
+// the capture allocates (almost) nothing per datagram, in either
+// reader.
+func TestBlockReadAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates")
+	}
+	const n, warm, batch = 8000, 4000, 1000
+	data, _ := writeBlockCapture(t, n, false, 64)
+	readers := []struct {
+		name string
+		open func() (datagramReader, error)
+	}{
+		{"serial", func() (datagramReader, error) { return NewBlockReader(bytes.NewReader(data)) }},
+		{"parallel", func() (datagramReader, error) { return NewParallelBlockReader(bytes.NewReader(data), 1) }},
+	}
+	for _, rd := range readers {
+		t.Run(rd.name, func(t *testing.T) {
+			r, err := rd.open()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if c, ok := r.(io.Closer); ok {
+				defer c.Close()
+			}
+			var d Datagram
+			read := func(k int) {
+				for i := 0; i < k; i++ {
+					if err := r.Next(&d); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			read(warm)
+			// One warm-up call and one measured call, batch datagrams each.
+			allocs := testing.AllocsPerRun(1, func() { read(batch) })
+			if per := allocs / batch; per >= 0.1 {
+				t.Fatalf("%.3f allocations per datagram in steady state, want < 0.1", per)
+			}
+		})
+	}
 }

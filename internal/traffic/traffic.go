@@ -12,6 +12,7 @@ package traffic
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 
 	"ixplens/internal/dnssim"
 	"ixplens/internal/ixp"
@@ -65,9 +66,14 @@ type WeekStats struct {
 	HTTPSSamples      int
 	M2MSamples        int // server-to-server (machine-to-machine) samples
 	ActiveServers     int // distinct visible+active servers this week
-	SampledServers    int // distinct servers actually hit by sampling
 	DroppedUnroutable int
+	// Sampled holds the world server indices actually hit by sampling,
+	// sorted ascending: the set identification recall is scored against.
+	Sampled []int32
 }
+
+// SampledServers is the number of distinct servers hit by sampling.
+func (s WeekStats) SampledServers() int { return len(s.Sampled) }
 
 // Generator produces weekly sFlow captures from the world.
 type Generator struct {
@@ -214,6 +220,10 @@ func (g *Generator) GenerateWeek(isoWeek int, col *ixp.Collector) (WeekStats, er
 	if err := col.EmitPortCounters(); err != nil {
 		return stats, err
 	}
-	stats.SampledServers = len(sampled)
+	stats.Sampled = make([]int32, 0, len(sampled))
+	for si := range sampled {
+		stats.Sampled = append(stats.Sampled, si)
+	}
+	slices.Sort(stats.Sampled)
 	return stats, col.Flush()
 }

@@ -2,6 +2,7 @@ package traffic
 
 import (
 	"bytes"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -73,8 +74,8 @@ func TestGenerateWeekMix(t *testing.T) {
 	if stats.HTTPSSamples == 0 {
 		t.Fatal("no HTTPS samples")
 	}
-	if stats.SampledServers < 100 {
-		t.Fatalf("only %d distinct servers sampled", stats.SampledServers)
+	if stats.SampledServers() < 100 {
+		t.Fatalf("only %d distinct servers sampled", stats.SampledServers())
 	}
 }
 
@@ -267,7 +268,7 @@ func TestHTTPSShareGrows(t *testing.T) {
 func TestDeterministicGeneration(t *testing.T) {
 	_, _, cap1, st1 := genWeek(t, 40)
 	_, _, cap2, st2 := genWeek(t, 40)
-	if st1 != st2 {
+	if !reflect.DeepEqual(st1, st2) {
 		t.Fatalf("stats differ between identical runs:\n%+v\n%+v", st1, st2)
 	}
 	if len(cap1.datagrams) != len(cap2.datagrams) {
