@@ -255,15 +255,18 @@ func deepDive(env *pipeline.Env, snap *snapshot.Snapshot, anonymized bool) {
 		w := env.World
 		acme := w.Orgs[w.Special.AcmeCDN]
 		c := cl.Clusters[acme.Domain]
+		links, err := snap.Links()
 		switch {
-		case snap.Links == nil:
+		case err != nil:
+			fmt.Printf("fig 7: %v\n", err)
+		case links == nil:
 			fmt.Println("fig 7: links analyzer not in the registry — rerun without -analyzers narrowing")
 		case c != nil:
 			set := make(map[packet.IPv4Addr]bool, len(c.IPs))
 			for _, ip := range c.IPs {
 				set[ip] = true
 			}
-			ls := snap.Links.LinkStats(acme.HomeAS, env.EntityTable(), func(ip packet.IPv4Addr) bool { return set[ip] })
+			ls := links.LinkStats(acme.HomeAS, env.EntityTable(), func(ip packet.IPv4Addr) bool { return set[ip] })
 			fmt.Printf("fig 7 (%s): %.1f%% of traffic off the direct links; %d of %d servers only behind other members\n",
 				acme.Name, 100*ls.OffLinkShare(), ls.ServersOnlyOffLink(),
 				ls.ServersOnlyOffLink()+ls.NumDirectServers())

@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"strings"
 
 	"ixplens/internal/core/webserver"
 	"ixplens/internal/packet"
@@ -176,6 +177,14 @@ func AppendResult(b []byte, r *webserver.Result) ([]byte, error) {
 // in strictly ascending IP order, no unknown flag bits, a loss fraction
 // in [0, 1] — so a decoded result re-encodes to exactly its input and
 // damage cannot collapse into a smaller, plausible-looking result.
+//
+// The decoded records share backing arrays, sized exactly by a first
+// pass over the framing: every server lives in one []webserver.Server,
+// every server's ports in one []uint16, every host and alt name in one
+// []string, and every host, subject and alt name is a substring of one
+// string holding all their bytes. Each record's slices are clipped, so
+// an append reallocates instead of writing into the next record; empty
+// lists stay nil.
 func ReadResult(cur *Cursor) (*webserver.Result, error) {
 	r := &webserver.Result{Week: int(cur.U32())}
 	r.EstLoss = math.Float64frombits(cur.U64())
@@ -193,10 +202,27 @@ func ReadResult(cur *Cursor) (*webserver.Result, error) {
 	if !(r.EstLoss >= 0 && r.EstLoss <= 1) {
 		return nil, fmt.Errorf("%w: loss fraction %v", ErrFormat, r.EstLoss)
 	}
+	nPorts, nStrs, nText, ok := sizeServers(*cur, nServers)
+	if !ok {
+		return nil, fmt.Errorf("%w: truncated server record", ErrFormat)
+	}
+	// The builder was grown to its final size, so a write never moves
+	// the bytes earlier strings were cut from.
+	var text strings.Builder
+	text.Grow(nText)
+	str := func() string {
+		off := text.Len()
+		text.Write(cur.Take(int(cur.U16())))
+		return text.String()[off:]
+	}
+	servers := make([]webserver.Server, nServers)
+	ports := make([]uint16, nPorts)
+	strs := make([]string, nStrs)
 	r.Servers = make(map[packet.IPv4Addr]*webserver.Server, nServers)
 	var prev packet.IPv4Addr
-	for i := 0; i < nServers; i++ {
-		s := &webserver.Server{IP: packet.IPv4Addr(cur.U32())}
+	for i := range servers {
+		s := &servers[i]
+		s.IP = packet.IPv4Addr(cur.U32())
 		if i > 0 && s.IP <= prev {
 			return nil, fmt.Errorf("%w: server %v out of order", ErrFormat, s.IP)
 		}
@@ -210,40 +236,57 @@ func ReadResult(cur *Cursor) (*webserver.Result, error) {
 		s.AlsoClient = flags&flagAlsoClient != 0
 		s.Bytes = cur.U64()
 		s.Member = int32(cur.U32())
-		if nPorts := int(cur.U8()); nPorts > 0 {
-			s.Ports = make([]uint16, nPorts)
+		if n := int(cur.U8()); n > 0 {
+			s.Ports, ports = ports[:n:n], ports[n:]
 			for j := range s.Ports {
 				s.Ports[j] = cur.U16()
 			}
 		}
-		if nHosts := int(cur.U16()); nHosts > 0 {
-			if nHosts > cur.Len() {
-				return nil, fmt.Errorf("%w: truncated server record", ErrFormat)
-			}
-			s.Hosts = make([]string, nHosts)
+		if n := int(cur.U16()); n > 0 {
+			s.Hosts, strs = strs[:n:n], strs[n:]
 			for j := range s.Hosts {
-				s.Hosts[j] = cur.Str()
+				s.Hosts[j] = str()
 			}
 		}
-		s.Cert.Subject = cur.Str()
-		if nAlt := int(cur.U16()); nAlt > 0 {
-			if nAlt > cur.Len() {
-				return nil, fmt.Errorf("%w: truncated cert record", ErrFormat)
-			}
-			s.Cert.AltNames = make([]string, nAlt)
+		s.Cert.Subject = str()
+		if n := int(cur.U16()); n > 0 {
+			s.Cert.AltNames, strs = strs[:n:n], strs[n:]
 			for j := range s.Cert.AltNames {
-				s.Cert.AltNames[j] = cur.Str()
+				s.Cert.AltNames[j] = str()
 			}
-		}
-		if cur.Bad() {
-			return nil, fmt.Errorf("%w: truncated server record", ErrFormat)
 		}
 		r.Servers[s.IP] = s
 	}
-	if cur.Bad() {
-		return nil, fmt.Errorf("%w: truncated result", ErrFormat)
-	}
 	return r, nil
+}
+
+// sizeServers walks n encoded server records on a copy of the cursor
+// without decoding them: how many ports, how many strings (hosts and
+// alt names) and how many string bytes (theirs and the subjects') the
+// records hold. ok is false when the records run past the payload.
+func sizeServers(cur Cursor, n int) (nPorts, nStrs, nText int, ok bool) {
+	skipStr := func() {
+		size := int(cur.U16())
+		cur.Take(size)
+		nText += size
+	}
+	for i := 0; i < n && !cur.Bad(); i++ {
+		cur.Take(4 + 1 + 8 + 4) // ip, flags, bytes, member
+		np := int(cur.U8())
+		cur.Take(2 * np)
+		nPorts += np
+		nh := int(cur.U16())
+		for j := 0; j < nh && !cur.Bad(); j++ {
+			skipStr()
+		}
+		skipStr() // the certificate subject
+		na := int(cur.U16())
+		for j := 0; j < na && !cur.Bad(); j++ {
+			skipStr()
+		}
+		nStrs += nh + na
+	}
+	return nPorts, nStrs, nText, !cur.Bad()
 }
 
 // DecodeResult parses a standalone result section payload.

@@ -9,6 +9,7 @@ package webserver
 
 import (
 	"bytes"
+	"cmp"
 	"fmt"
 	"slices"
 	"sort"
@@ -734,11 +735,11 @@ func (r *Result) RankedServers() []*Server {
 	for _, s := range r.Servers {
 		out = append(out, s)
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Bytes != out[j].Bytes {
-			return out[i].Bytes > out[j].Bytes
+	slices.SortFunc(out, func(a, b *Server) int {
+		if c := cmp.Compare(b.Bytes, a.Bytes); c != 0 {
+			return c
 		}
-		return out[i].IP < out[j].IP
+		return cmp.Compare(a.IP, b.IP)
 	})
 	return out
 }

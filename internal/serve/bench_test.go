@@ -49,3 +49,27 @@ func BenchmarkServeWarmMix(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkColdLoad is the serve-cold access pattern in-process: a
+// one-week cache, /week/{n} then /week/{n}/servers, alternating between
+// two weeks, so every op loads and decodes a snapshot from disk. ns/op,
+// B/op and allocs/op are one cold load plus the two renderings.
+func BenchmarkColdLoad(b *testing.B) {
+	dir, _, _ := minedCampaign(b, 2, 2000)
+	s, _ := openServer(b, dir, Config{CacheWeeks: 1})
+	weeks := s.store.Weeks()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		wk := weeks[i%len(weeks)]
+		for _, path := range []string{endpointPath("week", wk, 0), endpointPath("servers", wk, 10)} {
+			if code, body := serveGet(s, path); code != 200 {
+				b.Fatalf("%s: HTTP %d: %s", path, code, body)
+			}
+		}
+	}
+	b.StopTimer()
+	if hits := s.m.CacheHits.Value(); hits != uint64(b.N) {
+		b.Fatalf("%d cache hits over %d ops: want exactly the /servers request of each", hits, b.N)
+	}
+}

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -8,9 +9,12 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"path/filepath"
 	"testing"
 
+	"ixplens/internal/analysis"
 	"ixplens/internal/obs"
+	"ixplens/internal/snapshot"
 	"ixplens/internal/supervise"
 	"ixplens/internal/vfs"
 )
@@ -230,5 +234,72 @@ func TestRetryAfterFromAnalysisHistogram(t *testing.T) {
 
 	if got := shedHeader(); got == "" {
 		t.Fatal("shed response lost its Retry-After header")
+	}
+}
+
+// TestUndecodableProductSection: a week whose links section verifies
+// but does not decode still serves its summary and server ranking
+// byte-identically to the clean store, while /links answers a typed 422
+// on the first request and on every later one — never a 200, and never
+// a re-analysis.
+func TestUndecodableProductSection(t *testing.T) {
+	dir, _, snaps := minedCampaign(t, 2, 1500)
+	clean, _ := openServer(t, dir, Config{})
+	wk, other := clean.store.Weeks()[0], clean.store.Weeks()[1]
+	paths := []string{
+		endpointPath("week", wk, 0),
+		endpointPath("servers", wk, 0),
+		endpointPath("servers", wk, 3),
+		endpointPath("visibility", wk, 5),
+	}
+	want := make(map[string][]byte, len(paths))
+	for _, p := range paths {
+		code, body := serveGet(clean, p)
+		if code != 200 {
+			t.Fatalf("clean %s: HTTP %d: %s", p, code, body)
+		}
+		want[p] = body
+	}
+
+	// Rewrite the week's snapshot with a links section that verifies but
+	// does not decode. The builtin products go in as raw sections, which
+	// AppendEncode writes exactly as the writer would.
+	snap := snaps[wk]
+	vp, err := snap.Visibility()
+	if err != nil {
+		t.Fatal(err)
+	}
+	visPayload, err := vp.AppendEncode(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	forged := &snapshot.Snapshot{
+		Result: snap.Result, Counts: snap.Counts, SourceDigest: snap.SourceDigest,
+		Extra: []snapshot.Section{
+			{Name: analysis.NameLinks, Version: 1, Payload: []byte{0, 0, 0, 9, 1, 2, 3}},
+			{Name: analysis.NameVisibility, Version: 1, Payload: visPayload},
+		},
+	}
+	if _, err := snapshot.SaveFileFS(vfs.Default, filepath.Join(dir, snapshot.FileName(wk)), forged); err != nil {
+		t.Fatal(err)
+	}
+
+	s, _ := openServer(t, dir, Config{CacheWeeks: 1})
+	for round := 0; round < 3; round++ {
+		if code, body := serveGet(s, endpointPath("links", wk, 5)); code != http.StatusUnprocessableEntity {
+			t.Fatalf("round %d: /links answered %d %s, want 422", round, code, body)
+		}
+		for _, p := range paths {
+			if code, body := serveGet(s, p); code != 200 || !bytes.Equal(body, want[p]) {
+				t.Fatalf("round %d: %s answered %d, body identical %v", round, p, code, bytes.Equal(body, want[p]))
+			}
+		}
+		// Evict the week, so the next round loads it again.
+		if code, body := serveGet(s, endpointPath("links", other, 5)); code != 200 {
+			t.Fatalf("round %d: intact week's /links answered %d %s", round, code, body)
+		}
+	}
+	if n := s.m.Analyses.Value(); n != 0 {
+		t.Fatalf("%d re-analyses: a verified snapshot must be served, not re-analyzed", n)
 	}
 }

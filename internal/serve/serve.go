@@ -199,6 +199,11 @@ func fail(w http.ResponseWriter, err error) {
 		// passed the pipeline: not a 404 (the week is known), not a 500
 		// (the server is fine) — the entity is simply unprocessable.
 		http.Error(w, err.Error(), http.StatusUnprocessableEntity)
+	case errors.Is(err, snapshot.ErrFormat), errors.Is(err, snapshot.ErrSectionVersion):
+		// A product section that verified at load but does not decode on
+		// first use: the week is known and the server is fine, but this
+		// product of it cannot be served.
+		http.Error(w, err.Error(), http.StatusUnprocessableEntity)
 	default:
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 	}
@@ -552,10 +557,14 @@ func (v VisibilitySummary) top(k int) VisibilitySummary {
 // that rebuilds the aggregator, with ByIPs and ByBytes total orders
 // (count or bytes descending, then country code).
 func rankVisibility(env *pipeline.Env, snap *snapshot.Snapshot) (VisibilitySummary, error) {
-	if snap.Visibility == nil {
+	vp, err := snap.Visibility()
+	if err != nil {
+		return VisibilitySummary{}, err
+	}
+	if vp == nil {
 		return VisibilitySummary{}, fmt.Errorf("%w: visibility (week %d)", ErrNoProduct, snap.Result.Week)
 	}
-	agg := snap.Visibility.Aggregator(env.EntityTable())
+	agg := vp.Aggregator(env.EntityTable())
 	sum := agg.Summarize(nil)
 	byIPs, byBytes := agg.TopCountries(math.MaxInt, nil)
 	conv := func(shares []visibility.Share) []CountryShare {
@@ -605,14 +614,21 @@ type LinkEntry struct {
 // TopLinks renders the k heaviest member-pair links of a snapshot's
 // flow product, bytes descending then (in, out) ascending.
 func TopLinks(snap *snapshot.Snapshot, k int) ([]LinkEntry, error) {
-	if snap.Links == nil {
-		return nil, errNoLinks(snap)
+	lp, err := linksOf(snap)
+	if err != nil {
+		return nil, err
 	}
-	return renderLinks(snap.Links.TopMemberLinks(k)), nil
+	return renderLinks(lp.TopMemberLinks(k)), nil
 }
 
-func errNoLinks(snap *snapshot.Snapshot) error {
-	return fmt.Errorf("%w: links (week %d)", ErrNoProduct, snap.Result.Week)
+// linksOf is the snapshot's flow product: ErrNoProduct when it has none,
+// a snapshot error when its section does not decode.
+func linksOf(snap *snapshot.Snapshot) (*analysis.LinksProduct, error) {
+	lp, err := snap.Links()
+	if err == nil && lp == nil {
+		err = fmt.Errorf("%w: links (week %d)", ErrNoProduct, snap.Result.Week)
+	}
+	return lp, err
 }
 
 func renderLinks(top []analysis.MemberLink) []LinkEntry {
@@ -629,10 +645,11 @@ func (s *Server) handleLinks(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	ranked, err := v.links.get(s.m.ViewBuilds, func() ([]analysis.MemberLink, error) {
-		if v.snap.Links == nil {
-			return nil, errNoLinks(v.snap)
+		lp, err := linksOf(v.snap)
+		if err != nil {
+			return nil, err
 		}
-		return v.snap.Links.RankedMemberLinks(), nil
+		return lp.RankedMemberLinks(), nil
 	})
 	if err != nil {
 		fail(w, err)

@@ -236,7 +236,11 @@ func TestViewsBuiltOnceUnderConcurrency(t *testing.T) {
 	if !reflect.DeepEqual(v.ases.val, rankASes(s.store.Env(), v.snap)) {
 		t.Error("shared AS ranking was mutated")
 	}
-	if !reflect.DeepEqual(v.links.val, v.snap.Links.RankedMemberLinks()) {
+	lp, err := v.snap.Links()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(v.links.val, lp.RankedMemberLinks()) {
 		t.Error("shared link ranking was mutated")
 	}
 	fresh, err := rankVisibility(s.store.Env(), v.snap)

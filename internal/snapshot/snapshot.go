@@ -35,6 +35,7 @@
 package snapshot
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
@@ -43,6 +44,8 @@ import (
 	"hash/crc32"
 	"io"
 	"sort"
+	"sync"
+	"sync/atomic"
 
 	"ixplens/internal/analysis"
 	"ixplens/internal/core/dissect"
@@ -105,6 +108,16 @@ type Section struct {
 
 // Snapshot bundles everything the serving layer needs for one analyzed
 // week.
+//
+// A Snapshot is immutable to its callers and safe for concurrent use.
+// Decode verifies the whole container up front — every checksum, the
+// framing, the section order, the required sections and every known
+// section's version — but decodes the visibility and links products
+// only on first use: each is held as a private copy of its verified
+// payload until Visibility or Links first asks for it, decoded once
+// (concurrent first callers share that one decode and its result), and
+// the copy is dropped once the product decodes. A snapshot built by
+// FromProducts holds its products decoded.
 type Snapshot struct {
 	// Result is the week's identification outcome, including EstLoss.
 	Result *webserver.Result
@@ -116,14 +129,93 @@ type Snapshot struct {
 	// for an undamaged file), so a reader can detect a snapshot gone
 	// stale after the capture was rewritten. Empty means unknown.
 	SourceDigest string
-	// Visibility is the §3 per-IP traffic product; nil when the
-	// visibility analyzer did not run (or the snapshot predates it).
-	Visibility *analysis.VisibilityProduct
-	// Links is the §5 peering-flow product; nil when absent.
-	Links *analysis.LinksProduct
 	// Extra carries sections of analyzers this build does not know,
 	// preserved byte-for-byte.
 	Extra []Section
+
+	// vis and links are the §3 per-IP traffic product and the §5
+	// peering-flow product; nil when the analyzer did not run (or the
+	// snapshot predates it).
+	vis   *product[analysis.VisibilityProduct]
+	links *product[analysis.LinksProduct]
+}
+
+// product is one optional analyzer product of a snapshot: held decoded,
+// or as its verified section payload that get decodes on first use.
+type product[T any] struct {
+	version uint16
+	// raw is the undecoded payload, nil once it decoded (or when the
+	// product was built decoded). A failed decode keeps it, so
+	// AppendEncode can still write the section back unchanged.
+	raw    atomic.Pointer[[]byte]
+	decode func(uint16, []byte) (*T, error)
+	once   sync.Once
+	val    *T
+	err    error
+}
+
+// decoded wraps a product that needs no decoding; nil stays absent.
+func decoded[T any](version uint16, val *T) *product[T] {
+	if val == nil {
+		return nil
+	}
+	return &product[T]{version: version, val: val}
+}
+
+// pending wraps a verified payload, copied so the product does not pin
+// the buffer it was read from.
+func pending[T any](version uint16, payload []byte, decode func(uint16, []byte) (*T, error)) *product[T] {
+	p := &product[T]{version: version, decode: decode}
+	raw := bytes.Clone(payload)
+	p.raw.Store(&raw)
+	return p
+}
+
+// get returns the product, decoding it on the first call. A nil
+// product is absent: (nil, nil).
+func (p *product[T]) get(name string) (*T, error) {
+	if p == nil {
+		return nil, nil
+	}
+	p.once.Do(func() {
+		raw := p.raw.Load()
+		if raw == nil {
+			return
+		}
+		if p.val, p.err = p.decode(p.version, *raw); p.err != nil {
+			p.err = mapAnalysisErr(name, p.version, p.err)
+			return
+		}
+		p.raw.Store(nil)
+	})
+	return p.val, p.err
+}
+
+// section is the product's container section: its undecoded payload
+// as verified, or else the encoding of the decoded product.
+func (p *product[T]) section(name string, encode func(*T, []byte) ([]byte, error)) (Section, error) {
+	if raw := p.raw.Load(); raw != nil {
+		return Section{Name: name, Version: p.version, Payload: *raw}, nil
+	}
+	val, err := p.get(name)
+	if err != nil {
+		return Section{}, err
+	}
+	payload, err := encode(val, nil)
+	return Section{Name: name, Version: p.version, Payload: payload}, err
+}
+
+// Visibility returns the §3 per-IP traffic product, decoding it on first
+// use: (nil, nil) when the snapshot carries none, and an error wrapping
+// ErrFormat or ErrSectionVersion when its section does not decode.
+func (s *Snapshot) Visibility() (*analysis.VisibilityProduct, error) {
+	return s.vis.get(analysis.NameVisibility)
+}
+
+// Links returns the §5 peering-flow product, decoding it on first use,
+// with Visibility's contract.
+func (s *Snapshot) Links() (*analysis.LinksProduct, error) {
+	return s.links.get(analysis.NameLinks)
 }
 
 // FileName returns the conventional snapshot file name for a week.
@@ -142,9 +234,9 @@ func FromProducts(p *analysis.Products, counts dissect.Counts) (*Snapshot, error
 		case *analysis.WebserverProduct:
 			snap.Result = prod.Res
 		case *analysis.VisibilityProduct:
-			snap.Visibility = prod
+			snap.vis = decoded(np.Version, prod)
 		case *analysis.LinksProduct:
-			snap.Links = prod
+			snap.links = decoded(np.Version, prod)
 		default:
 			payload, err := np.P.AppendEncode(nil)
 			if err != nil {
@@ -161,15 +253,16 @@ func FromProducts(p *analysis.Products, counts dissect.Counts) (*Snapshot, error
 
 // HasProduct reports whether the snapshot carries the named analyzer's
 // product — the staleness signal the serving and supervising layers use
-// to re-analyze legacy (v1, or narrower-registry) snapshots.
+// to re-analyze legacy (v1, or narrower-registry) snapshots. It answers
+// from the section table and decodes nothing.
 func (s *Snapshot) HasProduct(name string) bool {
 	switch name {
 	case analysis.NameWebserver:
 		return s.Result != nil
 	case analysis.NameVisibility:
-		return s.Visibility != nil
+		return s.vis != nil
 	case analysis.NameLinks:
-		return s.Links != nil
+		return s.links != nil
 	}
 	for i := range s.Extra {
 		if s.Extra[i].Name == name {
@@ -219,19 +312,19 @@ func AppendEncode(dst []byte, snap *Snapshot) ([]byte, error) {
 		return dst, err
 	}
 	secs = append(secs, Section{Name: analysis.NameWebserver, Version: 1, Payload: wsPayload})
-	if snap.Visibility != nil {
-		payload, err := snap.Visibility.AppendEncode(nil)
+	if snap.vis != nil {
+		sec, err := snap.vis.section(analysis.NameVisibility, (*analysis.VisibilityProduct).AppendEncode)
 		if err != nil {
 			return dst, err
 		}
-		secs = append(secs, Section{Name: analysis.NameVisibility, Version: 1, Payload: payload})
+		secs = append(secs, sec)
 	}
-	if snap.Links != nil {
-		payload, err := snap.Links.AppendEncode(nil)
+	if snap.links != nil {
+		sec, err := snap.links.section(analysis.NameLinks, (*analysis.LinksProduct).AppendEncode)
 		if err != nil {
 			return dst, err
 		}
-		secs = append(secs, Section{Name: analysis.NameLinks, Version: 1, Payload: payload})
+		secs = append(secs, sec)
 	}
 	secs = append(secs, snap.Extra...)
 
@@ -398,17 +491,15 @@ func decodeV2(buf []byte) (*Snapshot, error) {
 			}
 			snap.Result = res
 		case analysis.NameVisibility:
-			vp, err := analysis.DecodeVisibility(e.version, payload)
-			if err != nil {
-				return nil, mapAnalysisErr(e.name, e.version, err)
+			if e.version != analysis.Visibility().Version() {
+				return nil, sectionVersionErr(e.name, e.version)
 			}
-			snap.Visibility = vp
+			snap.vis = pending(e.version, payload, analysis.DecodeVisibility)
 		case analysis.NameLinks:
-			lp, err := analysis.DecodeLinks(e.version, payload)
-			if err != nil {
-				return nil, mapAnalysisErr(e.name, e.version, err)
+			if e.version != analysis.Links().Version() {
+				return nil, sectionVersionErr(e.name, e.version)
 			}
-			snap.Links = lp
+			snap.links = pending(e.version, payload, analysis.DecodeLinks)
 		default:
 			// An analyzer this build does not know: preserve the section
 			// so a rewrite does not lose it.

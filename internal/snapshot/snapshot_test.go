@@ -12,6 +12,8 @@ import (
 	"path/filepath"
 	"reflect"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"ixplens/internal/analysis"
@@ -71,17 +73,44 @@ func syntheticV1() *Snapshot {
 // and an unknown Extra section from a hypothetical future analyzer.
 func synthetic() *Snapshot {
 	snap := syntheticV1()
-	snap.Visibility = &analysis.VisibilityProduct{PerIP: []visibility.IPTraffic{
+	snap.vis = decoded(1, &analysis.VisibilityProduct{PerIP: []visibility.IPTraffic{
 		{IP: packet.MakeIPv4(10, 0, 0, 1), Bytes: 99},
 		{IP: packet.MakeIPv4(10, 0, 0, 2), Bytes: 0},
 		{IP: packet.MakeIPv4(172, 16, 0, 9), Bytes: 1 << 33},
-	}}
-	snap.Links = &analysis.LinksProduct{Flows: []analysis.Flow{
+	}})
+	snap.links = decoded(1, &analysis.LinksProduct{Flows: []analysis.Flow{
 		{FlowKey: analysis.FlowKey{Src: packet.MakeIPv4(10, 0, 0, 1), Dst: packet.MakeIPv4(172, 16, 0, 9), In: 3, Out: 7}, Bytes: 4096, Samples: 2},
 		{FlowKey: analysis.FlowKey{Src: packet.MakeIPv4(10, 0, 0, 2), Dst: packet.MakeIPv4(10, 0, 0, 1), In: 7, Out: -1}, Bytes: 1 << 20, Samples: 9},
-	}}
+	}})
 	snap.Extra = []Section{{Name: "zz-future", Version: 3, Payload: []byte{1, 2, 3, 4}}}
 	return snap
+}
+
+// forcedSnapshot is a snapshot's content with both lazy products
+// decoded, in a form reflect.DeepEqual can compare: the lazy wrappers
+// also hold decode state, which differs between equal snapshots.
+type forcedSnapshot struct {
+	Result       *webserver.Result
+	Counts       dissect.Counts
+	SourceDigest string
+	Visibility   *analysis.VisibilityProduct
+	Links        *analysis.LinksProduct
+	Extra        []Section
+}
+
+// forced decodes snap's products, failing the test if either does not
+// decode.
+func forced(t testing.TB, snap *Snapshot) forcedSnapshot {
+	t.Helper()
+	vis, err := snap.Visibility()
+	if err != nil {
+		t.Fatalf("forcing visibility: %v", err)
+	}
+	links, err := snap.Links()
+	if err != nil {
+		t.Fatalf("forcing links: %v", err)
+	}
+	return forcedSnapshot{snap.Result, snap.Counts, snap.SourceDigest, vis, links, snap.Extra}
 }
 
 // appendEncodeV1 appends the legacy IXPSNAP1 container — byte-identical
@@ -115,7 +144,7 @@ func TestRoundTripSynthetic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(snap, got) {
+	if !reflect.DeepEqual(forced(t, snap), forced(t, got)) {
 		t.Fatalf("round trip diverged:\nwant %+v\ngot  %+v", snap, got)
 	}
 	// Re-encoding the decoded snapshot must be byte-identical: the
@@ -142,7 +171,7 @@ func TestRoundTripV1(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(snap, got) {
+	if !reflect.DeepEqual(forced(t, snap), forced(t, got)) {
 		t.Fatalf("v1 round trip diverged:\nwant %+v\ngot  %+v", snap, got)
 	}
 }
@@ -160,7 +189,7 @@ func TestGoldenV1Fixture(t *testing.T) {
 	if err != nil {
 		t.Fatalf("legacy fixture no longer decodes: %v", err)
 	}
-	if !reflect.DeepEqual(snap, syntheticV1()) {
+	if !reflect.DeepEqual(forced(t, snap), forced(t, syntheticV1())) {
 		t.Fatalf("legacy fixture decoded to unexpected snapshot:\n%+v", snap)
 	}
 	reenc, err := appendEncodeV1(nil, snap)
@@ -189,7 +218,7 @@ func TestRoundTripViaReaderWriter(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
-		if !reflect.DeepEqual(tc.snap, got) {
+		if !reflect.DeepEqual(forced(t, tc.snap), forced(t, got)) {
 			t.Fatalf("%s: reader round trip diverged", tc.name)
 		}
 	}
@@ -206,7 +235,7 @@ func TestFileRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(snap, got) {
+	if !reflect.DeepEqual(forced(t, snap), forced(t, got)) {
 		t.Fatal("file round trip diverged")
 	}
 	raw, err := os.ReadFile(path)
@@ -448,15 +477,29 @@ func FuzzSnapshotDecode(f *testing.F) {
 		f.Add(buf)
 		f.Add(buf[:len(buf)-1])
 	}
+	// A container whose links section verifies but does not decode:
+	// Decode accepts it, and only the forced product fails.
+	full, err := AppendEncode(nil, synthetic())
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(replaceSection(f, full, analysis.NameLinks, []byte{0, 0, 0, 9}))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		snap, err := Decode(data)
 		if err != nil {
-			for _, typed := range []error{ErrBadMagic, ErrChecksum, ErrFormat, ErrSectionVersion} {
-				if errors.Is(err, typed) {
-					return
-				}
+			if !isAny(err, ErrBadMagic, ErrChecksum, ErrFormat, ErrSectionVersion) {
+				t.Fatalf("untyped error: %v", err)
 			}
-			t.Fatalf("untyped error: %v", err)
+			return
+		}
+		// Decode verified the container; each product decodes on first
+		// use to a typed error or a product.
+		vis, visErr := snap.Visibility()
+		links, linksErr := snap.Links()
+		for _, err := range []error{visErr, linksErr} {
+			if err != nil && !isAny(err, ErrFormat, ErrSectionVersion) {
+				t.Fatalf("untyped product error: %v", err)
+			}
 		}
 		buf, err := AppendEncode(nil, snap)
 		if err != nil {
@@ -466,10 +509,165 @@ func FuzzSnapshotDecode(f *testing.F) {
 		if err != nil {
 			t.Fatalf("re-encoded snapshot does not decode: %v", err)
 		}
-		if !reflect.DeepEqual(snap, got) {
-			t.Fatalf("round trip diverged:\n got %+v\nwant %+v", got, snap)
+		gotVis, gotVisErr := got.Visibility()
+		gotLinks, gotLinksErr := got.Links()
+		if (visErr == nil) != (gotVisErr == nil) || (linksErr == nil) != (gotLinksErr == nil) {
+			t.Fatalf("product errors diverged: visibility %v then %v, links %v then %v",
+				visErr, gotVisErr, linksErr, gotLinksErr)
+		}
+		want := forcedSnapshot{snap.Result, snap.Counts, snap.SourceDigest, vis, links, snap.Extra}
+		have := forcedSnapshot{got.Result, got.Counts, got.SourceDigest, gotVis, gotLinks, got.Extra}
+		if !reflect.DeepEqual(want, have) {
+			t.Fatalf("round trip diverged:\n got %+v\nwant %+v", have, want)
 		}
 	})
+}
+
+// isAny reports whether err matches any of targets.
+func isAny(err error, targets ...error) bool {
+	for _, target := range targets {
+		if errors.Is(err, target) {
+			return true
+		}
+	}
+	return false
+}
+
+// replaceSection rewrites an encoded v2 container with one section's
+// payload replaced, every length and checksum fixed up, so the result
+// verifies and only decoding the section can reject it.
+func replaceSection(tb testing.TB, buf []byte, name string, payload []byte) []byte {
+	tb.Helper()
+	n := int(binary.BigEndian.Uint32(buf[8:12]))
+	tableLen := int(binary.BigEndian.Uint32(buf[12:16]))
+	tcur := analysis.NewCursor(buf[headerLenV2 : headerLenV2+tableLen])
+	body := analysis.NewCursor(buf[headerLenV2+tableLen:])
+	var secs []Section
+	found := false
+	for i := 0; i < n; i++ {
+		sec := Section{Name: string(tcur.Take(int(tcur.U8()))), Version: tcur.U16()}
+		sec.Payload = body.Take(int(tcur.U32()))
+		tcur.U32()
+		if sec.Name == name {
+			sec.Payload, found = payload, true
+		}
+		secs = append(secs, sec)
+	}
+	if tcur.Bad() || body.Bad() || !found {
+		tb.Fatalf("section %q not found in a well-formed container", name)
+	}
+	var table, payloads []byte
+	for _, sec := range secs {
+		table = append(table, byte(len(sec.Name)))
+		table = append(table, sec.Name...)
+		table = binary.BigEndian.AppendUint16(table, sec.Version)
+		table = binary.BigEndian.AppendUint32(table, uint32(len(sec.Payload)))
+		table = binary.BigEndian.AppendUint32(table, crc32.Checksum(sec.Payload, castagnoli))
+		payloads = append(payloads, sec.Payload...)
+	}
+	out := append([]byte(nil), magicV2[:]...)
+	out = binary.BigEndian.AppendUint32(out, uint32(len(secs)))
+	out = binary.BigEndian.AppendUint32(out, uint32(len(table)))
+	out = binary.BigEndian.AppendUint32(out, crc32.Checksum(table, castagnoli))
+	out = append(out, table...)
+	return append(out, payloads...)
+}
+
+// TestLazySectionMalformed: a links section whose checksum verifies but
+// whose payload does not decode passes Decode, is reported present,
+// fails only when forced — with ErrFormat, every time — and is written
+// back unchanged.
+func TestLazySectionMalformed(t *testing.T) {
+	full, err := AppendEncode(nil, synthetic())
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad := replaceSection(t, full, analysis.NameLinks, []byte{0, 0, 0, 9, 1, 2, 3})
+	snap, err := Decode(bad)
+	if err != nil {
+		t.Fatalf("Decode of a verified container: %v", err)
+	}
+	if !snap.HasProduct(analysis.NameLinks) {
+		t.Fatal("HasProduct(links) = false for a present section")
+	}
+	for i := 0; i < 2; i++ {
+		if lp, err := snap.Links(); !errors.Is(err, ErrFormat) || lp != nil {
+			t.Fatalf("Links() call %d = %v, %v; want nil, ErrFormat", i+1, lp, err)
+		}
+	}
+	if _, err := snap.Visibility(); err != nil {
+		t.Fatalf("the intact visibility section: %v", err)
+	}
+	out, err := AppendEncode(nil, snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(out, bad) {
+		t.Fatal("AppendEncode did not write the undecodable section back unchanged")
+	}
+}
+
+// TestLazyFirstUseConcurrent: concurrent first callers share one decode
+// per product and get the same pointer (run it under -race).
+func TestLazyFirstUseConcurrent(t *testing.T) {
+	buf, err := AppendEncode(nil, synthetic())
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap, err := Decode(buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var visDecodes, linksDecodes atomic.Int32
+	visDecode, linksDecode := snap.vis.decode, snap.links.decode
+	snap.vis.decode = func(v uint16, b []byte) (*analysis.VisibilityProduct, error) {
+		visDecodes.Add(1)
+		return visDecode(v, b)
+	}
+	snap.links.decode = func(v uint16, b []byte) (*analysis.LinksProduct, error) {
+		linksDecodes.Add(1)
+		return linksDecode(v, b)
+	}
+
+	const n = 8
+	vis := make([]*analysis.VisibilityProduct, n)
+	links := make([]*analysis.LinksProduct, n)
+	errs := make([]error, 2*n)
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			links[i], errs[2*i] = snap.Links()
+			vis[i], errs[2*i+1] = snap.Visibility()
+		}()
+	}
+	close(start)
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 1; i < n; i++ {
+		if vis[i] != vis[0] || links[i] != links[0] {
+			t.Fatalf("goroutine %d got a different product pointer", i)
+		}
+	}
+	if v, l := visDecodes.Load(), linksDecodes.Load(); v != 1 || l != 1 {
+		t.Fatalf("decodes: visibility %d, links %d; want one each", v, l)
+	}
+	// Encoding after first use writes the decoded products back to the
+	// same bytes.
+	out, err := AppendEncode(nil, snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(out, buf) {
+		t.Fatal("re-encoding after first use changed the bytes")
+	}
 }
 
 func TestHasProduct(t *testing.T) {
@@ -524,7 +722,7 @@ func TestGoldenAllWeeks(t *testing.T) {
 		if err != nil {
 			t.Fatalf("week %d: %v", wk, err)
 		}
-		if !reflect.DeepEqual(snap, got) {
+		if !reflect.DeepEqual(forced(t, snap), forced(t, got)) {
 			t.Fatalf("week %d: snapshot round trip diverged from fresh analysis", wk)
 		}
 		buf2, err := AppendEncode(nil, got)

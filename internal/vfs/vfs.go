@@ -137,13 +137,22 @@ func (OS) SyncDir(dir string) error {
 }
 
 // ReadFile reads the named file whole, like os.ReadFile but through the
-// seam.
+// seam. As os.ReadFile does, it sizes one buffer from File.Stat (plus
+// the byte the EOF read needs) and grows it only if the file turns out
+// longer than Stat reported, so a snapshot or manifest read is one
+// allocation instead of io.ReadAll's doubling from 512 bytes.
 func ReadFile(fsys FS, name string) ([]byte, error) {
 	f, err := fsys.Open(name)
 	if err != nil {
 		return nil, err
 	}
-	raw, rerr := io.ReadAll(f)
+	size := 0
+	if fi, err := f.Stat(); err == nil {
+		if n := fi.Size(); n > 0 && int64(int(n)) == n {
+			size = int(n)
+		}
+	}
+	raw, rerr := readAll(f, max(size+1, 512))
 	if cerr := f.Close(); rerr == nil {
 		rerr = cerr
 	}
@@ -151,6 +160,24 @@ func ReadFile(fsys FS, name string) ([]byte, error) {
 		return nil, rerr
 	}
 	return raw, nil
+}
+
+// readAll is io.ReadAll starting from a buffer of capacity size.
+func readAll(r io.Reader, size int) ([]byte, error) {
+	b := make([]byte, 0, size)
+	for {
+		n, err := r.Read(b[len(b):cap(b)])
+		b = b[:len(b)+n]
+		if err != nil {
+			if err == io.EOF {
+				err = nil
+			}
+			return b, err
+		}
+		if len(b) == cap(b) {
+			b = append(b, 0)[:len(b)]
+		}
+	}
 }
 
 // WriteFileAtomic writes data to path with full crash consistency: a
