@@ -22,6 +22,7 @@ import (
 	"ixplens/internal/experiments"
 	"ixplens/internal/ispview"
 	"ixplens/internal/netmodel"
+	"ixplens/internal/oracle"
 	"ixplens/internal/packet"
 	"ixplens/internal/pipeline"
 	"ixplens/internal/sflow"
@@ -486,13 +487,6 @@ func BenchmarkClusterStepAblation(b *testing.B) {
 			KnownShared:        base.KnownShared,
 		}},
 	}
-	truth := func(ip packet.IPv4Addr) (int32, bool) {
-		idx, ok := f.env.World.ServerByIP(ip)
-		if !ok {
-			return 0, false
-		}
-		return f.env.World.Servers[idx].Org, true
-	}
 	for _, v := range variants {
 		b.Run(v.name, func(b *testing.B) {
 			b.ReportAllocs()
@@ -500,7 +494,7 @@ func BenchmarkClusterStepAblation(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				res = cluster.Run(f.week.Metas, v.opts)
 			}
-			val := cluster.Validate(res, truth)
+			val := oracle.Organizations(f.env.World, res)
 			b.ReportMetric(float64(len(res.Clusters)), "clusters")
 			b.ReportMetric(100*val.FalsePositiveRate, "fp%")
 		})

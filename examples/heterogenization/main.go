@@ -12,9 +12,9 @@ import (
 	"fmt"
 	"log"
 
-	"ixplens/internal/core/cluster"
 	"ixplens/internal/core/hetero"
 	"ixplens/internal/netmodel"
+	"ixplens/internal/oracle"
 	"ixplens/internal/packet"
 	"ixplens/internal/pipeline"
 	"ixplens/internal/traffic"
@@ -87,13 +87,7 @@ func main() {
 		len(points), lo, hi)
 
 	// Validation against ground truth: cluster purity.
-	v := cluster.Validate(week.Clusters, func(ip packet.IPv4Addr) (int32, bool) {
-		idx, ok := w.ServerByIP(ip)
-		if !ok {
-			return 0, false
-		}
-		return w.Servers[idx].Org, true
-	})
+	v := oracle.Organizations(w, week.Clusters)
 	fmt.Printf("\nclustering validation: %.2f%% false positives over %d IPs (paper: <3%%)\n",
 		100*v.FalsePositiveRate, v.EvaluatedIPs)
 }

@@ -107,6 +107,21 @@ const (
 	flagsKnown = flagHTTP | flagHTTPS | flagAlsoClient
 )
 
+// flagsOf is a server's flag byte.
+func flagsOf(s *webserver.Server) byte {
+	var flags byte
+	if s.HTTP {
+		flags |= flagHTTP
+	}
+	if s.HTTPS {
+		flags |= flagHTTPS
+	}
+	if s.AlsoClient {
+		flags |= flagAlsoClient
+	}
+	return flags
+}
+
 // minServerLen is the smallest encoded server record: ip 4, flags 1,
 // bytes 8, member 4, and the four empty set/string counts (ports 1,
 // hosts 2, subject 2, alt names 2).
@@ -138,17 +153,7 @@ func AppendResult(b []byte, r *webserver.Result) ([]byte, error) {
 	for _, ip := range ips {
 		s := r.Servers[ip]
 		b = binary.BigEndian.AppendUint32(b, uint32(ip))
-		var flags byte
-		if s.HTTP {
-			flags |= flagHTTP
-		}
-		if s.HTTPS {
-			flags |= flagHTTPS
-		}
-		if s.AlsoClient {
-			flags |= flagAlsoClient
-		}
-		b = append(b, flags)
+		b = append(b, flagsOf(s))
 		b = binary.BigEndian.AppendUint64(b, s.Bytes)
 		b = binary.BigEndian.AppendUint32(b, uint32(s.Member))
 		if len(s.Ports) > 255 {
@@ -171,136 +176,250 @@ func AppendResult(b []byte, r *webserver.Result) ([]byte, error) {
 	return b, nil
 }
 
-// ReadResult decodes one result from the cursor, leaving any trailing
-// bytes unconsumed (the v1 container embeds the result mid-payload).
+// ResultHeader is the fixed part of an encoded result: every field but
+// the server records.
+type ResultHeader struct {
+	Week          int
+	EstLoss       float64
+	Candidates443 int
+	Responded443  int
+	Valid443      int
+	TotalIPs      int
+	ServerBytes   uint64
+
+	// nStrs and nText size the string slabs a build needs: how many
+	// hosts and alt names the records hold, and how many bytes every
+	// host, subject and alt name takes together.
+	nStrs, nText int
+}
+
+// ServerRef is one validated server record of an encoded result: what a
+// count or a ranking reads, and where the record starts for decoding the
+// rest. It holds no pointers, so a slice of them costs the garbage
+// collector nothing to scan.
+type ServerRef struct {
+	IP    packet.IPv4Addr
+	Bytes uint64
+	// Off is the record's offset in the result payload.
+	Off    uint32
+	Flags  uint8
+	NPorts uint8
+}
+
+// serverFixedLen is a record's fixed prefix: ip 4, flags 1, bytes 8,
+// member 4, port count 1.
+const serverFixedLen = 18
+
+// IndexResult validates a standalone result section payload and indexes
+// its server list without decoding a record: the header, and one ref per
+// server in IP order. It accepts exactly the payloads DecodeResult
+// accepts, and DecodeResult is built on it, so the two cannot disagree.
 // Only the canonical encoding AppendResult writes is accepted — servers
 // in strictly ascending IP order, no unknown flag bits, a loss fraction
-// in [0, 1] — so a decoded result re-encodes to exactly its input and
-// damage cannot collapse into a smaller, plausible-looking result.
-//
-// The decoded records share backing arrays, sized exactly by a first
-// pass over the framing: every server lives in one []webserver.Server,
-// every server's ports in one []uint16, every host and alt name in one
-// []string, and every host, subject and alt name is a substring of one
-// string holding all their bytes. Each record's slices are clipped, so
-// an append reallocates instead of writing into the next record; empty
-// lists stay nil.
-func ReadResult(cur *Cursor) (*webserver.Result, error) {
-	r := &webserver.Result{Week: int(cur.U32())}
-	r.EstLoss = math.Float64frombits(cur.U64())
-	for _, dst := range []*int{&r.Candidates443, &r.Responded443, &r.Valid443, &r.TotalIPs} {
+// in [0, 1], no trailing bytes — so a decoded result re-encodes to
+// exactly its input and damage cannot collapse into a smaller,
+// plausible-looking result.
+func IndexResult(version uint16, payload []byte) (ResultHeader, []ServerRef, error) {
+	if version != 1 {
+		return ResultHeader{}, nil, fmt.Errorf("%w: webserver result v%d", ErrVersion, version)
+	}
+	h, refs, n, err := indexResult(payload)
+	if err != nil {
+		return ResultHeader{}, nil, err
+	}
+	if n != len(payload) {
+		return ResultHeader{}, nil, fmt.Errorf("%w: %d trailing bytes", ErrFormat, len(payload)-n)
+	}
+	return h, refs, nil
+}
+
+// indexResult is the one validating walk over a result at the start of
+// b. n is the length of the result, which b may extend past.
+func indexResult(b []byte) (h ResultHeader, refs []ServerRef, n int, err error) {
+	cur := NewCursor(b)
+	h.Week = int(cur.U32())
+	h.EstLoss = math.Float64frombits(cur.U64())
+	for _, dst := range []*int{&h.Candidates443, &h.Responded443, &h.Valid443, &h.TotalIPs} {
 		*dst = int(cur.U64())
 	}
-	r.ServerBytes = cur.U64()
-
+	h.ServerBytes = cur.U64()
 	nServers := int(cur.U32())
 	if cur.Bad() || nServers > cur.Len()/minServerLen {
 		// A count the remaining payload cannot hold is rejected before
-		// the map is sized by it.
+		// the index is sized by it.
+		return h, nil, 0, fmt.Errorf("%w: truncated result header", ErrFormat)
+	}
+	if !(h.EstLoss >= 0 && h.EstLoss <= 1) {
+		return h, nil, 0, fmt.Errorf("%w: loss fraction %v", ErrFormat, h.EstLoss)
+	}
+	refs = make([]ServerRef, nServers)
+	for i := range refs {
+		off := len(b) - cur.Len()
+		fixed := cur.Take(serverFixedLen)
+		if fixed == nil {
+			break
+		}
+		ref := ServerRef{
+			IP:     packet.IPv4Addr(binary.BigEndian.Uint32(fixed)),
+			Flags:  fixed[4],
+			Bytes:  binary.BigEndian.Uint64(fixed[5:]),
+			NPorts: fixed[17],
+			Off:    uint32(off),
+		}
+		if i > 0 && ref.IP <= refs[i-1].IP {
+			return h, nil, 0, fmt.Errorf("%w: server %v out of order", ErrFormat, ref.IP)
+		}
+		if ref.Flags&^flagsKnown != 0 {
+			return h, nil, 0, fmt.Errorf("%w: server %v has unknown flags %#x", ErrFormat, ref.IP, ref.Flags)
+		}
+		nStrs, nText := skipTail(cur, int(ref.NPorts))
+		h.nStrs += nStrs
+		h.nText += nText
+		refs[i] = ref
+	}
+	if cur.Bad() {
+		return h, nil, 0, fmt.Errorf("%w: truncated server record", ErrFormat)
+	}
+	return h, refs, len(b) - cur.Len(), nil
+}
+
+// skipTail steps over the variable part of a server record — its np
+// ports, hosts, certificate subject and alt names — and reports how many
+// strings (hosts and alt names) and string bytes (theirs and the
+// subject's) it holds. A record running past the payload poisons cur.
+func skipTail(cur *Cursor, np int) (nStrs, nText int) {
+	skipStrs := func(n int) {
+		for j := 0; j < n && !cur.Bad(); j++ {
+			size := int(cur.U16())
+			cur.Take(size)
+			nText += size
+		}
+	}
+	cur.Take(2 * np)
+	nh := int(cur.U16())
+	skipStrs(nh)
+	skipStrs(1) // the certificate subject
+	na := int(cur.U16())
+	skipStrs(na)
+	return nh + na, nText
+}
+
+// ReadResult decodes one result from the cursor, leaving any trailing
+// bytes unconsumed (the v1 container embeds the result mid-payload). It
+// validates with IndexResult's walk, then builds the result from the
+// index.
+func ReadResult(cur *Cursor) (*webserver.Result, error) {
+	if cur.Bad() {
 		return nil, fmt.Errorf("%w: truncated result header", ErrFormat)
 	}
-	if !(r.EstLoss >= 0 && r.EstLoss <= 1) {
-		return nil, fmt.Errorf("%w: loss fraction %v", ErrFormat, r.EstLoss)
-	}
-	nPorts, nStrs, nText, ok := sizeServers(*cur, nServers)
-	if !ok {
-		return nil, fmt.Errorf("%w: truncated server record", ErrFormat)
-	}
-	// The builder was grown to its final size, so a write never moves
-	// the bytes earlier strings were cut from.
-	var text strings.Builder
-	text.Grow(nText)
-	str := func() string {
-		off := text.Len()
-		text.Write(cur.Take(int(cur.U16())))
-		return text.String()[off:]
-	}
-	servers := make([]webserver.Server, nServers)
-	ports := make([]uint16, nPorts)
-	strs := make([]string, nStrs)
-	r.Servers = make(map[packet.IPv4Addr]*webserver.Server, nServers)
-	var prev packet.IPv4Addr
-	for i := range servers {
-		s := &servers[i]
-		s.IP = packet.IPv4Addr(cur.U32())
-		if i > 0 && s.IP <= prev {
-			return nil, fmt.Errorf("%w: server %v out of order", ErrFormat, s.IP)
-		}
-		prev = s.IP
-		flags := cur.U8()
-		if flags&^flagsKnown != 0 {
-			return nil, fmt.Errorf("%w: server %v has unknown flags %#x", ErrFormat, s.IP, flags)
-		}
-		s.HTTP = flags&flagHTTP != 0
-		s.HTTPS = flags&flagHTTPS != 0
-		s.AlsoClient = flags&flagAlsoClient != 0
-		s.Bytes = cur.U64()
-		s.Member = int32(cur.U32())
-		if n := int(cur.U8()); n > 0 {
-			s.Ports, ports = ports[:n:n], ports[n:]
-			for j := range s.Ports {
-				s.Ports[j] = cur.U16()
-			}
-		}
-		if n := int(cur.U16()); n > 0 {
-			s.Hosts, strs = strs[:n:n], strs[n:]
-			for j := range s.Hosts {
-				s.Hosts[j] = str()
-			}
-		}
-		s.Cert.Subject = str()
-		if n := int(cur.U16()); n > 0 {
-			s.Cert.AltNames, strs = strs[:n:n], strs[n:]
-			for j := range s.Cert.AltNames {
-				s.Cert.AltNames[j] = str()
-			}
-		}
-		r.Servers[s.IP] = s
-	}
-	return r, nil
-}
-
-// sizeServers walks n encoded server records on a copy of the cursor
-// without decoding them: how many ports, how many strings (hosts and
-// alt names) and how many string bytes (theirs and the subjects') the
-// records hold. ok is false when the records run past the payload.
-func sizeServers(cur Cursor, n int) (nPorts, nStrs, nText int, ok bool) {
-	skipStr := func() {
-		size := int(cur.U16())
-		cur.Take(size)
-		nText += size
-	}
-	for i := 0; i < n && !cur.Bad(); i++ {
-		cur.Take(4 + 1 + 8 + 4) // ip, flags, bytes, member
-		np := int(cur.U8())
-		cur.Take(2 * np)
-		nPorts += np
-		nh := int(cur.U16())
-		for j := 0; j < nh && !cur.Bad(); j++ {
-			skipStr()
-		}
-		skipStr() // the certificate subject
-		na := int(cur.U16())
-		for j := 0; j < na && !cur.Bad(); j++ {
-			skipStr()
-		}
-		nStrs += nh + na
-	}
-	return nPorts, nStrs, nText, !cur.Bad()
-}
-
-// DecodeResult parses a standalone result section payload.
-func DecodeResult(version uint16, payload []byte) (*webserver.Result, error) {
-	if version != 1 {
-		return nil, fmt.Errorf("%w: webserver result v%d", ErrVersion, version)
-	}
-	cur := NewCursor(payload)
-	res, err := ReadResult(cur)
+	h, refs, n, err := indexResult(cur.b)
 	if err != nil {
 		return nil, err
 	}
-	if cur.Len() != 0 {
-		return nil, fmt.Errorf("%w: %d trailing bytes", ErrFormat, cur.Len())
+	return BuildResult(h, refs, cur.Take(n)), nil
+}
+
+// DecodeResult parses a standalone result section payload: IndexResult,
+// then BuildResult.
+func DecodeResult(version uint16, payload []byte) (*webserver.Result, error) {
+	h, refs, err := IndexResult(version, payload)
+	if err != nil {
+		return nil, err
 	}
-	return res, nil
+	return BuildResult(h, refs, payload), nil
+}
+
+// BuildResult decodes every record of an indexed payload into the full
+// result; h and refs are what IndexResult returned for payload. The
+// result copies what it keeps, so payload may be reused afterwards.
+//
+// The records share backing arrays, sized exactly by the index: every
+// server lives in one []webserver.Server, every server's ports in one
+// []uint16, every host and alt name in one []string, and every host,
+// subject and alt name is a substring of one string holding all their
+// bytes. Each record's slices are clipped, so an append reallocates
+// instead of writing into the next record; empty lists stay nil.
+func BuildResult(h ResultHeader, refs []ServerRef, payload []byte) *webserver.Result {
+	r := &webserver.Result{
+		Week: h.Week, EstLoss: h.EstLoss,
+		Candidates443: h.Candidates443, Responded443: h.Responded443, Valid443: h.Valid443,
+		TotalIPs: h.TotalIPs, ServerBytes: h.ServerBytes,
+	}
+	nPorts := 0
+	for i := range refs {
+		nPorts += int(refs[i].NPorts)
+	}
+	d := newRecordDecoder(nPorts, h.nStrs, h.nText)
+	servers := make([]webserver.Server, len(refs))
+	r.Servers = make(map[packet.IPv4Addr]*webserver.Server, len(refs))
+	for i := range refs {
+		d.decode(payload[refs[i].Off:], &servers[i])
+		r.Servers[refs[i].IP] = &servers[i]
+	}
+	return r
+}
+
+// DecodeServer decodes the one record ref locates in payload, a payload
+// IndexResult accepted, into a server of its own.
+func DecodeServer(payload []byte, ref ServerRef) *webserver.Server {
+	rec := payload[ref.Off:]
+	nStrs, nText := skipTail(NewCursor(rec[serverFixedLen:]), int(ref.NPorts))
+	d := newRecordDecoder(int(ref.NPorts), nStrs, nText)
+	s := new(webserver.Server)
+	d.decode(rec, s)
+	return s
+}
+
+// recordDecoder decodes validated server records into slabs sized for
+// them.
+type recordDecoder struct {
+	ports []uint16
+	strs  []string
+	// text was grown to its final size, so a write never moves the
+	// bytes earlier strings were cut from.
+	text strings.Builder
+}
+
+func newRecordDecoder(nPorts, nStrs, nText int) *recordDecoder {
+	d := &recordDecoder{ports: make([]uint16, nPorts), strs: make([]string, nStrs)}
+	d.text.Grow(nText)
+	return d
+}
+
+// decode fills s from the record at the start of rec.
+func (d *recordDecoder) decode(rec []byte, s *webserver.Server) {
+	cur := NewCursor(rec)
+	s.IP = packet.IPv4Addr(cur.U32())
+	flags := cur.U8()
+	s.HTTP = flags&flagHTTP != 0
+	s.HTTPS = flags&flagHTTPS != 0
+	s.AlsoClient = flags&flagAlsoClient != 0
+	s.Bytes = cur.U64()
+	s.Member = int32(cur.U32())
+	if n := int(cur.U8()); n > 0 {
+		s.Ports, d.ports = d.ports[:n:n], d.ports[n:]
+		for j := range s.Ports {
+			s.Ports[j] = cur.U16()
+		}
+	}
+	if n := int(cur.U16()); n > 0 {
+		s.Hosts, d.strs = d.strs[:n:n], d.strs[n:]
+		for j := range s.Hosts {
+			s.Hosts[j] = d.str(cur)
+		}
+	}
+	s.Cert.Subject = d.str(cur)
+	if n := int(cur.U16()); n > 0 {
+		s.Cert.AltNames, d.strs = d.strs[:n:n], d.strs[n:]
+		for j := range s.Cert.AltNames {
+			s.Cert.AltNames[j] = d.str(cur)
+		}
+	}
+}
+
+// str reads one u16-length-prefixed string into the text slab.
+func (d *recordDecoder) str(cur *Cursor) string {
+	off := d.text.Len()
+	d.text.Write(cur.Take(int(cur.U16())))
+	return d.text.String()[off:]
 }

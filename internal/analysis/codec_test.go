@@ -1,8 +1,11 @@
 package analysis
 
 import (
+	"bytes"
+	"errors"
 	"fmt"
 	"math"
+	"reflect"
 	"runtime"
 	"slices"
 	"testing"
@@ -81,4 +84,119 @@ func fewestAllocs(f func()) uint64 {
 		fewest = min(fewest, ms.Mallocs-before)
 	}
 	return fewest
+}
+
+// FuzzDecodeResult holds the one validating walk to its two users:
+// IndexResult accepts exactly the inputs DecodeResult accepts, and on
+// every accepted input the index, the counts, the top-k selection and
+// each record decoded alone agree with the built result, which
+// re-encodes to exactly the input.
+func FuzzDecodeResult(f *testing.F) {
+	addDecoderSeeds(f, NameWebserver)
+	valid, err := AppendResult(nil, syntheticResult())
+	if err != nil {
+		f.Fatal(err)
+	}
+	_, refs, err := IndexResult(1, valid)
+	if err != nil || len(refs) < 2 {
+		f.Fatalf("synthetic result does not index: %v", err)
+	}
+	outOfOrder := bytes.Clone(valid)
+	copy(outOfOrder[refs[1].Off:], valid[refs[0].Off:refs[0].Off+4])
+	unknownFlag := bytes.Clone(valid)
+	unknownFlag[refs[0].Off+4] |= 0x80
+	f.Add(uint16(1), outOfOrder)
+	f.Add(uint16(1), unknownFlag)
+	f.Add(uint16(1), valid[:refs[1].Off+serverFixedLen+1]) // a truncated record
+	f.Fuzz(func(t *testing.T, version uint16, data []byte) {
+		h, refs, ierr := IndexResult(version, data)
+		res, derr := DecodeResult(version, data)
+		if (ierr == nil) != (derr == nil) {
+			t.Fatalf("IndexResult error %v, DecodeResult error %v", ierr, derr)
+		}
+		if derr != nil {
+			if !errors.Is(derr, ErrFormat) && !errors.Is(derr, ErrVersion) {
+				t.Fatalf("untyped error: %v", derr)
+			}
+			return
+		}
+		if got := encode(t, &WebserverProduct{Res: res}); !bytes.Equal(got, data) {
+			t.Fatalf("re-encode drifted:\n got %x\nwant %x", got, data)
+		}
+		if h.nStrs, h.nText = 0, 0; h != HeaderOf(res) {
+			t.Fatalf("index header %+v, result header %+v", h, HeaderOf(res))
+		}
+		if len(refs) != len(res.Servers) {
+			t.Fatalf("%d refs for %d servers", len(refs), len(res.Servers))
+		}
+		for _, ref := range refs {
+			srv := res.Servers[ref.IP]
+			if srv == nil || ref.Bytes != srv.Bytes || ref.Flags != flagsOf(srv) || int(ref.NPorts) != len(srv.Ports) {
+				t.Fatalf("ref %+v disagrees with server %+v", ref, srv)
+			}
+			if one := DecodeServer(data, ref); !reflect.DeepEqual(one, srv) {
+				t.Fatalf("record decoded alone %+v, in the result %+v", one, srv)
+			}
+		}
+		https := 0
+		for _, srv := range res.Servers {
+			if srv.HTTPS {
+				https++
+			}
+		}
+		want := ServerCounts{Servers: len(res.Servers), HTTPS: https, MultiPurpose: res.MultiPurpose(), DualRole: res.DualRole()}
+		if got := CountServers(refs); got != want {
+			t.Fatalf("index counts %+v, result counts %+v", got, want)
+		}
+		for _, k := range []int{1, 2, 3, len(refs)} {
+			top, ranked := TopRefs(refs, k), res.TopServers(k)
+			if len(top) != len(ranked) {
+				t.Fatalf("top %d: %d refs, %d servers", k, len(top), len(ranked))
+			}
+			for i := range top {
+				if top[i].IP != ranked[i].IP {
+					t.Fatalf("top %d, rank %d: ref %v, server %v", k, i, top[i].IP, ranked[i].IP)
+				}
+			}
+		}
+	})
+}
+
+// TestTopRefsMatchesFullSort: the bounded selection returns exactly the
+// prefix of the full rank order, ties on bytes broken by IP, for every k.
+func TestTopRefsMatchesFullSort(t *testing.T) {
+	var refs []ServerRef
+	for i := 0; i < 300; i++ {
+		refs = append(refs, ServerRef{IP: packet.IPv4Addr(i), Bytes: uint64(i*7919) % 37})
+	}
+	sorted := slices.Clone(refs)
+	slices.SortFunc(sorted, compareRank)
+	for _, k := range []int{0, 1, 2, 10, 36, 37, 299, 300, 1000} {
+		if got, want := TopRefs(refs, k), sorted[:min(k, len(sorted))]; !slices.Equal(got, want) {
+			t.Fatalf("TopRefs(%d) = %v, want %v", k, got, want)
+		}
+	}
+}
+
+// TestIndexOfMatchesIndexResult: a built result indexes to the refs its
+// encoding indexes to, offsets aside.
+func TestIndexOfMatchesIndexResult(t *testing.T) {
+	res := bigResult(500)
+	buf, err := AppendResult(nil, res)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h, refs, err := IndexResult(1, buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if h.nStrs, h.nText = 0, 0; h != HeaderOf(res) {
+		t.Fatalf("header %+v, want %+v", h, HeaderOf(res))
+	}
+	for i := range refs {
+		refs[i].Off = 0
+	}
+	if got := IndexOf(res); !slices.Equal(got, refs) {
+		t.Fatal("IndexOf disagrees with IndexResult")
+	}
 }

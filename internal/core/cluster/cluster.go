@@ -394,74 +394,3 @@ func (r *Result) SizeDistribution(ts []int) map[int]int {
 	}
 	return out
 }
-
-// Validation quantifies clustering quality against ground truth.
-type Validation struct {
-	// EvaluatedIPs is the number of clustered server IPs with known
-	// ground truth.
-	EvaluatedIPs int
-	// FalsePositives counts IPs whose cluster majority-organization
-	// differs from their own.
-	FalsePositives int
-	// FalsePositiveRate is FalsePositives / EvaluatedIPs.
-	FalsePositiveRate float64
-	// RateBySize buckets the FP rate by cluster size (lower bound of
-	// each bucket -> rate); the paper observes the rate falling with
-	// footprint size.
-	RateBySize map[int]float64
-}
-
-// Validate computes cluster purity: each cluster is labelled with its
-// majority ground-truth organization, and member IPs of other orgs count
-// as false positives.
-func Validate(r *Result, orgOf func(packet.IPv4Addr) (int32, bool)) Validation {
-	var v Validation
-	sizeBuckets := []int{1, 10, 100, 1000}
-	fpBySize := map[int]int{}
-	nBySize := map[int]int{}
-	for _, c := range r.Clusters {
-		counts := map[int32]int{}
-		known := 0
-		for _, ip := range c.IPs {
-			if org, ok := orgOf(ip); ok {
-				counts[org]++
-				known++
-			}
-		}
-		if known == 0 {
-			continue
-		}
-		majority := 0
-		for _, n := range counts {
-			if n > majority {
-				majority = n
-			}
-		}
-		fp := known - majority
-		v.EvaluatedIPs += known
-		v.FalsePositives += fp
-		b := bucketOf(len(c.IPs), sizeBuckets)
-		fpBySize[b] += fp
-		nBySize[b] += known
-	}
-	if v.EvaluatedIPs > 0 {
-		v.FalsePositiveRate = float64(v.FalsePositives) / float64(v.EvaluatedIPs)
-	}
-	v.RateBySize = make(map[int]float64, len(sizeBuckets))
-	for _, b := range sizeBuckets {
-		if nBySize[b] > 0 {
-			v.RateBySize[b] = float64(fpBySize[b]) / float64(nBySize[b])
-		}
-	}
-	return v
-}
-
-func bucketOf(n int, buckets []int) int {
-	b := buckets[0]
-	for _, t := range buckets {
-		if n >= t {
-			b = t
-		}
-	}
-	return b
-}

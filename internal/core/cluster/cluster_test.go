@@ -9,6 +9,7 @@ import (
 
 	"ixplens/internal/core/metadata"
 	"ixplens/internal/netmodel"
+	"ixplens/internal/oracle"
 	"ixplens/internal/packet"
 	"ixplens/internal/pipeline"
 	"ixplens/internal/traffic"
@@ -78,13 +79,7 @@ func TestStepDistribution(t *testing.T) {
 
 func TestFalsePositiveRate(t *testing.T) {
 	env, wk := analyzedWeek(t)
-	v := Validate(wk.Clusters, func(ip packet.IPv4Addr) (int32, bool) {
-		idx, ok := env.World.ServerByIP(ip)
-		if !ok {
-			return 0, false
-		}
-		return env.World.Servers[idx].Org, true
-	})
+	v := oracle.Organizations(env.World, wk.Clusters)
 	if v.EvaluatedIPs == 0 {
 		t.Fatal("nothing evaluated")
 	}

@@ -3,6 +3,8 @@ package experiments
 import (
 	"ixplens/internal/core/blindspot"
 	"ixplens/internal/ispview"
+	"ixplens/internal/oracle"
+	"ixplens/internal/packet"
 )
 
 // BlindSpotAlexa reproduces the Section 3.3 Alexa recovery and
@@ -54,6 +56,15 @@ func (r *Runner) BlindSpotAlexa() (Report, error) {
 	} {
 		rep.addf("  "+c.String(), "-", "%d", cats[c])
 	}
+	var unseenIPs []packet.IPv4Addr
+	for ip := range disc.Discovered {
+		if !ixpSet[ip] {
+			unseenIPs = append(unseenIPs, ip)
+		}
+	}
+	miss := oracle.SplitMisses(r.Env.World, wk.Truth.Sampled, unseenIPs)
+	rep.addf("  never sampled this week", "-", "%d", miss.NeverSampled)
+	rep.addf("  sampled but not identified", "-", "%d", miss.SampledMissed)
 
 	// The Akamai-analog case study.
 	w := r.Env.World

@@ -6,6 +6,7 @@ import (
 
 	"ixplens/internal/core/cluster"
 	"ixplens/internal/core/hetero"
+	"ixplens/internal/oracle"
 	"ixplens/internal/packet"
 )
 
@@ -33,8 +34,11 @@ func (r *Runner) ClusterOrganizations() (Report, error) {
 	rep.addf(fmt.Sprintf("orgs with >%d server IPs (scaled 1000)", big), "143", "%d", dist[big])
 	rep.addf(fmt.Sprintf("orgs with >%d server IPs (scaled 10)", small), ">6K", "%d", dist[small])
 
-	v := cluster.Validate(cl, r.truthOrgOf)
+	v := oracle.Organizations(r.Env.World, cl)
 	rep.addf("false-positive rate", "<3%", "%s", pct(v.FalsePositiveRate))
+	rep.addf("purity (IPs in their cluster's majority org)", "-", "%s", pct(v.Purity))
+	rep.addf("completeness (IPs in their org's largest cluster)", "-", "%s of %d IPs; %d of %d orgs split",
+		pct(v.Completeness), v.EvaluatedIPs, v.SplitOrgs, v.Orgs)
 	fpLarge, ok := v.RateBySize[1000]
 	fpSmall, ok2 := v.RateBySize[10]
 	if ok && ok2 {
@@ -42,15 +46,6 @@ func (r *Runner) ClusterOrganizations() (Report, error) {
 			"%s vs %s", pct(fpSmall), pct(fpLarge))
 	}
 	return rep, nil
-}
-
-// truthOrgOf is the validation oracle.
-func (r *Runner) truthOrgOf(ip packet.IPv4Addr) (int32, bool) {
-	idx, ok := r.Env.World.ServerByIP(ip)
-	if !ok {
-		return 0, false
-	}
-	return r.Env.World.Servers[idx].Org, true
 }
 
 // Fig6bOrgSpread reproduces Figure 6(b): server IPs vs AS footprint per

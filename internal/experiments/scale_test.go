@@ -10,7 +10,7 @@ import (
 	"ixplens/internal/core/hetero"
 	. "ixplens/internal/experiments"
 	"ixplens/internal/netmodel"
-	"ixplens/internal/packet"
+	"ixplens/internal/oracle"
 	"ixplens/internal/traffic"
 )
 
@@ -48,13 +48,7 @@ func TestReportScaleShapes(t *testing.T) {
 	}
 
 	// E16: clustering quality at scale.
-	v := cluster.Validate(wk.Clusters, func(ip packet.IPv4Addr) (int32, bool) {
-		idx, ok := r.Env.World.ServerByIP(ip)
-		if !ok {
-			return 0, false
-		}
-		return r.Env.World.Servers[idx].Org, true
-	})
+	v := oracle.Organizations(r.Env.World, wk.Clusters)
 	if v.FalsePositiveRate > 0.08 {
 		t.Errorf("clustering FP rate %.3f", v.FalsePositiveRate)
 	}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"ixplens/internal/core/visibility"
+	"ixplens/internal/oracle"
 	"ixplens/internal/routing"
 )
 
@@ -62,6 +63,10 @@ func (r *Runner) ServerIdentification() (Report, error) {
 		res.MultiPurpose(), len(res.Servers))
 	rep.addf("dual-role (also client)", "200K of 1.5M", "%d of %d",
 		res.DualRole(), len(res.Servers))
+	sc := oracle.Servers(r.Env.World, wk.Truth.Sampled, res)
+	rep.addf("precision vs ground truth", "-", "%d of %d (%s)", sc.TruePositives, sc.Identified, pct(sc.Precision))
+	rep.addf("recall of sampled servers", "-", "%d of %d (%s)", sc.Found, sc.Sampled, pct(sc.Recall))
+	rep.addf("world servers missed: never sampled / sampled", "-", "%d / %d", sc.MissedUnsampled, sc.MissedSampled)
 	return rep, nil
 }
 

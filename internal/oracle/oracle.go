@@ -7,6 +7,8 @@
 package oracle
 
 import (
+	"slices"
+
 	"ixplens/internal/core/webserver"
 	"ixplens/internal/netmodel"
 	"ixplens/internal/packet"
@@ -68,6 +70,34 @@ func Servers(world *netmodel.World, sampled []int32, res *webserver.Result) Serv
 	sc.Precision = ratio(sc.TruePositives, sc.Identified)
 	sc.Recall = ratio(sc.Found, sc.Sampled)
 	return sc
+}
+
+// MissSplit splits server IPs an analysis did not name by why, as
+// ServerScore splits its misses.
+type MissSplit struct {
+	// NeverSampled never appeared in the week's samples; SampledMissed
+	// were sampled but not identified.
+	NeverSampled, SampledMissed int
+}
+
+// SplitMisses splits ips, server IPs the week's analysis did not name,
+// given the indices of the servers its traffic sampled (sorted, as
+// traffic.WeekStats.Sampled holds them). An IP that is no world server
+// counts in neither.
+func SplitMisses(world *netmodel.World, sampled []int32, ips []packet.IPv4Addr) MissSplit {
+	var ms MissSplit
+	for _, ip := range ips {
+		idx, ok := world.ServerByIP(ip)
+		if !ok {
+			continue
+		}
+		if _, hit := slices.BinarySearch(sampled, idx); hit {
+			ms.SampledMissed++
+		} else {
+			ms.NeverSampled++
+		}
+	}
+	return ms
 }
 
 func ratio(a, b int) float64 {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"testing"
 
+	"ixplens/internal/core/cluster"
 	"ixplens/internal/core/webserver"
 	"ixplens/internal/netmodel"
 	"ixplens/internal/packet"
@@ -69,5 +70,85 @@ func TestServerScoreOnTinyWorld(t *testing.T) {
 		sc.Found+sc.MissedSampled+sc.MissedUnsampled > len(env.World.Servers) {
 		t.Errorf("inconsistent score %+v for %d sampled of %d servers",
 			sc, wk.Truth.SampledServers(), len(env.World.Servers))
+	}
+}
+
+// TestOrganizationsCountsClusters pins the clustering score on a
+// hand-built world: org 1 owns servers 1-3, org 2 servers 4-5. One
+// cluster holds 1, 2 and 4 (4 a false positive), another 3 (org 1 split),
+// a third 5 and an IP that is no server.
+func TestOrganizationsCountsClusters(t *testing.T) {
+	ip := func(last byte) packet.IPv4Addr { return packet.MakeIPv4(10, 0, 0, last) }
+	world := &netmodel.World{Servers: []netmodel.Server{
+		{IP: ip(1), Org: 1}, {IP: ip(2), Org: 1}, {IP: ip(3), Org: 1}, {IP: ip(4), Org: 2}, {IP: ip(5), Org: 2},
+	}}
+	clusters := &cluster.Result{Clusters: map[string]*cluster.Cluster{
+		"a": {IPs: []packet.IPv4Addr{ip(1), ip(2), ip(4)}},
+		"b": {IPs: []packet.IPv4Addr{ip(3)}},
+		"c": {IPs: []packet.IPv4Addr{ip(5), ip(99)}},
+	}}
+	got := Organizations(world, clusters)
+	if got.EvaluatedIPs != 5 || got.FalsePositives != 1 || got.FalsePositiveRate != 0.2 || got.Purity != 0.8 {
+		t.Fatalf("cluster side %+v, want 5 evaluated, 1 false positive, rate 0.2, purity 0.8", got)
+	}
+	// Org 1's largest cluster holds 2 of its 3 IPs, org 2's 1 of 2.
+	if got.Completeness != 0.6 || got.Orgs != 2 || got.SplitOrgs != 2 {
+		t.Fatalf("organization side %+v, want completeness 0.6, 2 orgs, both split", got)
+	}
+	if got.RateBySize[1] != 0.2 || len(got.RateBySize) != 1 {
+		t.Fatalf("rate by size %v, want {1: 0.2}", got.RateBySize)
+	}
+	if empty := Organizations(world, &cluster.Result{}); empty.EvaluatedIPs != 0 || empty.Purity != 0 || empty.Completeness != 0 {
+		t.Fatalf("no clusters: %+v", empty)
+	}
+}
+
+// Floors of the clustering score on the Tiny world's week 45 with the
+// default traffic options, chosen on seed 7 (purity 0.964, completeness
+// 0.966, false-positive rate 0.036) and checked on seeds 13 (0.979,
+// 0.975) and 29 (0.976, 0.977). A floor may only be raised; the
+// false-positive ceiling is the one the cluster package has always held.
+const (
+	purityFloor       = 0.95
+	completenessFloor = 0.95
+	falsePositiveCeil = 0.06
+)
+
+// TestOrganizationScoreOnTinyWorld scores week 45's organization
+// clustering against the world that generated it.
+func TestOrganizationScoreOnTinyWorld(t *testing.T) {
+	env, err := pipeline.NewEnv(netmodel.Tiny(), traffic.DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	wk, err := env.AnalyzeWeek(context.Background(), 45)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc := Organizations(env.World, wk.Clusters)
+	t.Logf("purity %.3f, completeness %.3f, false positives %d of %d (%.3f), %d of %d orgs split",
+		sc.Purity, sc.Completeness, sc.FalsePositives, sc.EvaluatedIPs, sc.FalsePositiveRate, sc.SplitOrgs, sc.Orgs)
+	if sc.EvaluatedIPs == 0 {
+		t.Fatal("nothing evaluated")
+	}
+	if sc.Purity < purityFloor {
+		t.Errorf("purity %.3f below the %.2f floor", sc.Purity, purityFloor)
+	}
+	if sc.Completeness < completenessFloor {
+		t.Errorf("completeness %.3f below the %.2f floor", sc.Completeness, completenessFloor)
+	}
+	if sc.FalsePositiveRate > falsePositiveCeil {
+		t.Errorf("false-positive rate %.3f above %.2f", sc.FalsePositiveRate, falsePositiveCeil)
+	}
+}
+
+// TestSplitMisses: unnamed IPs split into never-sampled and
+// sampled-but-missed servers; an IP that is no server counts in neither.
+func TestSplitMisses(t *testing.T) {
+	ip := func(last byte) packet.IPv4Addr { return packet.MakeIPv4(10, 0, 0, last) }
+	world := &netmodel.World{Servers: []netmodel.Server{{IP: ip(1)}, {IP: ip(2)}, {IP: ip(3)}}}
+	got := SplitMisses(world, []int32{0, 2}, []packet.IPv4Addr{ip(1), ip(2), ip(3), ip(99)})
+	if want := (MissSplit{NeverSampled: 1, SampledMissed: 2}); got != want {
+		t.Fatalf("split %+v, want %+v", got, want)
 	}
 }

@@ -9,7 +9,7 @@ import (
 )
 
 // loadFunc materializes one week (the Store's Load).
-type loadFunc func(ctx context.Context, isoWeek int) (*snapshot.Snapshot, error)
+type loadFunc func(ctx context.Context, isoWeek int) (*snapshot.Opened, error)
 
 // Cache is the serving layer's bounded in-memory week cache with
 // single-flight deduplication: concurrent requests for the same
@@ -17,8 +17,8 @@ type loadFunc func(ctx context.Context, isoWeek int) (*snapshot.Snapshot, error)
 // outcome, and the least recently used week is evicted once capacity
 // is reached.
 //
-// What it holds per week is a weekView: the immutable snapshot plus the
-// ranked results derived from it on first use. A view lives and dies
+// What it holds per week is a weekView: the immutable opened week plus
+// the ranked results derived from it on first use. A view lives and dies
 // with its cache entry, so the capacity bounds derived state as well.
 //
 // Loads run on a private goroutine whose context descends from the

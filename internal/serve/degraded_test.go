@@ -274,7 +274,7 @@ func TestUndecodableProductSection(t *testing.T) {
 		t.Fatal(err)
 	}
 	forged := &snapshot.Snapshot{
-		Result: snap.Result, Counts: snap.Counts, SourceDigest: snap.SourceDigest,
+		Result: snap.Result(), Counts: snap.Counts, SourceDigest: snap.SourceDigest,
 		Extra: []snapshot.Section{
 			{Name: analysis.NameLinks, Version: 1, Payload: []byte{0, 0, 0, 9, 1, 2, 3}},
 			{Name: analysis.NameVisibility, Version: 1, Payload: visPayload},

@@ -351,17 +351,13 @@ type WeekSummary struct {
 	EstLoss            float64 `json:"est_loss"`
 }
 
-// Summarize renders a snapshot's summary aggregates. It is exported so
-// golden tests can compare a served response byte for byte against a
-// directly analyzed result.
-func Summarize(snap *snapshot.Snapshot) WeekSummary {
-	res, counts := snap.Result, &snap.Counts
-	https := 0
-	for _, srv := range res.Servers {
-		if srv.HTTPS {
-			https++
-		}
-	}
+// Summarize renders a week's summary aggregates from its header and
+// server index; no record is decoded. It is exported so golden tests can
+// compare a served response byte for byte against a directly analyzed
+// result.
+func Summarize(wk *snapshot.Opened) WeekSummary {
+	res, counts := wk.Header(), &wk.Counts
+	srv := analysis.CountServers(wk.Servers())
 	peerBytes := counts.PeeringTCPBytes + counts.PeeringUDPBytes
 	share := 0.0
 	if peerBytes > 0 {
@@ -377,13 +373,13 @@ func Summarize(snap *snapshot.Snapshot) WeekSummary {
 		TCPShare:           counts.TCPShare(),
 		PanicQuarantined:   counts.PanicQuarantined,
 		TotalIPs:           res.TotalIPs,
-		Servers:            len(res.Servers),
-		HTTPSServers:       https,
+		Servers:            srv.Servers,
+		HTTPSServers:       srv.HTTPS,
 		Candidates443:      res.Candidates443,
 		Responded443:       res.Responded443,
 		Valid443:           res.Valid443,
-		MultiPurpose:       res.MultiPurpose(),
-		DualRole:           res.DualRole(),
+		MultiPurpose:       srv.MultiPurpose,
+		DualRole:           srv.DualRole,
 		ServerBytes:        res.ServerBytes,
 		ServerTrafficShare: share,
 		EstLoss:            res.EstLoss,
@@ -417,29 +413,45 @@ type ServerEntry struct {
 	Hosts      []string `json:"hosts,omitempty"`
 }
 
-// TopServers renders the k highest-traffic servers of a snapshot,
-// deterministically ordered (bytes descending, IP ascending).
-func TopServers(snap *snapshot.Snapshot, k int) []ServerEntry {
-	return renderServers(snap.Result.TopServers(k))
-}
-
-// renderServers renders the rows of a server ranking it is handed —
-// only the k asked for, never the whole ranking.
-func renderServers(top []*webserver.Server) []ServerEntry {
+// TopServers renders the k highest-traffic servers of a week,
+// deterministically ordered (bytes descending, IP ascending). It ranks
+// the full result with webserver.Result.TopServers, independently of
+// the served index selection, so golden tests can hold one against the
+// other.
+func TopServers(wk *snapshot.Opened, k int) []ServerEntry {
+	top := wk.Result().TopServers(k)
 	out := make([]ServerEntry, len(top))
 	for i, srv := range top {
-		out[i] = ServerEntry{
-			IP:         srv.IP.String(),
-			Bytes:      srv.Bytes,
-			HTTP:       srv.HTTP,
-			HTTPS:      srv.HTTPS,
-			AlsoClient: srv.AlsoClient,
-			Member:     srv.Member,
-			Ports:      srv.Ports,
-			Hosts:      srv.Hosts,
-		}
+		out[i] = serverEntry(srv)
 	}
 	return out
+}
+
+// serverEntry renders one server row.
+func serverEntry(srv *webserver.Server) ServerEntry {
+	return ServerEntry{
+		IP:         srv.IP.String(),
+		Bytes:      srv.Bytes,
+		HTTP:       srv.HTTP,
+		HTTPS:      srv.HTTPS,
+		AlsoClient: srv.AlsoClient,
+		Member:     srv.Member,
+		Ports:      srv.Ports,
+		Hosts:      srv.Hosts,
+	}
+}
+
+// rankServers extends a week's server ranking to its first k rows: it
+// selects the index's top k refs with a bounded selection and decodes
+// only the records past the rows already rendered in have.
+func rankServers(wk *snapshot.Opened, have []ServerEntry, k int) []ServerEntry {
+	top := analysis.TopRefs(wk.Servers(), k)
+	rows := make([]ServerEntry, len(top))
+	copy(rows, have)
+	for i := len(have); i < len(top); i++ {
+		rows[i] = serverEntry(wk.Server(top[i]))
+	}
+	return rows
 }
 
 func (s *Server) handleTopServers(w http.ResponseWriter, r *http.Request) {
@@ -447,10 +459,10 @@ func (s *Server) handleTopServers(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	ranked, _ := v.servers.get(s.m.ViewBuilds, func() ([]*webserver.Server, error) {
-		return v.snap.Result.RankedServers(), nil
+	rows := v.servers.get(s.m.ViewBuilds, k, func(have []ServerEntry, k int) []ServerEntry {
+		return rankServers(v.snap, have, k)
 	})
-	writeJSON(w, renderServers(topK(ranked, k)))
+	writeJSON(w, rows)
 }
 
 // ASEntry is one row of the /week/{n}/ases response.
@@ -460,24 +472,25 @@ type ASEntry struct {
 	Bytes   uint64 `json:"bytes"`
 }
 
-// TopASes aggregates a snapshot's server traffic by origin AS (resolved
+// TopASes aggregates a week's server traffic by origin AS (resolved
 // through the environment's entity table) and returns the k largest,
 // bytes descending then ASN ascending. Unresolved IPs (ASN 0) are
 // excluded — a lookup failure is not an AS.
-func TopASes(env *pipeline.Env, snap *snapshot.Snapshot, k int) []ASEntry {
-	return topK(rankASes(env, snap), k)
+func TopASes(env *pipeline.Env, wk *snapshot.Opened, k int) []ASEntry {
+	return topK(rankASes(env, wk), k)
 }
 
-// rankASes is TopASes' aggregation and total order over every AS.
-func rankASes(env *pipeline.Env, snap *snapshot.Snapshot) []ASEntry {
+// rankASes is TopASes' aggregation and total order over every AS. It
+// reads the server index alone: an IP and its bytes per server.
+func rankASes(env *pipeline.Env, wk *snapshot.Opened) []ASEntry {
 	tab := env.EntityTable()
 	type agg struct {
 		servers int
 		bytes   uint64
 	}
 	byAS := make(map[uint32]*agg)
-	for ip, srv := range snap.Result.Servers {
-		_, attrs := tab.ResolveAttrs(ip)
+	for _, srv := range wk.Servers() {
+		_, attrs := tab.ResolveAttrs(srv.IP)
 		if attrs.ASN == 0 {
 			continue
 		}
@@ -535,12 +548,12 @@ type VisibilitySummary struct {
 	ByBytes []CountryShare `json:"by_bytes"`
 }
 
-// VisibilityView renders a snapshot's visibility product, resolving
+// VisibilityView renders a week's visibility product, resolving
 // countries through the environment's entity table. It is exported so
 // golden tests can compare a served response byte for byte against a
 // directly analyzed aggregator.
-func VisibilityView(env *pipeline.Env, snap *snapshot.Snapshot, k int) (VisibilitySummary, error) {
-	full, err := rankVisibility(env, snap)
+func VisibilityView(env *pipeline.Env, wk *snapshot.Opened, k int) (VisibilitySummary, error) {
+	full, err := rankVisibility(env, wk)
 	if err != nil {
 		return VisibilitySummary{}, err
 	}
@@ -556,13 +569,13 @@ func (v VisibilitySummary) top(k int) VisibilitySummary {
 // rankVisibility is VisibilityView over every country: the one pass
 // that rebuilds the aggregator, with ByIPs and ByBytes total orders
 // (count or bytes descending, then country code).
-func rankVisibility(env *pipeline.Env, snap *snapshot.Snapshot) (VisibilitySummary, error) {
-	vp, err := snap.Visibility()
+func rankVisibility(env *pipeline.Env, wk *snapshot.Opened) (VisibilitySummary, error) {
+	vp, err := wk.Visibility()
 	if err != nil {
 		return VisibilitySummary{}, err
 	}
 	if vp == nil {
-		return VisibilitySummary{}, fmt.Errorf("%w: visibility (week %d)", ErrNoProduct, snap.Result.Week)
+		return VisibilitySummary{}, fmt.Errorf("%w: visibility (week %d)", ErrNoProduct, wk.Header().Week)
 	}
 	agg := vp.Aggregator(env.EntityTable())
 	sum := agg.Summarize(nil)
@@ -575,7 +588,7 @@ func rankVisibility(env *pipeline.Env, snap *snapshot.Snapshot) (VisibilitySumma
 		return out
 	}
 	return VisibilitySummary{
-		Week:        snap.Result.Week,
+		Week:        wk.Header().Week,
 		ObservedIPs: sum.IPs,
 		ASes:        sum.ASes,
 		Prefixes:    sum.Prefixes,
@@ -611,22 +624,22 @@ type LinkEntry struct {
 	Samples uint64 `json:"samples"`
 }
 
-// TopLinks renders the k heaviest member-pair links of a snapshot's
-// flow product, bytes descending then (in, out) ascending.
-func TopLinks(snap *snapshot.Snapshot, k int) ([]LinkEntry, error) {
-	lp, err := linksOf(snap)
+// TopLinks renders the k heaviest member-pair links of a week's flow
+// product, bytes descending then (in, out) ascending.
+func TopLinks(wk *snapshot.Opened, k int) ([]LinkEntry, error) {
+	lp, err := linksOf(wk)
 	if err != nil {
 		return nil, err
 	}
 	return renderLinks(lp.TopMemberLinks(k)), nil
 }
 
-// linksOf is the snapshot's flow product: ErrNoProduct when it has none,
+// linksOf is the week's flow product: ErrNoProduct when it has none,
 // a snapshot error when its section does not decode.
-func linksOf(snap *snapshot.Snapshot) (*analysis.LinksProduct, error) {
-	lp, err := snap.Links()
+func linksOf(wk *snapshot.Opened) (*analysis.LinksProduct, error) {
+	lp, err := wk.Links()
 	if err == nil && lp == nil {
-		err = fmt.Errorf("%w: links (week %d)", ErrNoProduct, snap.Result.Week)
+		err = fmt.Errorf("%w: links (week %d)", ErrNoProduct, wk.Header().Week)
 	}
 	return lp, err
 }
@@ -681,11 +694,11 @@ type ChurnWeek struct {
 }
 
 // ChurnSeries computes the longitudinal churn series from per-week
-// snapshots, in chronological order (pool order: stable, recurrent,
-// new). weeks and snaps are parallel; a nil snapshot marks a gap week
-// (quarantined or otherwise unobserved) that holds its place in the
-// calendar without advancing the pools.
-func ChurnSeries(env *pipeline.Env, weeks []int, snaps []*snapshot.Snapshot) ([]ChurnWeek, error) {
+// results, in chronological order (pool order: stable, recurrent, new).
+// weeks and snaps are parallel; a nil week marks a gap week (quarantined
+// or otherwise unobserved) that holds its place in the calendar without
+// advancing the pools. Each week's full result is built if it was not.
+func ChurnSeries(env *pipeline.Env, weeks []int, snaps []*snapshot.Opened) ([]ChurnWeek, error) {
 	if len(weeks) != len(snaps) {
 		return nil, fmt.Errorf("serve: churn series: %d weeks, %d snapshots", len(weeks), len(snaps))
 	}
@@ -697,7 +710,7 @@ func ChurnSeries(env *pipeline.Env, weeks []int, snaps []*snapshot.Snapshot) ([]
 			}
 			continue
 		}
-		if err := tracker.Add(env.Observation(snap.Result)); err != nil {
+		if err := tracker.Add(env.Observation(snap.Result())); err != nil {
 			return nil, err
 		}
 	}
@@ -736,7 +749,7 @@ func ChurnSeries(env *pipeline.Env, weeks []int, snaps []*snapshot.Snapshot) ([]
 func (s *Server) handleChurn(w http.ResponseWriter, r *http.Request) {
 	weeks := s.store.Weeks()
 	gens := make([]uint64, len(weeks))
-	snaps := make([]*snapshot.Snapshot, len(weeks))
+	snaps := make([]*snapshot.Opened, len(weeks))
 	for i, wk := range weeks {
 		if s.store.IsQuarantined(wk) {
 			continue // a gap: generation 0, nil snapshot

@@ -30,19 +30,20 @@ import (
 	"ixplens/internal/vfs"
 )
 
-// fakeSnap builds a minimal distinct snapshot for cache unit tests.
-func fakeSnap(week int) *snapshot.Snapshot {
-	return &snapshot.Snapshot{Result: &webserver.Result{
+// fakeSnap builds a minimal distinct opened week for cache unit tests.
+func fakeSnap(week int) *snapshot.Opened {
+	snap := &snapshot.Snapshot{Result: &webserver.Result{
 		Week:    week,
 		Servers: map[packet.IPv4Addr]*webserver.Server{},
 	}}
+	return snap.Opened()
 }
 
 func TestCacheSingleFlight(t *testing.T) {
 	var loads atomic.Int64
 	started := make(chan struct{})
 	release := make(chan struct{})
-	load := func(ctx context.Context, wk int) (*snapshot.Snapshot, error) {
+	load := func(ctx context.Context, wk int) (*snapshot.Opened, error) {
 		loads.Add(1)
 		close(started)
 		<-release
@@ -91,7 +92,7 @@ func TestCacheSingleFlight(t *testing.T) {
 func TestCacheAbandonedLoadIsCancelled(t *testing.T) {
 	baseline := runtime.NumGoroutine()
 	loadDone := make(chan error, 1)
-	load := func(ctx context.Context, wk int) (*snapshot.Snapshot, error) {
+	load := func(ctx context.Context, wk int) (*snapshot.Opened, error) {
 		// Simulate an analysis that honors cancellation, as
 		// capture.AnalyzeWeekSnapshot does (within one datagram batch).
 		<-ctx.Done()
@@ -131,7 +132,7 @@ func TestCacheAbandonedLoadIsCancelled(t *testing.T) {
 
 func TestCacheWaiterSurvivesOtherWaiterCancelling(t *testing.T) {
 	release := make(chan struct{})
-	load := func(ctx context.Context, wk int) (*snapshot.Snapshot, error) {
+	load := func(ctx context.Context, wk int) (*snapshot.Opened, error) {
 		select {
 		case <-release:
 			return fakeSnap(wk), nil
@@ -165,7 +166,7 @@ func TestCacheWaiterSurvivesOtherWaiterCancelling(t *testing.T) {
 }
 
 func TestCacheEvictsLRU(t *testing.T) {
-	load := func(ctx context.Context, wk int) (*snapshot.Snapshot, error) {
+	load := func(ctx context.Context, wk int) (*snapshot.Opened, error) {
 		return fakeSnap(wk), nil
 	}
 	m := NewMetrics(obs.NewRegistry())
@@ -191,7 +192,7 @@ func TestCacheEvictsLRU(t *testing.T) {
 }
 
 func TestCacheCloseCancelsInflight(t *testing.T) {
-	load := func(ctx context.Context, wk int) (*snapshot.Snapshot, error) {
+	load := func(ctx context.Context, wk int) (*snapshot.Opened, error) {
 		<-ctx.Done()
 		return nil, ctx.Err()
 	}
@@ -509,8 +510,8 @@ func TestServerCancelledAnalysisLeavesNothingBehind(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if view.snap.Result.Week != first {
-		t.Fatalf("retry returned week %d", view.snap.Result.Week)
+	if view.snap.Header().Week != first {
+		t.Fatalf("retry returned week %d", view.snap.Header().Week)
 	}
 }
 
@@ -548,7 +549,7 @@ func TestGoldenServedAllWeeks(t *testing.T) {
 		}
 		snap.SourceDigest = man.Digests[i]
 		direct[wk] = snap
-		buf, err := json.Marshal(Summarize(snap))
+		buf, err := json.Marshal(Summarize(snap.Opened()))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -591,7 +592,7 @@ func TestGoldenServedAllWeeks(t *testing.T) {
 			t.Fatal(err)
 		}
 		snap := view.snap
-		if !reflect.DeepEqual(snap.Result, direct[wk].Result) {
+		if !reflect.DeepEqual(snap.Result(), direct[wk].Result) {
 			t.Fatalf("week %d: snapshot-reloaded result diverged from direct analysis", wk)
 		}
 		if snap.Counts != direct[wk].Counts {
@@ -608,9 +609,9 @@ func TestGoldenServedAllWeeks(t *testing.T) {
 
 	// The longitudinal series served over HTTP must match the series
 	// computed from the direct results.
-	snaps := make([]*snapshot.Snapshot, len(man.Weeks))
+	snaps := make([]*snapshot.Opened, len(man.Weeks))
 	for i, wk := range man.Weeks {
-		snaps[i] = direct[wk]
+		snaps[i] = direct[wk].Opened()
 	}
 	series, err := ChurnSeries(env, man.Weeks, snaps)
 	if err != nil {
@@ -668,13 +669,13 @@ func TestStoreWriteSnapshots(t *testing.T) {
 	if m2.Analyses.Value() != 0 || m2.SnapshotLoads.Value() != 1 {
 		t.Fatalf("second load: analyses=%d snapLoads=%d", m2.Analyses.Value(), m2.SnapshotLoads.Value())
 	}
-	if !reflect.DeepEqual(snap1.Result, snap2.Result) || snap1.Counts != snap2.Counts {
+	if !reflect.DeepEqual(snap1.Result(), snap2.Result()) || snap1.Counts != snap2.Counts {
 		t.Fatal("snapshot-loaded week diverged from analyzed week")
 	}
 
 	// Poison the snapshot's digest binding: the store must detect the
 	// stale snapshot and re-analyze.
-	stale := &snapshot.Snapshot{Result: snap1.Result, Counts: snap1.Counts, SourceDigest: "deadbeef"}
+	stale := &snapshot.Snapshot{Result: snap1.Result(), Counts: snap1.Counts, SourceDigest: "deadbeef"}
 	if _, err := snapshot.SaveFileFS(vfs.Default, filepath.Join(dir, snapshot.FileName(first)), stale); err != nil {
 		t.Fatal(err)
 	}
@@ -721,7 +722,7 @@ func TestStoreDoesNotPersistDamagedAnalysis(t *testing.T) {
 	if err != nil {
 		t.Fatalf("damaged capture must degrade, not fail: %v", err)
 	}
-	if snap.Result.EstLoss <= 0 {
+	if snap.Header().EstLoss <= 0 {
 		t.Fatal("quarantined block did not surface as estimated loss")
 	}
 	if snap.SourceDigest == store.Manifest().Digests[0] {
@@ -791,12 +792,12 @@ func TestProductEndpointsServedFromSnapshot(t *testing.T) {
 	ts := httptest.NewServer(s)
 	defer ts.Close()
 
-	wantVis, err := VisibilityView(store.Env(), snap, 7)
+	wantVis, err := VisibilityView(store.Env(), snap.Opened(), 7)
 	if err != nil {
 		t.Fatal(err)
 	}
 	wantVisBody, _ := json.Marshal(wantVis)
-	wantLinks, err := TopLinks(snap, 7)
+	wantLinks, err := TopLinks(snap.Opened(), 7)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -118,9 +118,11 @@ func (st *Store) weekIndex(isoWeek int) (int, bool) {
 	return 0, false
 }
 
-// Load returns the analyzed week, from snapshot when possible. The
-// returned snapshot is shared and must be treated as immutable.
-func (st *Store) Load(ctx context.Context, isoWeek int) (*snapshot.Snapshot, error) {
+// Load returns the analyzed week, opened from its snapshot when
+// possible: verified in full, its server list indexed, its result built
+// only if an endpoint asks for it. The returned week is shared and must
+// be treated as immutable.
+func (st *Store) Load(ctx context.Context, isoWeek int) (*snapshot.Opened, error) {
 	i, ok := st.weekIndex(isoWeek)
 	if !ok {
 		return nil, fmt.Errorf("%w: %d", ErrUnknownWeek, isoWeek)
@@ -139,11 +141,11 @@ func (st *Store) Load(ctx context.Context, isoWeek int) (*snapshot.Snapshot, err
 	// links never 404s just because the snapshot predates them.
 	fsys := st.env.VFS()
 	spath := filepath.Join(st.dir, snapshot.FileName(isoWeek))
-	if snap, err := snapshot.LoadFileFS(fsys, spath); err == nil &&
-		snap.Result.Week == isoWeek && freshSnapshot(snap, digest) &&
-		st.completeSnapshot(snap) {
+	if wk, err := snapshot.OpenFileFS(fsys, spath); err == nil &&
+		wk.Header().Week == isoWeek && freshSnapshot(wk.SourceDigest, digest) &&
+		st.completeSnapshot(wk) {
 		st.m.SnapshotLoads.Inc()
-		return snap, nil
+		return wk, nil
 	}
 	start := time.Now()
 	snap, err := capture.AnalyzeWeekSnapshot(ctx, st.env, filepath.Join(st.dir, st.man.Files[i]), isoWeek)
@@ -159,7 +161,7 @@ func (st *Store) Load(ctx context.Context, isoWeek int) (*snapshot.Snapshot, err
 	// would load as a fresh snapshot from then on.
 	if digest != "" && snap.SourceDigest != digest {
 		st.m.DigestMismatch.Inc()
-		return snap, nil
+		return snap.Opened(), nil
 	}
 	if st.writeSnapshots {
 		if _, err := snapshot.SaveFileFS(fsys, spath, snap); err != nil {
@@ -168,24 +170,25 @@ func (st *Store) Load(ctx context.Context, isoWeek int) (*snapshot.Snapshot, err
 			st.m.SnapshotWrites.Inc()
 		}
 	}
-	return snap, nil
+	return snap.Opened(), nil
 }
 
-// completeSnapshot reports whether snap carries every product the
+// completeSnapshot reports whether wk carries every product the
 // store's analyzer registry serves.
-func (st *Store) completeSnapshot(snap *snapshot.Snapshot) bool {
+func (st *Store) completeSnapshot(wk *snapshot.Opened) bool {
 	for _, name := range st.env.Registry().Names() {
-		if !snap.HasProduct(name) {
+		if !wk.HasProduct(name) {
 			return false
 		}
 	}
 	return true
 }
 
-// freshSnapshot reports whether a loaded snapshot still corresponds to
-// the manifest's capture file. When either side lacks a digest (a v1
-// campaign without per-week digests, or a snapshot written outside a
-// campaign) the check cannot bind them and the snapshot is trusted.
-func freshSnapshot(snap *snapshot.Snapshot, manifestDigest string) bool {
-	return snap.SourceDigest == "" || manifestDigest == "" || snap.SourceDigest == manifestDigest
+// freshSnapshot reports whether a loaded snapshot's source digest still
+// corresponds to the manifest's capture file. When either side lacks a
+// digest (a v1 campaign without per-week digests, or a snapshot written
+// outside a campaign) the check cannot bind them and the snapshot is
+// trusted.
+func freshSnapshot(sourceDigest, manifestDigest string) bool {
+	return sourceDigest == "" || manifestDigest == "" || sourceDigest == manifestDigest
 }

@@ -5,19 +5,19 @@ import (
 	"sync"
 
 	"ixplens/internal/analysis"
-	"ixplens/internal/core/webserver"
 	"ixplens/internal/obs"
 	"ixplens/internal/snapshot"
 )
 
-// weekView is what the cache holds for one week: the immutable snapshot
-// plus the derived results its endpoints serve. Each result is a total
-// order (every ranking breaks ties on a unique key), built on the first
-// request that needs it and shared, read-only, by every later one — a
-// top-k answer is a prefix of it. The view is garbage with its cache
+// weekView is what the cache holds for one week: the immutable opened
+// week plus the derived results its endpoints serve. Each result is a
+// total order (every ranking breaks ties on a unique key), built on the
+// first request that needs it and shared, read-only, by every later one
+// — a top-k answer is a prefix of it. The server ranking is built only
+// as far as requests have read it. The view is garbage with its cache
 // entry, so -cache-weeks bounds derived state too.
 type weekView struct {
-	snap *snapshot.Snapshot
+	snap *snapshot.Opened
 	// gen is the cache's load generation: every successful load gets the
 	// next number (from 1), so equal gens mean the same load of the same
 	// week. The /churn memo keys on it instead of on the snapshot
@@ -25,7 +25,7 @@ type weekView struct {
 	gen uint64
 
 	summary memo[[]byte] // the rendered /week/{n} body
-	servers memo[[]*webserver.Server]
+	servers prefix[ServerEntry]
 	ases    memo[[]ASEntry]
 	vis     memo[VisibilitySummary] // ByIPs and ByBytes rank every country
 	links   memo[[]analysis.MemberLink]
@@ -48,6 +48,35 @@ func (m *memo[T]) get(builds *obs.Counter, build func() (T, error)) (T, error) {
 		m.val, m.err = build()
 	})
 	return m.val, m.err
+}
+
+// prefix is a ranking built only as far as requests have read it: the
+// first rows of a total order, extended when a request asks past them.
+// The zero value is ready.
+type prefix[T any] struct {
+	mu    sync.Mutex
+	rows  []T
+	built bool
+	// all marks rows as the whole ranking: a larger k finds no more.
+	all bool
+}
+
+// get returns the first k rows. When the prefix is shorter and not the
+// whole ranking, extend builds the first k rows from the ones built so
+// far; the first build counts in builds. Rows handed out are never
+// written again: extend returns a new slice.
+func (p *prefix[T]) get(builds *obs.Counter, k int, extend func(have []T, k int) []T) []T {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if len(p.rows) < k && !p.all {
+		if !p.built {
+			builds.Inc()
+			p.built = true
+		}
+		p.rows = extend(p.rows, k)
+		p.all = len(p.rows) < k
+	}
+	return topK(p.rows, k)
 }
 
 // topK is the first k entries of a ranking. Rankings are shared between

@@ -19,16 +19,16 @@ import (
 
 // minedCampaign writes a campaign with a snapshot for every week and
 // returns its directory, the environment the snapshots were analyzed
-// in, and the snapshots themselves — loads of their own, shared with no
+// in, and the weeks themselves — loads of their own, shared with no
 // server, for the exported pure renderers to work from.
-func minedCampaign(tb testing.TB, weeks, samples int) (string, *pipeline.Env, map[int]*snapshot.Snapshot) {
+func minedCampaign(tb testing.TB, weeks, samples int) (string, *pipeline.Env, map[int]*snapshot.Opened) {
 	tb.Helper()
 	dir := campaign(tb, weeks, samples)
 	store, err := OpenStore(dir, true)
 	if err != nil {
 		tb.Fatal(err)
 	}
-	snaps := make(map[int]*snapshot.Snapshot, weeks)
+	snaps := make(map[int]*snapshot.Opened, weeks)
 	for _, wk := range store.Weeks() {
 		snap, err := store.Load(context.Background(), wk)
 		if err != nil {
@@ -87,7 +87,7 @@ func wantJSON(tb testing.TB, v interface{}) []byte {
 
 // pureBodies renders every per-week endpoint of one snapshot at one k
 // through the exported pure renderers, keyed by request path.
-func pureBodies(tb testing.TB, env *pipeline.Env, snap *snapshot.Snapshot, k int) map[string][]byte {
+func pureBodies(tb testing.TB, env *pipeline.Env, snap *snapshot.Opened, k int) map[string][]byte {
 	tb.Helper()
 	vis, err := VisibilityView(env, snap, k)
 	if err != nil {
@@ -97,7 +97,7 @@ func pureBodies(tb testing.TB, env *pipeline.Env, snap *snapshot.Snapshot, k int
 	if err != nil {
 		tb.Fatal(err)
 	}
-	wk := snap.Result.Week
+	wk := snap.Header().Week
 	return map[string][]byte{
 		endpointPath("week", wk, k):       wantJSON(tb, Summarize(snap)),
 		endpointPath("servers", wk, k):    wantJSON(tb, TopServers(snap, k)),
@@ -107,9 +107,9 @@ func pureBodies(tb testing.TB, env *pipeline.Env, snap *snapshot.Snapshot, k int
 	}
 }
 
-func pureChurn(tb testing.TB, env *pipeline.Env, weeks []int, snaps map[int]*snapshot.Snapshot) []byte {
+func pureChurn(tb testing.TB, env *pipeline.Env, weeks []int, snaps map[int]*snapshot.Opened) []byte {
 	tb.Helper()
-	ordered := make([]*snapshot.Snapshot, len(weeks))
+	ordered := make([]*snapshot.Opened, len(weeks))
 	for i, wk := range weeks {
 		ordered[i] = snaps[wk] // nil for a gap week
 	}
@@ -230,7 +230,7 @@ func TestViewsBuiltOnceUnderConcurrency(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(v.servers.val, v.snap.Result.RankedServers()) {
+	if rows := v.servers.rows; !reflect.DeepEqual(rows, TopServers(v.snap, len(rows))) {
 		t.Error("shared server ranking was mutated")
 	}
 	if !reflect.DeepEqual(v.ases.val, rankASes(s.store.Env(), v.snap)) {
@@ -298,7 +298,7 @@ func TestChurnMemoEvictionAndGaps(t *testing.T) {
 	}
 
 	small, smallReg, bad := open(Config{CacheWeeks: 2})
-	gapped := make(map[int]*snapshot.Snapshot, len(snaps))
+	gapped := make(map[int]*snapshot.Opened, len(snaps))
 	for wk, snap := range snaps {
 		if wk != bad {
 			gapped[wk] = snap

@@ -106,8 +106,8 @@ type Section struct {
 	Payload []byte
 }
 
-// Snapshot bundles everything the serving layer needs for one analyzed
-// week.
+// Snapshot is one analyzed week with its identification result built:
+// what Decode, LoadFileFS and FromProducts return.
 //
 // A Snapshot is immutable to its callers and safe for concurrent use.
 // Decode verifies the whole container up front — every checksum, the
@@ -133,9 +133,32 @@ type Snapshot struct {
 	// preserved byte-for-byte.
 	Extra []Section
 
-	// vis and links are the §3 per-IP traffic product and the §5
-	// peering-flow product; nil when the analyzer did not run (or the
-	// snapshot predates it).
+	products
+}
+
+// Opened is one analyzed week verified exactly as Decode verifies it,
+// with its server list indexed but not built: what Open and OpenFileFS
+// return. Counts and summaries come from the index; Server decodes one
+// record; Result builds the full identification result once, on first
+// use, and from then on the opened week holds the result instead of its
+// webserver section's bytes. The result is reachable only through
+// Result, never as a field left nil.
+//
+// An Opened is immutable to its callers and safe for concurrent use.
+type Opened struct {
+	// Counts, SourceDigest and Extra are the Snapshot's fields.
+	Counts       dissect.Counts
+	SourceDigest string
+	Extra        []Section
+
+	products
+	ws *serverList
+}
+
+// products holds the optional analyzer products of a week — the §3
+// per-IP traffic product and the §5 peering-flow product — each nil
+// when the analyzer did not run (or the snapshot predates it).
+type products struct {
 	vis   *product[analysis.VisibilityProduct]
 	links *product[analysis.LinksProduct]
 }
@@ -208,14 +231,156 @@ func (p *product[T]) section(name string, encode func(*T, []byte) ([]byte, error
 // Visibility returns the §3 per-IP traffic product, decoding it on first
 // use: (nil, nil) when the snapshot carries none, and an error wrapping
 // ErrFormat or ErrSectionVersion when its section does not decode.
-func (s *Snapshot) Visibility() (*analysis.VisibilityProduct, error) {
-	return s.vis.get(analysis.NameVisibility)
+func (p *products) Visibility() (*analysis.VisibilityProduct, error) {
+	return p.vis.get(analysis.NameVisibility)
 }
 
 // Links returns the §5 peering-flow product, decoding it on first use,
 // with Visibility's contract.
-func (s *Snapshot) Links() (*analysis.LinksProduct, error) {
-	return s.links.get(analysis.NameLinks)
+func (p *products) Links() (*analysis.LinksProduct, error) {
+	return p.links.get(analysis.NameLinks)
+}
+
+// has reports whether the named product other than the webserver
+// result is present, among the typed products or in extra.
+func (p *products) has(name string, extra []Section) bool {
+	switch name {
+	case analysis.NameVisibility:
+		return p.vis != nil
+	case analysis.NameLinks:
+		return p.links != nil
+	}
+	for i := range extra {
+		if extra[i].Name == name {
+			return true
+		}
+	}
+	return false
+}
+
+// sections appends the products' container sections to secs.
+func (p *products) sections(secs []Section) ([]Section, error) {
+	if p.vis != nil {
+		sec, err := p.vis.section(analysis.NameVisibility, (*analysis.VisibilityProduct).AppendEncode)
+		if err != nil {
+			return secs, err
+		}
+		secs = append(secs, sec)
+	}
+	if p.links != nil {
+		sec, err := p.links.section(analysis.NameLinks, (*analysis.LinksProduct).AppendEncode)
+		if err != nil {
+			return secs, err
+		}
+		secs = append(secs, sec)
+	}
+	return secs, nil
+}
+
+// serverList is an opened week's webserver section: its header and
+// server index, and the full result built from them on first use.
+// Either it starts from a verified payload (Open), holding the index
+// from the start and building the result once; or from a built result
+// (Snapshot.Opened), indexing it once.
+type serverList struct {
+	hdr analysis.ResultHeader
+	// raw is the verified payload refs index, nil once the result is
+	// built (or when the list started from a result).
+	raw atomic.Pointer[[]byte]
+	// refs is nil until indexed only when the list started from a
+	// result; IndexResult's index is never nil.
+	refs      []analysis.ServerRef
+	indexOnce sync.Once
+	res       *webserver.Result
+	buildOnce sync.Once
+}
+
+// index returns the server refs in IP order, indexing a built result on
+// the first call.
+func (l *serverList) index() []analysis.ServerRef {
+	l.indexOnce.Do(func() {
+		if l.refs == nil {
+			l.refs = analysis.IndexOf(l.res)
+		}
+	})
+	return l.refs
+}
+
+// result returns the full result, building it from the payload on the
+// first call and dropping the payload after.
+func (l *serverList) result() *webserver.Result {
+	l.buildOnce.Do(func() {
+		if raw := l.raw.Load(); raw != nil {
+			l.res = analysis.BuildResult(l.hdr, l.refs, *raw)
+			l.raw.Store(nil)
+		}
+	})
+	return l.res
+}
+
+// server returns the record ref names: decoded from the payload while
+// the list holds one, or else the built result's.
+func (l *serverList) server(ref analysis.ServerRef) *webserver.Server {
+	if raw := l.raw.Load(); raw != nil {
+		return analysis.DecodeServer(*raw, ref)
+	}
+	return l.result().Servers[ref.IP]
+}
+
+// payload is the section payload: as verified while unbuilt, or else
+// the built result's encoding.
+func (l *serverList) payload() ([]byte, error) {
+	if raw := l.raw.Load(); raw != nil {
+		return *raw, nil
+	}
+	return analysis.AppendResult(nil, l.result())
+}
+
+// Opened presents s through the Opened accessors: its result is already
+// built, and its server list is indexed on first use. s.Result must be
+// set.
+func (s *Snapshot) Opened() *Opened {
+	ws := &serverList{hdr: analysis.HeaderOf(s.Result), res: s.Result}
+	return &Opened{Counts: s.Counts, SourceDigest: s.SourceDigest, Extra: s.Extra, products: s.products, ws: ws}
+}
+
+// Header returns the week's result header: its week, loss annotation,
+// HTTPS funnel, observed IPs and server traffic.
+func (o *Opened) Header() analysis.ResultHeader { return o.ws.hdr }
+
+// Servers returns the week's server index, one ref per server in IP
+// order. The slice is shared and must not be modified.
+func (o *Opened) Servers() []analysis.ServerRef { return o.ws.index() }
+
+// Server returns the server record ref names, ref being one of Servers.
+// The record is shared and must not be modified.
+func (o *Opened) Server(ref analysis.ServerRef) *webserver.Server { return o.ws.server(ref) }
+
+// Result returns the full identification result, built on the first
+// call (concurrent first callers share the one build). The result is
+// shared and must not be modified.
+func (o *Opened) Result() *webserver.Result { return o.ws.result() }
+
+// Snapshot materializes the opened week: its result built, its products
+// shared with o.
+func (o *Opened) Snapshot() *Snapshot {
+	return &Snapshot{Result: o.Result(), Counts: o.Counts, SourceDigest: o.SourceDigest, Extra: o.Extra, products: o.products}
+}
+
+// HasProduct reports whether the week carries the named analyzer's
+// product. It answers from the section table and decodes nothing.
+func (o *Opened) HasProduct(name string) bool {
+	return name == analysis.NameWebserver || o.products.has(name, o.Extra)
+}
+
+// AppendEncode appends the week's (IXPSNAP2) container to dst. An
+// unbuilt server list is written back as the bytes it was verified as.
+func (o *Opened) AppendEncode(dst []byte) ([]byte, error) {
+	ws, err := o.ws.payload()
+	if err != nil {
+		return dst, err
+	}
+	return appendContainer(dst, o.SourceDigest, &o.Counts, ws, &o.products, o.Extra)
 }
 
 // FileName returns the conventional snapshot file name for a week.
@@ -256,20 +421,10 @@ func FromProducts(p *analysis.Products, counts dissect.Counts) (*Snapshot, error
 // to re-analyze legacy (v1, or narrower-registry) snapshots. It answers
 // from the section table and decodes nothing.
 func (s *Snapshot) HasProduct(name string) bool {
-	switch name {
-	case analysis.NameWebserver:
+	if name == analysis.NameWebserver {
 		return s.Result != nil
-	case analysis.NameVisibility:
-		return s.vis != nil
-	case analysis.NameLinks:
-		return s.links != nil
 	}
-	for i := range s.Extra {
-		if s.Extra[i].Name == name {
-			return true
-		}
-	}
-	return false
+	return s.products.has(name, s.Extra)
 }
 
 // appendCounts appends the cascade tallies (8 cascade ints + 3 byte
@@ -302,31 +457,27 @@ func AppendEncode(dst []byte, snap *Snapshot) ([]byte, error) {
 	if snap == nil || snap.Result == nil {
 		return dst, errors.New("snapshot: nil result")
 	}
-	secs := make([]Section, 0, 5+len(snap.Extra))
-	secs = append(secs,
-		Section{Name: secMeta, Version: 1, Payload: analysis.AppendString(nil, snap.SourceDigest)},
-		Section{Name: secCounts, Version: 1, Payload: appendCounts(nil, &snap.Counts)},
-	)
-	wsPayload, err := analysis.AppendResult(nil, snap.Result)
+	ws, err := analysis.AppendResult(nil, snap.Result)
 	if err != nil {
 		return dst, err
 	}
-	secs = append(secs, Section{Name: analysis.NameWebserver, Version: 1, Payload: wsPayload})
-	if snap.vis != nil {
-		sec, err := snap.vis.section(analysis.NameVisibility, (*analysis.VisibilityProduct).AppendEncode)
-		if err != nil {
-			return dst, err
-		}
-		secs = append(secs, sec)
+	return appendContainer(dst, snap.SourceDigest, &snap.Counts, ws, &snap.products, snap.Extra)
+}
+
+// appendContainer appends the IXPSNAP2 container of one week's sections:
+// meta, counts, the webserver payload ws, the typed products and extra.
+func appendContainer(dst []byte, digest string, counts *dissect.Counts, ws []byte, p *products, extra []Section) ([]byte, error) {
+	secs := make([]Section, 0, 5+len(extra))
+	secs = append(secs,
+		Section{Name: secMeta, Version: 1, Payload: analysis.AppendString(nil, digest)},
+		Section{Name: secCounts, Version: 1, Payload: appendCounts(nil, counts)},
+		Section{Name: analysis.NameWebserver, Version: 1, Payload: ws},
+	)
+	secs, err := p.sections(secs)
+	if err != nil {
+		return dst, err
 	}
-	if snap.links != nil {
-		sec, err := snap.links.section(analysis.NameLinks, (*analysis.LinksProduct).AppendEncode)
-		if err != nil {
-			return dst, err
-		}
-		secs = append(secs, sec)
-	}
-	secs = append(secs, snap.Extra...)
+	secs = append(secs, extra...)
 
 	sort.Slice(secs, func(i, j int) bool { return secs[i].Name < secs[j].Name })
 	for i := range secs {
@@ -360,10 +511,32 @@ func AppendEncode(dst []byte, snap *Snapshot) ([]byte, error) {
 	return dst, nil
 }
 
-// Decode parses a full container from buf, sniffing the version.
+// Decode parses a full container from buf, sniffing the version, and
+// builds its result: Open, then Opened.Snapshot. The snapshot keeps no
+// reference to buf.
 func Decode(buf []byte) (*Snapshot, error) {
+	o, err := open(buf, false)
+	if err != nil {
+		return nil, err
+	}
+	return o.Snapshot(), nil
+}
+
+// Open verifies a full container from buf exactly as Decode does —
+// every checksum, the framing, the section order, the required
+// sections, every known section's version and the server list's
+// encoding — and indexes the server list without building it. The
+// opened week keeps no reference to buf.
+func Open(buf []byte) (*Opened, error) {
+	return open(buf, true)
+}
+
+// open is the one verification path behind Open and Decode. keepServers
+// copies the webserver payload for an unbuilt server list to outlive
+// buf; Decode builds the list before returning and needs no copy.
+func open(buf []byte, keepServers bool) (*Opened, error) {
 	if len(buf) >= 8 && [8]byte(buf[:8]) == magicV2 {
-		return decodeV2(buf)
+		return openV2(buf, keepServers)
 	}
 	if len(buf) < headerLenV1 || [8]byte(buf[:8]) != magicV1 {
 		return nil, ErrBadMagic
@@ -378,7 +551,11 @@ func Decode(buf []byte) (*Snapshot, error) {
 	if crc32.Checksum(payload, castagnoli) != crc {
 		return nil, ErrChecksum
 	}
-	return decodePayloadV1(payload)
+	snap, err := decodePayloadV1(payload)
+	if err != nil {
+		return nil, err
+	}
+	return snap.Opened(), nil
 }
 
 func decodePayloadV1(payload []byte) (*Snapshot, error) {
@@ -399,7 +576,7 @@ func decodePayloadV1(payload []byte) (*Snapshot, error) {
 	return snap, nil
 }
 
-func decodeV2(buf []byte) (*Snapshot, error) {
+func openV2(buf []byte, keepServers bool) (*Opened, error) {
 	cur := analysis.NewCursor(buf[8:])
 	n := int(cur.U32())
 	tableLen := int(cur.U32())
@@ -455,7 +632,7 @@ func decodeV2(buf []byte) (*Snapshot, error) {
 			ErrFormat, total, cur.Len())
 	}
 
-	snap := &Snapshot{}
+	o := &Opened{}
 	var sawMeta, sawCounts bool
 	for i := range entries {
 		e := &entries[i]
@@ -469,7 +646,7 @@ func decodeV2(buf []byte) (*Snapshot, error) {
 				return nil, sectionVersionErr(e.name, e.version)
 			}
 			sc := analysis.NewCursor(payload)
-			snap.SourceDigest = sc.Str()
+			o.SourceDigest = sc.Str()
 			if sc.Bad() || sc.Len() != 0 {
 				return nil, fmt.Errorf("%w: malformed meta section", ErrFormat)
 			}
@@ -479,39 +656,41 @@ func decodeV2(buf []byte) (*Snapshot, error) {
 				return nil, sectionVersionErr(e.name, e.version)
 			}
 			sc := analysis.NewCursor(payload)
-			readCounts(sc, &snap.Counts)
+			readCounts(sc, &o.Counts)
 			if sc.Bad() || sc.Len() != 0 {
 				return nil, fmt.Errorf("%w: malformed counts section", ErrFormat)
 			}
 			sawCounts = true
 		case analysis.NameWebserver:
-			res, err := analysis.DecodeResult(e.version, payload)
+			hdr, refs, err := analysis.IndexResult(e.version, payload)
 			if err != nil {
 				return nil, mapAnalysisErr(e.name, e.version, err)
 			}
-			snap.Result = res
+			if keepServers {
+				payload = bytes.Clone(payload)
+			}
+			o.ws = &serverList{hdr: hdr, refs: refs}
+			o.ws.raw.Store(&payload)
 		case analysis.NameVisibility:
 			if e.version != analysis.Visibility().Version() {
 				return nil, sectionVersionErr(e.name, e.version)
 			}
-			snap.vis = pending(e.version, payload, analysis.DecodeVisibility)
+			o.vis = pending(e.version, payload, analysis.DecodeVisibility)
 		case analysis.NameLinks:
 			if e.version != analysis.Links().Version() {
 				return nil, sectionVersionErr(e.name, e.version)
 			}
-			snap.links = pending(e.version, payload, analysis.DecodeLinks)
+			o.links = pending(e.version, payload, analysis.DecodeLinks)
 		default:
 			// An analyzer this build does not know: preserve the section
 			// so a rewrite does not lose it.
-			cp := make([]byte, len(payload))
-			copy(cp, payload)
-			snap.Extra = append(snap.Extra, Section{Name: e.name, Version: e.version, Payload: cp})
+			o.Extra = append(o.Extra, Section{Name: e.name, Version: e.version, Payload: bytes.Clone(payload)})
 		}
 	}
-	if !sawMeta || !sawCounts || snap.Result == nil {
+	if !sawMeta || !sawCounts || o.ws == nil {
 		return nil, fmt.Errorf("%w: missing required section (meta/counts/webserver)", ErrFormat)
 	}
-	return snap, nil
+	return o, nil
 }
 
 func sectionVersionErr(name string, version uint16) error {
@@ -554,7 +733,7 @@ func Read(r io.Reader) (*Snapshot, error) {
 		if err != nil {
 			return nil, fmt.Errorf("%w: %v", ErrFormat, err)
 		}
-		return decodeV2(append(hdr[:], rest...))
+		return Decode(append(hdr[:], rest...))
 	case magicV1:
 		var lenCrc [8]byte
 		if _, err := io.ReadFull(r, lenCrc[:]); err != nil {
@@ -596,11 +775,32 @@ func SaveFileFS(fsys vfs.FS, path string, snap *Snapshot) (string, error) {
 	return hex.EncodeToString(sum[:]), nil
 }
 
+// readBufs recycles the buffers snapshot files are read into. Open and
+// Decode copy everything a week keeps — strings into one builder,
+// product and webserver payloads and Extra sections cloned — so a
+// buffer goes back to the pool as soon as its file is verified.
+var readBufs = sync.Pool{New: func() any { return new([]byte) }}
+
+// readPooled reads the file at path through fsys into a pooled buffer
+// and hands it to decode, which must not keep it.
+func readPooled[T any](fsys vfs.FS, path string, decode func([]byte) (T, error)) (T, error) {
+	bp := readBufs.Get().(*[]byte)
+	defer readBufs.Put(bp)
+	buf, err := vfs.ReadFileInto(fsys, path, *bp)
+	if err != nil {
+		var zero T
+		return zero, err
+	}
+	*bp = buf
+	return decode(buf)
+}
+
 // LoadFileFS reads and decodes the snapshot at path through fsys.
 func LoadFileFS(fsys vfs.FS, path string) (*Snapshot, error) {
-	buf, err := vfs.ReadFile(fsys, path)
-	if err != nil {
-		return nil, err
-	}
-	return Decode(buf)
+	return readPooled(fsys, path, Decode)
+}
+
+// OpenFileFS reads and opens the snapshot at path through fsys.
+func OpenFileFS(fsys vfs.FS, path string) (*Opened, error) {
+	return readPooled(fsys, path, Open)
 }

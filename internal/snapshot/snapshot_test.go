@@ -484,14 +484,36 @@ func FuzzSnapshotDecode(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(replaceSection(f, full, analysis.NameLinks, []byte{0, 0, 0, 9}))
+	// Server lists that verify but do not index: an out-of-order IP, an
+	// unknown flag, a truncated record.
+	ws, err := analysis.AppendResult(nil, synthetic().Result)
+	if err != nil {
+		f.Fatal(err)
+	}
+	_, refs, err := analysis.IndexResult(1, ws)
+	if err != nil || len(refs) < 2 {
+		f.Fatalf("synthetic result does not index: %v", err)
+	}
+	outOfOrder := bytes.Clone(ws)
+	copy(outOfOrder[refs[1].Off:], ws[refs[0].Off:refs[0].Off+4])
+	unknownFlag := bytes.Clone(ws)
+	unknownFlag[refs[0].Off+4] |= 0x80
+	for _, bad := range [][]byte{outOfOrder, unknownFlag, ws[:refs[1].Off+20]} {
+		f.Add(replaceSection(f, full, analysis.NameWebserver, bad))
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		snap, err := Decode(data)
+		opened, oerr := Open(data)
+		if (err == nil) != (oerr == nil) {
+			t.Fatalf("Decode error %v, Open error %v", err, oerr)
+		}
 		if err != nil {
 			if !isAny(err, ErrBadMagic, ErrChecksum, ErrFormat, ErrSectionVersion) {
 				t.Fatalf("untyped error: %v", err)
 			}
 			return
 		}
+		checkOpenedMatches(t, opened, snap)
 		// Decode verified the container; each product decodes on first
 		// use to a typed error or a product.
 		vis, visErr := snap.Visibility()
@@ -521,6 +543,65 @@ func FuzzSnapshotDecode(f *testing.F) {
 			t.Fatalf("round trip diverged:\n got %+v\nwant %+v", have, want)
 		}
 	})
+}
+
+// checkOpenedMatches holds an opened week to the decoded snapshot of the
+// same bytes: the same header, counts and top-k rows from the index, the
+// same container bytes before and after its result is built, and that
+// result equal to the decoded one.
+func checkOpenedMatches(t *testing.T, o *Opened, snap *Snapshot) {
+	t.Helper()
+	res := snap.Result
+	h, want := o.Header(), analysis.HeaderOf(res)
+	if h.Week != want.Week || h.EstLoss != want.EstLoss || h.Candidates443 != want.Candidates443 ||
+		h.Responded443 != want.Responded443 || h.Valid443 != want.Valid443 ||
+		h.TotalIPs != want.TotalIPs || h.ServerBytes != want.ServerBytes {
+		t.Fatalf("opened header %+v, decoded %+v", h, want)
+	}
+	if o.Counts != snap.Counts || o.SourceDigest != snap.SourceDigest || !reflect.DeepEqual(o.Extra, snap.Extra) {
+		t.Fatal("opened counts, digest or extra sections diverged from decode")
+	}
+	https := 0
+	for _, srv := range res.Servers {
+		if srv.HTTPS {
+			https++
+		}
+	}
+	counts := analysis.ServerCounts{Servers: len(res.Servers), HTTPS: https, MultiPurpose: res.MultiPurpose(), DualRole: res.DualRole()}
+	if got := analysis.CountServers(o.Servers()); got != counts {
+		t.Fatalf("opened summary %+v, decoded %+v", got, counts)
+	}
+	topRows := func() [][]*webserver.Server {
+		var out [][]*webserver.Server
+		for _, k := range []int{1, 3, len(res.Servers)} {
+			var rows []*webserver.Server
+			for _, ref := range analysis.TopRefs(o.Servers(), k) {
+				rows = append(rows, o.Server(ref))
+			}
+			out = append(out, rows)
+		}
+		return out
+	}
+	var wantRows [][]*webserver.Server
+	for _, k := range []int{1, 3, len(res.Servers)} {
+		wantRows = append(wantRows, res.TopServers(k))
+	}
+	encoded, err := AppendEncode(nil, snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, stage := range []string{"unbuilt", "built"} {
+		if got := topRows(); !reflect.DeepEqual(got, wantRows) {
+			t.Fatalf("%s opened top-k rows diverged from the decoded result's", stage)
+		}
+		got, err := o.AppendEncode(nil)
+		if err != nil || !bytes.Equal(got, encoded) {
+			t.Fatalf("%s opened week re-encodes differently from the decoded one (err %v)", stage, err)
+		}
+		if !reflect.DeepEqual(o.Result(), res) {
+			t.Fatal("opened week built a different result")
+		}
+	}
 }
 
 // isAny reports whether err matches any of targets.
@@ -733,4 +814,110 @@ func TestGoldenAllWeeks(t *testing.T) {
 			t.Fatalf("week %d: snapshot encoding is not deterministic", wk)
 		}
 	}
+}
+
+// TestDecodeKeepsNoInput is the pooled read's safety contract: Decode
+// and Open copy everything they keep, so the buffer a file was read into
+// can be overwritten the moment they return. Both forms, with every
+// product forced and the result built afterwards, still equal a fresh
+// decode, and re-encode to the original bytes.
+func TestDecodeKeepsNoInput(t *testing.T) {
+	orig, err := AppendEncode(nil, synthetic())
+	if err != nil {
+		t.Fatal(err)
+	}
+	buf := bytes.Clone(orig)
+	snap, err := Decode(buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opened, err := Open(buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range buf {
+		buf[i] = 0xa5
+	}
+	if got, err := opened.AppendEncode(nil); err != nil || !bytes.Equal(got, orig) {
+		t.Fatalf("unbuilt opened week re-encodes differently after its input was overwritten (err %v)", err)
+	}
+	var rows []*webserver.Server
+	for _, ref := range opened.Servers() {
+		rows = append(rows, opened.Server(ref))
+	}
+	fresh, err := Decode(bytes.Clone(orig))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := forced(t, fresh)
+	if got := forced(t, snap); !reflect.DeepEqual(got, want) {
+		t.Fatalf("decoded snapshot changed with its input:\n got %+v\nwant %+v", got, want)
+	}
+	if got := forced(t, opened.Snapshot()); !reflect.DeepEqual(got, want) {
+		t.Fatalf("opened week changed with its input:\n got %+v\nwant %+v", got, want)
+	}
+	for _, srv := range rows {
+		if !reflect.DeepEqual(srv, fresh.Result.Servers[srv.IP]) {
+			t.Fatalf("record %v decoded from the opened week changed with its input", srv.IP)
+		}
+	}
+	for name, encode := range map[string]func() ([]byte, error){
+		"decoded": func() ([]byte, error) { return AppendEncode(nil, snap) },
+		"opened":  func() ([]byte, error) { return opened.AppendEncode(nil) },
+	} {
+		if got, err := encode(); err != nil || !bytes.Equal(got, orig) {
+			t.Fatalf("%s snapshot no longer re-encodes to its input (err %v)", name, err)
+		}
+	}
+}
+
+// TestLoadFileConcurrent: goroutines loading different weeks share the
+// pool's read buffers, and each still gets exactly its own file back.
+func TestLoadFileConcurrent(t *testing.T) {
+	dir := t.TempDir()
+	const weeks = 8
+	files := make([][]byte, weeks)
+	paths := make([]string, weeks)
+	for i := range files {
+		snap := synthetic()
+		snap.Result.Week = 40 + i
+		for j := 0; j < 40*i; j++ {
+			ip := packet.MakeIPv4(192, 168, byte(j>>8), byte(j))
+			snap.Result.Servers[ip] = &webserver.Server{IP: ip, HTTP: true, Bytes: uint64(j * (i + 1)), Hosts: []string{"h.example"}}
+		}
+		buf, err := AppendEncode(nil, snap)
+		if err != nil {
+			t.Fatal(err)
+		}
+		files[i], paths[i] = buf, filepath.Join(dir, FileName(40+i))
+		if err := os.WriteFile(paths[i], buf, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var wg sync.WaitGroup
+	for i := 0; i < weeks; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			for round := 0; round < 20; round++ {
+				snap, err := LoadFileFS(vfs.Default, paths[i])
+				if err != nil {
+					t.Errorf("week %d: %v", i, err)
+					return
+				}
+				opened, err := OpenFileFS(vfs.Default, paths[i])
+				if err != nil {
+					t.Errorf("week %d: %v", i, err)
+					return
+				}
+				a, errA := AppendEncode(nil, snap)
+				b, errB := opened.AppendEncode(nil)
+				if errA != nil || errB != nil || !bytes.Equal(a, files[i]) || !bytes.Equal(b, files[i]) {
+					t.Errorf("week %d, round %d: a load re-encodes to other bytes than its file", i, round)
+					return
+				}
+			}
+		}(i)
+	}
+	wg.Wait()
 }

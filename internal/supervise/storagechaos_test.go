@@ -70,6 +70,9 @@ func TestStorageChaosConvergence(t *testing.T) {
 	want := snapshotDigests(t, clean, cleanDir)
 	for _, seed := range chaosSeeds() {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
+			// Each seed has its own environment, fault FS and directory;
+			// only the clean run's digests are shared, read-only.
+			t.Parallel()
 			storageChaosRun(t, seed, want)
 		})
 	}

@@ -137,11 +137,19 @@ func (OS) SyncDir(dir string) error {
 }
 
 // ReadFile reads the named file whole, like os.ReadFile but through the
-// seam. As os.ReadFile does, it sizes one buffer from File.Stat (plus
-// the byte the EOF read needs) and grows it only if the file turns out
-// longer than Stat reported, so a snapshot or manifest read is one
-// allocation instead of io.ReadAll's doubling from 512 bytes.
+// seam: ReadFileInto with no buffer to reuse.
 func ReadFile(fsys FS, name string) ([]byte, error) {
+	return ReadFileInto(fsys, name, nil)
+}
+
+// ReadFileInto reads the named file whole into buf's backing array and
+// returns the file's bytes. As os.ReadFile does, it sizes the read from
+// File.Stat (plus the byte the EOF read needs); when buf is too small
+// for that it reads into one new buffer instead, and either grows only
+// if the file turns out longer than Stat reported — so a snapshot or
+// manifest read is at most one allocation instead of io.ReadAll's
+// doubling from 512 bytes. buf may be nil.
+func ReadFileInto(fsys FS, name string, buf []byte) ([]byte, error) {
 	f, err := fsys.Open(name)
 	if err != nil {
 		return nil, err
@@ -152,7 +160,10 @@ func ReadFile(fsys FS, name string) ([]byte, error) {
 			size = int(n)
 		}
 	}
-	raw, rerr := readAll(f, max(size+1, 512))
+	if size = max(size+1, 512); cap(buf) < size {
+		buf = make([]byte, 0, size)
+	}
+	raw, rerr := readAll(f, buf[:0])
 	if cerr := f.Close(); rerr == nil {
 		rerr = cerr
 	}
@@ -162,9 +173,8 @@ func ReadFile(fsys FS, name string) ([]byte, error) {
 	return raw, nil
 }
 
-// readAll is io.ReadAll starting from a buffer of capacity size.
-func readAll(r io.Reader, size int) ([]byte, error) {
-	b := make([]byte, 0, size)
+// readAll is io.ReadAll appending to b.
+func readAll(r io.Reader, b []byte) ([]byte, error) {
 	for {
 		n, err := r.Read(b[len(b):cap(b)])
 		b = b[:len(b)+n]
