@@ -214,19 +214,29 @@ func (r *Run) Observe(worker int, rec *dissect.Record, seq uint64) {
 }
 
 // Finish merges every analyzer's shards deterministically and returns
-// the product set in registry order. The states finish concurrently,
+// the product set in registry order, together with the attributes of
+// every IP the products mention. The states finish concurrently,
 // one goroutine each, and all have returned before Finish does; when
 // several fail, the error is the first failing analyzer's in registry
 // order.
 func (r *Run) Finish(isoWeek int) (*Products, error) {
 	items := make([]NamedProduct, len(r.states))
 	errs := make([]error, len(r.states))
+	// visAttrs resolves the visibility product's IPs as soon as it is
+	// merged — by the IDs its state kept, overlapping the other states'
+	// Finish. Every server is an endpoint of a peering record, so they
+	// normally cover the servers too; the check below falls back when
+	// they do not.
+	var visAttrs *AttributesProduct
 	var wg sync.WaitGroup
 	for i, st := range r.states {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			items[i].P, errs[i] = st.Finish(isoWeek)
+			if vs, ok := st.(*visibilityState); ok && errs[i] == nil {
+				visAttrs = attributesByID(r.entities, items[i].P.(*VisibilityProduct), vs.ids)
+			}
 		}()
 	}
 	wg.Wait()
@@ -236,7 +246,11 @@ func (r *Run) Finish(isoWeek int) (*Products, error) {
 		}
 		items[i].Name, items[i].Version = a.Name(), a.Version()
 	}
-	return &Products{items: items}, nil
+	prods := &Products{items: items, attrs: visAttrs}
+	if !prods.attrs.coversServers(prods.Webserver()) {
+		prods.attrs = AttributesOf(r.entities, mentionedIPs(prods))
+	}
+	return prods, nil
 }
 
 // NamedProduct pairs a finished product with its registry identity, so
@@ -247,10 +261,16 @@ type NamedProduct struct {
 	P       Product
 }
 
-// Products is one run's finished product set, name-sorted.
+// Products is one run's finished product set, name-sorted, with the
+// attributes of every IP the products mention.
 type Products struct {
 	items []NamedProduct
+	attrs *AttributesProduct
 }
+
+// Attributes returns the attributes of every IP the products mention,
+// resolved at Finish through the run's entity table.
+func (p *Products) Attributes() *AttributesProduct { return p.attrs }
 
 // All returns the products in name order.
 func (p *Products) All() []NamedProduct { return p.items }

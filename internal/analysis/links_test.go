@@ -293,6 +293,13 @@ func fuzzSeeds(f *testing.F, name string) [][]byte {
 				{FlowKey: FlowKey{Src: packet.MakeIPv4(10, 0, 0, 2), Dst: packet.MakeIPv4(10, 0, 0, 1), In: 7, Out: -1}, Bytes: 1 << 20, Samples: 9},
 			}},
 		}
+	case NameAttributes:
+		tab := attrSubstrates(f)
+		return [][]byte{
+			encode(f, AttributesOf(tab, nil)),
+			encode(f, AttributesOf(tab, attrIPs)),
+			encode(f, AttributesOf(tab, attrIPs[1:4])),
+		}
 	case NameVisibility:
 		prods = []Product{
 			&VisibilityProduct{},

@@ -30,6 +30,9 @@ func CountServers(refs []ServerRef) ServerCounts {
 	return c
 }
 
+// HTTPS reports whether the server's record carries the HTTPS flag.
+func (r ServerRef) HTTPS() bool { return r.Flags&flagHTTPS != 0 }
+
 // compareRank orders refs as webserver.Result.RankedServers orders
 // servers: bytes descending, IP ascending. IPs are unique, so the order
 // has no ties.

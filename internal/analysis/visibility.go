@@ -40,6 +40,9 @@ func (visibilityAnalyzer) Decode(version uint16, payload []byte) (Product, error
 
 type visibilityState struct {
 	shards []*visibility.Aggregator
+	// ids holds, after Finish, the entity ID of each product IP, in the
+	// product's order, so the run reads their attributes by ID.
+	ids []entity.ID
 }
 
 func (s *visibilityState) Observe(worker int, rec *dissect.Record, src, dst entity.ID, _ uint64) {
@@ -51,7 +54,9 @@ func (s *visibilityState) Finish(int) (Product, error) {
 	for _, sh := range s.shards[1:] {
 		merged.Merge(sh)
 	}
-	return &VisibilityProduct{PerIP: merged.PerIP()}, nil
+	per, ids := merged.PerIPIDs()
+	s.ids = ids
+	return &VisibilityProduct{PerIP: per}, nil
 }
 
 // VisibilityProduct is the persisted per-IP traffic accumulation,
@@ -105,6 +110,15 @@ func (p *VisibilityProduct) Aggregator(table *entity.Table) *visibility.Aggregat
 		a.Add(p.PerIP[i].IP, p.PerIP[i].Bytes)
 	}
 	return a
+}
+
+// ips lists the product's IPs, ascending.
+func (p *VisibilityProduct) ips() []packet.IPv4Addr {
+	out := make([]packet.IPv4Addr, len(p.PerIP))
+	for i := range p.PerIP {
+		out[i] = p.PerIP[i].IP
+	}
+	return out
 }
 
 // ObservedIPs is the number of distinct endpoint IPs in the product.

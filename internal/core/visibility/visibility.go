@@ -6,7 +6,6 @@
 package visibility
 
 import (
-	"cmp"
 	"slices"
 	"sort"
 
@@ -98,12 +97,27 @@ type IPTraffic struct {
 // PerIP extracts the raw accumulation, sorted by IP — the persistable,
 // partition-independent form of everything this aggregator knows.
 func (a *Aggregator) PerIP() []IPTraffic {
-	out := make([]IPTraffic, 0, len(a.order))
-	for _, id := range a.order {
-		out = append(out, IPTraffic{IP: a.table.IP(id), Bytes: a.bytes[id]})
-	}
-	slices.SortFunc(out, func(a, b IPTraffic) int { return cmp.Compare(a.IP, b.IP) })
+	out, _ := a.PerIPIDs()
 	return out
+}
+
+// PerIPIDs is PerIP with each entry's entity ID alongside, for callers
+// that go on to read the table's memo by ID.
+func (a *Aggregator) PerIPIDs() ([]IPTraffic, []entity.ID) {
+	// An IP and its ID are one-to-one, so ordering (IP, ID) pairs packed
+	// into one word orders the IPs.
+	keys := make([]uint64, len(a.order))
+	for i, id := range a.order {
+		keys[i] = uint64(a.table.IP(id))<<32 | uint64(id)
+	}
+	slices.Sort(keys)
+	out := make([]IPTraffic, len(keys))
+	ids := make([]entity.ID, len(keys))
+	for i, k := range keys {
+		ids[i] = entity.ID(uint32(k))
+		out[i] = IPTraffic{IP: packet.IPv4Addr(k >> 32), Bytes: a.bytes[ids[i]]}
+	}
+	return out, ids
 }
 
 func (a *Aggregator) creditID(id entity.ID, bytes uint64) {

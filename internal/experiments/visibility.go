@@ -2,7 +2,9 @@ package experiments
 
 import (
 	"fmt"
+	"strings"
 
+	"ixplens/internal/certsim"
 	"ixplens/internal/core/visibility"
 	"ixplens/internal/oracle"
 	"ixplens/internal/routing"
@@ -63,10 +65,15 @@ func (r *Runner) ServerIdentification() (Report, error) {
 		res.MultiPurpose(), len(res.Servers))
 	rep.addf("dual-role (also client)", "200K of 1.5M", "%d of %d",
 		res.DualRole(), len(res.Servers))
-	sc := oracle.Servers(r.Env.World, wk.Truth.Sampled, res)
+	sc := oracle.ServersByEvidence(r.Env.World, wk.Truth, res, r.Env.Crawler)
 	rep.addf("precision vs ground truth", "-", "%d of %d (%s)", sc.TruePositives, sc.Identified, pct(sc.Precision))
 	rep.addf("recall of sampled servers", "-", "%d of %d (%s)", sc.Found, sc.Sampled, pct(sc.Recall))
 	rep.addf("world servers missed: never sampled / sampled", "-", "%d / %d", sc.MissedUnsampled, sc.MissedSampled)
+	rep.addf("sampled misses: no evidence / with evidence", "-", "%d / %d", sc.MissedOpaque, sc.MissedEvidence)
+	rep.addf("misses with evidence: classifier / crawl-rejected", "-", "%d / %d%s",
+		sc.ClassifierMissed, sc.MissedEvidence-sc.ClassifierMissed, rejectReasons(sc.CrawlRejected[:]))
+	rep.addf("recall of servers with HTTP in a snippet", "-", "%d of %d (%s)", sc.HTTPFound, sc.HTTPEvidence, pct(sc.HTTPRecall))
+	rep.addf("recall of crawl-validatable 443-only servers", "-", "%d of %d (%s)", sc.Found443, sc.Validatable443, pct(sc.HTTPSRecall))
 	return rep, nil
 }
 
@@ -252,4 +259,19 @@ func (r *Runner) Table3LocalGlobal() (Report, error) {
 	rep.add("server ASes", "2.2% / 61.5% / 36.3%", fmtRow(srv.ASes))
 	rep.add("server traffic", "82.6% / 17.35% / 0.05%", fmtRow(srv.Traffic))
 	return rep, nil
+}
+
+// rejectReasons renders the non-zero crawl rejection counts, indexed by
+// certsim.RejectReason, as " (reason n, ...)"; empty when there are none.
+func rejectReasons(counts []int) string {
+	var parts []string
+	for r, n := range counts {
+		if n > 0 {
+			parts = append(parts, fmt.Sprintf("%s %d", certsim.RejectReason(r), n))
+		}
+	}
+	if len(parts) == 0 {
+		return ""
+	}
+	return " (" + strings.Join(parts, ", ") + ")"
 }

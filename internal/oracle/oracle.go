@@ -9,9 +9,11 @@ package oracle
 import (
 	"slices"
 
+	"ixplens/internal/certsim"
 	"ixplens/internal/core/webserver"
 	"ixplens/internal/netmodel"
 	"ixplens/internal/packet"
+	"ixplens/internal/traffic"
 )
 
 // ServerScore scores one week's server identification. Sets are keyed
@@ -34,6 +36,30 @@ type ServerScore struct {
 	// name them; MissedSampled were sampled but not identified, the
 	// analysis' own misses. MissedSampled == Sampled - Found.
 	MissedUnsampled, MissedSampled int
+
+	// The rest is filled by ServersByEvidence alone.
+	//
+	// MissedSampled split by the strongest evidence the server's samples
+	// carried: MissedOpaque had none (no analysis of the snippets could
+	// name them), MissedEvidence had an HTTP line or field, or a port-443
+	// exchange. MissedOpaque + MissedEvidence == MissedSampled.
+	MissedOpaque, MissedEvidence int
+	// MissedEvidence split by where the analysis dropped them:
+	// CrawlRejected counts port-443-only servers by the crawl check that
+	// rejected them (indexed by certsim.RejectReason; RejectNone stays
+	// 0), ClassifierMissed the rest — HTTP evidence the classifier did not
+	// turn into a server, or a candidate that validated and still went
+	// missing.
+	CrawlRejected    [certsim.NumRejectReasons]int
+	ClassifierMissed int
+	// HTTPEvidence is the number of sampled servers with HTTP evidence,
+	// HTTPFound how many of them the result names; Validatable443 the
+	// number of port-443-only sampled servers the crawl validates,
+	// Found443 how many of them the result names. The recalls are their
+	// ratios (0 for an empty set).
+	HTTPEvidence, HTTPFound  int
+	Validatable443, Found443 int
+	HTTPRecall, HTTPSRecall  float64
 }
 
 // Servers scores res against world, given the indices (into
@@ -98,6 +124,54 @@ func SplitMisses(world *netmodel.World, sampled []int32, ips []packet.IPv4Addr) 
 		}
 	}
 	return ms
+}
+
+// ServersByEvidence is Servers over truth.Sampled, with the sampled
+// misses split by the evidence truth.Evidence records for each server
+// and the port-443-only ones further by crawl, the crawler the analysis
+// validated candidates with (its checks rerun here for the server's IP
+// and the week).
+func ServersByEvidence(world *netmodel.World, truth traffic.WeekStats, res *webserver.Result, crawl *certsim.Crawler) ServerScore {
+	sc := Servers(world, truth.Sampled, res)
+	for i, si := range truth.Sampled {
+		ip := world.Servers[si].IP
+		_, found := res.Servers[ip]
+		switch truth.Evidence[i] {
+		case traffic.EvidenceOpaque:
+			if !found {
+				sc.MissedOpaque++
+			}
+			continue
+		case traffic.EvidenceHTTP:
+			sc.HTTPEvidence++
+			if found {
+				sc.HTTPFound++
+			} else {
+				sc.MissedEvidence++
+				sc.ClassifierMissed++
+			}
+			continue
+		}
+		_, reason := certsim.ValidateDetail(crawl.Crawl(ip, truth.Week), crawl.Roots(), truth.Week)
+		if reason == certsim.RejectNone {
+			sc.Validatable443++
+			if found {
+				sc.Found443++
+			}
+		}
+		if found {
+			continue
+		}
+		sc.MissedEvidence++
+		if reason == certsim.RejectNone {
+			sc.ClassifierMissed++
+		} else {
+			sc.CrawlRejected[reason]++
+		}
+	}
+	sc.HTTPRecall = ratio(sc.HTTPFound, sc.HTTPEvidence)
+	sc.HTTPSRecall = ratio(sc.Found443, sc.Validatable443)
+	return sc
 }
 
 func ratio(a, b int) float64 {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"testing"
 
+	"ixplens/internal/certsim"
 	"ixplens/internal/core/cluster"
 	"ixplens/internal/core/webserver"
 	"ixplens/internal/netmodel"
@@ -150,5 +151,97 @@ func TestSplitMisses(t *testing.T) {
 	got := SplitMisses(world, []int32{0, 2}, []packet.IPv4Addr{ip(1), ip(2), ip(3), ip(99)})
 	if want := (MissSplit{NeverSampled: 1, SampledMissed: 2}); got != want {
 		t.Fatalf("split %+v, want %+v", got, want)
+	}
+}
+
+// Floors of the evidence-split recalls on the Tiny world's week 45 with
+// the default traffic options, chosen on seeds 7 (HTTP 1164 of 1164,
+// 443 53 of 53) and 11 (1085 of 1085, 51 of 51) and checked on seeds 23
+// (1165 of 1165, 40 of 40) and 31 (1214 of 1214, 40 of 40): on all four
+// every sampled miss had no evidence. A floor may only be raised.
+const (
+	httpRecallFloor  = 1.0
+	httpsRecallFloor = 1.0
+)
+
+// TestEvidenceRecall scores week 45 against the evidence its samples
+// carried: every sampled server's miss is accounted to exactly one
+// cause, and the servers whose snippets show HTTP, or whose port-443
+// exchange the crawl validates, are found.
+func TestEvidenceRecall(t *testing.T) {
+	for _, seed := range []int64{7, 11, 23, 31} {
+		cfg := netmodel.Tiny()
+		cfg.Seed = seed
+		env, err := pipeline.NewEnv(cfg, traffic.DefaultOptions())
+		if err != nil {
+			t.Fatal(err)
+		}
+		wk, err := env.AnalyzeWeek(context.Background(), 45)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sc := ServersByEvidence(env.World, wk.Truth, wk.Servers, env.Crawler)
+		t.Logf("seed %d: %d sampled, %d missed: %d opaque, %d with evidence (%d classifier, crawl %v); HTTP %d/%d = %.4f, 443 %d/%d = %.4f",
+			seed, sc.Sampled, sc.MissedSampled, sc.MissedOpaque, sc.MissedEvidence, sc.ClassifierMissed, sc.CrawlRejected,
+			sc.HTTPFound, sc.HTTPEvidence, sc.HTTPRecall, sc.Found443, sc.Validatable443, sc.HTTPSRecall)
+		if sc.HTTPRecall < httpRecallFloor || sc.HTTPEvidence == 0 {
+			t.Errorf("seed %d: HTTP recall %.4f of %d below the %.2f floor", seed, sc.HTTPRecall, sc.HTTPEvidence, httpRecallFloor)
+		}
+		if sc.HTTPSRecall < httpsRecallFloor || sc.Validatable443 == 0 {
+			t.Errorf("seed %d: recall of crawl-validatable HTTPS candidates %.4f of %d below the %.2f floor",
+				seed, sc.HTTPSRecall, sc.Validatable443, httpsRecallFloor)
+		}
+		rejected := 0
+		for _, n := range sc.CrawlRejected {
+			rejected += n
+		}
+		if sc.MissedOpaque+sc.MissedEvidence != sc.MissedSampled || sc.ClassifierMissed+rejected != sc.MissedEvidence ||
+			sc.CrawlRejected[certsim.RejectNone] != 0 {
+			t.Errorf("seed %d: misses not accounted once each: %+v", seed, sc)
+		}
+	}
+}
+
+// TestServersByEvidenceSplits pins the split on a hand-built week of
+// five sampled servers: an opaque one (missed); an HTTP one (found); and
+// three port-443-only ones — a validating HTTPS server (found), another
+// (missed by the classifier), and an HTTP-only server whose 443 is
+// closed (missed: the crawl gets no response).
+func TestServersByEvidenceSplits(t *testing.T) {
+	env, err := pipeline.NewEnv(netmodel.Tiny(), traffic.DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := env.World
+	var https, plain []int32
+	for i := range w.Servers {
+		if !w.ServerActiveInWeek(int32(i), 45) {
+			continue
+		}
+		if w.Servers[i].Is(netmodel.SrvHTTPS) {
+			https = append(https, int32(i))
+		} else {
+			plain = append(plain, int32(i))
+		}
+	}
+	if len(https) < 3 || len(plain) < 2 {
+		t.Fatal("world too small")
+	}
+	truth := traffic.WeekStats{
+		Week:     45,
+		Sampled:  []int32{plain[0], https[2], https[0], https[1], plain[1]},
+		Evidence: []traffic.Evidence{traffic.EvidenceOpaque, traffic.EvidenceHTTP, traffic.Evidence443, traffic.Evidence443, traffic.Evidence443},
+	}
+	res := &webserver.Result{Servers: map[packet.IPv4Addr]*webserver.Server{}}
+	for _, si := range []int32{https[2], https[0]} {
+		res.Servers[w.Servers[si].IP] = &webserver.Server{IP: w.Servers[si].IP}
+	}
+	sc := ServersByEvidence(w, truth, res, env.Crawler)
+	if sc.MissedSampled != 3 || sc.MissedOpaque != 1 || sc.MissedEvidence != 2 || sc.ClassifierMissed != 1 ||
+		sc.CrawlRejected[certsim.RejectNoResponse] != 1 {
+		t.Fatalf("split %+v: want 3 missed = 1 opaque + 2 with evidence (1 classifier, 1 no-response)", sc)
+	}
+	if sc.HTTPEvidence != 1 || sc.HTTPFound != 1 || sc.Validatable443 != 2 || sc.Found443 != 1 || sc.HTTPSRecall != 0.5 {
+		t.Fatalf("recalls %+v: want HTTP 1 of 1, 443 1 of 2", sc)
 	}
 }

@@ -13,7 +13,7 @@ type loadFunc func(ctx context.Context, isoWeek int) (*snapshot.Opened, error)
 
 // Cache is the serving layer's bounded in-memory week cache with
 // single-flight deduplication: concurrent requests for the same
-// un-analyzed week trigger exactly one load, every waiter shares its
+// unopened week trigger exactly one load, every waiter shares its
 // outcome, and the least recently used week is evicted once capacity
 // is reached.
 //
@@ -24,9 +24,9 @@ type loadFunc func(ctx context.Context, isoWeek int) (*snapshot.Opened, error)
 // Loads run on a private goroutine whose context descends from the
 // cache's base context, not from any single request: a request that
 // gives up (client disconnect, per-request timeout) detaches without
-// killing the analysis other waiters are sharing. Only when the LAST
-// waiter detaches is the load cancelled, so an abandoned analysis
-// stops promptly and leaves no goroutine behind. Closing the cache
+// killing the load other waiters are sharing. Only when the LAST
+// waiter detaches is the load cancelled, so an abandoned load stops
+// promptly and leaves no goroutine behind. Closing the cache
 // cancels every in-flight load.
 type Cache struct {
 	mu      sync.Mutex
@@ -100,6 +100,13 @@ func (c *Cache) Get(ctx context.Context, isoWeek int) (*weekView, error) {
 		return view, nil
 	}
 	c.m.CacheMisses.Inc()
+	if err := ctx.Err(); err != nil {
+		// Abandoned before it asked: start nothing. (A snapshot opens in
+		// about a millisecond, so a load started here could finish before
+		// the wait below, which would then pick either outcome.)
+		c.mu.Unlock()
+		return nil, err
+	}
 	f, ok := c.flights[isoWeek]
 	if ok {
 		c.m.FlightJoins.Inc()
@@ -128,9 +135,9 @@ func (c *Cache) Get(ctx context.Context, isoWeek int) (*weekView, error) {
 	}
 }
 
-// run performs one load and publishes its outcome. A failed load (an
-// analysis error, or cancellation after every waiter left) is not
-// cached; the next request retries.
+// run performs one load and publishes its outcome. A failed load (a
+// snapshot that does not open, or cancellation after every waiter
+// left) is not cached; the next request retries.
 func (c *Cache) run(ctx context.Context, isoWeek int, f *flight) {
 	defer c.loads.Done()
 	defer f.cancel()
@@ -160,6 +167,19 @@ func (c *Cache) insertLocked(isoWeek int, view *weekView) {
 		tail := c.order.Back()
 		c.order.Remove(tail)
 		delete(c.entries, tail.Value.(*cacheEntry).week)
+		c.m.Evictions.Inc()
+	}
+}
+
+// Drop evicts view's week if view is still what the cache holds for
+// it, so the next request opens the week again. A caller that found its
+// week broken on disk drops it; a newer load of the week stays.
+func (c *Cache) Drop(isoWeek int, view *weekView) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if el, ok := c.entries[isoWeek]; ok && el.Value.(*cacheEntry).view == view {
+		c.order.Remove(el)
+		delete(c.entries, isoWeek)
 		c.m.Evictions.Inc()
 	}
 }

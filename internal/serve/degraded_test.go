@@ -168,80 +168,40 @@ func TestOpenStoreReadsSuperviseJournal(t *testing.T) {
 	}
 }
 
-// TestRetryAfterFromAnalysisHistogram: the shed response's Retry-After
-// follows the p90 of observed analysis durations — 1s floor before any
-// analysis, the rounded-up p90 after, capped at 60s.
-func TestRetryAfterFromAnalysisHistogram(t *testing.T) {
+// TestShedRetryAfterIsConstant: a shed response tells the client to
+// come back in one second, whatever the server has loaded — slots free
+// up as fast as snapshot loads finish.
+func TestShedRetryAfterIsConstant(t *testing.T) {
 	dir := campaign(t, 2, 1500)
-	store, err := OpenStore(dir, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	reg := obs.NewRegistry()
-	s := New(store, Config{MaxInFlight: 1}, reg)
-	defer s.Close()
-	ts := httptest.NewServer(s)
-	defer ts.Close()
-
-	shedHeader := func() string {
+	s, _ := openServer(t, dir, Config{MaxInFlight: 1})
+	shed := func() string {
 		t.Helper()
 		s.sem <- struct{}{}
 		defer func() { <-s.sem }()
-		resp, err := http.Get(ts.URL + "/weeks")
-		if err != nil {
-			t.Fatal(err)
+		rec := httptest.NewRecorder()
+		s.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/weeks", nil))
+		if rec.Code != http.StatusServiceUnavailable {
+			t.Fatalf("saturated server answered %d", rec.Code)
 		}
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusServiceUnavailable {
-			t.Fatalf("saturated server answered %d", resp.StatusCode)
+		return rec.Header().Get("Retry-After")
+	}
+	if got := shed(); got != "1" {
+		t.Fatalf("Retry-After on a cold server = %q, want 1", got)
+	}
+	for _, wk := range s.store.Weeks() {
+		if code, body := serveGet(s, endpointPath("week", wk, 0)); code != 200 {
+			t.Fatalf("week %d: HTTP %d %s", wk, code, body)
 		}
-		return resp.Header.Get("Retry-After")
 	}
-
-	if got := shedHeader(); got != "1" {
-		t.Fatalf("Retry-After before any analysis = %q, want 1", got)
-	}
-
-	// One real cold load must feed the histogram.
-	if _, err := store.Load(context.Background(), store.Weeks()[0]); err != nil {
-		t.Fatal(err)
-	}
-	if n := s.m.AnalyzeNanos.Count(); n != 1 {
-		t.Fatalf("analysis not observed: count %d", n)
-	}
-
-	// A 3s analysis lands in the (2^31, 2^32] ns bucket, whose upper
-	// bound rounds up to 5s.
-	s.m.AnalyzeNanos.Observe(3_000_000_000)
-	if got := s.retryAfterSeconds(); got < 1 || got > 60 {
-		t.Fatalf("retryAfterSeconds out of range: %d", got)
-	}
-	reg2 := obs.NewRegistry()
-	h := reg2.Histogram("serve_analyze_ns")
-	s2 := &Server{m: &Metrics{AnalyzeNanos: h}}
-	if got := s2.retryAfterSeconds(); got != 1 {
-		t.Fatalf("empty histogram: %d, want 1", got)
-	}
-	h.Observe(3_000_000_000)
-	if got := s2.retryAfterSeconds(); got != 5 {
-		t.Fatalf("3s analysis: Retry-After %d, want 5 (bucket upper bound rounded up)", got)
-	}
-	// A pathological 200s outlier dominates p90 but is capped.
-	h.Observe(200_000_000_000)
-	if got := s2.retryAfterSeconds(); got != 60 {
-		t.Fatalf("outlier: Retry-After %d, want 60 (capped)", got)
-	}
-
-	if got := shedHeader(); got == "" {
-		t.Fatal("shed response lost its Retry-After header")
+	if got := shed(); got != "1" {
+		t.Fatalf("Retry-After after loads = %q, want 1", got)
 	}
 }
 
 // TestUndecodableProductSection: a week whose links section verifies
 // but does not decode still serves its summary and server ranking
 // byte-identically to the clean store, while /links answers a typed 422
-// on the first request and on every later one — never a 200, and never
-// a re-analysis.
+// on the first request and on every later one — never a 200.
 func TestUndecodableProductSection(t *testing.T) {
 	dir, _, snaps := minedCampaign(t, 2, 1500)
 	clean, _ := openServer(t, dir, Config{})
@@ -273,9 +233,18 @@ func TestUndecodableProductSection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	attrs, err := snap.Attributes()
+	if err != nil {
+		t.Fatal(err)
+	}
+	attrsPayload, err := attrs.AppendEncode(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	forged := &snapshot.Snapshot{
 		Result: snap.Result(), Counts: snap.Counts, SourceDigest: snap.SourceDigest,
 		Extra: []snapshot.Section{
+			{Name: analysis.NameAttributes, Version: analysis.AttributesVersion, Payload: attrsPayload},
 			{Name: analysis.NameLinks, Version: 1, Payload: []byte{0, 0, 0, 9, 1, 2, 3}},
 			{Name: analysis.NameVisibility, Version: 1, Payload: visPayload},
 		},
@@ -299,7 +268,7 @@ func TestUndecodableProductSection(t *testing.T) {
 			t.Fatalf("round %d: intact week's /links answered %d %s", round, code, body)
 		}
 	}
-	if n := s.m.Analyses.Value(); n != 0 {
-		t.Fatalf("%d re-analyses: a verified snapshot must be served, not re-analyzed", n)
+	if n := s.m.SnapshotLoads.Value(); n != 6 {
+		t.Fatalf("%d snapshot loads, want 6: each round opens both weeks once", n)
 	}
 }

@@ -5,13 +5,13 @@ import "ixplens/internal/obs"
 // Metrics is the serving layer's observability bundle: the request
 // funnel (latency, in-flight level, load shedding), the week cache
 // (hits, misses, evictions, single-flight joins) and the snapshot
-// store (snapshot loads vs full analyses, snapshot write outcomes).
+// store (snapshot loads).
 // NewMetrics always returns a usable bundle — with a nil registry the
 // fields are nil metrics, whose methods are no-ops — so the serving
 // code never branches on instrumentation.
 type Metrics struct {
 	// ReqNanos is the wall-time distribution of one served request,
-	// including any analysis it triggered; InFlight is the number of
+	// including any snapshot load it triggered; InFlight is the number of
 	// requests currently inside the handler.
 	ReqNanos *obs.Histogram
 	InFlight *obs.Gauge
@@ -24,7 +24,7 @@ type Metrics struct {
 	Shed *obs.Counter
 	// CacheHits/CacheMisses count week-cache lookups; Evictions counts
 	// weeks dropped by the bounded cache; FlightJoins counts requests
-	// that attached to an analysis another request already started.
+	// that attached to a load another request already started.
 	CacheHits   *obs.Counter
 	CacheMisses *obs.Counter
 	Evictions   *obs.Counter
@@ -36,23 +36,9 @@ type Metrics struct {
 	// ChurnBuilds at 1, whatever the request count.
 	ViewBuilds  *obs.Counter
 	ChurnBuilds *obs.Counter
-	// SnapshotLoads counts weeks served from an on-disk snapshot;
-	// Analyses counts full capture→dissect→identify runs. Their sum is
+	// SnapshotLoads counts weeks opened from their on-disk snapshot:
 	// the cache-miss work the store actually performed.
 	SnapshotLoads *obs.Counter
-	Analyses      *obs.Counter
-	// AnalyzeNanos is the wall-time distribution of the full analyses
-	// only (snapshot loads excluded). Its p90 drives the Retry-After
-	// hint on shed responses: when the server is saturated, the honest
-	// back-off is "about one analysis from now".
-	AnalyzeNanos *obs.Histogram
-	// SnapshotWrites/SnapshotWriteErrors count snapshot persistence
-	// outcomes when the store writes snapshots after analysis.
-	SnapshotWrites      *obs.Counter
-	SnapshotWriteErrors *obs.Counter
-	// DigestMismatch counts analyses whose capture bytes did not have
-	// the manifest's digest: served, but never persisted as a snapshot.
-	DigestMismatch *obs.Counter
 }
 
 // endpoints names the query endpoints that get their own
@@ -67,21 +53,16 @@ func NewMetrics(r *obs.Registry) *Metrics {
 		byEndpoint[name] = r.Histogram("serve_request_ns{endpoint=" + name + "}")
 	}
 	return &Metrics{
-		ReqNanos:            r.Histogram("serve_request_ns"),
-		InFlight:            r.Gauge("serve_inflight"),
-		EndpointNanos:       byEndpoint,
-		Shed:                r.Counter("serve_shed_total"),
-		CacheHits:           r.Counter("serve_cache_hits_total"),
-		CacheMisses:         r.Counter("serve_cache_misses_total"),
-		Evictions:           r.Counter("serve_cache_evictions_total"),
-		FlightJoins:         r.Counter("serve_flight_joins_total"),
-		ViewBuilds:          r.Counter("serve_view_builds_total"),
-		ChurnBuilds:         r.Counter("serve_churn_builds_total"),
-		SnapshotLoads:       r.Counter("serve_snapshot_loads_total"),
-		Analyses:            r.Counter("serve_analyses_total"),
-		AnalyzeNanos:        r.Histogram("serve_analyze_ns"),
-		SnapshotWrites:      r.Counter("serve_snapshot_writes_total"),
-		SnapshotWriteErrors: r.Counter("serve_snapshot_write_errors_total"),
-		DigestMismatch:      r.Counter("serve_capture_digest_mismatch_total"),
+		ReqNanos:      r.Histogram("serve_request_ns"),
+		InFlight:      r.Gauge("serve_inflight"),
+		EndpointNanos: byEndpoint,
+		Shed:          r.Counter("serve_shed_total"),
+		CacheHits:     r.Counter("serve_cache_hits_total"),
+		CacheMisses:   r.Counter("serve_cache_misses_total"),
+		Evictions:     r.Counter("serve_cache_evictions_total"),
+		FlightJoins:   r.Counter("serve_flight_joins_total"),
+		ViewBuilds:    r.Counter("serve_view_builds_total"),
+		ChurnBuilds:   r.Counter("serve_churn_builds_total"),
+		SnapshotLoads: r.Counter("serve_snapshot_loads_total"),
 	}
 }

@@ -3,13 +3,16 @@
 // its downstream consumers (longitudinal IXP series, vantage-point
 // aggregates). It is stdlib-only, like the rest of the stack.
 //
-// A request for a week is answered from, in order: the bounded
-// in-memory cache, the on-disk snapshot store (milliseconds), or a full
-// lazy analysis of the capture file (single-flighted, so concurrent
-// requests for the same cold week trigger exactly one run). The handler
-// enforces a per-request timeout and a bounded in-flight limit that
-// sheds excess load with 503 instead of queueing unboundedly; every
-// stage is instrumented through internal/obs.
+// A request for a week is answered from the bounded in-memory cache, or
+// else from the week's on-disk snapshot (milliseconds; single-flighted,
+// so concurrent requests for the same cold week open it once). The
+// server never analyzes a capture and holds no world: each snapshot
+// carries the attributes (origin AS, prefix, country) of every IP it
+// mentions, and a week whose snapshot is missing, stale or from a build
+// that wrote no attributes answers 503 until ixpmine has mined it. The
+// handler enforces a per-request timeout and a bounded in-flight limit
+// that sheds excess load with 503 instead of queueing unboundedly;
+// every stage is instrumented through internal/obs.
 package serve
 
 import (
@@ -17,18 +20,19 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"math"
 	"net/http"
+	"slices"
 	"sort"
 	"strconv"
 	"time"
 
 	"ixplens/internal/analysis"
 	"ixplens/internal/core/churn"
-	"ixplens/internal/core/visibility"
 	"ixplens/internal/core/webserver"
+	"ixplens/internal/geo"
 	"ixplens/internal/obs"
-	"ixplens/internal/pipeline"
+	"ixplens/internal/packet"
+	"ixplens/internal/routing"
 	"ixplens/internal/snapshot"
 )
 
@@ -40,8 +44,8 @@ type Config struct {
 	// MaxInFlight bounds concurrently handled requests; excess load is
 	// shed with 503 (default 64).
 	MaxInFlight int
-	// Timeout bounds one request, including any analysis it triggers
-	// (default 120s; 0 keeps the default, negative disables).
+	// Timeout bounds one request, including any snapshot load it
+	// triggers (default 120s; 0 keeps the default, negative disables).
 	Timeout time.Duration
 	// TopK is the default k for the top-k endpoints (default 10).
 	TopK int
@@ -121,8 +125,8 @@ func (s *Server) route(pattern, endpoint string, h http.HandlerFunc) {
 	})
 }
 
-// Close cancels in-flight analyses and waits for them — the drain step
-// of a graceful shutdown, after the HTTP listener stops accepting.
+// Close cancels in-flight loads and waits for them — the drain step of
+// a graceful shutdown, after the HTTP listener stops accepting.
 func (s *Server) Close() { s.cache.Close() }
 
 // ServeHTTP dispatches with load shedding and the per-request timeout.
@@ -137,7 +141,8 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	case s.sem <- struct{}{}:
 	default:
 		s.m.Shed.Inc()
-		w.Header().Set("Retry-After", strconv.Itoa(s.retryAfterSeconds()))
+		// Slots free up as fast as snapshot loads finish: milliseconds.
+		w.Header().Set("Retry-After", "1")
 		http.Error(w, "server at capacity", http.StatusServiceUnavailable)
 		return
 	}
@@ -154,31 +159,9 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	s.mux.ServeHTTP(w, r)
 }
 
-// retryAfterSeconds derives the shed response's Retry-After hint from
-// the observed analysis-duration distribution: slots free up when
-// in-flight work finishes, and the slow work is full analyses, so the
-// honest hint is the p90 analysis time rounded up to whole seconds.
-// Before any analysis has been observed — or when every request is
-// served from snapshots — it stays at the 1s floor; a 60s cap keeps a
-// pathological outlier from telling clients to go away for minutes.
-func (s *Server) retryAfterSeconds() int {
-	h := s.m.AnalyzeNanos
-	if h.Count() == 0 {
-		return 1
-	}
-	secs := (h.Quantile(0.90) + uint64(time.Second) - 1) / uint64(time.Second)
-	if secs < 1 {
-		return 1
-	}
-	if secs > 60 {
-		return 60
-	}
-	return int(secs)
-}
-
-// ErrNoProduct marks a request for an analyzer product the serving
-// environment's registry does not produce (e.g. /week/{n}/links on a
-// server running a webserver-only registry). Test with errors.Is.
+// ErrNoProduct marks a request for an analyzer product the week's
+// snapshot does not carry (e.g. /week/{n}/links on a week mined under a
+// webserver-only registry). Test with errors.Is.
 var ErrNoProduct = errors.New("serve: analyzer product not available")
 
 // fail maps a load error onto an HTTP status.
@@ -189,24 +172,45 @@ func fail(w http.ResponseWriter, err error) {
 	case errors.Is(err, ErrNoProduct):
 		http.Error(w, err.Error(), http.StatusNotFound)
 	case errors.Is(err, context.DeadlineExceeded):
-		http.Error(w, "analysis timed out", http.StatusGatewayTimeout)
+		http.Error(w, "request timed out", http.StatusGatewayTimeout)
 	case errors.Is(err, context.Canceled):
 		http.Error(w, "request abandoned or server draining", http.StatusServiceUnavailable)
-	case errors.Is(err, pipeline.ErrLossExceeded):
-		http.Error(w, err.Error(), http.StatusUnprocessableEntity)
+	case errors.Is(err, ErrNotMined), errors.Is(err, snapshot.ErrReread):
+		// The server is fine and the week is known, but there is no
+		// snapshot (any more) to answer from: try again after ixpmine.
+		http.Error(w, err.Error(), http.StatusServiceUnavailable)
 	case errors.Is(err, ErrQuarantinedWeek):
 		// The week exists in the campaign calendar but its data never
 		// passed the pipeline: not a 404 (the week is known), not a 500
 		// (the server is fine) — the entity is simply unprocessable.
 		http.Error(w, err.Error(), http.StatusUnprocessableEntity)
-	case errors.Is(err, snapshot.ErrFormat), errors.Is(err, snapshot.ErrSectionVersion):
+	case errors.Is(err, snapshot.ErrFormat), errors.Is(err, snapshot.ErrSectionVersion),
+		errors.Is(err, snapshot.ErrChecksum):
 		// A product section that verified at load but does not decode on
-		// first use: the week is known and the server is fine, but this
-		// product of it cannot be served.
+		// first use, or whose bytes changed on disk since: the week is
+		// known and the server is fine, but this product of it cannot be
+		// served.
 		http.Error(w, err.Error(), http.StatusUnprocessableEntity)
 	default:
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 	}
+}
+
+// failView answers a failed view of a cached week. A product section
+// that could not be read back from disk, or changed there, means the
+// file under the cached week is not the one it opened: the week is
+// dropped from the cache, so the next request opens the file again.
+func (s *Server) failView(w http.ResponseWriter, v *weekView, err error) {
+	if diskChanged(err) {
+		s.cache.Drop(v.snap.Header().Week, v)
+	}
+	fail(w, err)
+}
+
+// diskChanged reports whether err is a product section's re-read
+// failure: the file is gone, shorter, or holds other bytes.
+func diskChanged(err error) bool {
+	return errors.Is(err, snapshot.ErrReread) || errors.Is(err, snapshot.ErrChecksum)
 }
 
 // writeJSON emits a deterministic JSON document: marshal then a single
@@ -472,39 +476,44 @@ type ASEntry struct {
 	Bytes   uint64 `json:"bytes"`
 }
 
-// TopASes aggregates a week's server traffic by origin AS (resolved
-// through the environment's entity table) and returns the k largest,
+// TopASes aggregates a week's server traffic by origin AS, as the
+// snapshot's attributes section recorded it, and returns the k largest,
 // bytes descending then ASN ascending. Unresolved IPs (ASN 0) are
 // excluded — a lookup failure is not an AS.
-func TopASes(env *pipeline.Env, wk *snapshot.Opened, k int) []ASEntry {
-	return topK(rankASes(env, wk), k)
+func TopASes(wk *snapshot.Opened, k int) ([]ASEntry, error) {
+	ranked, err := rankASes(wk)
+	return topK(ranked, k), err
 }
 
 // rankASes is TopASes' aggregation and total order over every AS. It
-// reads the server index alone: an IP and its bytes per server.
-func rankASes(env *pipeline.Env, wk *snapshot.Opened) []ASEntry {
-	tab := env.EntityTable()
+// reads the server index and the attributes: an IP and its bytes per
+// server, the origin AS per IP.
+func rankASes(wk *snapshot.Opened) ([]ASEntry, error) {
+	attrs, err := weekAttributes(wk)
+	if err != nil {
+		return nil, err
+	}
 	type agg struct {
 		servers int
 		bytes   uint64
 	}
 	byAS := make(map[uint32]*agg)
 	for _, srv := range wk.Servers() {
-		_, attrs := tab.ResolveAttrs(srv.IP)
-		if attrs.ASN == 0 {
+		a, _ := attrs.Find(srv.IP)
+		if a.ASN == 0 {
 			continue
 		}
-		a := byAS[attrs.ASN]
-		if a == nil {
-			a = &agg{}
-			byAS[attrs.ASN] = a
+		g := byAS[a.ASN]
+		if g == nil {
+			g = &agg{}
+			byAS[a.ASN] = g
 		}
-		a.servers++
-		a.bytes += srv.Bytes
+		g.servers++
+		g.bytes += srv.Bytes
 	}
 	out := make([]ASEntry, 0, len(byAS))
-	for asn, a := range byAS {
-		out = append(out, ASEntry{ASN: asn, Servers: a.servers, Bytes: a.bytes})
+	for asn, g := range byAS {
+		out = append(out, ASEntry{ASN: asn, Servers: g.servers, Bytes: g.bytes})
 	}
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].Bytes != out[j].Bytes {
@@ -512,7 +521,17 @@ func rankASes(env *pipeline.Env, wk *snapshot.Opened) []ASEntry {
 		}
 		return out[i].ASN < out[j].ASN
 	})
-	return out
+	return out, nil
+}
+
+// weekAttributes is the week's attributes section; a week without one was
+// not mined by this build.
+func weekAttributes(wk *snapshot.Opened) (*analysis.AttributesProduct, error) {
+	attrs, err := wk.Attributes()
+	if err == nil && attrs == nil {
+		err = fmt.Errorf("%w: week %d has no attributes", ErrNotMined, wk.Header().Week)
+	}
+	return attrs, err
 }
 
 func (s *Server) handleTopASes(w http.ResponseWriter, r *http.Request) {
@@ -520,9 +539,13 @@ func (s *Server) handleTopASes(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	ranked, _ := v.ases.get(s.m.ViewBuilds, func() ([]ASEntry, error) {
-		return rankASes(s.store.Env(), v.snap), nil
+	ranked, err := v.ases.get(s.m.ViewBuilds, func() ([]ASEntry, error) {
+		return rankASes(v.snap)
 	})
+	if err != nil {
+		s.failView(w, v, err)
+		return
+	}
 	writeJSON(w, topK(ranked, k))
 }
 
@@ -548,12 +571,12 @@ type VisibilitySummary struct {
 	ByBytes []CountryShare `json:"by_bytes"`
 }
 
-// VisibilityView renders a week's visibility product, resolving
-// countries through the environment's entity table. It is exported so
-// golden tests can compare a served response byte for byte against a
-// directly analyzed aggregator.
-func VisibilityView(env *pipeline.Env, wk *snapshot.Opened, k int) (VisibilitySummary, error) {
-	full, err := rankVisibility(env, wk)
+// VisibilityView renders a week's visibility product, its IPs resolved
+// through the snapshot's attributes section. It is exported so golden
+// tests can compare a served response byte for byte against a directly
+// analyzed aggregator.
+func VisibilityView(wk *snapshot.Opened, k int) (VisibilitySummary, error) {
+	full, err := rankVisibility(wk)
 	if err != nil {
 		return VisibilitySummary{}, err
 	}
@@ -566,10 +589,12 @@ func (v VisibilitySummary) top(k int) VisibilitySummary {
 	return v
 }
 
-// rankVisibility is VisibilityView over every country: the one pass
-// that rebuilds the aggregator, with ByIPs and ByBytes total orders
-// (count or bytes descending, then country code).
-func rankVisibility(env *pipeline.Env, wk *snapshot.Opened) (VisibilitySummary, error) {
+// rankVisibility is VisibilityView over every country: one pass over the
+// per-IP product beside the attributes (both in IP order), counting as
+// visibility.Aggregator.Summarize and TopCountries count — the AS,
+// prefix and country tallies over routed IPs only — with ByIPs and
+// ByBytes total orders (count or bytes descending, then country code).
+func rankVisibility(wk *snapshot.Opened) (VisibilitySummary, error) {
 	vp, err := wk.Visibility()
 	if err != nil {
 		return VisibilitySummary{}, err
@@ -577,26 +602,56 @@ func rankVisibility(env *pipeline.Env, wk *snapshot.Opened) (VisibilitySummary, 
 	if vp == nil {
 		return VisibilitySummary{}, fmt.Errorf("%w: visibility (week %d)", ErrNoProduct, wk.Header().Week)
 	}
-	agg := vp.Aggregator(env.EntityTable())
-	sum := agg.Summarize(nil)
-	byIPs, byBytes := agg.TopCountries(math.MaxInt, nil)
-	conv := func(shares []visibility.Share) []CountryShare {
-		out := make([]CountryShare, len(shares))
-		for i, sh := range shares {
-			out[i] = CountryShare{Country: sh.Key, IPs: sh.Count, Bytes: sh.Bytes}
-		}
-		return out
+	attrs, err := weekAttributes(wk)
+	if err != nil {
+		return VisibilitySummary{}, err
 	}
-	return VisibilitySummary{
-		Week:        wk.Header().Week,
-		ObservedIPs: sum.IPs,
-		ASes:        sum.ASes,
-		Prefixes:    sum.Prefixes,
-		Countries:   sum.Countries,
-		TotalBytes:  sum.Bytes,
-		ByIPs:       conv(byIPs),
-		ByBytes:     conv(byBytes),
-	}, nil
+	sum := VisibilitySummary{Week: wk.Header().Week, ObservedIPs: len(vp.PerIP)}
+	ases := make(map[uint32]bool)
+	prefixes := make(map[routing.Prefix]bool)
+	byCountry := make(map[string]*CountryShare)
+	j := 0
+	for _, e := range vp.PerIP {
+		sum.TotalBytes += e.Bytes
+		for j < attrs.Len() && attrs.IP(j) < e.IP {
+			j++
+		}
+		if j == attrs.Len() || attrs.IP(j) != e.IP {
+			continue
+		}
+		a := attrs.At(j)
+		if a.ASN == 0 {
+			continue // unrouted: no AS, prefix or country counted
+		}
+		ases[a.ASN] = true
+		prefixes[a.Prefix] = true
+		if a.Country == "" {
+			continue
+		}
+		cs := byCountry[a.Country]
+		if cs == nil {
+			cs = &CountryShare{Country: a.Country}
+			byCountry[a.Country] = cs
+		}
+		cs.IPs++
+		cs.Bytes += e.Bytes
+	}
+	sum.ASes, sum.Prefixes, sum.Countries = len(ases), len(prefixes), len(byCountry)
+	for _, cs := range byCountry {
+		sum.ByIPs = append(sum.ByIPs, *cs)
+	}
+	sum.ByBytes = slices.Clone(sum.ByIPs)
+	rank := func(rows []CountryShare, key func(*CountryShare) uint64) {
+		sort.Slice(rows, func(i, j int) bool {
+			if ki, kj := key(&rows[i]), key(&rows[j]); ki != kj {
+				return ki > kj
+			}
+			return rows[i].Country < rows[j].Country
+		})
+	}
+	rank(sum.ByIPs, func(c *CountryShare) uint64 { return uint64(c.IPs) })
+	rank(sum.ByBytes, func(c *CountryShare) uint64 { return c.Bytes })
+	return sum, nil
 }
 
 func (s *Server) handleVisibility(w http.ResponseWriter, r *http.Request) {
@@ -605,10 +660,10 @@ func (s *Server) handleVisibility(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	full, err := v.vis.get(s.m.ViewBuilds, func() (VisibilitySummary, error) {
-		return rankVisibility(s.store.Env(), v.snap)
+		return rankVisibility(v.snap)
 	})
 	if err != nil {
-		fail(w, err)
+		s.failView(w, v, err)
 		return
 	}
 	writeJSON(w, full.top(k))
@@ -665,7 +720,7 @@ func (s *Server) handleLinks(w http.ResponseWriter, r *http.Request) {
 		return lp.RankedMemberLinks(), nil
 	})
 	if err != nil {
-		fail(w, err)
+		s.failView(w, v, err)
 		return
 	}
 	writeJSON(w, renderLinks(topK(ranked, k)))
@@ -694,15 +749,16 @@ type ChurnWeek struct {
 }
 
 // ChurnSeries computes the longitudinal churn series from per-week
-// results, in chronological order (pool order: stable, recurrent, new).
-// weeks and snaps are parallel; a nil week marks a gap week (quarantined
-// or otherwise unobserved) that holds its place in the calendar without
-// advancing the pools. Each week's full result is built if it was not.
-func ChurnSeries(env *pipeline.Env, weeks []int, snaps []*snapshot.Opened) ([]ChurnWeek, error) {
+// snapshots, in chronological order (pool order: stable, recurrent,
+// new). weeks and snaps are parallel; a nil week marks a gap week
+// (quarantined or otherwise unobserved) that holds its place in the
+// calendar without advancing the pools. Each week is observed from its
+// server index and attributes section; no result is built.
+func ChurnSeries(weeks []int, snaps []*snapshot.Opened) ([]ChurnWeek, error) {
 	if len(weeks) != len(snaps) {
 		return nil, fmt.Errorf("serve: churn series: %d weeks, %d snapshots", len(weeks), len(snaps))
 	}
-	tracker := churn.NewTrackerWith(env.EntityTable())
+	tracker := churn.NewTracker()
 	for i, snap := range snaps {
 		if snap == nil {
 			if err := tracker.AddGap(weeks[i]); err != nil {
@@ -710,7 +766,11 @@ func ChurnSeries(env *pipeline.Env, weeks []int, snaps []*snapshot.Opened) ([]Ch
 			}
 			continue
 		}
-		if err := tracker.Add(env.Observation(snap.Result())); err != nil {
+		obs, err := observation(snap)
+		if err != nil {
+			return nil, err
+		}
+		if err := tracker.Add(obs); err != nil {
 			return nil, err
 		}
 	}
@@ -738,6 +798,35 @@ func ChurnSeries(env *pipeline.Env, weeks []int, snaps []*snapshot.Opened) ([]Ch
 	return out, nil
 }
 
+// observation is a week's churn observation: every server's bytes and
+// HTTPS flag from the index, its origin AS, prefix and region from the
+// attributes section. The serving member is left unknown (-1); the
+// series does not read it.
+func observation(wk *snapshot.Opened) (churn.WeekObservation, error) {
+	attrs, err := weekAttributes(wk)
+	if err != nil {
+		return churn.WeekObservation{}, err
+	}
+	hdr, refs := wk.Header(), wk.Servers()
+	obs := churn.WeekObservation{
+		Week:    hdr.Week,
+		Servers: make(map[packet.IPv4Addr]churn.ServerObs, len(refs)),
+		EstLoss: hdr.EstLoss,
+	}
+	for _, ref := range refs {
+		a, _ := attrs.Find(ref.IP)
+		obs.Servers[ref.IP] = churn.ServerObs{
+			Bytes:  ref.Bytes,
+			ASN:    a.ASN,
+			Prefix: a.Prefix,
+			Region: geo.Region(a.Country),
+			HTTPS:  ref.HTTPS(),
+			Member: -1,
+		}
+	}
+	return obs, nil
+}
+
 // handleChurn serves the longitudinal series. Quarantined weeks become
 // explicit gap rows rather than failing the whole series — a degraded
 // campaign still answers longitudinal questions over the weeks it has.
@@ -750,6 +839,7 @@ func (s *Server) handleChurn(w http.ResponseWriter, r *http.Request) {
 	weeks := s.store.Weeks()
 	gens := make([]uint64, len(weeks))
 	snaps := make([]*snapshot.Opened, len(weeks))
+	views := make([]*weekView, len(weeks))
 	for i, wk := range weeks {
 		if s.store.IsQuarantined(wk) {
 			continue // a gap: generation 0, nil snapshot
@@ -759,17 +849,27 @@ func (s *Server) handleChurn(w http.ResponseWriter, r *http.Request) {
 			fail(w, err)
 			return
 		}
-		gens[i], snaps[i] = v.gen, v.snap
+		gens[i], snaps[i], views[i] = v.gen, v.snap, v
 	}
 	body, err := s.churn.get(gens, func() ([]byte, error) {
 		s.m.ChurnBuilds.Inc()
-		series, err := ChurnSeries(s.store.Env(), weeks, snaps)
+		series, err := ChurnSeries(weeks, snaps)
 		if err != nil {
 			return nil, err
 		}
 		return renderJSON(series)
 	})
 	if err != nil {
+		if diskChanged(err) {
+			for i, snap := range snaps {
+				if snap == nil {
+					continue
+				}
+				if _, aerr := snap.Attributes(); diskChanged(aerr) {
+					s.cache.Drop(weeks[i], views[i])
+				}
+			}
+		}
 		fail(w, err)
 		return
 	}

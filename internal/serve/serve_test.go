@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -232,19 +233,11 @@ func waitGoroutines(t *testing.T, baseline int) {
 	t.Fatalf("goroutines did not return to baseline %d (now %d)", baseline, runtime.NumGoroutine())
 }
 
-// campaign writes a small campaign to a temp dir and returns its path.
+// campaign writes a small campaign to a temp dir, mines a snapshot of
+// every week into it, and returns its path.
 func campaign(t testing.TB, weeks, samples int) string {
 	t.Helper()
-	cfg := netmodel.Tiny()
-	cfg.Weeks = weeks
-	env, err := pipeline.NewEnv(cfg, traffic.Options{SamplesPerWeek: samples, SamplingRate: 16384, SnapLen: 128})
-	if err != nil {
-		t.Fatal(err)
-	}
-	dir := t.TempDir()
-	if _, err := capture.WriteCampaignOpts(context.Background(), env, dir, capture.WriteOptions{}); err != nil {
-		t.Fatal(err)
-	}
+	dir, _, _ := minedCampaign(t, weeks, samples)
 	return dir
 }
 
@@ -381,7 +374,7 @@ func TestServerEndpoints(t *testing.T) {
 
 // TestServerSingleFlightColdCache is the concurrency acceptance test:
 // 8 concurrent clients against one cold week must trigger exactly one
-// analysis, and every client gets byte-identical bytes.
+// snapshot load, and every client gets byte-identical bytes.
 func TestServerSingleFlightColdCache(t *testing.T) {
 	dir := campaign(t, 3, 2000)
 	store, err := OpenStore(dir, false)
@@ -422,8 +415,8 @@ func TestServerSingleFlightColdCache(t *testing.T) {
 		}
 	}
 	counters := reg.Counters()
-	if n := counters["serve_analyses_total"]; n != 1 {
-		t.Fatalf("%d analyses for one cold week under concurrent load, want exactly 1", n)
+	if n := counters["serve_snapshot_loads_total"]; n != 1 {
+		t.Fatalf("%d snapshot loads for one cold week under concurrent load, want exactly 1", n)
 	}
 	if counters["serve_flight_joins_total"] == 0 && counters["serve_cache_hits_total"] == 0 {
 		t.Fatal("no request joined the flight or hit the cache")
@@ -481,9 +474,10 @@ func TestServerShedsPastInFlightLimit(t *testing.T) {
 	}
 }
 
-// TestServerCancelledAnalysisLeavesNothingBehind cancels a request
-// mid-analysis and verifies the analysis goroutine unwinds and a
-// retry succeeds.
+// TestServerCancelledAnalysisLeavesNothingBehind sends a request that
+// is cancelled before it asks and verifies it starts nothing, leaves no
+// goroutine behind, and does not poison a retry. (A load that blocks
+// until cancelled is TestCacheAbandonedLoadIsCancelled's.)
 func TestServerCancelledAnalysisLeavesNothingBehind(t *testing.T) {
 	dir := campaign(t, 3, 2000)
 	store, err := OpenStore(dir, false)
@@ -502,9 +496,6 @@ func TestServerCancelledAnalysisLeavesNothingBehind(t *testing.T) {
 		t.Fatalf("cancelled request got %v", err)
 	}
 	waitGoroutines(t, baseline)
-	if n := reg.Counters()["serve_analyses_total"]; n != 0 {
-		t.Fatalf("cancelled request completed %d analyses", n)
-	}
 	// The week is not poisoned: a live retry succeeds.
 	view, err := s.cache.Get(context.Background(), first)
 	if err != nil {
@@ -512,6 +503,10 @@ func TestServerCancelledAnalysisLeavesNothingBehind(t *testing.T) {
 	}
 	if view.snap.Header().Week != first {
 		t.Fatalf("retry returned week %d", view.snap.Header().Week)
+	}
+	// The abandoned request started no load; the retry opened the week.
+	if n := reg.Counters()["serve_snapshot_loads_total"]; n != 1 {
+		t.Fatalf("%d snapshot loads for one abandoned request and its retry, want 1", n)
 	}
 }
 
@@ -600,9 +595,6 @@ func TestGoldenServedAllWeeks(t *testing.T) {
 		}
 	}
 	counters := reg.Counters()
-	if n := counters["serve_analyses_total"]; n != 0 {
-		t.Fatalf("served weeks re-ran %d analyses despite snapshots", n)
-	}
 	if n := counters["serve_snapshot_loads_total"]; n != uint64(len(man.Weeks)) {
 		t.Fatalf("snapshot loads %d, want %d", n, len(man.Weeks))
 	}
@@ -613,7 +605,7 @@ func TestGoldenServedAllWeeks(t *testing.T) {
 	for i, wk := range man.Weeks {
 		snaps[i] = direct[wk].Opened()
 	}
-	series, err := ChurnSeries(env, man.Weeks, snaps)
+	series, err := ChurnSeries(man.Weeks, snaps)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -636,125 +628,106 @@ func TestGoldenServedAllWeeks(t *testing.T) {
 	}
 }
 
-// TestStoreWriteSnapshots verifies analyze-then-persist: the first load
-// analyzes and writes a snapshot, a fresh store then loads it without
-// re-analyzing, and a stale snapshot (digest mismatch) is re-analyzed.
-func TestStoreWriteSnapshots(t *testing.T) {
-	dir := campaign(t, 3, 2000)
-	store, err := OpenStore(dir, true)
+// TestStoreRefusesUnminedWeeks: the store answers only from snapshots
+// this build mined. A missing, stale, undecodable or attribute-less
+// snapshot is ErrNotMined — a 503 naming the fix — and the week serves
+// again once a proper snapshot is back, with no restart.
+func TestStoreRefusesUnminedWeeks(t *testing.T) {
+	dir, _, snaps := minedCampaign(t, 2, 1500)
+	s, _ := openServer(t, dir, Config{CacheWeeks: 1})
+	wk, other := s.store.Weeks()[0], s.store.Weeks()[1]
+	path := filepath.Join(dir, snapshot.FileName(wk))
+	good, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := NewMetrics(obs.NewRegistry())
-	store.SetMetrics(m)
-	first := store.Weeks()[0]
-	snap1, err := store.Load(context.Background(), first)
-	if err != nil {
+	mined := snaps[wk].Snapshot()
+	stale := *mined
+	stale.SourceDigest = "deadbeef"
+	bare := &snapshot.Snapshot{Result: mined.Result, Counts: mined.Counts, SourceDigest: mined.SourceDigest}
+	for _, tc := range []struct {
+		name  string
+		write func() error
+	}{
+		{"missing", func() error { return os.Remove(path) }},
+		{"stale", func() error { _, err := snapshot.SaveFileFS(vfs.Default, path, &stale); return err }},
+		{"attribute-less", func() error { _, err := snapshot.SaveFileFS(vfs.Default, path, bare); return err }},
+		{"undecodable", func() error { return os.WriteFile(path, good[:len(good)/2], 0o644) }},
+		{"another week", func() error {
+			b, err := os.ReadFile(filepath.Join(dir, snapshot.FileName(other)))
+			if err == nil {
+				err = os.WriteFile(path, b, 0o644)
+			}
+			return err
+		}},
+	} {
+		if err := tc.write(); err != nil {
+			t.Fatal(err)
+		}
+		// The other week's request evicts this one from the one-week
+		// cache, so every case opens the file afresh.
+		if code, body := serveGet(s, endpointPath("week", other, 0)); code != 200 {
+			t.Fatalf("%s: intact week answered %d %s", tc.name, code, body)
+		}
+		for _, endpoint := range []string{"week", "servers", "ases", "visibility", "links"} {
+			code, body := serveGet(s, endpointPath(endpoint, wk, 3))
+			if code != http.StatusServiceUnavailable || !bytes.Contains(body, []byte("not mined by this build: run ixpmine")) {
+				t.Fatalf("%s: /%s answered %d %s, want 503 not mined", tc.name, endpoint, code, body)
+			}
+		}
+		if code, _ := serveGet(s, "/churn"); code != http.StatusServiceUnavailable {
+			t.Fatalf("%s: /churn answered %d, want 503", tc.name, code)
+		}
+		if _, err := s.store.Load(context.Background(), wk); !errors.Is(err, ErrNotMined) {
+			t.Fatalf("%s: Load = %v, want ErrNotMined", tc.name, err)
+		}
+	}
+	// Mined again: served again.
+	if err := os.WriteFile(path, good, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if m.Analyses.Value() != 1 || m.SnapshotWrites.Value() != 1 {
-		t.Fatalf("first load: analyses=%d writes=%d", m.Analyses.Value(), m.SnapshotWrites.Value())
-	}
-
-	store2, err := OpenStore(dir, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m2 := NewMetrics(obs.NewRegistry())
-	store2.SetMetrics(m2)
-	snap2, err := store2.Load(context.Background(), first)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m2.Analyses.Value() != 0 || m2.SnapshotLoads.Value() != 1 {
-		t.Fatalf("second load: analyses=%d snapLoads=%d", m2.Analyses.Value(), m2.SnapshotLoads.Value())
-	}
-	if !reflect.DeepEqual(snap1.Result(), snap2.Result()) || snap1.Counts != snap2.Counts {
-		t.Fatal("snapshot-loaded week diverged from analyzed week")
-	}
-
-	// Poison the snapshot's digest binding: the store must detect the
-	// stale snapshot and re-analyze.
-	stale := &snapshot.Snapshot{Result: snap1.Result(), Counts: snap1.Counts, SourceDigest: "deadbeef"}
-	if _, err := snapshot.SaveFileFS(vfs.Default, filepath.Join(dir, snapshot.FileName(first)), stale); err != nil {
-		t.Fatal(err)
-	}
-	store3, err := OpenStore(dir, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m3 := NewMetrics(obs.NewRegistry())
-	store3.SetMetrics(m3)
-	if _, err := store3.Load(context.Background(), first); err != nil {
-		t.Fatal(err)
-	}
-	if m3.Analyses.Value() != 1 {
-		t.Fatalf("stale snapshot was served (analyses=%d)", m3.Analyses.Value())
+	if code, body := serveGet(s, endpointPath("ases", wk, 3)); code != 200 {
+		t.Fatalf("re-mined week answered %d %s", code, body)
 	}
 }
 
-// TestStoreDoesNotPersistDamagedAnalysis: the analyze-on-miss fallback
-// over a capture whose bytes no longer have the manifest's digest still
-// answers — the quarantined block is priced into EstLoss — but must not
-// persist a snapshot bound to the manifest digest, or the damaged week
-// would load as fresh ever after. An intact week persists as before.
-func TestStoreDoesNotPersistDamagedAnalysis(t *testing.T) {
-	// Enough samples for several blocks, so the flipped one has intact
-	// neighbours for the sequence tracker to see the gap between.
-	dir := campaign(t, 2, 8000)
-	store, err := OpenStore(dir, true)
+// TestStoreNeverReadsCaptures: once mined, a campaign is served from its
+// snapshots alone. Damaged and deleted capture files change no answer.
+func TestStoreNeverReadsCaptures(t *testing.T) {
+	dir := campaign(t, 2, 1500)
+	clean, _ := openServer(t, dir, Config{})
+	weeks := clean.store.Weeks()
+	var paths []string
+	for _, wk := range weeks {
+		for _, endpoint := range []string{"week", "servers", "ases", "visibility", "links"} {
+			paths = append(paths, endpointPath(endpoint, wk, 5))
+		}
+	}
+	paths = append(paths, "/churn")
+	want := make(map[string][]byte, len(paths))
+	for _, p := range paths {
+		code, body := serveGet(clean, p)
+		if code != 200 {
+			t.Fatalf("%s: HTTP %d %s", p, code, body)
+		}
+		want[p] = body
+	}
+	man := clean.store.Manifest()
+	fi, err := os.Stat(filepath.Join(dir, man.Files[0]))
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := NewMetrics(obs.NewRegistry())
-	store.SetMetrics(m)
-	damaged, intact := store.Weeks()[0], store.Weeks()[1]
-	path := filepath.Join(dir, capture.WeekFile(damaged))
-	fi, err := os.Stat(path)
-	if err != nil {
+	if _, err := faultline.FlipFileBitFS(vfs.Default, filepath.Join(dir, man.Files[0]), uint64(fi.Size()/2)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := faultline.FlipFileBitFS(vfs.Default, path, uint64(fi.Size()/2)); err != nil {
+	if err := os.Remove(filepath.Join(dir, man.Files[1])); err != nil {
 		t.Fatal(err)
 	}
-
-	snap, err := store.Load(context.Background(), damaged)
-	if err != nil {
-		t.Fatalf("damaged capture must degrade, not fail: %v", err)
-	}
-	if snap.Header().EstLoss <= 0 {
-		t.Fatal("quarantined block did not surface as estimated loss")
-	}
-	if snap.SourceDigest == store.Manifest().Digests[0] {
-		t.Fatal("damaged analysis carries the manifest's digest")
-	}
-	if m.DigestMismatch.Value() != 1 || m.SnapshotWrites.Value() != 0 {
-		t.Fatalf("damaged week: mismatches=%d writes=%d, want 1/0", m.DigestMismatch.Value(), m.SnapshotWrites.Value())
-	}
-	if _, err := os.Stat(filepath.Join(dir, snapshot.FileName(damaged))); !os.IsNotExist(err) {
-		t.Fatalf("snapshot persisted for a damaged capture (stat err %v)", err)
-	}
-	// Nothing was persisted, so the next load analyzes again rather than
-	// finding a "fresh" snapshot.
-	if _, err := store.Load(context.Background(), damaged); err != nil {
-		t.Fatal(err)
-	}
-	if m.Analyses.Value() != 2 || m.SnapshotLoads.Value() != 0 {
-		t.Fatalf("reload: analyses=%d snapLoads=%d, want 2/0", m.Analyses.Value(), m.SnapshotLoads.Value())
-	}
-
-	if _, err := store.Load(context.Background(), intact); err != nil {
-		t.Fatal(err)
-	}
-	if m.DigestMismatch.Value() != 2 || m.SnapshotWrites.Value() != 1 {
-		t.Fatalf("intact week: mismatches=%d writes=%d, want 2/1", m.DigestMismatch.Value(), m.SnapshotWrites.Value())
-	}
-	persisted, err := snapshot.LoadFileFS(vfs.Default, filepath.Join(dir, snapshot.FileName(intact)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if persisted.SourceDigest != store.Manifest().Digests[1] {
-		t.Fatalf("persisted snapshot bound to %s, manifest records %s", persisted.SourceDigest, store.Manifest().Digests[1])
+	s, _ := openServer(t, dir, Config{})
+	for _, p := range paths {
+		if code, body := serveGet(s, p); code != 200 || !bytes.Equal(body, want[p]) {
+			t.Fatalf("%s without intact captures: HTTP %d, same bytes %v", p, code, bytes.Equal(body, want[p]))
+		}
 	}
 }
 
@@ -792,7 +765,7 @@ func TestProductEndpointsServedFromSnapshot(t *testing.T) {
 	ts := httptest.NewServer(s)
 	defer ts.Close()
 
-	wantVis, err := VisibilityView(store.Env(), snap.Opened(), 7)
+	wantVis, err := VisibilityView(snap.Opened(), 7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -820,55 +793,32 @@ func TestProductEndpointsServedFromSnapshot(t *testing.T) {
 			t.Fatalf("%s: served bytes diverged from direct view:\nwant %s\ngot  %s", path, want, body)
 		}
 	}
-	if n := reg.Counters()["serve_analyses_total"]; n != 0 {
-		t.Fatalf("product endpoints triggered %d analyses despite a complete snapshot", n)
-	}
 	if n := reg.Counters()["serve_snapshot_loads_total"]; n == 0 {
 		t.Fatal("snapshot never loaded")
 	}
 }
 
-// TestProductEndpointsWithoutAnalyzer404 narrows the serving registry to
-// the webserver analyzer alone: the product endpoints must answer 404
-// (ErrNoProduct), not crash or re-analyze into existence.
+// TestProductEndpointsWithoutAnalyzer404 mines a campaign under the
+// webserver analyzer alone: the product endpoints must answer 404
+// (ErrNoProduct), not crash, while the summary, the AS ranking and the
+// churn series — which need only the server list and its attributes —
+// still answer.
 func TestProductEndpointsWithoutAnalyzer404(t *testing.T) {
-	dir := campaign(t, 3, 2000)
-	store, err := OpenStore(dir, false)
-	if err != nil {
-		t.Fatal(err)
-	}
 	narrowed, err := analysis.Select("webserver")
 	if err != nil {
 		t.Fatal(err)
 	}
-	store.Env().Analyzers = narrowed
-	s := New(store, Config{}, obs.NewRegistry())
-	defer s.Close()
-	ts := httptest.NewServer(s)
-	defer ts.Close()
-
-	first := store.Weeks()[0]
-	for _, path := range []string{
-		fmt.Sprintf("/week/%d/visibility", first),
-		fmt.Sprintf("/week/%d/links", first),
-	} {
-		resp, err := http.Get(ts.URL + path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		body, _ := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		if resp.StatusCode != 404 {
-			t.Fatalf("%s: status %d, want 404: %s", path, resp.StatusCode, body)
+	dir, _, _ := mineCampaign(t, 3, 2000, narrowed)
+	s, _ := openServer(t, dir, Config{})
+	first := s.store.Weeks()[0]
+	for _, endpoint := range []string{"visibility", "links"} {
+		if code, body := serveGet(s, endpointPath(endpoint, first, 0)); code != 404 {
+			t.Fatalf("/%s: status %d, want 404: %s", endpoint, code, body)
 		}
 	}
-	// The summary endpoint still works: the webserver product exists.
-	resp, err := http.Get(fmt.Sprintf("%s/week/%d", ts.URL, first))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != 200 {
-		t.Fatalf("summary under narrowed registry: %d", resp.StatusCode)
+	for _, path := range []string{endpointPath("week", first, 0), endpointPath("ases", first, 0), "/churn"} {
+		if code, body := serveGet(s, path); code != 200 {
+			t.Fatalf("%s under a narrowed registry: %d %s", path, code, body)
+		}
 	}
 }

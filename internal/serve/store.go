@@ -5,12 +5,12 @@ import (
 	"errors"
 	"fmt"
 	"path/filepath"
-	"time"
 
+	"ixplens/internal/analysis"
 	"ixplens/internal/capture"
-	"ixplens/internal/pipeline"
 	"ixplens/internal/snapshot"
 	"ixplens/internal/supervise"
+	"ixplens/internal/vfs"
 )
 
 // ErrUnknownWeek marks a request for a week the campaign does not
@@ -22,37 +22,38 @@ var ErrUnknownWeek = errors.New("serve: week not in campaign")
 // would present a hole as a measurement. Test with errors.Is.
 var ErrQuarantinedWeek = errors.New("serve: week quarantined by campaign supervisor")
 
-// Store materializes analyzed weeks from a campaign directory. A week
-// loads from its on-disk snapshot when one exists and still matches
-// the manifest's capture digest (milliseconds), and falls back to the
-// full capture→dissect→identify pipeline otherwise (minutes at paper
-// scale). With WriteSnapshots set, every analysis persists its result,
-// so the first request for a week pays for all later ones.
+// ErrNotMined marks a request for a week whose snapshot this build
+// cannot answer from: missing, stale against the manifest's capture
+// digest, undecodable, or written by a build that recorded no
+// attributes. The server never analyzes a capture itself; one ixpmine
+// run over the campaign writes (or upgrades) every snapshot. Test with
+// errors.Is.
+var ErrNotMined = errors.New("not mined by this build: run ixpmine")
+
+// Store opens analyzed weeks from a mined campaign directory: each
+// week from its on-disk snapshot, which must still match the manifest's
+// capture digest and carry the attributes section. It holds the
+// manifest and the supervise journal's quarantine list, nothing else —
+// no world, no capture reader.
 //
 // Load is safe for concurrent use with distinct weeks; the serving
 // cache's single-flight layer guarantees one Load per week at a time.
 type Store struct {
-	dir            string
-	env            *pipeline.Env
-	man            *capture.Manifest
-	writeSnapshots bool
-	quarantined    map[int]bool
-	m              *Metrics
+	dir         string
+	man         *capture.Manifest
+	quarantined map[int]bool
+	m           *Metrics
 }
 
-// OpenStore rebuilds the campaign's measurement substrates from its
-// manifest and returns a store over dir. writeSnapshots persists a
-// snapshot after every full analysis.
+// OpenStore reads the campaign's manifest and supervise journal and
+// returns a store over dir. writeSnapshots is ignored: the store only
+// reads snapshots, and ixpmine writes them.
 func OpenStore(dir string, writeSnapshots bool) (*Store, error) {
 	man, err := capture.ReadManifest(dir)
 	if err != nil {
 		return nil, err
 	}
-	env, err := man.Rebuild()
-	if err != nil {
-		return nil, err
-	}
-	st := &Store{dir: dir, env: env, man: man, writeSnapshots: writeSnapshots, m: NewMetrics(nil)}
+	st := &Store{dir: dir, man: man, m: NewMetrics(nil)}
 	// A supervise journal in the campaign directory tells us which weeks
 	// the runner quarantined. A missing journal means an unsupervised
 	// campaign (nothing quarantined); a damaged one is ignored — the
@@ -97,10 +98,6 @@ func (st *Store) Quarantined() []int {
 // IsQuarantined reports whether isoWeek is quarantined.
 func (st *Store) IsQuarantined(isoWeek int) bool { return st.quarantined[isoWeek] }
 
-// Env exposes the campaign's rebuilt environment (entity table, DNS,
-// fabric) for endpoints that resolve results further.
-func (st *Store) Env() *pipeline.Env { return st.env }
-
 // Manifest exposes the campaign manifest.
 func (st *Store) Manifest() *capture.Manifest { return st.man }
 
@@ -118,10 +115,11 @@ func (st *Store) weekIndex(isoWeek int) (int, bool) {
 	return 0, false
 }
 
-// Load returns the analyzed week, opened from its snapshot when
-// possible: verified in full, its server list indexed, its result built
-// only if an endpoint asks for it. The returned week is shared and must
-// be treated as immutable.
+// Load opens the week's snapshot: verified in full, its server list
+// indexed, its products left in the file until an endpoint reads them.
+// A week whose snapshot is missing, stale, undecodable or without
+// attributes fails with ErrNotMined. The returned week is shared and
+// must be treated as immutable.
 func (st *Store) Load(ctx context.Context, isoWeek int) (*snapshot.Opened, error) {
 	i, ok := st.weekIndex(isoWeek)
 	if !ok {
@@ -130,58 +128,26 @@ func (st *Store) Load(ctx context.Context, isoWeek int) (*snapshot.Opened, error
 	if st.quarantined[isoWeek] {
 		return nil, fmt.Errorf("%w: %d", ErrQuarantinedWeek, isoWeek)
 	}
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
 	digest := ""
 	if i < len(st.man.Digests) {
 		digest = st.man.Digests[i]
 	}
-	// A missing, damaged, stale or product-incomplete snapshot degrades
-	// to re-analysis — the snapshot layer is an accelerator, never a
-	// correctness dependency. The product check upgrades legacy
-	// single-product (v1) snapshots: an endpoint needing visibility or
-	// links never 404s just because the snapshot predates them.
-	fsys := st.env.VFS()
-	spath := filepath.Join(st.dir, snapshot.FileName(isoWeek))
-	if wk, err := snapshot.OpenFileFS(fsys, spath); err == nil &&
-		wk.Header().Week == isoWeek && freshSnapshot(wk.SourceDigest, digest) &&
-		st.completeSnapshot(wk) {
-		st.m.SnapshotLoads.Inc()
-		return wk, nil
+	wk, err := snapshot.OpenFileFS(vfs.Default, filepath.Join(st.dir, snapshot.FileName(isoWeek)))
+	switch {
+	case err != nil:
+		return nil, fmt.Errorf("%w: week %d: %v", ErrNotMined, isoWeek, err)
+	case wk.Header().Week != isoWeek:
+		return nil, fmt.Errorf("%w: week %d: snapshot holds week %d", ErrNotMined, isoWeek, wk.Header().Week)
+	case !freshSnapshot(wk.SourceDigest, digest):
+		return nil, fmt.Errorf("%w: week %d: snapshot is stale against the manifest", ErrNotMined, isoWeek)
+	case !wk.HasProduct(analysis.NameAttributes):
+		return nil, fmt.Errorf("%w: week %d: snapshot has no attributes", ErrNotMined, isoWeek)
 	}
-	start := time.Now()
-	snap, err := capture.AnalyzeWeekSnapshot(ctx, st.env, filepath.Join(st.dir, st.man.Files[i]), isoWeek)
-	if err != nil {
-		return nil, err
-	}
-	st.m.Analyses.Inc()
-	st.m.AnalyzeNanos.ObserveSince(start)
-	// The analysis hashed the bytes it decoded into snap.SourceDigest. A
-	// manifest digest that disagrees means the capture on disk is damaged:
-	// the answer still goes out — block quarantine has already priced the
-	// damage into EstLoss — but it is not persisted, or the damaged week
-	// would load as a fresh snapshot from then on.
-	if digest != "" && snap.SourceDigest != digest {
-		st.m.DigestMismatch.Inc()
-		return snap.Opened(), nil
-	}
-	if st.writeSnapshots {
-		if _, err := snapshot.SaveFileFS(fsys, spath, snap); err != nil {
-			st.m.SnapshotWriteErrors.Inc()
-		} else {
-			st.m.SnapshotWrites.Inc()
-		}
-	}
-	return snap.Opened(), nil
-}
-
-// completeSnapshot reports whether wk carries every product the
-// store's analyzer registry serves.
-func (st *Store) completeSnapshot(wk *snapshot.Opened) bool {
-	for _, name := range st.env.Registry().Names() {
-		if !wk.HasProduct(name) {
-			return false
-		}
-	}
-	return true
+	st.m.SnapshotLoads.Inc()
+	return wk, nil
 }
 
 // freshSnapshot reports whether a loaded snapshot's source digest still

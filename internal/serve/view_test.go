@@ -7,36 +7,65 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"path/filepath"
 	"reflect"
 	"sync"
 	"testing"
 
+	"ixplens/internal/analysis"
+	"ixplens/internal/capture"
 	"ixplens/internal/netmodel"
 	"ixplens/internal/obs"
 	"ixplens/internal/pipeline"
 	"ixplens/internal/snapshot"
+	"ixplens/internal/traffic"
+	"ixplens/internal/vfs"
 )
 
-// minedCampaign writes a campaign with a snapshot for every week and
-// returns its directory, the environment the snapshots were analyzed
-// in, and the weeks themselves — loads of their own, shared with no
-// server, for the exported pure renderers to work from.
+// minedCampaign writes a campaign, mines a snapshot of every week into
+// it as ixpmine does — each week analyzed from its capture file, bound
+// to the digest the analysis read — and returns its directory, the
+// environment that generated and analyzed it, and the weeks themselves:
+// loads of their own, shared with no server, for the exported pure
+// renderers to work from.
 func minedCampaign(tb testing.TB, weeks, samples int) (string, *pipeline.Env, map[int]*snapshot.Opened) {
+	return mineCampaign(tb, weeks, samples, nil)
+}
+
+// mineCampaign is minedCampaign under an analyzer registry (nil keeps
+// the environment's default).
+func mineCampaign(tb testing.TB, weeks, samples int, reg *analysis.Registry) (string, *pipeline.Env, map[int]*snapshot.Opened) {
 	tb.Helper()
-	dir := campaign(tb, weeks, samples)
-	store, err := OpenStore(dir, true)
+	cfg := netmodel.Tiny()
+	cfg.Weeks = weeks
+	env, err := pipeline.NewEnv(cfg, traffic.Options{SamplesPerWeek: samples, SamplingRate: 16384, SnapLen: 128})
 	if err != nil {
 		tb.Fatal(err)
 	}
+	dir := tb.TempDir()
+	ctx := context.Background()
+	if _, err := capture.WriteCampaignOpts(ctx, env, dir, capture.WriteOptions{}); err != nil {
+		tb.Fatal(err)
+	}
+	man, err := capture.ReadManifest(dir)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if reg != nil {
+		env.Analyzers = reg
+	}
 	snaps := make(map[int]*snapshot.Opened, weeks)
-	for _, wk := range store.Weeks() {
-		snap, err := store.Load(context.Background(), wk)
+	for i, wk := range man.Weeks {
+		snap, err := capture.AnalyzeWeekSnapshot(ctx, env, filepath.Join(dir, man.Files[i]), wk)
 		if err != nil {
 			tb.Fatalf("week %d: %v", wk, err)
 		}
-		snaps[wk] = snap
+		if _, err := snapshot.SaveFileFS(vfs.Default, filepath.Join(dir, snapshot.FileName(wk)), snap); err != nil {
+			tb.Fatalf("week %d: %v", wk, err)
+		}
+		snaps[wk] = snap.Opened()
 	}
-	return dir, store.Env(), snaps
+	return dir, env, snaps
 }
 
 // openServer serves dir from its snapshots.
@@ -87,9 +116,9 @@ func wantJSON(tb testing.TB, v interface{}) []byte {
 
 // pureBodies renders every per-week endpoint of one snapshot at one k
 // through the exported pure renderers, keyed by request path.
-func pureBodies(tb testing.TB, env *pipeline.Env, snap *snapshot.Opened, k int) map[string][]byte {
+func pureBodies(tb testing.TB, snap *snapshot.Opened, k int) map[string][]byte {
 	tb.Helper()
-	vis, err := VisibilityView(env, snap, k)
+	vis, err := VisibilityView(snap, k)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -97,23 +126,27 @@ func pureBodies(tb testing.TB, env *pipeline.Env, snap *snapshot.Opened, k int) 
 	if err != nil {
 		tb.Fatal(err)
 	}
+	ases, err := TopASes(snap, k)
+	if err != nil {
+		tb.Fatal(err)
+	}
 	wk := snap.Header().Week
 	return map[string][]byte{
 		endpointPath("week", wk, k):       wantJSON(tb, Summarize(snap)),
 		endpointPath("servers", wk, k):    wantJSON(tb, TopServers(snap, k)),
-		endpointPath("ases", wk, k):       wantJSON(tb, TopASes(env, snap, k)),
+		endpointPath("ases", wk, k):       wantJSON(tb, ases),
 		endpointPath("visibility", wk, k): wantJSON(tb, vis),
 		endpointPath("links", wk, k):      wantJSON(tb, links),
 	}
 }
 
-func pureChurn(tb testing.TB, env *pipeline.Env, weeks []int, snaps map[int]*snapshot.Opened) []byte {
+func pureChurn(tb testing.TB, weeks []int, snaps map[int]*snapshot.Opened) []byte {
 	tb.Helper()
 	ordered := make([]*snapshot.Opened, len(weeks))
 	for i, wk := range weeks {
 		ordered[i] = snaps[wk] // nil for a gap week
 	}
-	series, err := ChurnSeries(env, weeks, ordered)
+	series, err := ChurnSeries(weeks, ordered)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -132,7 +165,7 @@ func TestGoldenMemoizedViews(t *testing.T) {
 	if netmodel.Tiny().Weeks != weeks {
 		t.Fatalf("study has %d weeks, want %d", netmodel.Tiny().Weeks, weeks)
 	}
-	dir, env, snaps := minedCampaign(t, weeks, 2000)
+	dir, _, snaps := minedCampaign(t, weeks, 2000)
 	s, reg := openServer(t, dir, Config{})
 
 	check := func(path string, want []byte) {
@@ -149,12 +182,12 @@ func TestGoldenMemoizedViews(t *testing.T) {
 	}
 	for _, wk := range s.store.Weeks() {
 		for _, k := range []int{1, 10, 1000} {
-			for path, want := range pureBodies(t, env, snaps[wk], k) {
+			for path, want := range pureBodies(t, snaps[wk], k) {
 				check(path, want)
 			}
 		}
 	}
-	check("/churn", pureChurn(t, env, s.store.Weeks(), snaps))
+	check("/churn", pureChurn(t, s.store.Weeks(), snaps))
 
 	counters := reg.Counters()
 	if n := counters["serve_view_builds_total"]; n != weeks*viewsPerWeek {
@@ -162,9 +195,6 @@ func TestGoldenMemoizedViews(t *testing.T) {
 	}
 	if n := counters["serve_churn_builds_total"]; n != 1 {
 		t.Fatalf("serve_churn_builds_total = %d, want 1", n)
-	}
-	if n := counters["serve_analyses_total"]; n != 0 {
-		t.Fatalf("%d analyses despite snapshots", n)
 	}
 }
 
@@ -175,15 +205,15 @@ func TestGoldenMemoizedViews(t *testing.T) {
 // once, and the rankings must come out as they went in. Run under -race
 // this is also the proof that serving never writes to a shared view.
 func TestViewsBuiltOnceUnderConcurrency(t *testing.T) {
-	dir, env, snaps := minedCampaign(t, 3, 2000)
+	dir, _, snaps := minedCampaign(t, 3, 2000)
 	s, reg := openServer(t, dir, Config{})
 	weeks := s.store.Weeks()
 	wk := weeks[1]
 
 	ks := []int{1, 3, 10, 1000}
-	want := map[string][]byte{"/churn": pureChurn(t, env, weeks, snaps)}
+	want := map[string][]byte{"/churn": pureChurn(t, weeks, snaps)}
 	for _, k := range ks {
-		for path, body := range pureBodies(t, env, snaps[wk], k) {
+		for path, body := range pureBodies(t, snaps[wk], k) {
 			want[path] = body
 		}
 	}
@@ -196,7 +226,7 @@ func TestViewsBuiltOnceUnderConcurrency(t *testing.T) {
 			defer wg.Done()
 			k := ks[c%len(ks)]
 			paths := []string{"/churn", "/weeks"}
-			for path := range pureBodies(t, env, snaps[wk], k) {
+			for path := range pureBodies(t, snaps[wk], k) {
 				paths = append(paths, path)
 			}
 			for round := 0; round < 3; round++ {
@@ -233,8 +263,8 @@ func TestViewsBuiltOnceUnderConcurrency(t *testing.T) {
 	if rows := v.servers.rows; !reflect.DeepEqual(rows, TopServers(v.snap, len(rows))) {
 		t.Error("shared server ranking was mutated")
 	}
-	if !reflect.DeepEqual(v.ases.val, rankASes(s.store.Env(), v.snap)) {
-		t.Error("shared AS ranking was mutated")
+	if fresh, err := rankASes(v.snap); err != nil || !reflect.DeepEqual(v.ases.val, fresh) {
+		t.Errorf("shared AS ranking was mutated (%v)", err)
 	}
 	lp, err := v.snap.Links()
 	if err != nil {
@@ -243,7 +273,7 @@ func TestViewsBuiltOnceUnderConcurrency(t *testing.T) {
 	if !reflect.DeepEqual(v.links.val, lp.RankedMemberLinks()) {
 		t.Error("shared link ranking was mutated")
 	}
-	fresh, err := rankVisibility(s.store.Env(), v.snap)
+	fresh, err := rankVisibility(v.snap)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -275,7 +305,7 @@ func TestTopKClipsCapacity(t *testing.T) {
 // while a cache that holds them all computes once. The quarantined
 // week's gap row survives the memo either way.
 func TestChurnMemoEvictionAndGaps(t *testing.T) {
-	dir, env, snaps := minedCampaign(t, 5, 2000)
+	dir, _, snaps := minedCampaign(t, 5, 2000)
 	open := func(cfg Config) (*Server, *obs.Registry, int) {
 		store, err := OpenStore(dir, false)
 		if err != nil {
@@ -304,7 +334,7 @@ func TestChurnMemoEvictionAndGaps(t *testing.T) {
 			gapped[wk] = snap
 		}
 	}
-	want := pureChurn(t, env, small.store.Weeks(), gapped)
+	want := pureChurn(t, small.store.Weeks(), gapped)
 	if !bytes.Contains(want, []byte(`"gap":true`)) {
 		t.Fatal("reference series has no gap row")
 	}

@@ -16,8 +16,11 @@
 // ErrChecksum — naming the damaged section when it hit a payload —
 // instead of decoding to a silently wrong product. The known
 // sections are "meta" (the capture digest binding), "counts" (the
-// cascade tallies) and one per builtin analyzer ("webserver",
-// "visibility", "links"); unknown section names round-trip untouched
+// cascade tallies), one per builtin analyzer ("webserver",
+// "visibility", "links") and "attributes" (the origin AS, prefix and
+// country of every IP the products mention, as the week's substrates
+// resolved them, so a reader needs no world to resolve them again);
+// unknown section names round-trip untouched
 // through Extra, while a known section with an unrecognized version
 // fails with the typed ErrSectionVersion. Everything is encoded
 // deterministically (sorted sections, sorted servers/IPs/flows), so
@@ -43,6 +46,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -86,6 +90,9 @@ var (
 	// way the checksum cannot catch (it covers the payload, not the
 	// table entry).
 	ErrSectionVersion = errors.New("snapshot: unsupported section version")
+	// ErrReread marks a section OpenFileFS left in its file that could
+	// not be read back on first use: the file is gone, or shorter.
+	ErrReread = errors.New("snapshot: section re-read failed")
 )
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
@@ -112,9 +119,9 @@ type Section struct {
 // A Snapshot is immutable to its callers and safe for concurrent use.
 // Decode verifies the whole container up front — every checksum, the
 // framing, the section order, the required sections and every known
-// section's version — but decodes the visibility and links products
-// only on first use: each is held as a private copy of its verified
-// payload until Visibility or Links first asks for it, decoded once
+// section's version — but decodes the visibility, links and attributes
+// products only on first use: each is held as a private copy of its
+// verified payload until its accessor first asks for it, decoded once
 // (concurrent first callers share that one decode and its result), and
 // the copy is dropped once the product decodes. A snapshot built by
 // FromProducts holds its products decoded.
@@ -138,11 +145,13 @@ type Snapshot struct {
 
 // Opened is one analyzed week verified exactly as Decode verifies it,
 // with its server list indexed but not built: what Open and OpenFileFS
-// return. Counts and summaries come from the index; Server decodes one
-// record; Result builds the full identification result once, on first
-// use, and from then on the opened week holds the result instead of its
-// webserver section's bytes. The result is reachable only through
-// Result, never as a field left nil.
+// return. Open holds its products as copies of their payloads;
+// OpenFileFS leaves them in the file until first use. Counts and
+// summaries come from the index; Server decodes one record; Result
+// builds the full identification result once, on first use, and from
+// then on the opened week holds the result instead of its webserver
+// section's bytes. The result is reachable only through Result, never
+// as a field left nil.
 //
 // An Opened is immutable to its callers and safe for concurrent use.
 type Opened struct {
@@ -155,26 +164,67 @@ type Opened struct {
 	ws *serverList
 }
 
-// products holds the optional analyzer products of a week — the §3
-// per-IP traffic product and the §5 peering-flow product — each nil
-// when the analyzer did not run (or the snapshot predates it).
+// products holds the optional products of a week — the §3 per-IP
+// traffic product, the §5 peering-flow product and the attributes of
+// every IP they mention — each nil when the snapshot lacks it (the
+// analyzer did not run, or an older build wrote the snapshot).
 type products struct {
 	vis   *product[analysis.VisibilityProduct]
 	links *product[analysis.LinksProduct]
+	attrs *product[analysis.AttributesProduct]
 }
 
-// product is one optional analyzer product of a snapshot: held decoded,
-// or as its verified section payload that get decodes on first use.
+// product is one optional product of a snapshot: held decoded, as its
+// verified section payload, or as the place of that payload in the file
+// it was verified in; get decodes it on first use.
 type product[T any] struct {
 	version uint16
 	// raw is the undecoded payload, nil once it decoded (or when the
-	// product was built decoded). A failed decode keeps it, so
-	// AppendEncode can still write the section back unchanged.
-	raw    atomic.Pointer[[]byte]
+	// product was built decoded, or left in its file). A failed decode
+	// keeps it, so AppendEncode can still write the section back
+	// unchanged.
+	raw atomic.Pointer[[]byte]
+	// src, when set, is where the section's verified payload lies on
+	// disk; get reads it from there instead of holding raw.
+	src    *fileSection
 	decode func(uint16, []byte) (*T, error)
 	once   sync.Once
 	val    *T
 	err    error
+}
+
+// fileSection is one section left in the file it was verified in: the
+// file, the payload's offset and length, and its CRC32C.
+type fileSection struct {
+	file   *fileRef
+	off    int64
+	length uint32
+	crc    uint32
+}
+
+// fileRef is a snapshot file as OpenFileFS opened it.
+type fileRef struct {
+	fsys vfs.FS
+	path string
+}
+
+// read re-reads the section's payload and checks it against the CRC it
+// verified with at open. A file that can no longer be read fails with
+// ErrReread; one that now holds other bytes there, with ErrChecksum.
+func (s *fileSection) read(name string) ([]byte, error) {
+	f, err := s.file.fsys.Open(s.file.path)
+	if err != nil {
+		return nil, fmt.Errorf("%w: section %q: %v", ErrReread, name, err)
+	}
+	defer f.Close()
+	buf := make([]byte, s.length)
+	if n, err := f.ReadAt(buf, s.off); n < len(buf) {
+		return nil, fmt.Errorf("%w: section %q of %s: %v", ErrReread, name, s.file.path, err)
+	}
+	if crc32.Checksum(buf, castagnoli) != s.crc {
+		return nil, fmt.Errorf("%w: section %q changed on disk since %s was opened", ErrChecksum, name, s.file.path)
+	}
+	return buf, nil
 }
 
 // decoded wraps a product that needs no decoding; nil stays absent.
@@ -185,12 +235,15 @@ func decoded[T any](version uint16, val *T) *product[T] {
 	return &product[T]{version: version, val: val}
 }
 
-// pending wraps a verified payload, copied so the product does not pin
-// the buffer it was read from.
-func pending[T any](version uint16, payload []byte, decode func(uint16, []byte) (*T, error)) *product[T] {
-	p := &product[T]{version: version, decode: decode}
-	raw := bytes.Clone(payload)
-	p.raw.Store(&raw)
+// pending wraps a verified payload: copied, so the product does not pin
+// the buffer it was read from, or — when src says where the buffer's
+// file holds it — left there, to be read again on first use.
+func pending[T any](version uint16, payload []byte, src *fileSection, decode func(uint16, []byte) (*T, error)) *product[T] {
+	p := &product[T]{version: version, decode: decode, src: src}
+	if src == nil {
+		raw := bytes.Clone(payload)
+		p.raw.Store(&raw)
+	}
 	return p
 }
 
@@ -203,10 +256,19 @@ func (p *product[T]) get(name string) (*T, error) {
 	p.once.Do(func() {
 		raw := p.raw.Load()
 		if raw == nil {
-			return
+			if p.src == nil {
+				return
+			}
+			payload, err := p.src.read(name)
+			if err != nil {
+				p.err = err
+				return
+			}
+			raw = &payload
 		}
 		if p.val, p.err = p.decode(p.version, *raw); p.err != nil {
 			p.err = mapAnalysisErr(name, p.version, p.err)
+			p.raw.Store(raw) // a payload read from the file is kept too
 			return
 		}
 		p.raw.Store(nil)
@@ -215,12 +277,17 @@ func (p *product[T]) get(name string) (*T, error) {
 }
 
 // section is the product's container section: its undecoded payload
-// as verified, or else the encoding of the decoded product.
+// as verified, or else the encoding of the decoded product (read from
+// its file first, if it was left there).
 func (p *product[T]) section(name string, encode func(*T, []byte) ([]byte, error)) (Section, error) {
 	if raw := p.raw.Load(); raw != nil {
 		return Section{Name: name, Version: p.version, Payload: *raw}, nil
 	}
 	val, err := p.get(name)
+	if raw := p.raw.Load(); raw != nil {
+		// Read from its file but undecodable: written back as read.
+		return Section{Name: name, Version: p.version, Payload: *raw}, nil
+	}
 	if err != nil {
 		return Section{}, err
 	}
@@ -241,6 +308,12 @@ func (p *products) Links() (*analysis.LinksProduct, error) {
 	return p.links.get(analysis.NameLinks)
 }
 
+// Attributes returns the attributes of every IP the week's products
+// mention, decoding them on first use, with Visibility's contract.
+func (p *products) Attributes() (*analysis.AttributesProduct, error) {
+	return p.attrs.get(analysis.NameAttributes)
+}
+
 // has reports whether the named product other than the webserver
 // result is present, among the typed products or in extra.
 func (p *products) has(name string, extra []Section) bool {
@@ -249,6 +322,8 @@ func (p *products) has(name string, extra []Section) bool {
 		return p.vis != nil
 	case analysis.NameLinks:
 		return p.links != nil
+	case analysis.NameAttributes:
+		return p.attrs != nil
 	}
 	for i := range extra {
 		if extra[i].Name == name {
@@ -269,6 +344,13 @@ func (p *products) sections(secs []Section) ([]Section, error) {
 	}
 	if p.links != nil {
 		sec, err := p.links.section(analysis.NameLinks, (*analysis.LinksProduct).AppendEncode)
+		if err != nil {
+			return secs, err
+		}
+		secs = append(secs, sec)
+	}
+	if p.attrs != nil {
+		sec, err := p.attrs.section(analysis.NameAttributes, (*analysis.AttributesProduct).AppendEncode)
 		if err != nil {
 			return secs, err
 		}
@@ -368,7 +450,8 @@ func (o *Opened) Snapshot() *Snapshot {
 }
 
 // HasProduct reports whether the week carries the named analyzer's
-// product. It answers from the section table and decodes nothing.
+// product, or (for analysis.NameAttributes) the attributes section. It
+// answers from the section table and decodes nothing.
 func (o *Opened) HasProduct(name string) bool {
 	return name == analysis.NameWebserver || o.products.has(name, o.Extra)
 }
@@ -413,13 +496,15 @@ func FromProducts(p *analysis.Products, counts dissect.Counts) (*Snapshot, error
 	if snap.Result == nil {
 		return nil, errors.New("snapshot: product set lacks the webserver result")
 	}
+	snap.attrs = decoded(analysis.AttributesVersion, p.Attributes())
 	return snap, nil
 }
 
 // HasProduct reports whether the snapshot carries the named analyzer's
-// product — the staleness signal the serving and supervising layers use
-// to re-analyze legacy (v1, or narrower-registry) snapshots. It answers
-// from the section table and decodes nothing.
+// product, or (for analysis.NameAttributes) the attributes section — the
+// staleness signal the supervising layer uses to re-analyze legacy (v1,
+// narrower-registry or attribute-less) snapshots. It answers from the
+// section table and decodes nothing.
 func (s *Snapshot) HasProduct(name string) bool {
 	if name == analysis.NameWebserver {
 		return s.Result != nil
@@ -500,6 +585,11 @@ func appendContainer(dst []byte, digest string, counts *dissect.Counts, ws []byt
 		table = binary.BigEndian.AppendUint32(table, uint32(len(secs[i].Payload)))
 		table = binary.BigEndian.AppendUint32(table, crc32.Checksum(secs[i].Payload, castagnoli))
 	}
+	size := headerLenV2 + len(table)
+	for i := range secs {
+		size += len(secs[i].Payload)
+	}
+	dst = slices.Grow(dst, size)
 	dst = append(dst, magicV2[:]...)
 	dst = binary.BigEndian.AppendUint32(dst, uint32(len(secs)))
 	dst = binary.BigEndian.AppendUint32(dst, uint32(len(table)))
@@ -515,7 +605,7 @@ func appendContainer(dst []byte, digest string, counts *dissect.Counts, ws []byt
 // builds its result: Open, then Opened.Snapshot. The snapshot keeps no
 // reference to buf.
 func Decode(buf []byte) (*Snapshot, error) {
-	o, err := open(buf, false)
+	o, err := open(buf, openOpts{})
 	if err != nil {
 		return nil, err
 	}
@@ -528,15 +618,26 @@ func Decode(buf []byte) (*Snapshot, error) {
 // encoding — and indexes the server list without building it. The
 // opened week keeps no reference to buf.
 func Open(buf []byte) (*Opened, error) {
-	return open(buf, true)
+	return open(buf, openOpts{keepServers: true})
 }
 
-// open is the one verification path behind Open and Decode. keepServers
-// copies the webserver payload for an unbuilt server list to outlive
-// buf; Decode builds the list before returning and needs no copy.
-func open(buf []byte, keepServers bool) (*Opened, error) {
+// openOpts says what an opened week keeps of the buffer it was
+// verified from.
+type openOpts struct {
+	// keepServers copies the webserver payload for an unbuilt server
+	// list to outlive buf; Decode builds the list before returning and
+	// needs no copy.
+	keepServers bool
+	// file, when set, is the file buf was read from: the product
+	// sections stay there, to be read again on first use, instead of
+	// being copied.
+	file *fileRef
+}
+
+// open is the one verification path behind Open, Decode and OpenFileFS.
+func open(buf []byte, opts openOpts) (*Opened, error) {
 	if len(buf) >= 8 && [8]byte(buf[:8]) == magicV2 {
-		return openV2(buf, keepServers)
+		return openV2(buf, opts)
 	}
 	if len(buf) < headerLenV1 || [8]byte(buf[:8]) != magicV1 {
 		return nil, ErrBadMagic
@@ -576,7 +677,7 @@ func decodePayloadV1(payload []byte) (*Snapshot, error) {
 	return snap, nil
 }
 
-func openV2(buf []byte, keepServers bool) (*Opened, error) {
+func openV2(buf []byte, opts openOpts) (*Opened, error) {
 	cur := analysis.NewCursor(buf[8:])
 	n := int(cur.U32())
 	tableLen := int(cur.U32())
@@ -636,9 +737,14 @@ func openV2(buf []byte, keepServers bool) (*Opened, error) {
 	var sawMeta, sawCounts bool
 	for i := range entries {
 		e := &entries[i]
+		off := int64(len(buf) - cur.Len())
 		payload := cur.Take(int(e.length))
 		if crc32.Checksum(payload, castagnoli) != e.crc {
 			return nil, fmt.Errorf("%w: section %q", ErrChecksum, e.name)
+		}
+		var src *fileSection
+		if opts.file != nil {
+			src = &fileSection{file: opts.file, off: off, length: e.length, crc: e.crc}
 		}
 		switch e.name {
 		case secMeta:
@@ -666,7 +772,7 @@ func openV2(buf []byte, keepServers bool) (*Opened, error) {
 			if err != nil {
 				return nil, mapAnalysisErr(e.name, e.version, err)
 			}
-			if keepServers {
+			if opts.keepServers {
 				payload = bytes.Clone(payload)
 			}
 			o.ws = &serverList{hdr: hdr, refs: refs}
@@ -675,12 +781,17 @@ func openV2(buf []byte, keepServers bool) (*Opened, error) {
 			if e.version != analysis.Visibility().Version() {
 				return nil, sectionVersionErr(e.name, e.version)
 			}
-			o.vis = pending(e.version, payload, analysis.DecodeVisibility)
+			o.vis = pending(e.version, payload, src, analysis.DecodeVisibility)
 		case analysis.NameLinks:
 			if e.version != analysis.Links().Version() {
 				return nil, sectionVersionErr(e.name, e.version)
 			}
-			o.links = pending(e.version, payload, analysis.DecodeLinks)
+			o.links = pending(e.version, payload, src, analysis.DecodeLinks)
+		case analysis.NameAttributes:
+			if e.version != analysis.AttributesVersion {
+				return nil, sectionVersionErr(e.name, e.version)
+			}
+			o.attrs = pending(e.version, payload, src, analysis.DecodeAttributes)
 		default:
 			// An analyzer this build does not know: preserve the section
 			// so a rewrite does not lose it.
@@ -777,8 +888,9 @@ func SaveFileFS(fsys vfs.FS, path string, snap *Snapshot) (string, error) {
 
 // readBufs recycles the buffers snapshot files are read into. Open and
 // Decode copy everything a week keeps — strings into one builder,
-// product and webserver payloads and Extra sections cloned — so a
-// buffer goes back to the pool as soon as its file is verified.
+// product and webserver payloads and Extra sections cloned — and
+// OpenFileFS leaves the products in the file, so a buffer goes back to
+// the pool as soon as its file is verified.
 var readBufs = sync.Pool{New: func() any { return new([]byte) }}
 
 // readPooled reads the file at path through fsys into a pooled buffer
@@ -800,7 +912,15 @@ func LoadFileFS(fsys vfs.FS, path string) (*Snapshot, error) {
 	return readPooled(fsys, path, Decode)
 }
 
-// OpenFileFS reads and opens the snapshot at path through fsys.
+// OpenFileFS reads and opens the snapshot at path through fsys,
+// verifying it exactly as Open does. It copies only the server list out
+// of the read buffer: the product sections stay in the file, and each
+// is read again through fsys on first use and checked against the CRC
+// it verified with here. A section that can no longer be read then
+// fails with ErrReread, one whose bytes changed with ErrChecksum.
 func OpenFileFS(fsys vfs.FS, path string) (*Opened, error) {
-	return readPooled(fsys, path, Open)
+	file := &fileRef{fsys: fsys, path: path}
+	return readPooled(fsys, path, func(buf []byte) (*Opened, error) {
+		return open(buf, openOpts{keepServers: true, file: file})
+	})
 }

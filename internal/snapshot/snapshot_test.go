@@ -21,9 +21,12 @@ import (
 	"ixplens/internal/core/dissect"
 	"ixplens/internal/core/visibility"
 	"ixplens/internal/core/webserver"
+	"ixplens/internal/entity"
+	"ixplens/internal/geo"
 	"ixplens/internal/netmodel"
 	"ixplens/internal/packet"
 	"ixplens/internal/pipeline"
+	"ixplens/internal/routing"
 	"ixplens/internal/traffic"
 	"ixplens/internal/vfs"
 )
@@ -82,11 +85,28 @@ func synthetic() *Snapshot {
 		{FlowKey: analysis.FlowKey{Src: packet.MakeIPv4(10, 0, 0, 1), Dst: packet.MakeIPv4(172, 16, 0, 9), In: 3, Out: 7}, Bytes: 4096, Samples: 2},
 		{FlowKey: analysis.FlowKey{Src: packet.MakeIPv4(10, 0, 0, 2), Dst: packet.MakeIPv4(10, 0, 0, 1), In: 7, Out: -1}, Bytes: 1 << 20, Samples: 9},
 	}})
+	snap.attrs = decoded(analysis.AttributesVersion, syntheticAttrs())
 	snap.Extra = []Section{{Name: "zz-future", Version: 3, Payload: []byte{1, 2, 3, 4}}}
 	return snap
 }
 
-// forcedSnapshot is a snapshot's content with both lazy products
+// syntheticAttrs covers every IP synthetic's products mention: routed
+// and geolocated, routed without a country, and neither.
+func syntheticAttrs() *analysis.AttributesProduct {
+	rib := routing.NewTable()
+	rib.Insert(routing.MakePrefix(packet.MakeIPv4(10, 0, 0, 0), 8), 64500)
+	rib.Insert(routing.MakePrefix(packet.MakeIPv4(10, 0, 0, 0), 30), 64501)
+	gdb, err := geo.Build([]geo.Range{{First: packet.MakeIPv4(10, 0, 0, 0), Last: packet.MakeIPv4(10, 0, 0, 2), Country: "DE"}})
+	if err != nil {
+		panic(err)
+	}
+	return analysis.AttributesOf(entity.NewTable(rib, gdb), []packet.IPv4Addr{
+		packet.MakeIPv4(10, 0, 0, 1), packet.MakeIPv4(10, 0, 0, 2),
+		packet.MakeIPv4(10, 0, 0, 3), packet.MakeIPv4(172, 16, 0, 9),
+	})
+}
+
+// forcedSnapshot is a snapshot's content with every lazy product
 // decoded, in a form reflect.DeepEqual can compare: the lazy wrappers
 // also hold decode state, which differs between equal snapshots.
 type forcedSnapshot struct {
@@ -95,10 +115,11 @@ type forcedSnapshot struct {
 	SourceDigest string
 	Visibility   *analysis.VisibilityProduct
 	Links        *analysis.LinksProduct
+	Attributes   *analysis.AttributesProduct
 	Extra        []Section
 }
 
-// forced decodes snap's products, failing the test if either does not
+// forced decodes snap's products, failing the test if any does not
 // decode.
 func forced(t testing.TB, snap *Snapshot) forcedSnapshot {
 	t.Helper()
@@ -110,7 +131,11 @@ func forced(t testing.TB, snap *Snapshot) forcedSnapshot {
 	if err != nil {
 		t.Fatalf("forcing links: %v", err)
 	}
-	return forcedSnapshot{snap.Result, snap.Counts, snap.SourceDigest, vis, links, snap.Extra}
+	attrs, err := snap.Attributes()
+	if err != nil {
+		t.Fatalf("forcing attributes: %v", err)
+	}
+	return forcedSnapshot{snap.Result, snap.Counts, snap.SourceDigest, vis, links, attrs, snap.Extra}
 }
 
 // appendEncodeV1 appends the legacy IXPSNAP1 container — byte-identical
@@ -484,6 +509,14 @@ func FuzzSnapshotDecode(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(replaceSection(f, full, analysis.NameLinks, []byte{0, 0, 0, 9}))
+	// The same for the attributes section: a forged IP count, and one
+	// entry too few.
+	attrs, err := syntheticAttrs().AppendEncode(nil)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(replaceSection(f, full, analysis.NameAttributes, []byte{0, 0, 0, 0, 0, 0, 0, 0, 0, 9}))
+	f.Add(replaceSection(f, full, analysis.NameAttributes, attrs[:len(attrs)-3]))
 	// Server lists that verify but do not index: an out-of-order IP, an
 	// unknown flag, a truncated record.
 	ws, err := analysis.AppendResult(nil, synthetic().Result)
@@ -507,6 +540,7 @@ func FuzzSnapshotDecode(f *testing.F) {
 		if (err == nil) != (oerr == nil) {
 			t.Fatalf("Decode error %v, Open error %v", err, oerr)
 		}
+		checkOpenFileFSAgrees(t, data, opened)
 		if err != nil {
 			if !isAny(err, ErrBadMagic, ErrChecksum, ErrFormat, ErrSectionVersion) {
 				t.Fatalf("untyped error: %v", err)
@@ -518,7 +552,8 @@ func FuzzSnapshotDecode(f *testing.F) {
 		// use to a typed error or a product.
 		vis, visErr := snap.Visibility()
 		links, linksErr := snap.Links()
-		for _, err := range []error{visErr, linksErr} {
+		attrs, attrsErr := snap.Attributes()
+		for _, err := range []error{visErr, linksErr, attrsErr} {
 			if err != nil && !isAny(err, ErrFormat, ErrSectionVersion) {
 				t.Fatalf("untyped product error: %v", err)
 			}
@@ -533,12 +568,14 @@ func FuzzSnapshotDecode(f *testing.F) {
 		}
 		gotVis, gotVisErr := got.Visibility()
 		gotLinks, gotLinksErr := got.Links()
-		if (visErr == nil) != (gotVisErr == nil) || (linksErr == nil) != (gotLinksErr == nil) {
-			t.Fatalf("product errors diverged: visibility %v then %v, links %v then %v",
-				visErr, gotVisErr, linksErr, gotLinksErr)
+		gotAttrs, gotAttrsErr := got.Attributes()
+		if (visErr == nil) != (gotVisErr == nil) || (linksErr == nil) != (gotLinksErr == nil) ||
+			(attrsErr == nil) != (gotAttrsErr == nil) {
+			t.Fatalf("product errors diverged: visibility %v then %v, links %v then %v, attributes %v then %v",
+				visErr, gotVisErr, linksErr, gotLinksErr, attrsErr, gotAttrsErr)
 		}
-		want := forcedSnapshot{snap.Result, snap.Counts, snap.SourceDigest, vis, links, snap.Extra}
-		have := forcedSnapshot{got.Result, got.Counts, got.SourceDigest, gotVis, gotLinks, got.Extra}
+		want := forcedSnapshot{snap.Result, snap.Counts, snap.SourceDigest, vis, links, attrs, snap.Extra}
+		have := forcedSnapshot{got.Result, got.Counts, got.SourceDigest, gotVis, gotLinks, gotAttrs, got.Extra}
 		if !reflect.DeepEqual(want, have) {
 			t.Fatalf("round trip diverged:\n got %+v\nwant %+v", have, want)
 		}
@@ -753,7 +790,7 @@ func TestLazyFirstUseConcurrent(t *testing.T) {
 
 func TestHasProduct(t *testing.T) {
 	snap := synthetic()
-	for _, name := range []string{"webserver", "visibility", "links", "zz-future"} {
+	for _, name := range []string{"webserver", "visibility", "links", "attributes", "zz-future"} {
 		if !snap.HasProduct(name) {
 			t.Fatalf("HasProduct(%q) = false on full snapshot", name)
 		}
@@ -762,7 +799,7 @@ func TestHasProduct(t *testing.T) {
 	if !v1.HasProduct("webserver") {
 		t.Fatal("v1 snapshot lost its webserver product")
 	}
-	for _, name := range []string{"visibility", "links", "nope"} {
+	for _, name := range []string{"visibility", "links", "attributes", "nope"} {
 		if v1.HasProduct(name) {
 			t.Fatalf("HasProduct(%q) = true on v1 snapshot", name)
 		}

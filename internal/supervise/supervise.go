@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"time"
 
+	"ixplens/internal/analysis"
 	"ixplens/internal/capture"
 	"ixplens/internal/obs"
 	"ixplens/internal/pipeline"
@@ -795,10 +796,11 @@ func (s *Supervisor) captureMatches(wk int, want string) bool {
 // snapshotVerified loads wk's snapshot if the checkpoint says it is
 // done, the file digest matches, it still derives from the current
 // capture digest, AND it carries every product the current analyzer
-// registry expects. A legacy (single-product v1) snapshot, or one
-// written under a narrower registry, fails the last check and is
+// registry expects plus the attributes section. A legacy (single-product
+// v1) snapshot, one written under a narrower registry, or one from a
+// build that wrote no attributes fails the last check and is
 // re-analyzed — the self-heal path that upgrades old campaign
-// directories to full multi-product snapshots.
+// directories to snapshots the serving layer can answer from.
 func (s *Supervisor) snapshotVerified(wk int, st *WeekState) (*snapshot.Snapshot, bool) {
 	if !st.Snapshot.Done || st.Snapshot.Digest == "" {
 		return nil, false
@@ -811,7 +813,7 @@ func (s *Supervisor) snapshotVerified(wk int, st *WeekState) (*snapshot.Snapshot
 	if err != nil || snap.SourceDigest != st.Capture.Digest {
 		return nil, false
 	}
-	for _, name := range s.env.Registry().Names() {
+	for _, name := range append(s.env.Registry().Names(), analysis.NameAttributes) {
 		if !snap.HasProduct(name) {
 			return nil, false
 		}

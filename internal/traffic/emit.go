@@ -1,6 +1,7 @@
 package traffic
 
 import (
+	"bytes"
 	"math/rand"
 
 	"ixplens/internal/ixp"
@@ -90,7 +91,7 @@ func (g *Generator) udpFrame(rng *rand.Rand, ingress, egress int32,
 // traffic: a request or response between a server and a client, or
 // machine-to-machine traffic between servers.
 func (g *Generator) emitServerFlow(rng *rand.Rand, isoWeek int, col *ixp.Collector,
-	alias *randutil.Alias, servers []int32, sampled map[int32]bool, stats *WeekStats) error {
+	alias *randutil.Alias, servers []int32, sampled map[int32]Evidence, stats *WeekStats) error {
 	si := servers[alias.Sample(rng)]
 	s := &g.w.Servers[si]
 
@@ -114,8 +115,9 @@ func (g *Generator) emitServerFlow(rng *rand.Rand, isoWeek int, col *ixp.Collect
 			if err := g.emitFrame(col, ingress, egress, frame, len(frame)); err != nil {
 				return err
 			}
-			sampled[si] = true
-			sampled[pi] = true
+			// The fetching server shows only as a client here.
+			sampled[si] = max(sampled[si], EvidenceOpaque)
+			sampled[pi] = max(sampled[pi], g.snippetEvidence(frame, payload, false))
 			stats.Samples++
 			stats.PeeringSamples++
 			stats.ServerSamples++
@@ -206,7 +208,7 @@ func (g *Generator) emitServerFlow(rng *rand.Rand, isoWeek int, col *ixp.Collect
 	if err := g.emitFrame(col, ingress, egress, frame, frameLen); err != nil {
 		return err
 	}
-	sampled[si] = true
+	sampled[si] = max(sampled[si], g.snippetEvidence(frame, payload, proto == protoHTTPS))
 	stats.Samples++
 	stats.PeeringSamples++
 	stats.ServerSamples++
@@ -216,6 +218,50 @@ func (g *Generator) emitServerFlow(rng *rand.Rand, isoWeek int, col *ixp.Collect
 	stats.ServerBytes += uint64(frameLen) * uint64(g.opts.SamplingRate)
 	stats.PeeringBytes += uint64(frameLen) * uint64(g.opts.SamplingRate)
 	return nil
+}
+
+// snippetEvidence grades one server-flow frame for its server endpoint
+// from the bytes alone, drawing nothing from the generator's RNG: HTTP
+// when the payload's part inside the snapped frame holds an HTTP
+// message's first line up to its version (a request line sent to the
+// server, "… HTTP/1.x"; a status line sent from it, "HTTP/1.x …") or a
+// header field after a line break; else 443 for an exchange on the
+// HTTPS port; else opaque.
+func (g *Generator) snippetEvidence(frame, payload []byte, https bool) Evidence {
+	visible := payload
+	if n := g.opts.SnapLen - (len(frame) - len(payload)); n < len(visible) {
+		visible = visible[:max(n, 0)]
+	}
+	switch {
+	case bytes.HasPrefix(visible, httpVersion[1:]), bytes.Contains(visible, httpVersion):
+		return EvidenceHTTP
+	case headerAfterLineBreak(visible):
+		return EvidenceHTTP
+	case https:
+		return Evidence443
+	}
+	return EvidenceOpaque
+}
+
+var httpVersion = []byte(" HTTP/1.")
+
+// headerAfterLineBreak reports whether a "Name: " field opens a line of
+// p, the line break included.
+func headerAfterLineBreak(p []byte) bool {
+	for {
+		i := bytes.Index(p, []byte("\r\n"))
+		if i < 0 {
+			return false
+		}
+		p = p[i+2:]
+		line := p
+		if j := bytes.Index(line, []byte("\r\n")); j >= 0 {
+			line = line[:j]
+		}
+		if k := bytes.Index(line, []byte(": ")); k > 0 {
+			return true
+		}
+	}
 }
 
 type protoKind uint8

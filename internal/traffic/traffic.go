@@ -70,7 +70,28 @@ type WeekStats struct {
 	// Sampled holds the world server indices actually hit by sampling,
 	// sorted ascending: the set identification recall is scored against.
 	Sampled []int32
+	// Evidence is parallel to Sampled: the strongest evidence of its
+	// server role any of the server's samples carried.
+	Evidence []Evidence
 }
+
+// Evidence grades what a sampled frame's snippet shows of its server
+// endpoint's role, weakest first. A server's evidence for a week is the
+// strongest over its samples.
+type Evidence uint8
+
+const (
+	// EvidenceOpaque: nothing in the snippet marks the endpoint a server
+	// — a response body, RTMP, a request line cut by the snap, or the
+	// server fetching as a client.
+	EvidenceOpaque Evidence = iota
+	// Evidence443: a TCP 443 exchange with the endpoint, which makes it
+	// an HTTPS crawl candidate; the snippet itself is opaque.
+	Evidence443
+	// EvidenceHTTP: an HTTP request line (to the endpoint), status line
+	// (from it) or header field in the snippet.
+	EvidenceHTTP
+)
 
 // SampledServers is the number of distinct servers hit by sampling.
 func (s WeekStats) SampledServers() int { return len(s.Sampled) }
@@ -191,7 +212,7 @@ func (g *Generator) GenerateWeek(isoWeek int, col *ixp.Collector) (WeekStats, er
 		return WeekStats{}, fmt.Errorf("traffic: no active visible servers in week %d", isoWeek)
 	}
 	stats := WeekStats{Week: isoWeek, ActiveServers: len(servers)}
-	sampled := make(map[int32]bool)
+	sampled := make(map[int32]Evidence)
 
 	n := int(float64(g.opts.SamplesPerWeek) * g.volumeFactor(isoWeek))
 	for k := 0; k < n; k++ {
@@ -225,5 +246,9 @@ func (g *Generator) GenerateWeek(isoWeek int, col *ixp.Collector) (WeekStats, er
 		stats.Sampled = append(stats.Sampled, si)
 	}
 	slices.Sort(stats.Sampled)
+	stats.Evidence = make([]Evidence, len(stats.Sampled))
+	for i, si := range stats.Sampled {
+		stats.Evidence[i] = sampled[si]
+	}
 	return stats, col.Flush()
 }
