@@ -31,7 +31,7 @@ func main() {
 	}
 
 	fmt.Println("tracking 17 weekly snapshots...")
-	tracker, _, err := env.TrackWeeks(context.Background())
+	tracker, _, _, err := env.TrackWeeks(context.Background())
 	if err != nil {
 		log.Fatal(err)
 	}

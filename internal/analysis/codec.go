@@ -1,7 +1,5 @@
-// Product codecs. The webserver result layout is the one IXPSNAP1
-// shipped — moved here unchanged so both the legacy container and the
-// multi-section IXPSNAP2 "webserver" section produce byte-identical
-// result segments.
+// Product codecs: each product's section payload in the snapshot
+// container, starting with the webserver result.
 package analysis
 
 import (
@@ -223,20 +221,8 @@ func IndexResult(version uint16, payload []byte) (ResultHeader, []ServerRef, err
 	if version != 1 {
 		return ResultHeader{}, nil, fmt.Errorf("%w: webserver result v%d", ErrVersion, version)
 	}
-	h, refs, n, err := indexResult(payload)
-	if err != nil {
-		return ResultHeader{}, nil, err
-	}
-	if n != len(payload) {
-		return ResultHeader{}, nil, fmt.Errorf("%w: %d trailing bytes", ErrFormat, len(payload)-n)
-	}
-	return h, refs, nil
-}
-
-// indexResult is the one validating walk over a result at the start of
-// b. n is the length of the result, which b may extend past.
-func indexResult(b []byte) (h ResultHeader, refs []ServerRef, n int, err error) {
-	cur := NewCursor(b)
+	var h ResultHeader
+	cur := NewCursor(payload)
 	h.Week = int(cur.U32())
 	h.EstLoss = math.Float64frombits(cur.U64())
 	for _, dst := range []*int{&h.Candidates443, &h.Responded443, &h.Valid443, &h.TotalIPs} {
@@ -247,14 +233,14 @@ func indexResult(b []byte) (h ResultHeader, refs []ServerRef, n int, err error) 
 	if cur.Bad() || nServers > cur.Len()/minServerLen {
 		// A count the remaining payload cannot hold is rejected before
 		// the index is sized by it.
-		return h, nil, 0, fmt.Errorf("%w: truncated result header", ErrFormat)
+		return ResultHeader{}, nil, fmt.Errorf("%w: truncated result header", ErrFormat)
 	}
 	if !(h.EstLoss >= 0 && h.EstLoss <= 1) {
-		return h, nil, 0, fmt.Errorf("%w: loss fraction %v", ErrFormat, h.EstLoss)
+		return ResultHeader{}, nil, fmt.Errorf("%w: loss fraction %v", ErrFormat, h.EstLoss)
 	}
-	refs = make([]ServerRef, nServers)
+	refs := make([]ServerRef, nServers)
 	for i := range refs {
-		off := len(b) - cur.Len()
+		off := len(payload) - cur.Len()
 		fixed := cur.Take(serverFixedLen)
 		if fixed == nil {
 			break
@@ -267,10 +253,10 @@ func indexResult(b []byte) (h ResultHeader, refs []ServerRef, n int, err error) 
 			Off:    uint32(off),
 		}
 		if i > 0 && ref.IP <= refs[i-1].IP {
-			return h, nil, 0, fmt.Errorf("%w: server %v out of order", ErrFormat, ref.IP)
+			return ResultHeader{}, nil, fmt.Errorf("%w: server %v out of order", ErrFormat, ref.IP)
 		}
 		if ref.Flags&^flagsKnown != 0 {
-			return h, nil, 0, fmt.Errorf("%w: server %v has unknown flags %#x", ErrFormat, ref.IP, ref.Flags)
+			return ResultHeader{}, nil, fmt.Errorf("%w: server %v has unknown flags %#x", ErrFormat, ref.IP, ref.Flags)
 		}
 		nStrs, nText := skipTail(cur, int(ref.NPorts))
 		h.nStrs += nStrs
@@ -278,9 +264,12 @@ func indexResult(b []byte) (h ResultHeader, refs []ServerRef, n int, err error) 
 		refs[i] = ref
 	}
 	if cur.Bad() {
-		return h, nil, 0, fmt.Errorf("%w: truncated server record", ErrFormat)
+		return ResultHeader{}, nil, fmt.Errorf("%w: truncated server record", ErrFormat)
 	}
-	return h, refs, len(b) - cur.Len(), nil
+	if cur.Len() != 0 {
+		return ResultHeader{}, nil, fmt.Errorf("%w: %d trailing bytes", ErrFormat, cur.Len())
+	}
+	return h, refs, nil
 }
 
 // skipTail steps over the variable part of a server record — its np
@@ -302,21 +291,6 @@ func skipTail(cur *Cursor, np int) (nStrs, nText int) {
 	na := int(cur.U16())
 	skipStrs(na)
 	return nh + na, nText
-}
-
-// ReadResult decodes one result from the cursor, leaving any trailing
-// bytes unconsumed (the v1 container embeds the result mid-payload). It
-// validates with IndexResult's walk, then builds the result from the
-// index.
-func ReadResult(cur *Cursor) (*webserver.Result, error) {
-	if cur.Bad() {
-		return nil, fmt.Errorf("%w: truncated result header", ErrFormat)
-	}
-	h, refs, n, err := indexResult(cur.b)
-	if err != nil {
-		return nil, err
-	}
-	return BuildResult(h, refs, cur.Take(n)), nil
 }
 
 // DecodeResult parses a standalone result section payload: IndexResult,

@@ -2,6 +2,7 @@ package analysis
 
 import (
 	"bytes"
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
@@ -176,6 +177,29 @@ func TestTopRefsMatchesFullSort(t *testing.T) {
 			t.Fatalf("TopRefs(%d) = %v, want %v", k, got, want)
 		}
 	}
+}
+
+// HeaderOf is the header of a built result, as IndexResult reads it
+// from the result's encoding: the reference IndexResult's header is
+// checked against.
+func HeaderOf(r *webserver.Result) ResultHeader {
+	return ResultHeader{
+		Week: r.Week, EstLoss: r.EstLoss,
+		Candidates443: r.Candidates443, Responded443: r.Responded443, Valid443: r.Valid443,
+		TotalIPs: r.TotalIPs, ServerBytes: r.ServerBytes,
+	}
+}
+
+// IndexOf indexes a built result's server list as IndexResult indexes
+// its encoding, in IP order, without offsets: the reference IndexResult's
+// refs are checked against.
+func IndexOf(r *webserver.Result) []ServerRef {
+	refs := make([]ServerRef, 0, len(r.Servers))
+	for ip, s := range r.Servers {
+		refs = append(refs, ServerRef{IP: ip, Bytes: s.Bytes, Flags: flagsOf(s), NPorts: uint8(min(len(s.Ports), 255))})
+	}
+	slices.SortFunc(refs, func(a, b ServerRef) int { return cmp.Compare(a.IP, b.IP) })
+	return refs
 }
 
 // TestIndexOfMatchesIndexResult: a built result indexes to the refs its

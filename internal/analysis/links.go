@@ -308,13 +308,3 @@ func (p *LinksProduct) RankedMemberLinks() []MemberLink {
 	})
 	return out
 }
-
-// TopMemberLinks returns the k heaviest member pairs of
-// RankedMemberLinks. k <= 0 returns all pairs.
-func (p *LinksProduct) TopMemberLinks(k int) []MemberLink {
-	out := p.RankedMemberLinks()
-	if k > 0 && k < len(out) {
-		out = out[:k]
-	}
-	return out
-}

@@ -279,7 +279,7 @@ func fuzzSeeds(f *testing.F, name string) [][]byte {
 	case NameWebserver:
 		// The webserver analyzer needs a crawler, so its seeds are the
 		// snapshot package's synthetic result, an empty one, and the
-		// result segment of the committed IXPSNAP1 fixture as written.
+		// webserver section of the committed snapshot fixture as written.
 		seeds := [][]byte{
 			encode(f, &WebserverProduct{Res: &webserver.Result{Week: 45}}),
 			encode(f, &WebserverProduct{Res: syntheticResult()}),
@@ -391,20 +391,31 @@ func syntheticResult() *webserver.Result {
 	return res
 }
 
-// fixtureResult cuts the result segment out of the snapshot package's
-// IXPSNAP1 fixture: past the 16-byte container header, the source
-// digest and the eleven u64 cascade counts.
+// fixtureResult cuts the webserver section out of the snapshot
+// package's committed IXPSNAP2 fixture: past the 20-byte container
+// header, each table entry names a section and its length, and the
+// payloads follow the table in its order.
 func fixtureResult(f *testing.F) []byte {
-	buf, err := os.ReadFile(filepath.Join("..", "snapshot", "testdata", "week-45.v1.snap"))
+	buf, err := os.ReadFile(filepath.Join("..", "snapshot", "testdata", "week-45.snap"))
 	if err != nil {
 		f.Fatal(err)
 	}
-	cur := NewCursor(buf[16:])
-	cur.Str()
-	cur.Take(11 * 8)
-	seg := cur.Take(cur.Len())
-	if cur.Bad() || len(seg) == 0 {
-		f.Fatal("fixture too short")
+	cur := NewCursor(buf[8:])
+	n, tableLen := int(cur.U32()), int(cur.U32())
+	cur.U32() // table CRC
+	table := NewCursor(cur.Take(tableLen))
+	var seg []byte
+	for i := 0; i < n; i++ {
+		name := string(table.Take(int(table.U8())))
+		table.U16() // version
+		payload := cur.Take(int(table.U32()))
+		table.U32() // payload CRC
+		if name == NameWebserver {
+			seg = payload
+		}
+	}
+	if cur.Bad() || table.Bad() || len(seg) == 0 {
+		f.Fatal("fixture has no webserver section")
 	}
 	return seg
 }

@@ -3,8 +3,6 @@ package analysis
 import (
 	"cmp"
 	"slices"
-
-	"ixplens/internal/core/webserver"
 )
 
 // ServerCounts are the server-list aggregates of a week's summary.
@@ -82,26 +80,4 @@ func siftDown(h []ServerRef, i int) {
 		h[i], h[last] = h[last], h[i]
 		i = last
 	}
-}
-
-// HeaderOf is the header of a built result, as IndexResult reads it
-// from the result's encoding.
-func HeaderOf(r *webserver.Result) ResultHeader {
-	return ResultHeader{
-		Week: r.Week, EstLoss: r.EstLoss,
-		Candidates443: r.Candidates443, Responded443: r.Responded443, Valid443: r.Valid443,
-		TotalIPs: r.TotalIPs, ServerBytes: r.ServerBytes,
-	}
-}
-
-// IndexOf indexes a built result's server list as IndexResult indexes
-// its encoding, in IP order. The refs carry no offsets: a record is
-// read from r itself.
-func IndexOf(r *webserver.Result) []ServerRef {
-	refs := make([]ServerRef, 0, len(r.Servers))
-	for ip, s := range r.Servers {
-		refs = append(refs, ServerRef{IP: ip, Bytes: s.Bytes, Flags: flagsOf(s), NPorts: uint8(min(len(s.Ports), 255))})
-	}
-	slices.SortFunc(refs, func(a, b ServerRef) int { return cmp.Compare(a.IP, b.IP) })
-	return refs
 }

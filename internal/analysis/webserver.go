@@ -8,7 +8,7 @@ import (
 
 // Webserver returns the server-identification analyzer: the sharded
 // webserver.Identifier behind the registry interface. Its product is
-// the full identification result, encoded exactly as IXPSNAP1 did.
+// the full identification result.
 func Webserver() Analyzer { return webserverAnalyzer{} }
 
 type webserverAnalyzer struct{}

@@ -15,16 +15,15 @@ import (
 	"ixplens/internal/traffic"
 )
 
-// benchFixture holds one week rendered to disk in both container
-// formats, shared by every benchmark in the package (generation costs
-// far more than any measured pass, so it runs once).
+// benchFixture holds one week rendered to disk, shared by every
+// benchmark in the package (generation costs far more than any measured
+// pass, so it runs once).
 type benchFixture struct {
-	env    *pipeline.Env
-	week   int
-	v1, v2 string
-	size1  int64
-	size2  int64
-	err    error
+	env   *pipeline.Env
+	week  int
+	v2    string
+	size2 int64
+	err   error
 }
 
 var (
@@ -55,12 +54,6 @@ func benchSetup(b *testing.B) *benchFixture {
 			bench.err = err
 			return
 		}
-		bench.v1 = filepath.Join(dir, "week-v1.sflow")
-		if _, err := writeV1Week(env, bench.week, bench.v1); err != nil {
-			bench.err = err
-			return
-		}
-		bench.size1 = fileSize(&bench.err, bench.v1)
 		bench.size2 = fileSize(&bench.err, bench.v2)
 	})
 	if bench.err != nil {
@@ -80,10 +73,9 @@ func fileSize(errp *error, path string) int64 {
 	return fi.Size()
 }
 
-// BenchmarkAnalyzeWeekSnapshot measures the full capture-to-result pass
-// per container format. On GOMAXPROCS>=4 hosts the v2 sub-benchmark fans
-// block decoding over the parallel reader; v1 is pinned to the serial
-// stream decode.
+// BenchmarkAnalyzeWeekSnapshot measures the full capture-to-result pass.
+// On GOMAXPROCS>=4 hosts it fans block decoding over the parallel
+// reader.
 func BenchmarkAnalyzeWeekSnapshot(b *testing.B) {
 	fx := benchSetup(b)
 	run := func(b *testing.B, path string, size int64) {
@@ -99,7 +91,6 @@ func BenchmarkAnalyzeWeekSnapshot(b *testing.B) {
 			}
 		}
 	}
-	b.Run("v1-serial", func(b *testing.B) { run(b, fx.v1, fx.size1) })
 	b.Run("v2-parallel", func(b *testing.B) { run(b, fx.v2, fx.size2) })
 }
 
@@ -119,22 +110,6 @@ func BenchmarkDecodeWeekFile(b *testing.B) {
 			}
 		}
 	}
-	b.Run("v1-serial", func(b *testing.B) {
-		b.SetBytes(fx.size1)
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			f, err := os.Open(fx.v1)
-			if err != nil {
-				b.Fatal(err)
-			}
-			sr, err := sflow.NewStreamReader(f)
-			if err != nil {
-				b.Fatal(err)
-			}
-			drain(b, sr)
-			f.Close()
-		}
-	})
 	b.Run("v2-serial", func(b *testing.B) {
 		b.SetBytes(fx.size2)
 		b.ReportAllocs()

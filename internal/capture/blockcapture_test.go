@@ -3,6 +3,7 @@ package capture
 import (
 	"context"
 	"encoding/binary"
+	"errors"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -18,40 +19,11 @@ import (
 	"ixplens/internal/vfs"
 )
 
-// writeV1Week renders one week into the legacy v1 stream container —
-// the format every pre-existing campaign on disk is in: the magic, then
-// each datagram's encoding behind its big-endian length — and returns
-// the week's datagram count.
-func writeV1Week(env *pipeline.Env, isoWeek int, path string) (int, error) {
-	buf := []byte("IXPSFLW1")
-	n := 0
-	if _, err := env.EachDatagram(context.Background(), isoWeek, func(d *sflow.Datagram) error {
-		off := len(buf)
-		buf = d.AppendEncode(append(buf, 0, 0, 0, 0))
-		binary.BigEndian.PutUint32(buf[off:], uint32(len(buf)-off-4))
-		n++
-		return nil
-	}); err != nil {
-		return 0, err
-	}
-	return n, os.WriteFile(path, buf, 0o644)
-}
-
-// mustWriteV1Week is writeV1Week failing the test on error.
-func mustWriteV1Week(t *testing.T, env *pipeline.Env, isoWeek int, path string) int {
-	t.Helper()
-	n, err := writeV1Week(env, isoWeek, path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return n
-}
-
-// TestGoldenV1V2Equivalence writes the same full 17-week campaign in
-// both container formats and requires AnalyzeWeekSnapshot to produce
-// identical results from either — the v2 migration must be invisible to
-// the analysis.
-func TestGoldenV1V2Equivalence(t *testing.T) {
+// TestGoldenCompressionEquivalence writes the same full 17-week campaign
+// stored and DEFLATE-compressed and requires AnalyzeWeekSnapshot to
+// produce identical results from either — the block codec must be
+// invisible to the analysis.
+func TestGoldenCompressionEquivalence(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-campaign golden comparison")
 	}
@@ -61,23 +33,20 @@ func TestGoldenV1V2Equivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	v1dir, v2dir := t.TempDir(), t.TempDir()
-
-	// Week generation is deterministic in (seed, week) alone, so the v1
-	// files written here carry the same datagrams WriteCampaignOpts renders.
-	v1counts := make([]int, 0, cfg.Weeks)
-	for wk := cfg.FirstWeek; wk <= cfg.LastWeek(); wk++ {
-		v1counts = append(v1counts, mustWriteV1Week(t, env, wk, filepath.Join(v1dir, WeekFile(wk))))
-	}
-	v2counts, err := WriteCampaignOpts(context.Background(), env, v2dir, WriteOptions{Compress: true})
+	storedDir, deflateDir := t.TempDir(), t.TempDir()
+	storedCounts, err := WriteCampaignOpts(context.Background(), env, storedDir, WriteOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(v1counts, v2counts) {
-		t.Fatalf("datagram counts diverge: v1 %v, v2 %v", v1counts, v2counts)
+	deflateCounts, err := WriteCampaignOpts(context.Background(), env, deflateDir, WriteOptions{Compress: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(storedCounts, deflateCounts) {
+		t.Fatalf("datagram counts diverge: stored %v, compressed %v", storedCounts, deflateCounts)
 	}
 
-	man, err := ReadManifest(v2dir)
+	man, err := ReadManifest(deflateDir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,10 +57,10 @@ func TestGoldenV1V2Equivalence(t *testing.T) {
 		t.Fatalf("manifest digests/datagrams: %d/%d entries", len(man.Digests), len(man.Datagrams))
 	}
 	for i, wk := range man.Weeks {
-		if man.Datagrams[i] != v2counts[i] {
-			t.Fatalf("week %d: manifest says %d datagrams, writer reported %d", wk, man.Datagrams[i], v2counts[i])
+		if man.Datagrams[i] != deflateCounts[i] {
+			t.Fatalf("week %d: manifest says %d datagrams, writer reported %d", wk, man.Datagrams[i], deflateCounts[i])
 		}
-		got, err := FileDigestFS(vfs.Default, filepath.Join(v2dir, man.Files[i]))
+		got, err := FileDigestFS(vfs.Default, filepath.Join(deflateDir, man.Files[i]))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -99,22 +68,51 @@ func TestGoldenV1V2Equivalence(t *testing.T) {
 			t.Fatalf("week %d digest mismatch", wk)
 		}
 
-		s1, err := AnalyzeWeekSnapshot(context.Background(), env, filepath.Join(v1dir, man.Files[i]), wk)
+		s1, err := AnalyzeWeekSnapshot(context.Background(), env, filepath.Join(storedDir, man.Files[i]), wk)
 		if err != nil {
-			t.Fatalf("v1 week %d: %v", wk, err)
+			t.Fatalf("stored week %d: %v", wk, err)
 		}
-		s2, err := AnalyzeWeekSnapshot(context.Background(), env, filepath.Join(v2dir, man.Files[i]), wk)
+		s2, err := AnalyzeWeekSnapshot(context.Background(), env, filepath.Join(deflateDir, man.Files[i]), wk)
 		if err != nil {
-			t.Fatalf("v2 week %d: %v", wk, err)
+			t.Fatalf("compressed week %d: %v", wk, err)
 		}
 		if s1.Counts != s2.Counts {
-			t.Fatalf("week %d cascade diverges: v1 %+v, v2 %+v", wk, s1.Counts, s2.Counts)
+			t.Fatalf("week %d cascade diverges: stored %+v, compressed %+v", wk, s1.Counts, s2.Counts)
 		}
 		if !reflect.DeepEqual(s1.Result, s2.Result) {
-			t.Fatalf("week %d analysis diverges between containers", wk)
+			t.Fatalf("week %d analysis diverges between codecs", wk)
 		}
 		if s1.Counts.Total == 0 || len(s1.Result.Servers) == 0 {
 			t.Fatalf("week %d analysis empty", wk)
+		}
+	}
+}
+
+// TestV1CaptureRefused: a capture in the retired v1 stream container —
+// the magic, then length-prefixed datagrams — fails the analysis with
+// sflow.ErrBadMagic, which the supervisor classes as permanent, instead
+// of being read. An empty or short file fails with a read error instead,
+// which stays transient.
+func TestV1CaptureRefused(t *testing.T) {
+	env, _, _ := instrumented(t, 2)
+	wk := env.World.Cfg.FirstWeek
+	v1 := []byte("IXPSFLW1")
+	if _, err := env.EachDatagram(context.Background(), wk, func(d *sflow.Datagram) error {
+		off := len(v1)
+		v1 = d.AppendEncode(append(v1, 0, 0, 0, 0))
+		binary.BigEndian.PutUint32(v1[off:], uint32(len(v1)-off-4))
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	for name, body := range map[string][]byte{"v1": v1, "empty": nil, "short": []byte("IXPS")} {
+		path := filepath.Join(t.TempDir(), name+".sflow")
+		if err := os.WriteFile(path, body, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_, err := AnalyzeWeekSnapshot(context.Background(), env, path, wk)
+		if got, want := errors.Is(err, sflow.ErrBadMagic), name == "v1"; err == nil || got != want {
+			t.Fatalf("%s capture: err = %v, want ErrBadMagic %v", name, err, want)
 		}
 	}
 }
@@ -252,40 +250,6 @@ func TestTruncatedCaptureDegrades(t *testing.T) {
 	}
 }
 
-// TestTruncatedV1CaptureDegrades: the same crash tolerance holds on the
-// legacy container, via the typed ErrTruncated from the v1 reader.
-func TestTruncatedV1CaptureDegrades(t *testing.T) {
-	cfg := netmodel.Tiny()
-	cfg.Weeks = 2
-	opts := traffic.Options{SamplesPerWeek: 3000, SamplingRate: 16384, SnapLen: 128}
-	env, err := pipeline.NewEnv(cfg, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	reg := obs.NewRegistry()
-	env.Instrument(reg)
-	path := filepath.Join(t.TempDir(), "week.sflow")
-	mustWriteV1Week(t, env, cfg.FirstWeek, path)
-
-	fi, err := os.Stat(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.Truncate(path, fi.Size()*6/10); err != nil {
-		t.Fatal(err)
-	}
-	cut, err := AnalyzeWeekSnapshot(context.Background(), env, path, cfg.FirstWeek)
-	if err != nil {
-		t.Fatalf("truncated v1 capture must degrade, not fail: %v", err)
-	}
-	if cut.Counts.Total == 0 {
-		t.Fatal("nothing decoded before the cut")
-	}
-	if got := counterValue(t, reg, "capture_truncated_files_total"); got != 1 {
-		t.Fatalf("truncated files counted = %d, want 1", got)
-	}
-}
-
 // TestCampaignResume checks the crash-recovery write path: weeks whose
 // files verify against the manifest digests are skipped, damaged ones
 // are rewritten, and option changes invalidate the whole directory.
@@ -383,8 +347,8 @@ func TestCampaignResume(t *testing.T) {
 	}
 }
 
-// TestAnalyzeStampsObservedDigest pins the one contract both container
-// readers share: the analysis hashes the bytes it decodes, and
+// TestAnalyzeStampsObservedDigest pins the analysis's digest contract:
+// it hashes the bytes it decodes, and
 // SourceDigest is that hash — the manifest's digest for an intact file,
 // the damaged file's own digest after a bit flip (so a caller comparing
 // it to the manifest sees the damage without a second pass), and empty
@@ -398,8 +362,6 @@ func TestAnalyzeStampsObservedDigest(t *testing.T) {
 		t.Fatal(err)
 	}
 	v2 := filepath.Join(dir, WeekFile(wk))
-	v1 := filepath.Join(t.TempDir(), "week.sflow")
-	mustWriteV1Week(t, env, wk, v1)
 
 	observed := func(path string) string {
 		t.Helper()
@@ -420,9 +382,6 @@ func TestAnalyzeStampsObservedDigest(t *testing.T) {
 
 	if got := observed(v2); got != man.Digests[0] {
 		t.Fatalf("v2: analysis observed %s, manifest records %s", got, man.Digests[0])
-	}
-	if got := observed(v1); got == "" || got != onDisk(v1) {
-		t.Fatalf("v1: analysis observed %q, file digest %s", got, onDisk(v1))
 	}
 
 	// A v2 file that ends cleanly where its footer should start — a
@@ -454,16 +413,14 @@ func TestAnalyzeStampsObservedDigest(t *testing.T) {
 		t.Fatalf("bit-flipped v2: analysis observed %s, file digest %s, manifest %s", got, onDisk(v2), man.Digests[0])
 	}
 
-	for _, path := range []string{v1, v2} {
-		fi, err := os.Stat(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.Truncate(path, fi.Size()*6/10); err != nil {
-			t.Fatal(err)
-		}
-		if got := observed(path); got != "" {
-			t.Fatalf("truncated %s: analysis reported digest %s", filepath.Base(path), got)
-		}
+	fi, err := os.Stat(v2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Truncate(v2, fi.Size()*6/10); err != nil {
+		t.Fatal(err)
+	}
+	if got := observed(v2); got != "" {
+		t.Fatalf("truncated v2: analysis reported digest %s", got)
 	}
 }

@@ -2,11 +2,12 @@
 // shared by cmd/ixpgen and cmd/ixpmine: a directory holding one sFlow
 // capture per weekly snapshot plus a JSON manifest recording the world
 // configuration, so the measurement substrates can be rebuilt
-// deterministically for analysis. New campaigns are written in the
-// checksummed v2 block container (see internal/sflow); v1 campaigns
-// remain fully readable. The manifest carries a sha256 digest per week
-// file, written as each week completes, so an interrupted campaign can
-// resume: verified weeks are skipped, missing or damaged ones rewritten.
+// deterministically for analysis. Captures are in the checksummed v2
+// block container (see internal/sflow) and the manifest is Format 2; a
+// campaign written before either must be regenerated with ixpgen. The
+// manifest carries a sha256 digest per week file, written as each week
+// completes, so an interrupted campaign can resume: verified weeks are
+// skipped, missing or damaged ones rewritten.
 package capture
 
 import (
@@ -35,8 +36,6 @@ import (
 const ManifestName = "manifest.json"
 
 // Manifest ties a campaign directory to its generating configuration.
-// The v2 fields are omitted when empty so manifests from v1 campaigns
-// still parse (and old readers ignore the additions).
 type Manifest struct {
 	Config  netmodel.Config
 	Options traffic.Options
@@ -52,8 +51,8 @@ type Manifest struct {
 	// different keys. Recovering the key from one mapped address would
 	// mean inverting the keyed prefix-preserving permutation.
 	AnonFP string `json:",omitempty"`
-	// Format is the capture container version: 2 for block captures,
-	// absent (0) for the original v1 stream container.
+	// Format is the capture container version, always 2 (block
+	// captures); decodeManifest refuses any other.
 	Format int `json:",omitempty"`
 	// Compression records whether v2 blocks are DEFLATE-compressed.
 	Compression bool `json:",omitempty"`
@@ -191,14 +190,6 @@ func (m *Manifest) WeekIndex(wk int) int {
 // the manifest actually changed, so callers can skip redundant rewrites.
 func (m *Manifest) SetWeek(wk int, file, digest string, datagrams int) bool {
 	if i := m.WeekIndex(wk); i >= 0 {
-		// Normalize a v1/legacy manifest's missing parallel arrays before
-		// indexing into them.
-		for len(m.Digests) < len(m.Files) {
-			m.Digests = append(m.Digests, "")
-		}
-		for len(m.Datagrams) < len(m.Files) {
-			m.Datagrams = append(m.Datagrams, 0)
-		}
 		if m.Files[i] == file && m.Digests[i] == digest && m.Datagrams[i] == datagrams {
 			return false
 		}
@@ -271,29 +262,20 @@ func isTempLitter(name string) bool {
 	return false
 }
 
-// Compatible reports whether m describes the same campaign next would
-// produce, so m's digests can vouch for weeks already on disk.
+// Compatible reports whether an existing manifest m describes the
+// same campaign next would produce, so m's digests can vouch for weeks
+// already on disk. Config and Options are compared through their JSON
+// form — the same encoding the manifest stores.
 func (m *Manifest) Compatible(next *Manifest) bool {
-	return resumeCompatible(m, next)
-}
-
-// resumeCompatible reports whether an existing manifest describes the
-// same campaign a new write would produce, so its digests can vouch for
-// weeks already on disk. Config and Options are compared through their
-// JSON form — the same encoding the manifest stores.
-func resumeCompatible(old, next *Manifest) bool {
-	if old.Format != next.Format ||
-		old.Compression != next.Compression ||
-		old.Anonymized != next.Anonymized ||
-		old.AnonFP != next.AnonFP {
+	if m.Format != next.Format ||
+		m.Compression != next.Compression ||
+		m.Anonymized != next.Anonymized ||
+		m.AnonFP != next.AnonFP {
 		return false
 	}
-	if len(old.Digests) != len(old.Files) || len(old.Datagrams) != len(old.Files) {
-		return false
-	}
-	oc, err1 := json.Marshal(old.Config)
+	oc, err1 := json.Marshal(m.Config)
 	nc, err2 := json.Marshal(next.Config)
-	oo, err3 := json.Marshal(old.Options)
+	oo, err3 := json.Marshal(m.Options)
 	no, err4 := json.Marshal(next.Options)
 	if err1 != nil || err2 != nil || err3 != nil || err4 != nil {
 		return false
@@ -456,17 +438,20 @@ func decodeManifest(raw []byte) (*Manifest, error) {
 		return nil, fmt.Errorf("%w: weeks/files mismatch: %d vs %d",
 			ErrManifest, len(man.Weeks), len(man.Files))
 	}
-	// The v2 fields are parallel to Files when present at all. A manifest
-	// violating that shape (hand-edited, or damaged in a way that still
-	// parses) would index out of bounds in every consumer that walks the
-	// arrays together, so it is rejected here once — resume degrades to a
-	// clean rewrite, analysis tools fail with a diagnosis instead of a
-	// panic.
-	if n := len(man.Digests); n != 0 && n != len(man.Files) {
+	if man.Format != 2 {
+		return nil, fmt.Errorf("%w: capture format %d, this build reads only format 2: regenerate the campaign with ixpgen",
+			ErrManifest, man.Format)
+	}
+	// Digests and Datagrams are parallel to Files. A manifest violating
+	// that shape (hand-edited, or damaged in a way that still parses)
+	// would index out of bounds in every consumer that walks the arrays
+	// together, so it is rejected here once — resume degrades to a clean
+	// rewrite, analysis tools fail with a diagnosis instead of a panic.
+	if n := len(man.Digests); n != len(man.Files) {
 		return nil, fmt.Errorf("%w: digests/files mismatch: %d vs %d",
 			ErrManifest, n, len(man.Files))
 	}
-	if n := len(man.Datagrams); n != 0 && n != len(man.Files) {
+	if n := len(man.Datagrams); n != len(man.Files) {
 		return nil, fmt.Errorf("%w: datagrams/files mismatch: %d vs %d",
 			ErrManifest, n, len(man.Files))
 	}
@@ -483,71 +468,45 @@ func (m *Manifest) Rebuild() (*pipeline.Env, error) {
 // in env's registry — identification, visibility, link flows — in a
 // SINGLE pass, spreading classification over a worker pool; each worker
 // feeds its own per-analyzer shard and the deterministic shard merges
-// inside Finish keep results identical to a sequential pass. v2 (block)
-// captures are additionally decoded by the pipelined block reader,
-// removing the serial read bottleneck; v1 captures take the sequential
-// fallback path. The returned snapshot carries every analyzer's
-// product.
+// inside Finish keep results identical to a sequential pass. The capture
+// is decoded by the pipelined block reader, removing the serial read
+// bottleneck. The returned snapshot carries every analyzer's product.
 //
 // The pass is also the file's digest check: every byte is hashed as it
 // is read, and SourceDigest is the sha256 of the bytes this analysis
 // actually saw — the same value FileDigestFS computes — so a caller
 // holding an expected digest compares instead of hashing the file
 // first. It is left empty for a truncated capture — cut mid-structure,
-// or a v2 file that ends without its footer — since not every byte was
+// or a file that ends without its footer — since not every byte was
 // there to read.
 //
-// Damage degrades instead of failing: a crash-truncated capture (either
-// format) yields everything decoded before the cut, and v2 blocks whose
+// Damage degrades instead of failing: a crash-truncated capture yields
+// everything decoded before the cut, and blocks whose
 // checksum does not verify are quarantined and counted. Both surface
 // through the result's EstLoss annotation — quarantined and truncated
 // datagrams reappear to the sequence tracker as gaps — and through the
-// capture metrics in env.M. Structural corruption (bad magic, damaged
-// framing without a trusted index) still fails. ctx cancels the pass
-// within one datagram batch.
+// capture metrics in env.M. Structural corruption (damaged framing
+// without a trusted index) still fails, and a file that is not a block
+// container — a v1 capture included — fails with sflow.ErrBadMagic. ctx
+// cancels the pass within one datagram batch.
 func AnalyzeWeekSnapshot(ctx context.Context, env *pipeline.Env, path string, isoWeek int) (*snapshot.Snapshot, error) {
 	f, err := env.VFS().Open(path)
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close()
-	var magic [8]byte
-	if _, err := io.ReadFull(f, magic[:]); err != nil {
-		return nil, fmt.Errorf("capture: reading %s header: %w", filepath.Base(path), err)
-	}
-	if _, err := f.Seek(0, io.SeekStart); err != nil {
-		return nil, err
-	}
 	// The driver's default pool leaves one core to the reader side —
 	// the block reader's producer, which reads and hashes the file.
+	// Always the pipelined reader, even at one worker: its producer
+	// (read + sha256) and decode worker (CRC32C + inflate + decode)
+	// overlap classify/observe, which at one worker stays on this
+	// goroutine.
 	workers := dissect.DefaultWorkers()
-	// Both formats hash the file while they read it; digest is only
-	// asked once the source has reported a clean io.EOF.
-	var src dissect.DatagramSource
-	var digest func() string
-	var blockStats func() sflow.BlockStats
-	switch sflow.CaptureFormat(magic) {
-	case 1:
-		h := sha256.New()
-		sr, err := sflow.NewStreamReader(io.TeeReader(f, h))
-		if err != nil {
-			return nil, err
-		}
-		src, digest = sr, func() string { return hex.EncodeToString(h.Sum(nil)) }
-	case 2:
-		// Always the pipelined reader, even at one worker: its producer
-		// (read + sha256) and decode worker (CRC32C + inflate + decode)
-		// overlap classify/observe, which at one worker stays on this
-		// goroutine.
-		pr, err := sflow.NewParallelBlockReader(f, workers)
-		if err != nil {
-			return nil, err
-		}
-		defer pr.Close()
-		src, digest, blockStats = pr, pr.Digest, pr.Stats
-	default:
-		return nil, sflow.ErrBadMagic
+	pr, err := sflow.NewParallelBlockReader(f, workers)
+	if err != nil {
+		return nil, err
 	}
+	defer pr.Close()
 	// The file's end is accounted before the week is finished, so a
 	// week that then fails its loss budget still shows its quarantined
 	// blocks.
@@ -555,13 +514,11 @@ func AnalyzeWeekSnapshot(ctx context.Context, env *pipeline.Env, path string, is
 	prods, counts, err := env.AnalyzeFeed(ctx, isoWeek, workers, func(emit func(*sflow.Datagram) error) error {
 		var d sflow.Datagram
 		for {
-			err := src.Next(&d)
+			err := pr.Next(&d)
 			if err == io.EOF || errors.Is(err, sflow.ErrTruncated) {
 				// A crash-truncated capture ends the week at the cut; its
 				// missing tail reads as sequence gaps.
-				if blockStats != nil {
-					st = blockStats()
-				}
+				st = pr.Stats()
 				st.Truncated = st.Truncated || err != io.EOF
 				env.M.ObserveCapture(st)
 				return nil
@@ -582,7 +539,7 @@ func AnalyzeWeekSnapshot(ctx context.Context, env *pipeline.Env, path string, is
 		return nil, err
 	}
 	if !st.Truncated {
-		snap.SourceDigest = digest()
+		snap.SourceDigest = pr.Digest()
 	}
 	return snap, nil
 }

@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"ixplens/internal/netmodel"
@@ -123,6 +124,36 @@ func TestAnalyzeWeekSnapshotErrors(t *testing.T) {
 	}
 }
 
+// TestReadManifestRefusesOtherFormats: a manifest of any capture format
+// but 2 — the v1 stream container's manifests carry none (0) — fails
+// with ErrManifest, naming ixpgen as the way to regenerate the campaign.
+func TestReadManifestRefusesOtherFormats(t *testing.T) {
+	env := smallEnv(t)
+	dir := t.TempDir()
+	if _, err := WriteCampaignOpts(context.Background(), env, dir, WriteOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	man, err := ReadManifest(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, format := range []int{0, 1, 3} {
+		bad := *man
+		bad.Format = format
+		raw, err := json.Marshal(&bad)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, ManifestName), raw, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_, err = ReadManifest(dir)
+		if !errors.Is(err, ErrManifest) || !strings.Contains(err.Error(), "regenerate the campaign with ixpgen") {
+			t.Fatalf("format %d: err = %v, want ErrManifest naming ixpgen", format, err)
+		}
+	}
+}
+
 func TestWeekFileNaming(t *testing.T) {
 	if WeekFile(7) != "week-07.sflow" || WeekFile(45) != "week-45.sflow" {
 		t.Fatal("week file names wrong")
@@ -168,6 +199,10 @@ func TestReadManifestRejectsMisshapenArrays(t *testing.T) {
 	corrupt(func(m *Manifest) { m.Datagrams = append(m.Datagrams, 999) })
 	if _, err := ReadManifest(dir); err == nil {
 		t.Fatal("long datagrams array must fail")
+	}
+	corrupt(func(m *Manifest) { m.Digests, m.Datagrams = nil, nil })
+	if _, err := ReadManifest(dir); !errors.Is(err, ErrManifest) {
+		t.Fatalf("absent digests and datagrams: err = %v, want ErrManifest", err)
 	}
 
 	// Resume over the corrupted manifest: nothing to trust, so every

@@ -30,7 +30,7 @@ func tracked(t testing.TB) (*pipeline.Env, *Tracker) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tracker, _, err := env.TrackWeeks(context.Background())
+	tracker, _, _, err := env.TrackWeeks(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -89,6 +89,7 @@ type Runner struct {
 
 	tracker  *churn.Tracker
 	weekly   []*webserver.Result
+	truths   []traffic.WeekStats
 	weekErrs pipeline.WeekErrors
 }
 
@@ -162,7 +163,7 @@ func (r *Runner) Tracked() (*churn.Tracker, []*webserver.Result, error) {
 	if r.tracker != nil {
 		return r.tracker, r.weekly, nil
 	}
-	tracker, weekly, err := r.Env.TrackWeeks(r.ctx())
+	tracker, weekly, truths, err := r.Env.TrackWeeks(r.ctx())
 	if err != nil {
 		var werrs pipeline.WeekErrors
 		if !errors.As(err, &werrs) {
@@ -170,7 +171,7 @@ func (r *Runner) Tracked() (*churn.Tracker, []*webserver.Result, error) {
 		}
 		r.weekErrs = werrs
 	}
-	r.tracker, r.weekly = tracker, weekly
+	r.tracker, r.weekly, r.truths = tracker, weekly, truths
 	return tracker, weekly, nil
 }
 

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"ixplens/internal/core/churn"
+	"ixplens/internal/oracle"
 	"ixplens/internal/routing"
 )
 
@@ -20,6 +21,12 @@ func (r *Runner) Fig4aServerChurn() (Report, error) {
 	rep.addf("stable pool share (week 51)", "~30%", "%s", pct(last.Share(churn.PoolStable)))
 	rep.addf("recurrent pool share", "~60%", "%s", pct(last.Share(churn.PoolRecurrent)))
 	rep.addf("first-seen share", "~10%", "%s", pct(last.Share(churn.PoolNew)))
+	sc := oracle.Stable(r.Env.World, tracker, r.truths)
+	rep.addf("stable share: measured vs true (sampled stable servers)", "-", "%s vs %s",
+		pct(sc.MeasuredShare), pct(sc.TrueShare))
+	rep.addf("stable pool precision vs ground truth", "-", "%d of %d (%s)", sc.TruePositives, sc.Labelled, pct(sc.Precision))
+	rep.addf("recall of sampled stable servers", "-", "%d of %d (%s)", sc.Found, sc.StableSampled, pct(sc.Recall))
+	rep.addf("stable servers missed: unsampled in a week / mislabelled", "-", "%d / %d", sc.MissedUnsampled, sc.Mislabelled)
 
 	var stable, recurrent, fresh, totals []float64
 	for _, wc := range weeks {

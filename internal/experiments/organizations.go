@@ -113,37 +113,43 @@ func (r *Runner) Fig6cASHosting() (Report, error) {
 
 // linkStudy runs the Fig. 7 attribution for one special org by
 // replaying week 45's persisted flow product — no second pass over the
-// capture.
-func (r *Runner) linkStudy(org int32) (*hetero.LinkStats, error) {
+// capture. It also returns the org's measured server set, its cluster.
+func (r *Runner) linkStudy(org int32) (*hetero.LinkStats, func(packet.IPv4Addr) bool, error) {
 	wk, _, err := r.Week45()
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	if wk.Links == nil {
-		return nil, errors.New("experiments: links analyzer not in the registry")
+		return nil, nil, errors.New("experiments: links analyzer not in the registry")
 	}
 	w := r.Env.World
 	c := wk.Clusters.Clusters[w.Orgs[org].Domain]
 	if c == nil {
-		return nil, fmt.Errorf("no cluster for org %s", w.Orgs[org].Name)
+		return nil, nil, fmt.Errorf("no cluster for org %s", w.Orgs[org].Name)
 	}
 	set := make(map[packet.IPv4Addr]bool, len(c.IPs))
 	for _, ip := range c.IPs {
 		set[ip] = true
 	}
-	return wk.Links.LinkStats(w.Orgs[org].HomeAS, r.Env.EntityTable(),
-		func(ip packet.IPv4Addr) bool { return set[ip] }), nil
+	inCluster := func(ip packet.IPv4Addr) bool { return set[ip] }
+	return wk.Links.LinkStats(w.Orgs[org].HomeAS, r.Env.EntityTable(), inCluster), inCluster, nil
 }
 
 // Fig7bAcmeLinks reproduces Figure 7(b): per-member direct-link share of
 // the deploy-CDN's traffic.
 func (r *Runner) Fig7bAcmeLinks() (Report, error) {
 	rep := Report{ID: "E19", Title: "Fig. 7(b) — Akamai-analog traffic via direct vs other links"}
-	ls, err := r.linkStudy(r.Env.World.Special.AcmeCDN)
+	acme := r.Env.World.Special.AcmeCDN
+	ls, inCluster, err := r.linkStudy(acme)
 	if err != nil {
 		return rep, err
 	}
 	rep.addf("traffic NOT via own peering links", "11.1%", "%s", pct(ls.OffLinkShare()))
+	wk, _, _ := r.Week45()
+	sc := oracle.Links(r.Env.World, acme, wk.Links, inCluster)
+	rep.addf("off-link share: measured vs true server IPs", "-", "%s vs %s (%+.1f pp)",
+		pct(sc.MeasuredOffLink), pct(sc.TrueOffLink), sc.ErrorPP)
+	rep.addf("measured org bytes from IPs the org does not own", "-", "%s", pct(sc.ForeignShare))
 	only := ls.ServersOnlyOffLink()
 	total := ls.NumDirectServers() + only
 	rep.addf("servers seen only via non-member links", "15K of 28K", "%d of %d", only, total)
@@ -171,7 +177,7 @@ func (r *Runner) Fig7bAcmeLinks() (Report, error) {
 // own-data-center CDN.
 func (r *Runner) Fig7cCloudflareLinks() (Report, error) {
 	rep := Report{ID: "E20", Title: "Fig. 7(c) — CloudFlare-analog traffic via direct vs other links"}
-	ls, err := r.linkStudy(r.Env.World.Special.CloudShield)
+	ls, _, err := r.linkStudy(r.Env.World.Special.CloudShield)
 	if err != nil {
 		return rep, err
 	}

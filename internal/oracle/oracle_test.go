@@ -2,9 +2,12 @@ package oracle
 
 import (
 	"context"
+	"math"
 	"testing"
 
+	"ixplens/internal/analysis"
 	"ixplens/internal/certsim"
+	"ixplens/internal/core/churn"
 	"ixplens/internal/core/cluster"
 	"ixplens/internal/core/webserver"
 	"ixplens/internal/netmodel"
@@ -243,5 +246,140 @@ func TestServersByEvidenceSplits(t *testing.T) {
 	}
 	if sc.HTTPEvidence != 1 || sc.HTTPFound != 1 || sc.Validatable443 != 2 || sc.Found443 != 1 || sc.HTTPSRecall != 0.5 {
 		t.Fatalf("recalls %+v: want HTTP 1 of 1, 443 1 of 2", sc)
+	}
+}
+
+// TestStableCountsPools pins the stable-pool score on a hand-built
+// campaign of two observed weeks around a gap. Servers 1, 2 and 4 are
+// stable, 3 recurrent. Both weeks identify 1 and 3, so both are labelled
+// stable (3 wrongly). The last week samples all four servers: 2 was
+// sampled both weeks but not identified in the last, 4 went unsampled
+// in the first.
+func TestStableCountsPools(t *testing.T) {
+	ip := func(last byte) packet.IPv4Addr { return packet.MakeIPv4(10, 0, 0, last) }
+	world := &netmodel.World{Servers: []netmodel.Server{
+		{IP: ip(1)}, {IP: ip(2)}, {IP: ip(3), Activity: netmodel.ActRecurrent}, {IP: ip(4)},
+	}}
+	week := func(wk int, last ...byte) churn.WeekObservation {
+		obs := churn.WeekObservation{Week: wk, Servers: map[packet.IPv4Addr]churn.ServerObs{}}
+		for _, l := range last {
+			obs.Servers[ip(l)] = churn.ServerObs{}
+		}
+		return obs
+	}
+	tracker := churn.NewTracker()
+	for _, err := range []error{tracker.Add(week(35, 1, 2, 3)), tracker.AddGap(36), tracker.Add(week(37, 1, 3, 9))} {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	truths := []traffic.WeekStats{{Sampled: []int32{0, 1, 2}}, {}, {Sampled: []int32{0, 1, 2, 3}}}
+	got := Stable(world, tracker, truths)
+	want := StableScore{
+		Labelled: 2, TruePositives: 1, Precision: 0.5,
+		StableSampled: 3, Found: 1, Recall: 1.0 / 3,
+		MissedUnsampled: 1, Mislabelled: 1,
+		MeasuredShare: 2.0 / 3, TrueShare: 0.75,
+	}
+	if got != want {
+		t.Fatalf("score %+v, want %+v", got, want)
+	}
+	if empty := Stable(world, churn.NewTracker(), nil); empty != (StableScore{}) {
+		t.Fatalf("empty tracker: %+v", empty)
+	}
+}
+
+// TestLinksCountsBytes pins the link score on a hand-built flow product.
+// Org 1 (home member 5) owns servers 1 and 2, org 2 server 3; the
+// measured set holds 1 and 3. Server 1 sends 100 bytes over the home
+// link, 2 sends 50 and 3 sends 30 over member 6.
+func TestLinksCountsBytes(t *testing.T) {
+	ip := func(last byte) packet.IPv4Addr { return packet.MakeIPv4(10, 0, 0, last) }
+	world := &netmodel.World{
+		Servers: []netmodel.Server{{IP: ip(1), Org: 1}, {IP: ip(2), Org: 1}, {IP: ip(3), Org: 2}},
+		Orgs:    []netmodel.Org{{}, {HomeAS: 5}, {}},
+	}
+	client := packet.MakeIPv4(192, 0, 2, 1)
+	flow := func(src byte, in int32, bytes uint64) analysis.Flow {
+		return analysis.Flow{FlowKey: analysis.FlowKey{Src: ip(src), Dst: client, In: in, Out: 7}, Bytes: bytes, Samples: 1}
+	}
+	lp := &analysis.LinksProduct{Flows: []analysis.Flow{flow(1, 5, 100), flow(2, 6, 50), flow(3, 6, 30)}}
+	got := Links(world, 1, lp, func(a packet.IPv4Addr) bool { return a == ip(1) || a == ip(3) })
+	offLink := func(direct, total float64) float64 { return 1 - direct/total }
+	want := LinkScore{
+		MeasuredOffLink: offLink(100, 130), TrueOffLink: offLink(100, 150),
+		MeasuredBytes: 130, ForeignBytes: 30, ForeignShare: 30.0 / 130,
+	}
+	want.ErrorPP = 100 * (want.MeasuredOffLink - want.TrueOffLink)
+	if got != want {
+		t.Fatalf("score %+v, want %+v", got, want)
+	}
+}
+
+// Floors of the stable-pool and link scores on the Tiny world with the default
+// traffic options, chosen on development seeds 7, 3 and 5 and checked
+// on seeds 11, 13, 23, 29 and 31. A floor may only be raised.
+//
+// Stable pool at week 51: precision 1.000 on every seed; recall 0.504,
+// 0.527, 0.526 on the development seeds, 0.499 to 0.559 on the others.
+// AcmeCDN's off-link share: measured minus true -0.39, -0.17, -0.13 pp
+// on the development seeds; 2.20, 1.42, 6.36, -0.02 and 0.29 pp on the
+// others, so the 2 pp ceiling holds on three of the five. The measured
+// bytes from IPs AcmeCDN does not own: 0 on the development seeds, at
+// most 0.4 % on the others.
+const (
+	stablePrecisionFloor = 0.99
+	stableRecallFloor    = 0.45
+	offLinkErrorCeilPP   = 2.0
+	foreignShareCeil     = 0.01
+)
+
+// TestStableAndLinkScoresOnTinyWorld scores the stable pool of the 17-week
+// series and week 45's AcmeCDN link attribution against the world that
+// generated them.
+func TestStableAndLinkScoresOnTinyWorld(t *testing.T) {
+	env, err := pipeline.NewEnv(netmodel.Tiny(), traffic.DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	tracker, _, truths, err := env.TrackWeeks(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := Stable(env.World, tracker, truths)
+	t.Logf("stable: precision %d/%d = %.3f; recall %d/%d = %.3f; missed %d unsampled in a week, %d mislabelled; share %.3f measured, %.3f true",
+		st.TruePositives, st.Labelled, st.Precision, st.Found, st.StableSampled, st.Recall,
+		st.MissedUnsampled, st.Mislabelled, st.MeasuredShare, st.TrueShare)
+	if st.Precision < stablePrecisionFloor {
+		t.Errorf("stable precision %.3f below the %.2f floor", st.Precision, stablePrecisionFloor)
+	}
+	if st.Recall < stableRecallFloor {
+		t.Errorf("stable recall %.3f below the %.2f floor", st.Recall, stableRecallFloor)
+	}
+	if st.MissedUnsampled+st.Mislabelled != st.StableSampled-st.Found {
+		t.Errorf("inconsistent stable score %+v", st)
+	}
+
+	wk, err := env.AnalyzeWeek(context.Background(), 45)
+	if err != nil {
+		t.Fatal(err)
+	}
+	acme := env.World.Special.AcmeCDN
+	c := wk.Clusters.Clusters[env.World.Orgs[acme].Domain]
+	if c == nil {
+		t.Fatal("no AcmeCDN cluster")
+	}
+	inCluster := make(map[packet.IPv4Addr]bool, len(c.IPs))
+	for _, ip := range c.IPs {
+		inCluster[ip] = true
+	}
+	ls := Links(env.World, acme, wk.Links, func(ip packet.IPv4Addr) bool { return inCluster[ip] })
+	t.Logf("links: off-link %.4f measured, %.4f true (%+.2f pp); foreign %.4f of %d bytes",
+		ls.MeasuredOffLink, ls.TrueOffLink, ls.ErrorPP, ls.ForeignShare, ls.MeasuredBytes)
+	if math.Abs(ls.ErrorPP) > offLinkErrorCeilPP {
+		t.Errorf("off-link error %+.2f pp beyond the %.1f pp ceiling", ls.ErrorPP, offLinkErrorCeilPP)
+	}
+	if ls.ForeignShare > foreignShareCeil {
+		t.Errorf("foreign share %.4f above the %.2f ceiling", ls.ForeignShare, foreignShareCeil)
 	}
 }

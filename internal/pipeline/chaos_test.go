@@ -45,7 +45,7 @@ type aggregates struct {
 
 func trackAggregates(t *testing.T, env *Env) aggregates {
 	t.Helper()
-	tracker, results, err := env.TrackWeeks(context.Background())
+	tracker, results, _, err := env.TrackWeeks(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,7 +185,7 @@ func TestTrackWeeksPartial(t *testing.T) {
 	env.MaxLoss = 0.02
 	cfg := &env.World.Cfg
 
-	tracker, results, err := env.TrackWeeks(context.Background())
+	tracker, results, _, err := env.TrackWeeks(context.Background())
 	if err == nil {
 		t.Fatal("10% drop against a 2% ceiling must surface errors")
 	}
@@ -236,7 +236,7 @@ func TestTrackWeeksCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	start := time.Now()
-	if _, _, err := env.TrackWeeks(ctx); !errors.Is(err, context.Canceled) {
+	if _, _, _, err := env.TrackWeeks(ctx); !errors.Is(err, context.Canceled) {
 		t.Fatalf("pre-cancelled TrackWeeks err = %v", err)
 	}
 	if d := time.Since(start); d > 5*time.Second {
@@ -249,7 +249,7 @@ func TestTrackWeeksCancelled(t *testing.T) {
 		time.Sleep(10 * time.Millisecond)
 		cancel2()
 	}()
-	if _, _, err := env.TrackWeeks(ctx2); err != nil && !errors.Is(err, context.Canceled) {
+	if _, _, _, err := env.TrackWeeks(ctx2); err != nil && !errors.Is(err, context.Canceled) {
 		t.Fatalf("mid-run cancel err = %v", err)
 	}
 

@@ -435,7 +435,9 @@ func (e *Env) Observation(res *webserver.Result) churn.WeekObservation {
 var webserverOnly, _ = analysis.NewRegistry(analysis.Webserver())
 
 // TrackWeeks runs the light pipeline over every study week and returns
-// the filled churn tracker plus per-week identification results. Each
+// the filled churn tracker plus per-week identification results and
+// generator truth (the zero WeekStats for a failed week), so the series
+// can be scored against the world that produced it. Each
 // week is a webserver-only analysis run through the same streamWeek
 // driver AnalyzeWeek streams with, over the Env's shared analysis
 // context. Weeks are processed concurrently (they are independent: a
@@ -451,7 +453,7 @@ var webserverOnly, _ = analysis.NewRegistry(analysis.Webserver())
 // cannot tolerate partial coverage keep their old behaviour by treating
 // any non-nil error as fatal; callers that can, errors.As into
 // WeekErrors and continue with the gap-annotated series.
-func (e *Env) TrackWeeks(ctx context.Context) (*churn.Tracker, []*webserver.Result, error) {
+func (e *Env) TrackWeeks(ctx context.Context) (*churn.Tracker, []*webserver.Result, []traffic.WeekStats, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -475,6 +477,7 @@ func (e *Env) TrackWeeks(ctx context.Context) (*churn.Tracker, []*webserver.Resu
 	}
 
 	results := make([]*webserver.Result, cfg.Weeks)
+	truths := make([]traffic.WeekStats, cfg.Weeks)
 	errs := make([]error, cfg.Weeks)
 	weekCh := make(chan int)
 	var wg sync.WaitGroup
@@ -500,12 +503,12 @@ func (e *Env) TrackWeeks(ctx context.Context) (*churn.Tracker, []*webserver.Resu
 				// Weeks already run in parallel here; keep each week's
 				// classifier on its worker (workers=1) to avoid
 				// oversubscription.
-				prods, _, _, err := e.streamWeek(ctx, gen, webserverOnly, actx, isoWeek, 1)
+				prods, _, truth, err := e.streamWeek(ctx, gen, webserverOnly, actx, isoWeek, 1)
 				if err != nil {
 					errs[idx] = err
 					continue
 				}
-				results[idx] = prods.Webserver()
+				results[idx], truths[idx] = prods.Webserver(), truth
 				if e.M != nil {
 					busy := time.Since(weekStart)
 					e.M.WeekNanos.Observe(uint64(busy))
@@ -537,7 +540,7 @@ func (e *Env) TrackWeeks(ctx context.Context) (*churn.Tracker, []*webserver.Resu
 		}
 	}
 	if err := ctx.Err(); err != nil {
-		return nil, nil, err
+		return nil, nil, nil, err
 	}
 
 	// The tracker shares the Env's entity table: per-IP histories become
@@ -553,18 +556,18 @@ func (e *Env) TrackWeeks(ctx context.Context) (*churn.Tracker, []*webserver.Resu
 		if errs[idx] != nil {
 			werrs = append(werrs, &WeekError{Week: isoWeek, Err: errs[idx]})
 			if err := tracker.AddGap(isoWeek); err != nil {
-				return nil, nil, err
+				return nil, nil, nil, err
 			}
 			continue
 		}
 		if err := tracker.Add(e.Observation(results[idx])); err != nil {
-			return nil, nil, err
+			return nil, nil, nil, err
 		}
 	}
 	if len(werrs) > 0 {
-		return tracker, results, werrs
+		return tracker, results, truths, werrs
 	}
-	return tracker, results, nil
+	return tracker, results, truths, nil
 }
 
 // AlexaList builds the week's top-site list.

@@ -129,7 +129,7 @@ func TestInstrumentedPipelineConsistency(t *testing.T) {
 	// TrackWeeks on a freshly instrumented env: one timing observation
 	// per week, and a utilization figure in (0, 100].
 	env.Instrument(reg)
-	if _, _, err := env.TrackWeeks(context.Background()); err != nil {
+	if _, _, _, err := env.TrackWeeks(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	weeks := uint64(env.World.Cfg.Weeks)

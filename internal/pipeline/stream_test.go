@@ -49,7 +49,7 @@ func TestTrackWeeksParallelConsistent(t *testing.T) {
 		t.Fatal(err)
 	}
 	env.Faults = &faultline.Config{Seed: 7, Drop: 0.05}
-	tracker, results, err := env.TrackWeeks(context.Background())
+	tracker, results, _, err := env.TrackWeeks(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}

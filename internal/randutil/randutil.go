@@ -135,9 +135,3 @@ func ZipfWeights(n int, s float64) []float64 {
 	}
 	return w
 }
-
-// Shuffled returns a permutation of 0..n-1 drawn from rng.
-func Shuffled(n int, rng *rand.Rand) []int {
-	p := rng.Perm(n)
-	return p
-}

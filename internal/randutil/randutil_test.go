@@ -165,18 +165,6 @@ func TestQuickAliasSampleInRange(t *testing.T) {
 	}
 }
 
-func TestShuffledIsPermutation(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	p := Shuffled(50, rng)
-	seen := make([]bool, 50)
-	for _, v := range p {
-		if v < 0 || v >= 50 || seen[v] {
-			t.Fatalf("not a permutation: %v", p)
-		}
-		seen[v] = true
-	}
-}
-
 func BenchmarkAliasSample(b *testing.B) {
 	a := NewAlias(ZipfWeights(100_000, 0.9))
 	rng := rand.New(rand.NewSource(1))

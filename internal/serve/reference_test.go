@@ -141,7 +141,7 @@ func studyCampaign(t *testing.T) (string, *pipeline.Env, []*snapshot.Opened) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		snaps[i] = snap.Opened()
+		snaps[i] = mustOpen(snap)
 	}
 	return dir, env, snaps
 }

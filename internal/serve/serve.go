@@ -20,6 +20,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"log"
 	"net/http"
 	"slices"
 	"sort"
@@ -164,35 +165,45 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 // webserver-only registry). Test with errors.Is.
 var ErrNoProduct = errors.New("serve: analyzer product not available")
 
-// fail maps a load error onto an HTTP status.
+// fail answers a load error with its HTTP status and a fixed public
+// text. The error itself can name server-side paths, so it goes to the
+// server's log, never to the client.
 func fail(w http.ResponseWriter, err error) {
+	status, text := failure(err)
+	log.Printf("serve: answered %d: %v", status, err)
+	http.Error(w, text, status)
+}
+
+// failure maps a load error onto an HTTP status and the public text
+// answered with it.
+func failure(err error) (int, string) {
 	switch {
 	case errors.Is(err, ErrUnknownWeek):
-		http.Error(w, err.Error(), http.StatusNotFound)
+		return http.StatusNotFound, "week not in campaign"
 	case errors.Is(err, ErrNoProduct):
-		http.Error(w, err.Error(), http.StatusNotFound)
+		return http.StatusNotFound, "analyzer product not available for this week"
 	case errors.Is(err, context.DeadlineExceeded):
-		http.Error(w, "request timed out", http.StatusGatewayTimeout)
+		return http.StatusGatewayTimeout, "request timed out"
 	case errors.Is(err, context.Canceled):
-		http.Error(w, "request abandoned or server draining", http.StatusServiceUnavailable)
+		return http.StatusServiceUnavailable, "request abandoned or server draining"
 	case errors.Is(err, ErrNotMined), errors.Is(err, snapshot.ErrReread):
 		// The server is fine and the week is known, but there is no
 		// snapshot (any more) to answer from: try again after ixpmine.
-		http.Error(w, err.Error(), http.StatusServiceUnavailable)
+		return http.StatusServiceUnavailable, ErrNotMined.Error()
 	case errors.Is(err, ErrQuarantinedWeek):
 		// The week exists in the campaign calendar but its data never
 		// passed the pipeline: not a 404 (the week is known), not a 500
 		// (the server is fine) — the entity is simply unprocessable.
-		http.Error(w, err.Error(), http.StatusUnprocessableEntity)
+		return http.StatusUnprocessableEntity, "week quarantined by campaign supervisor"
 	case errors.Is(err, snapshot.ErrFormat), errors.Is(err, snapshot.ErrSectionVersion),
 		errors.Is(err, snapshot.ErrChecksum):
 		// A product section that verified at load but does not decode on
 		// first use, or whose bytes changed on disk since: the week is
 		// known and the server is fine, but this product of it cannot be
 		// served.
-		http.Error(w, err.Error(), http.StatusUnprocessableEntity)
+		return http.StatusUnprocessableEntity, "snapshot section unreadable: run ixpmine"
 	default:
-		http.Error(w, err.Error(), http.StatusInternalServerError)
+		return http.StatusInternalServerError, "internal server error"
 	}
 }
 
@@ -220,7 +231,7 @@ func diskChanged(err error) bool {
 func writeJSON(w http.ResponseWriter, v interface{}) {
 	body, err := renderJSON(v)
 	if err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
+		fail(w, err)
 		return
 	}
 	writeBody(w, body)
@@ -476,17 +487,11 @@ type ASEntry struct {
 	Bytes   uint64 `json:"bytes"`
 }
 
-// TopASes aggregates a week's server traffic by origin AS, as the
-// snapshot's attributes section recorded it, and returns the k largest,
-// bytes descending then ASN ascending. Unresolved IPs (ASN 0) are
-// excluded — a lookup failure is not an AS.
-func TopASes(wk *snapshot.Opened, k int) ([]ASEntry, error) {
-	ranked, err := rankASes(wk)
-	return topK(ranked, k), err
-}
-
-// rankASes is TopASes' aggregation and total order over every AS. It
-// reads the server index and the attributes: an IP and its bytes per
+// rankASes aggregates a week's server traffic by origin AS, as the
+// snapshot's attributes section recorded it, and ranks every AS, bytes
+// descending then ASN ascending; /week/{n}/ases serves its first k.
+// Unresolved IPs (ASN 0) are excluded — a lookup failure is not an AS.
+// It reads the server index and the attributes: an IP and its bytes per
 // server, the origin AS per IP.
 func rankASes(wk *snapshot.Opened) ([]ASEntry, error) {
 	attrs, err := weekAttributes(wk)
@@ -571,25 +576,15 @@ type VisibilitySummary struct {
 	ByBytes []CountryShare `json:"by_bytes"`
 }
 
-// VisibilityView renders a week's visibility product, its IPs resolved
-// through the snapshot's attributes section. It is exported so golden
-// tests can compare a served response byte for byte against a directly
-// analyzed aggregator.
-func VisibilityView(wk *snapshot.Opened, k int) (VisibilitySummary, error) {
-	full, err := rankVisibility(wk)
-	if err != nil {
-		return VisibilitySummary{}, err
-	}
-	return full.top(k), nil
-}
-
 // top is the summary with both country rankings cut to their first k.
 func (v VisibilitySummary) top(k int) VisibilitySummary {
 	v.ByIPs, v.ByBytes = topK(v.ByIPs, k), topK(v.ByBytes, k)
 	return v
 }
 
-// rankVisibility is VisibilityView over every country: one pass over the
+// rankVisibility renders a week's visibility product over every country,
+// its IPs resolved through the snapshot's attributes section;
+// /week/{n}/visibility serves its top(k). It is one pass over the
 // per-IP product beside the attributes (both in IP order), counting as
 // visibility.Aggregator.Summarize and TopCountries count — the AS,
 // prefix and country tallies over routed IPs only — with ByIPs and
@@ -677,16 +672,6 @@ type LinkEntry struct {
 	Out     int32  `json:"out"`
 	Bytes   uint64 `json:"bytes"`
 	Samples uint64 `json:"samples"`
-}
-
-// TopLinks renders the k heaviest member-pair links of a week's flow
-// product, bytes descending then (in, out) ascending.
-func TopLinks(wk *snapshot.Opened, k int) ([]LinkEntry, error) {
-	lp, err := linksOf(wk)
-	if err != nil {
-		return nil, err
-	}
-	return renderLinks(lp.TopMemberLinks(k)), nil
 }
 
 // linksOf is the week's flow product: ErrNoProduct when it has none,

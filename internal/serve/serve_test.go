@@ -3,9 +3,11 @@ package serve
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -31,13 +33,47 @@ import (
 	"ixplens/internal/vfs"
 )
 
+// mustOpen encodes snap and opens the bytes, verified as ixpserve
+// verifies a snapshot file.
+func mustOpen(snap *snapshot.Snapshot) *snapshot.Opened {
+	buf, err := snapshot.AppendEncode(nil, snap)
+	if err != nil {
+		panic(err)
+	}
+	o, err := snapshot.Open(buf)
+	if err != nil {
+		panic(err)
+	}
+	return o
+}
+
+// ixpsnap1 encodes snap in the retired single-section container that
+// builds before IXPSNAP2 wrote: "IXPSNAP1" rawLen:u32 crc:u32, then the
+// source digest, the eleven cascade counts and the result.
+func ixpsnap1(tb testing.TB, snap *snapshot.Snapshot) []byte {
+	tb.Helper()
+	c := &snap.Counts
+	payload := analysis.AppendString(nil, snap.SourceDigest)
+	for _, v := range []uint64{uint64(c.Total), uint64(c.Undecodable), uint64(c.NonIPv4), uint64(c.Local),
+		uint64(c.NonTCPUDP), uint64(c.PeeringTCP), uint64(c.PeeringUDP), uint64(c.PanicQuarantined),
+		c.TotalBytes, c.PeeringTCPBytes, c.PeeringUDPBytes} {
+		payload = binary.BigEndian.AppendUint64(payload, v)
+	}
+	payload, err := analysis.AppendResult(payload, snap.Result)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	out := binary.BigEndian.AppendUint32([]byte("IXPSNAP1"), uint32(len(payload)))
+	out = binary.BigEndian.AppendUint32(out, crc32.Checksum(payload, crc32.MakeTable(crc32.Castagnoli)))
+	return append(out, payload...)
+}
+
 // fakeSnap builds a minimal distinct opened week for cache unit tests.
 func fakeSnap(week int) *snapshot.Opened {
-	snap := &snapshot.Snapshot{Result: &webserver.Result{
+	return mustOpen(&snapshot.Snapshot{Result: &webserver.Result{
 		Week:    week,
 		Servers: map[packet.IPv4Addr]*webserver.Server{},
-	}}
-	return snap.Opened()
+	}})
 }
 
 func TestCacheSingleFlight(t *testing.T) {
@@ -544,7 +580,7 @@ func TestGoldenServedAllWeeks(t *testing.T) {
 		}
 		snap.SourceDigest = man.Digests[i]
 		direct[wk] = snap
-		buf, err := json.Marshal(Summarize(snap.Opened()))
+		buf, err := json.Marshal(Summarize(mustOpen(snap)))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -603,7 +639,7 @@ func TestGoldenServedAllWeeks(t *testing.T) {
 	// computed from the direct results.
 	snaps := make([]*snapshot.Opened, len(man.Weeks))
 	for i, wk := range man.Weeks {
-		snaps[i] = direct[wk].Opened()
+		snaps[i] = mustOpen(direct[wk])
 	}
 	series, err := ChurnSeries(man.Weeks, snaps)
 	if err != nil {
@@ -629,8 +665,8 @@ func TestGoldenServedAllWeeks(t *testing.T) {
 }
 
 // TestStoreRefusesUnminedWeeks: the store answers only from snapshots
-// this build mined. A missing, stale, undecodable or attribute-less
-// snapshot is ErrNotMined — a 503 naming the fix — and the week serves
+// this build mined. A missing, stale, undecodable, attribute-less or
+// IXPSNAP1 snapshot is ErrNotMined — a 503 naming the fix — and the week serves
 // again once a proper snapshot is back, with no restart.
 func TestStoreRefusesUnminedWeeks(t *testing.T) {
 	dir, _, snaps := minedCampaign(t, 2, 1500)
@@ -653,6 +689,7 @@ func TestStoreRefusesUnminedWeeks(t *testing.T) {
 		{"stale", func() error { _, err := snapshot.SaveFileFS(vfs.Default, path, &stale); return err }},
 		{"attribute-less", func() error { _, err := snapshot.SaveFileFS(vfs.Default, path, bare); return err }},
 		{"undecodable", func() error { return os.WriteFile(path, good[:len(good)/2], 0o644) }},
+		{"IXPSNAP1", func() error { return os.WriteFile(path, ixpsnap1(t, mined), 0o644) }},
 		{"another week", func() error {
 			b, err := os.ReadFile(filepath.Join(dir, snapshot.FileName(other)))
 			if err == nil {
@@ -688,6 +725,81 @@ func TestStoreRefusesUnminedWeeks(t *testing.T) {
 	}
 	if code, body := serveGet(s, endpointPath("ases", wk, 3)); code != 200 {
 		t.Fatalf("re-mined week answered %d %s", code, body)
+	}
+}
+
+// TestErrorBodiesHidePaths: a failed request answers its status with a
+// fixed public text, never the error behind it, which can name files on
+// the server. Over one campaign, a deleted snapshot, a snapshot with a
+// flipped bit in its links section and a snapshot deleted after it was
+// opened keep the statuses they always answered, and no error body
+// names the campaign directory.
+func TestErrorBodiesHidePaths(t *testing.T) {
+	dir, _, snaps := minedCampaign(t, 4, 1500)
+	s, _ := openServer(t, dir, Config{})
+	weeks := s.store.Weeks()
+	deleted, flipped, vanished, intact := weeks[0], weeks[1], weeks[2], weeks[3]
+	snapPath := func(wk int) string { return filepath.Join(dir, snapshot.FileName(wk)) }
+
+	// Opened and cached before its file disappears: /week answers from
+	// the server list held in memory, /links must re-read the file.
+	if code, body := serveGet(s, endpointPath("week", vanished, 0)); code != 200 {
+		t.Fatalf("week %d before the delete: %d %s", vanished, code, body)
+	}
+	if err := os.Remove(snapPath(vanished)); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Remove(snapPath(deleted)); err != nil {
+		t.Fatal(err)
+	}
+	lp, err := snaps[flipped].Links()
+	if err != nil {
+		t.Fatal(err)
+	}
+	linksPayload, err := lp.AppendEncode(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := os.ReadFile(snapPath(flipped))
+	if err != nil {
+		t.Fatal(err)
+	}
+	at := bytes.Index(b, linksPayload)
+	if at < 0 {
+		t.Fatal("links section not found in the snapshot file")
+	}
+	b[at+len(linksPayload)/2] ^= 0x04
+	if err := os.WriteFile(snapPath(flipped), b, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	notMined := "not mined by this build: run ixpmine\n"
+	for _, tc := range []struct {
+		path string
+		code int
+		body string
+	}{
+		{endpointPath("week", deleted, 0), http.StatusServiceUnavailable, notMined},
+		{endpointPath("links", deleted, 3), http.StatusServiceUnavailable, notMined},
+		{endpointPath("week", flipped, 0), http.StatusServiceUnavailable, notMined},
+		{endpointPath("links", flipped, 3), http.StatusServiceUnavailable, notMined},
+		{endpointPath("week", vanished, 0), http.StatusOK, ""},
+		{endpointPath("links", vanished, 3), http.StatusServiceUnavailable, notMined},
+		{endpointPath("week", vanished, 0), http.StatusServiceUnavailable, notMined},
+		{"/churn", http.StatusServiceUnavailable, notMined},
+		{endpointPath("week", 99, 0), http.StatusNotFound, "week not in campaign\n"},
+		{endpointPath("links", intact, 3), http.StatusOK, ""},
+	} {
+		code, body := serveGet(s, tc.path)
+		if code != tc.code {
+			t.Fatalf("%s: HTTP %d %s, want %d", tc.path, code, body, tc.code)
+		}
+		if bytes.Contains(body, []byte(dir)) || bytes.Contains(body, []byte(".snap")) {
+			t.Fatalf("%s: body names a server-side path: %s", tc.path, body)
+		}
+		if tc.body != "" && string(body) != tc.body {
+			t.Fatalf("%s: body %q, want %q", tc.path, body, tc.body)
+		}
 	}
 }
 
@@ -765,16 +877,17 @@ func TestProductEndpointsServedFromSnapshot(t *testing.T) {
 	ts := httptest.NewServer(s)
 	defer ts.Close()
 
-	wantVis, err := VisibilityView(snap.Opened(), 7)
+	wk := mustOpen(snap)
+	wantVis, err := rankVisibility(wk)
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantVisBody, _ := json.Marshal(wantVis)
-	wantLinks, err := TopLinks(snap.Opened(), 7)
+	wantVisBody, _ := json.Marshal(wantVis.top(7))
+	lp, err := linksOf(wk)
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantLinksBody, _ := json.Marshal(wantLinks)
+	wantLinksBody, _ := json.Marshal(renderLinks(topK(lp.RankedMemberLinks(), 7)))
 
 	for path, want := range map[string][]byte{
 		fmt.Sprintf("/week/%d/visibility?k=7", first): append(wantVisBody, '\n'),

@@ -152,9 +152,8 @@ func (st *Store) Load(ctx context.Context, isoWeek int) (*snapshot.Opened, error
 
 // freshSnapshot reports whether a loaded snapshot's source digest still
 // corresponds to the manifest's capture file. When either side lacks a
-// digest (a v1 campaign without per-week digests, or a snapshot written
-// outside a campaign) the check cannot bind them and the snapshot is
-// trusted.
+// digest (an empty manifest entry, or a snapshot written outside a
+// campaign) the check cannot bind them and the snapshot is trusted.
 func freshSnapshot(sourceDigest, manifestDigest string) bool {
 	return sourceDigest == "" || manifestDigest == "" || sourceDigest == manifestDigest
 }

@@ -63,7 +63,7 @@ func mineCampaign(tb testing.TB, weeks, samples int, reg *analysis.Registry) (st
 		if _, err := snapshot.SaveFileFS(vfs.Default, filepath.Join(dir, snapshot.FileName(wk)), snap); err != nil {
 			tb.Fatalf("week %d: %v", wk, err)
 		}
-		snaps[wk] = snap.Opened()
+		snaps[wk] = mustOpen(snap)
 	}
 	return dir, env, snaps
 }
@@ -115,18 +115,19 @@ func wantJSON(tb testing.TB, v interface{}) []byte {
 }
 
 // pureBodies renders every per-week endpoint of one snapshot at one k
-// through the exported pure renderers, keyed by request path.
+// through the pure renderers the handlers memoize, cut to their first k
+// as the handlers cut them, keyed by request path.
 func pureBodies(tb testing.TB, snap *snapshot.Opened, k int) map[string][]byte {
 	tb.Helper()
-	vis, err := VisibilityView(snap, k)
+	vis, err := rankVisibility(snap)
 	if err != nil {
 		tb.Fatal(err)
 	}
-	links, err := TopLinks(snap, k)
+	lp, err := linksOf(snap)
 	if err != nil {
 		tb.Fatal(err)
 	}
-	ases, err := TopASes(snap, k)
+	ases, err := rankASes(snap)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -134,9 +135,9 @@ func pureBodies(tb testing.TB, snap *snapshot.Opened, k int) map[string][]byte {
 	return map[string][]byte{
 		endpointPath("week", wk, k):       wantJSON(tb, Summarize(snap)),
 		endpointPath("servers", wk, k):    wantJSON(tb, TopServers(snap, k)),
-		endpointPath("ases", wk, k):       wantJSON(tb, ases),
-		endpointPath("visibility", wk, k): wantJSON(tb, vis),
-		endpointPath("links", wk, k):      wantJSON(tb, links),
+		endpointPath("ases", wk, k):       wantJSON(tb, topK(ases, k)),
+		endpointPath("visibility", wk, k): wantJSON(tb, vis.top(k)),
+		endpointPath("links", wk, k):      wantJSON(tb, renderLinks(topK(lp.RankedMemberLinks(), k))),
 	}
 }
 

@@ -15,18 +15,18 @@ import (
 	"sync/atomic"
 )
 
-// Capture container v2 ("IXPSFLW2"). The v1 container is a magic header
-// followed by naked length-prefixed datagrams: nothing detects a flipped
-// bit on disk, nothing compresses the heavily redundant sampled headers,
-// and a reader must walk every frame serially. v2 borrows the block model
-// of production trace stores (pcap-ng, Parquet): datagrams are grouped
-// into fixed-target-size blocks, each block carries a CRC32C checksum, an
-// optional flate compression flag, its datagram count and the stream
-// position of its first datagram, and a footer indexes block offsets so a
-// reader can fan whole blocks out to a decode-worker pool. Per-block
-// framing buys integrity (a damaged block is quarantined, not decoded as
-// garbage), compression, seekability and parallel decode at once, and a
-// crash-truncated file still yields every intact block.
+// Capture container v2 ("IXPSFLW2"), the one on-disk capture format.
+// It borrows the block model of production trace stores (pcap-ng,
+// Parquet): datagrams are grouped into fixed-target-size blocks, each
+// block carries a CRC32C checksum, an optional flate compression flag,
+// its datagram count and the stream position of its first datagram, and
+// a footer indexes block offsets so a reader can fan whole blocks out to
+// a decode-worker pool. Per-block framing buys integrity (a damaged
+// block is quarantined, not decoded as garbage), compression,
+// seekability and parallel decode at once, and a crash-truncated file
+// still yields every intact block. A file that does not start with the
+// magic — including a capture in the retired v1 stream container — is
+// refused with ErrBadMagic; such a campaign is regenerated with ixpgen.
 //
 // Layout:
 //
@@ -40,10 +40,23 @@ import (
 // bytes before the crc field plus the payload as stored on disk, so both
 // header and payload damage are caught. The payload decompresses (codec 1
 // is DEFLATE; codec 0 is stored) to rawLen bytes of u32-length-prefixed
-// encoded datagrams — the same framing v1 uses inside its stream. The
-// footer's icrc is CRC32C over the footer bytes before it, and the fixed
-// 12-byte tail (footLen plus the end magic) lets a reader seek straight
-// to the index from the end of the file.
+// encoded datagrams. The footer's icrc is CRC32C over the footer bytes
+// before it, and the fixed 12-byte tail (footLen plus the end magic)
+// lets a reader seek straight to the index from the end of the file.
+
+// ErrBadMagic indicates the input is not a capture container.
+var ErrBadMagic = errors.New("sflow: bad capture stream magic")
+
+// ErrTruncated marks a capture cut off mid-structure — a frame, block or
+// header that ends before its declared length, the signature of a crash
+// or kill -9 during capture. Readers return it (test with errors.Is) so
+// analysis can distinguish a crash-truncated capture, which degrades to
+// whatever decoded cleanly, from structural corruption, which fails.
+var ErrTruncated = errors.New("sflow: capture truncated mid-structure")
+
+// maxDatagramLen bounds a single framed datagram so a corrupt length
+// field cannot trigger a huge allocation.
+const maxDatagramLen = 1 << 20
 
 var (
 	blockMagic   = [8]byte{'I', 'X', 'P', 'S', 'F', 'L', 'W', '2'}
@@ -577,18 +590,6 @@ func (r *BlockReader) Next(d *Datagram) error {
 
 // Stats returns the block accounting so far.
 func (r *BlockReader) Stats() BlockStats { return r.st }
-
-// CaptureFormat reports the container version a magic header announces:
-// 1, 2, or 0 for neither.
-func CaptureFormat(magic [8]byte) int {
-	switch magic {
-	case streamMagic:
-		return 1
-	case blockMagic:
-		return 2
-	}
-	return 0
-}
 
 // pbrStats is the ParallelBlockReader's accounting, atomics because the
 // producer, workers and consumer all contribute.

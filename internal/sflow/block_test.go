@@ -300,33 +300,25 @@ func TestBlockHeaderFlipIndexedResync(t *testing.T) {
 	mustEqualEncodings(t, got, want[len(want)-len(got):])
 }
 
-// TestReadersRejectForeignMagic pins that each container reader refuses
-// the other format's bytes: callers pick the reader by CaptureFormat,
-// and a wrong pick must fail at the header, not mid-stream.
+// TestReadersRejectForeignMagic pins that both block readers refuse a
+// retired v1 capture and garbage with ErrBadMagic at the header, not
+// mid-stream, and that a header cut short is not mistaken for either.
 func TestReadersRejectForeignMagic(t *testing.T) {
-	v1 := v1Capture(blockTestDatagram(0))
-	v2, _ := writeBlockCapture(t, 1, false, 0)
-
-	if _, err := NewBlockReader(bytes.NewReader(v1)); !errors.Is(err, ErrBadMagic) {
-		t.Fatalf("block reader on v1 bytes: %v", err)
+	for name, data := range map[string][]byte{
+		"v1":      v1Capture(blockTestDatagram(0)),
+		"garbage": []byte("NOTACAPTstuff"),
+	} {
+		if _, err := NewBlockReader(bytes.NewReader(data)); !errors.Is(err, ErrBadMagic) {
+			t.Fatalf("block reader on %s bytes: %v", name, err)
+		}
+		if _, err := NewParallelBlockReader(bytes.NewReader(data), 2); !errors.Is(err, ErrBadMagic) {
+			t.Fatalf("parallel block reader on %s bytes: %v", name, err)
+		}
 	}
-	if _, err := NewStreamReader(bytes.NewReader(v2)); !errors.Is(err, ErrBadMagic) {
-		t.Fatalf("stream reader on v2 bytes: %v", err)
-	}
-	if _, err := NewBlockReader(bytes.NewReader([]byte("NOTACAPTstuff"))); !errors.Is(err, ErrBadMagic) {
-		t.Fatalf("garbage magic: %v", err)
-	}
-}
-
-func TestCaptureFormat(t *testing.T) {
-	if got := CaptureFormat(streamMagic); got != 1 {
-		t.Fatalf("v1 magic = %d", got)
-	}
-	if got := CaptureFormat(blockMagic); got != 2 {
-		t.Fatalf("v2 magic = %d", got)
-	}
-	if got := CaptureFormat([8]byte{1, 2, 3}); got != 0 {
-		t.Fatalf("junk magic = %d", got)
+	for _, short := range []string{"", "IXPS"} {
+		if _, err := NewParallelBlockReader(bytes.NewReader([]byte(short)), 1); err == nil || errors.Is(err, ErrBadMagic) {
+			t.Fatalf("header %q: err = %v, want a short-read error", short, err)
+		}
 	}
 }
 
@@ -357,24 +349,6 @@ func TestBlockWriterEmptyCapture(t *testing.T) {
 	defer pr.Close()
 	if err := pr.Next(&d); err != io.EOF {
 		t.Fatalf("empty capture parallel Next = %v, want EOF", err)
-	}
-}
-
-func TestStreamReaderTruncatedTyped(t *testing.T) {
-	var ds []*Datagram
-	for i := 0; i < 20; i++ {
-		ds = append(ds, blockTestDatagram(i))
-	}
-	data := v1Capture(ds...)
-	for _, cut := range []int{len(data) - 3, len(data) / 2, 10} {
-		sr, err := NewStreamReader(bytes.NewReader(data[:cut]))
-		if err != nil {
-			t.Fatal(err)
-		}
-		_, err = drainEncoded(sr)
-		if !errors.Is(err, ErrTruncated) {
-			t.Fatalf("cut=%d: err = %v, want ErrTruncated", cut, err)
-		}
 	}
 }
 

@@ -3,8 +3,6 @@ package sflow
 import (
 	"bytes"
 	"encoding/binary"
-	"errors"
-	"io"
 	"math/rand"
 	"reflect"
 	"strings"
@@ -236,66 +234,17 @@ func TestQuickFlowSampleRoundTrip(t *testing.T) {
 	}
 }
 
-// v1Capture renders datagrams into the v1 stream container — the
-// magic, then each datagram's encoding behind its big-endian length —
-// which StreamReader still reads and the program no longer writes.
+// v1Capture renders datagrams into the retired v1 stream container —
+// the magic, then each datagram's encoding behind its big-endian length
+// — which no reader of this package accepts.
 func v1Capture(ds ...*Datagram) []byte {
-	buf := append([]byte(nil), streamMagic[:]...)
+	buf := []byte("IXPSFLW1")
 	for _, d := range ds {
 		off := len(buf)
 		buf = d.AppendEncode(append(buf, 0, 0, 0, 0))
 		binary.BigEndian.PutUint32(buf[off:], uint32(len(buf)-off-4))
 	}
 	return buf
-}
-
-func TestStreamRoundTrip(t *testing.T) {
-	const rounds = 17
-	ds := make([]*Datagram, rounds)
-	for i := range ds {
-		ds[i] = sampleDatagram()
-		ds[i].SequenceNum = uint32(i)
-	}
-	sr, err := NewStreamReader(bytes.NewReader(v1Capture(ds...)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var got Datagram
-	for i := 0; i < rounds; i++ {
-		if err := sr.Next(&got); err != nil {
-			t.Fatalf("datagram %d: %v", i, err)
-		}
-		if got.SequenceNum != uint32(i) || len(got.Flows) != 2 {
-			t.Fatalf("datagram %d content mismatch: %+v", i, got)
-		}
-	}
-	if err := sr.Next(&got); err != io.EOF {
-		t.Fatalf("want io.EOF at end, got %v", err)
-	}
-}
-
-// TestStreamReaderRejectsOversize: a frame length above the datagram
-// limit fails before anything is allocated for it, and is reported as
-// corruption, not as a crash-truncated capture.
-func TestStreamReaderRejectsOversize(t *testing.T) {
-	data := binary.BigEndian.AppendUint32(append([]byte(nil), streamMagic[:]...), maxDatagramLen+1)
-	sr, err := NewStreamReader(bytes.NewReader(data))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var d Datagram
-	if err := sr.Next(&d); err == nil || err == io.EOF || errors.Is(err, ErrTruncated) {
-		t.Fatalf("oversize frame length: err = %v, want a corruption error", err)
-	}
-}
-
-func TestStreamReaderBadMagic(t *testing.T) {
-	if _, err := NewStreamReader(strings.NewReader("NOTMAGIC")); err != ErrBadMagic {
-		t.Fatalf("want ErrBadMagic, got %v", err)
-	}
-	if _, err := NewStreamReader(strings.NewReader("xx")); err == nil {
-		t.Fatal("short header must fail")
-	}
 }
 
 func TestDatagramString(t *testing.T) {

@@ -72,8 +72,8 @@ func checkOpenFileFSAgrees(t *testing.T, data []byte, opened *Opened) {
 	if err != nil {
 		return
 	}
-	want, werr := opened.AppendEncode(nil)
-	got, gerr := fromFile.AppendEncode(nil)
+	want, werr := opened.appendEncode(nil)
+	got, gerr := fromFile.appendEncode(nil)
 	if (werr == nil) != (gerr == nil) || !bytes.Equal(got, want) {
 		t.Fatalf("OpenFileFS week re-encodes differently from Open's (errors %v, %v)", werr, gerr)
 	}

@@ -4,7 +4,7 @@
 // serving layer can reload an analyzed week in milliseconds instead of
 // re-running the capture→dissect→analyze pipeline.
 //
-// The current container is the multi-section "IXPSNAP2":
+// The container is the multi-section "IXPSNAP2":
 //
 //	file    := "IXPSNAP2" nSections:u32 tableLen:u32 tableCrc:u32 entry* payload*
 //	entry   := nameLen:u8 name version:u16 payLen:u32 crc:u32
@@ -26,15 +26,9 @@
 // deterministically (sorted sections, sorted servers/IPs/flows), so
 // encoding the same snapshot twice yields byte-identical files — the
 // supervisor's crash-resume digests and the golden equivalence tests
-// depend on that.
-//
-// The legacy single-section "IXPSNAP1" layout
-//
-//	file    := "IXPSNAP1" rawLen:u32 crc:u32 payload[rawLen]
-//	payload := digest counts result
-//
-// is still readable (Decode sniffs the magic), so campaigns written by
-// older builds stay consumable; this build only writes IXPSNAP2.
+// depend on that. Any other magic, the single-section container of
+// older builds included, fails with ErrBadMagic; ixpmine re-mines such a
+// week.
 package snapshot
 
 import (
@@ -45,7 +39,6 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"io"
 	"slices"
 	"sort"
 	"sync"
@@ -57,23 +50,17 @@ import (
 	"ixplens/internal/vfs"
 )
 
-var (
-	magicV1 = [8]byte{'I', 'X', 'P', 'S', 'N', 'A', 'P', '1'}
-	magicV2 = [8]byte{'I', 'X', 'P', 'S', 'N', 'A', 'P', '2'}
-)
-
-// headerLenV1 is magic(8) + rawLen(4) + crc(4).
-const headerLenV1 = 16
+var magicV2 = [8]byte{'I', 'X', 'P', 'S', 'N', 'A', 'P', '2'}
 
 // headerLenV2 is magic(8) + nSections(4) + tableLen(4) + tableCrc(4).
 const headerLenV2 = 20
 
-// maxPayload bounds a declared payload (whole-file for v1, per-section
-// for v2) so a corrupt length field cannot trigger a huge allocation
-// before the checksum is even read.
+// maxPayload bounds a declared section payload so a corrupt length
+// field cannot trigger a huge allocation before the checksum is even
+// read.
 const maxPayload = 1 << 28
 
-// maxSections bounds a v2 section count; the table is tiny in practice.
+// maxSections bounds the section count; the table is tiny in practice.
 const maxSections = 1 << 10
 
 // Sentinel errors, testable with errors.Is.
@@ -103,7 +90,7 @@ const (
 	secCounts = "counts"
 )
 
-// Section is one named, versioned unit of a v2 container that this
+// Section is one named, versioned unit of a container that this
 // build has no typed decoding for. Decode preserves unknown sections
 // here and AppendEncode writes them back, so a snapshot written by a
 // build with more analyzers survives a rewrite by this one.
@@ -360,32 +347,16 @@ func (p *products) sections(secs []Section) ([]Section, error) {
 }
 
 // serverList is an opened week's webserver section: its header and
-// server index, and the full result built from them on first use.
-// Either it starts from a verified payload (Open), holding the index
-// from the start and building the result once; or from a built result
-// (Snapshot.Opened), indexing it once.
+// server index from the verified payload, and the full result built
+// from them once, on first use.
 type serverList struct {
 	hdr analysis.ResultHeader
 	// raw is the verified payload refs index, nil once the result is
-	// built (or when the list started from a result).
-	raw atomic.Pointer[[]byte]
-	// refs is nil until indexed only when the list started from a
-	// result; IndexResult's index is never nil.
+	// built.
+	raw       atomic.Pointer[[]byte]
 	refs      []analysis.ServerRef
-	indexOnce sync.Once
 	res       *webserver.Result
 	buildOnce sync.Once
-}
-
-// index returns the server refs in IP order, indexing a built result on
-// the first call.
-func (l *serverList) index() []analysis.ServerRef {
-	l.indexOnce.Do(func() {
-		if l.refs == nil {
-			l.refs = analysis.IndexOf(l.res)
-		}
-	})
-	return l.refs
 }
 
 // result returns the full result, building it from the payload on the
@@ -400,8 +371,8 @@ func (l *serverList) result() *webserver.Result {
 	return l.res
 }
 
-// server returns the record ref names: decoded from the payload while
-// the list holds one, or else the built result's.
+// server returns the record ref names: decoded from the payload until
+// the result is built, the built result's after.
 func (l *serverList) server(ref analysis.ServerRef) *webserver.Server {
 	if raw := l.raw.Load(); raw != nil {
 		return analysis.DecodeServer(*raw, ref)
@@ -409,21 +380,13 @@ func (l *serverList) server(ref analysis.ServerRef) *webserver.Server {
 	return l.result().Servers[ref.IP]
 }
 
-// payload is the section payload: as verified while unbuilt, or else
-// the built result's encoding.
+// payload is the section payload: as verified until the result is
+// built, the built result's encoding after.
 func (l *serverList) payload() ([]byte, error) {
 	if raw := l.raw.Load(); raw != nil {
 		return *raw, nil
 	}
 	return analysis.AppendResult(nil, l.result())
-}
-
-// Opened presents s through the Opened accessors: its result is already
-// built, and its server list is indexed on first use. s.Result must be
-// set.
-func (s *Snapshot) Opened() *Opened {
-	ws := &serverList{hdr: analysis.HeaderOf(s.Result), res: s.Result}
-	return &Opened{Counts: s.Counts, SourceDigest: s.SourceDigest, Extra: s.Extra, products: s.products, ws: ws}
 }
 
 // Header returns the week's result header: its week, loss annotation,
@@ -432,7 +395,7 @@ func (o *Opened) Header() analysis.ResultHeader { return o.ws.hdr }
 
 // Servers returns the week's server index, one ref per server in IP
 // order. The slice is shared and must not be modified.
-func (o *Opened) Servers() []analysis.ServerRef { return o.ws.index() }
+func (o *Opened) Servers() []analysis.ServerRef { return o.ws.refs }
 
 // Server returns the server record ref names, ref being one of Servers.
 // The record is shared and must not be modified.
@@ -456,9 +419,9 @@ func (o *Opened) HasProduct(name string) bool {
 	return name == analysis.NameWebserver || o.products.has(name, o.Extra)
 }
 
-// AppendEncode appends the week's (IXPSNAP2) container to dst. An
-// unbuilt server list is written back as the bytes it was verified as.
-func (o *Opened) AppendEncode(dst []byte) ([]byte, error) {
+// appendEncode appends the week's container to dst. An unbuilt server
+// list is written back as the bytes it was verified as.
+func (o *Opened) appendEncode(dst []byte) ([]byte, error) {
 	ws, err := o.ws.payload()
 	if err != nil {
 		return dst, err
@@ -502,8 +465,8 @@ func FromProducts(p *analysis.Products, counts dissect.Counts) (*Snapshot, error
 
 // HasProduct reports whether the snapshot carries the named analyzer's
 // product, or (for analysis.NameAttributes) the attributes section — the
-// staleness signal the supervising layer uses to re-analyze legacy (v1,
-// narrower-registry or attribute-less) snapshots. It answers from the
+// staleness signal the supervising layer uses to re-analyze
+// narrower-registry or attribute-less snapshots. It answers from the
 // section table and decodes nothing.
 func (s *Snapshot) HasProduct(name string) bool {
 	if name == analysis.NameWebserver {
@@ -513,8 +476,7 @@ func (s *Snapshot) HasProduct(name string) bool {
 }
 
 // appendCounts appends the cascade tallies (8 cascade ints + 3 byte
-// totals, all u64 big-endian) — the layout both container versions
-// share.
+// totals, all u64 big-endian).
 func appendCounts(b []byte, c *dissect.Counts) []byte {
 	for _, v := range []int{c.Total, c.Undecodable, c.NonIPv4, c.Local,
 		c.NonTCPUDP, c.PeeringTCP, c.PeeringUDP, c.PanicQuarantined} {
@@ -536,8 +498,8 @@ func readCounts(cur *analysis.Cursor, c *dissect.Counts) {
 	c.PeeringUDPBytes = cur.U64()
 }
 
-// AppendEncode appends the current (IXPSNAP2) container to dst and
-// returns the extended slice.
+// AppendEncode appends the snapshot's container to dst and returns the
+// extended slice.
 func AppendEncode(dst []byte, snap *Snapshot) ([]byte, error) {
 	if snap == nil || snap.Result == nil {
 		return dst, errors.New("snapshot: nil result")
@@ -549,7 +511,7 @@ func AppendEncode(dst []byte, snap *Snapshot) ([]byte, error) {
 	return appendContainer(dst, snap.SourceDigest, &snap.Counts, ws, &snap.products, snap.Extra)
 }
 
-// appendContainer appends the IXPSNAP2 container of one week's sections:
+// appendContainer appends the container of one week's sections:
 // meta, counts, the webserver payload ws, the typed products and extra.
 func appendContainer(dst []byte, digest string, counts *dissect.Counts, ws []byte, p *products, extra []Section) ([]byte, error) {
 	secs := make([]Section, 0, 5+len(extra))
@@ -601,8 +563,8 @@ func appendContainer(dst []byte, digest string, counts *dissect.Counts, ws []byt
 	return dst, nil
 }
 
-// Decode parses a full container from buf, sniffing the version, and
-// builds its result: Open, then Opened.Snapshot. The snapshot keeps no
+// Decode parses a full container from buf and builds its result: Open,
+// then Opened.Snapshot. The snapshot keeps no
 // reference to buf.
 func Decode(buf []byte) (*Snapshot, error) {
 	o, err := open(buf, openOpts{})
@@ -636,48 +598,9 @@ type openOpts struct {
 
 // open is the one verification path behind Open, Decode and OpenFileFS.
 func open(buf []byte, opts openOpts) (*Opened, error) {
-	if len(buf) >= 8 && [8]byte(buf[:8]) == magicV2 {
-		return openV2(buf, opts)
-	}
-	if len(buf) < headerLenV1 || [8]byte(buf[:8]) != magicV1 {
+	if len(buf) < 8 || [8]byte(buf[:8]) != magicV2 {
 		return nil, ErrBadMagic
 	}
-	rawLen := binary.BigEndian.Uint32(buf[8:12])
-	crc := binary.BigEndian.Uint32(buf[12:16])
-	if rawLen > maxPayload || int(rawLen) != len(buf)-headerLenV1 {
-		return nil, fmt.Errorf("%w: payload length %d does not frame %d bytes",
-			ErrFormat, rawLen, len(buf)-headerLenV1)
-	}
-	payload := buf[headerLenV1:]
-	if crc32.Checksum(payload, castagnoli) != crc {
-		return nil, ErrChecksum
-	}
-	snap, err := decodePayloadV1(payload)
-	if err != nil {
-		return nil, err
-	}
-	return snap.Opened(), nil
-}
-
-func decodePayloadV1(payload []byte) (*Snapshot, error) {
-	cur := analysis.NewCursor(payload)
-	snap := &Snapshot{SourceDigest: cur.Str()}
-	readCounts(cur, &snap.Counts)
-	res, err := analysis.ReadResult(cur)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrFormat, err)
-	}
-	if cur.Bad() {
-		return nil, fmt.Errorf("%w: truncated payload", ErrFormat)
-	}
-	if cur.Len() != 0 {
-		return nil, fmt.Errorf("%w: %d trailing bytes", ErrFormat, cur.Len())
-	}
-	snap.Result = res
-	return snap, nil
-}
-
-func openV2(buf []byte, opts openOpts) (*Opened, error) {
 	cur := analysis.NewCursor(buf[8:])
 	n := int(cur.U32())
 	tableLen := int(cur.U32())
@@ -815,55 +738,6 @@ func mapAnalysisErr(name string, version uint16, err error) error {
 		return sectionVersionErr(name, version)
 	}
 	return fmt.Errorf("%w: section %q: %v", ErrFormat, name, err)
-}
-
-// Write encodes snap (current container version) and writes it to w.
-func Write(w io.Writer, snap *Snapshot) error {
-	buf, err := AppendEncode(nil, snap)
-	if err != nil {
-		return err
-	}
-	_, err = w.Write(buf)
-	return err
-}
-
-// Read decodes one container from r, consuming it fully.
-func Read(r io.Reader) (*Snapshot, error) {
-	var hdr [8]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
-			return nil, ErrBadMagic
-		}
-		return nil, err
-	}
-	switch hdr {
-	case magicV2:
-		// The v2 table is variable-length, so the stream form buffers
-		// the rest; snapshot files are small (one analyzed week).
-		rest, err := io.ReadAll(io.LimitReader(r, maxPayload))
-		if err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrFormat, err)
-		}
-		return Decode(append(hdr[:], rest...))
-	case magicV1:
-		var lenCrc [8]byte
-		if _, err := io.ReadFull(r, lenCrc[:]); err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrFormat, err)
-		}
-		rawLen := binary.BigEndian.Uint32(lenCrc[:4])
-		if rawLen > maxPayload {
-			return nil, fmt.Errorf("%w: declared payload of %d bytes", ErrFormat, rawLen)
-		}
-		buf := make([]byte, headerLenV1+int(rawLen))
-		copy(buf, hdr[:])
-		copy(buf[8:], lenCrc[:])
-		if _, err := io.ReadFull(r, buf[headerLenV1:]); err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrFormat, err)
-		}
-		return Decode(buf)
-	default:
-		return nil, ErrBadMagic
-	}
 }
 
 // SaveFileFS writes snap to path through fsys atomically: encode to a

@@ -31,11 +31,12 @@ import (
 	"ixplens/internal/vfs"
 )
 
-// syntheticV1 builds a snapshot with only the fields the legacy
-// IXPSNAP1 container can carry, exercising every field shape: flags in
-// all combinations, empty and populated sets, certificate alt names, a
-// non-zero loss annotation.
-func syntheticV1() *Snapshot {
+// syntheticResultOnly builds a snapshot with only the required
+// sections — the result, counts and digest — exercising every field
+// shape of the result: flags in all combinations, empty and populated
+// sets, certificate alt names, a non-zero loss annotation. It is what
+// the committed fixture holds.
+func syntheticResultOnly() *Snapshot {
 	res := &webserver.Result{
 		Week:          45,
 		Servers:       map[packet.IPv4Addr]*webserver.Server{},
@@ -71,11 +72,11 @@ func syntheticV1() *Snapshot {
 	}
 }
 
-// synthetic extends syntheticV1 with every multi-section shape: both
+// synthetic extends syntheticResultOnly with every multi-section shape: both
 // optional analyzer products (including a zero-byte visibility entry)
 // and an unknown Extra section from a hypothetical future analyzer.
 func synthetic() *Snapshot {
-	snap := syntheticV1()
+	snap := syntheticResultOnly()
 	snap.vis = decoded(1, &analysis.VisibilityProduct{PerIP: []visibility.IPTraffic{
 		{IP: packet.MakeIPv4(10, 0, 0, 1), Bytes: 99},
 		{IP: packet.MakeIPv4(10, 0, 0, 2), Bytes: 0},
@@ -138,11 +139,11 @@ func forced(t testing.TB, snap *Snapshot) forcedSnapshot {
 	return forcedSnapshot{snap.Result, snap.Counts, snap.SourceDigest, vis, links, attrs, snap.Extra}
 }
 
-// appendEncodeV1 appends the legacy IXPSNAP1 container — byte-identical
-// to what pre-registry builds wrote, so the reader can be tested against
-// fresh v1 encodings as well as the committed fixture. It carries only
-// the identification result, counts and digest; visibility/links/Extra
-// products are not representable in v1 and are dropped.
+// appendEncodeV1 appends the retired single-section IXPSNAP1 container
+// — "IXPSNAP1" rawLen:u32 crc:u32, then the digest, counts and result —
+// as builds before the multi-section container wrote it, so the refusal
+// of such files can be tested. Products other than the result are not
+// representable in it and are dropped.
 func appendEncodeV1(dst []byte, snap *Snapshot) ([]byte, error) {
 	if snap == nil || snap.Result == nil {
 		return dst, errors.New("snapshot: nil result")
@@ -153,7 +154,7 @@ func appendEncodeV1(dst []byte, snap *Snapshot) ([]byte, error) {
 	if err != nil {
 		return dst, err
 	}
-	dst = append(dst, magicV1[:]...)
+	dst = append(dst, "IXPSNAP1"...)
 	dst = binary.BigEndian.AppendUint32(dst, uint32(len(payload)))
 	dst = binary.BigEndian.AppendUint32(dst, crc32.Checksum(payload, castagnoli))
 	return append(dst, payload...), nil
@@ -183,69 +184,36 @@ func TestRoundTripSynthetic(t *testing.T) {
 	}
 }
 
-func TestRoundTripV1(t *testing.T) {
-	snap := syntheticV1()
-	buf, err := appendEncodeV1(nil, snap)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(buf[:8]) != "IXPSNAP1" {
-		t.Fatalf("v1 writer emitted magic %q", buf[:8])
-	}
-	got, err := Decode(buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(forced(t, snap), forced(t, got)) {
-		t.Fatalf("v1 round trip diverged:\nwant %+v\ngot  %+v", snap, got)
-	}
-}
-
-// TestGoldenV1Fixture pins backward compatibility against a committed
-// file written by the pre-registry (single-section) snapshot writer:
-// it must still decode, and the test-side v1 encoder must reproduce it
-// byte-for-byte.
-func TestGoldenV1Fixture(t *testing.T) {
-	fixture, err := os.ReadFile(filepath.Join("testdata", "week-45.v1.snap"))
+// TestGoldenFixture pins the container against a committed file: it
+// decodes to the synthetic result-only snapshot, and both the decoded
+// and the opened week re-encode to it byte for byte. Its webserver
+// section is the result segment the IXPSNAP1 fixture it replaced held,
+// so the fuzz targets seeded from it keep their seeds.
+func TestGoldenFixture(t *testing.T) {
+	fixture, err := os.ReadFile(filepath.Join("testdata", "week-45.snap"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	snap, err := Decode(fixture)
 	if err != nil {
-		t.Fatalf("legacy fixture no longer decodes: %v", err)
+		t.Fatalf("fixture no longer decodes: %v", err)
 	}
-	if !reflect.DeepEqual(forced(t, snap), forced(t, syntheticV1())) {
-		t.Fatalf("legacy fixture decoded to unexpected snapshot:\n%+v", snap)
+	if !reflect.DeepEqual(forced(t, snap), forced(t, syntheticResultOnly())) {
+		t.Fatalf("fixture decoded to unexpected snapshot:\n%+v", snap)
 	}
-	reenc, err := appendEncodeV1(nil, snap)
+	reenc, err := AppendEncode(nil, snap)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(fixture, reenc) {
-		t.Fatal("appendEncodeV1 no longer byte-identical to the legacy writer")
+		t.Fatal("decoded fixture re-encodes differently")
 	}
-}
-
-func TestRoundTripViaReaderWriter(t *testing.T) {
-	for _, tc := range []struct {
-		name   string
-		encode func([]byte, *Snapshot) ([]byte, error)
-		snap   *Snapshot
-	}{
-		{"v2", AppendEncode, synthetic()},
-		{"v1", appendEncodeV1, syntheticV1()},
-	} {
-		buf, err := tc.encode(nil, tc.snap)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := Read(bytes.NewReader(buf))
-		if err != nil {
-			t.Fatalf("%s: %v", tc.name, err)
-		}
-		if !reflect.DeepEqual(forced(t, tc.snap), forced(t, got)) {
-			t.Fatalf("%s: reader round trip diverged", tc.name)
-		}
+	o, err := Open(fixture)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if reenc, err := o.appendEncode(nil); err != nil || !bytes.Equal(fixture, reenc) {
+		t.Fatalf("opened fixture re-encodes differently (err %v)", err)
 	}
 }
 
@@ -288,7 +256,6 @@ func TestDecodeRejectsDamage(t *testing.T) {
 		headerLen int
 	}{
 		{"v2", AppendEncode, synthetic(), headerLenV2},
-		{"v1", appendEncodeV1, syntheticV1(), headerLenV1},
 	} {
 		buf, err := tc.encode(nil, tc.snap)
 		if err != nil {
@@ -345,6 +312,33 @@ func TestDecodeRejectsDamage(t *testing.T) {
 	}
 }
 
+// TestDecodeRefusesIXPSNAP1: a well-formed file in the retired
+// single-section container fails Decode, Open and both file readers
+// with ErrBadMagic, the error that makes ixpmine re-mine the week and
+// ixpserve answer 503.
+func TestDecodeRefusesIXPSNAP1(t *testing.T) {
+	v1, err := appendEncodeV1(nil, syntheticResultOnly())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Decode(v1); !errors.Is(err, ErrBadMagic) {
+		t.Fatalf("Decode: got %v, want ErrBadMagic", err)
+	}
+	if _, err := Open(v1); !errors.Is(err, ErrBadMagic) {
+		t.Fatalf("Open: got %v, want ErrBadMagic", err)
+	}
+	path := filepath.Join(t.TempDir(), FileName(45))
+	if err := os.WriteFile(path, v1, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := LoadFileFS(vfs.Default, path); !errors.Is(err, ErrBadMagic) {
+		t.Fatalf("LoadFileFS: got %v, want ErrBadMagic", err)
+	}
+	if _, err := OpenFileFS(vfs.Default, path); !errors.Is(err, ErrBadMagic) {
+		t.Fatalf("OpenFileFS: got %v, want ErrBadMagic", err)
+	}
+}
+
 func TestDecodeUnknownMagic(t *testing.T) {
 	for _, buf := range [][]byte{
 		nil,
@@ -354,9 +348,6 @@ func TestDecodeUnknownMagic(t *testing.T) {
 	} {
 		if _, err := Decode(buf); !errors.Is(err, ErrBadMagic) {
 			t.Fatalf("Decode(%q): got %v, want ErrBadMagic", buf, err)
-		}
-		if _, err := Read(bytes.NewReader(buf)); !errors.Is(err, ErrBadMagic) {
-			t.Fatalf("Read(%q): got %v, want ErrBadMagic", buf, err)
 		}
 	}
 }
@@ -484,17 +475,17 @@ func TestSectionsOutOfOrderRejected(t *testing.T) {
 // returns one of the package's typed errors, or a snapshot that
 // re-encodes and decodes back to the same value.
 func FuzzSnapshotDecode(f *testing.F) {
-	fixture, err := os.ReadFile(filepath.Join("testdata", "week-45.v1.snap"))
+	fixture, err := os.ReadFile(filepath.Join("testdata", "week-45.snap"))
 	if err != nil {
 		f.Fatal(err)
 	}
 	f.Add(fixture)
-	v1, err := appendEncodeV1(nil, syntheticV1())
+	v1, err := appendEncodeV1(nil, syntheticResultOnly())
 	if err != nil {
 		f.Fatal(err)
 	}
 	f.Add(v1)
-	for _, snap := range []*Snapshot{syntheticV1(), synthetic()} {
+	for _, snap := range []*Snapshot{syntheticResultOnly(), synthetic()} {
 		buf, err := AppendEncode(nil, snap)
 		if err != nil {
 			f.Fatal(err)
@@ -589,11 +580,11 @@ func FuzzSnapshotDecode(f *testing.F) {
 func checkOpenedMatches(t *testing.T, o *Opened, snap *Snapshot) {
 	t.Helper()
 	res := snap.Result
-	h, want := o.Header(), analysis.HeaderOf(res)
-	if h.Week != want.Week || h.EstLoss != want.EstLoss || h.Candidates443 != want.Candidates443 ||
-		h.Responded443 != want.Responded443 || h.Valid443 != want.Valid443 ||
-		h.TotalIPs != want.TotalIPs || h.ServerBytes != want.ServerBytes {
-		t.Fatalf("opened header %+v, decoded %+v", h, want)
+	h := o.Header()
+	if h.Week != res.Week || h.EstLoss != res.EstLoss || h.Candidates443 != res.Candidates443 ||
+		h.Responded443 != res.Responded443 || h.Valid443 != res.Valid443 ||
+		h.TotalIPs != res.TotalIPs || h.ServerBytes != res.ServerBytes {
+		t.Fatalf("opened header %+v, decoded result %+v", h, res)
 	}
 	if o.Counts != snap.Counts || o.SourceDigest != snap.SourceDigest || !reflect.DeepEqual(o.Extra, snap.Extra) {
 		t.Fatal("opened counts, digest or extra sections diverged from decode")
@@ -631,7 +622,7 @@ func checkOpenedMatches(t *testing.T, o *Opened, snap *Snapshot) {
 		if got := topRows(); !reflect.DeepEqual(got, wantRows) {
 			t.Fatalf("%s opened top-k rows diverged from the decoded result's", stage)
 		}
-		got, err := o.AppendEncode(nil)
+		got, err := o.appendEncode(nil)
 		if err != nil || !bytes.Equal(got, encoded) {
 			t.Fatalf("%s opened week re-encodes differently from the decoded one (err %v)", stage, err)
 		}
@@ -795,13 +786,13 @@ func TestHasProduct(t *testing.T) {
 			t.Fatalf("HasProduct(%q) = false on full snapshot", name)
 		}
 	}
-	v1 := syntheticV1()
-	if !v1.HasProduct("webserver") {
-		t.Fatal("v1 snapshot lost its webserver product")
+	bare := syntheticResultOnly()
+	if !bare.HasProduct("webserver") {
+		t.Fatal("result-only snapshot lost its webserver product")
 	}
 	for _, name := range []string{"visibility", "links", "attributes", "nope"} {
-		if v1.HasProduct(name) {
-			t.Fatalf("HasProduct(%q) = true on v1 snapshot", name)
+		if bare.HasProduct(name) {
+			t.Fatalf("HasProduct(%q) = true on result-only snapshot", name)
 		}
 	}
 }
@@ -875,7 +866,7 @@ func TestDecodeKeepsNoInput(t *testing.T) {
 	for i := range buf {
 		buf[i] = 0xa5
 	}
-	if got, err := opened.AppendEncode(nil); err != nil || !bytes.Equal(got, orig) {
+	if got, err := opened.appendEncode(nil); err != nil || !bytes.Equal(got, orig) {
 		t.Fatalf("unbuilt opened week re-encodes differently after its input was overwritten (err %v)", err)
 	}
 	var rows []*webserver.Server
@@ -900,7 +891,7 @@ func TestDecodeKeepsNoInput(t *testing.T) {
 	}
 	for name, encode := range map[string]func() ([]byte, error){
 		"decoded": func() ([]byte, error) { return AppendEncode(nil, snap) },
-		"opened":  func() ([]byte, error) { return opened.AppendEncode(nil) },
+		"opened":  func() ([]byte, error) { return opened.appendEncode(nil) },
 	} {
 		if got, err := encode(); err != nil || !bytes.Equal(got, orig) {
 			t.Fatalf("%s snapshot no longer re-encodes to its input (err %v)", name, err)
@@ -948,7 +939,7 @@ func TestLoadFileConcurrent(t *testing.T) {
 					return
 				}
 				a, errA := AppendEncode(nil, snap)
-				b, errB := opened.AppendEncode(nil)
+				b, errB := opened.appendEncode(nil)
 				if errA != nil || errB != nil || !bytes.Equal(a, files[i]) || !bytes.Equal(b, files[i]) {
 					t.Errorf("week %d, round %d: a load re-encodes to other bytes than its file", i, round)
 					return

@@ -796,11 +796,13 @@ func (s *Supervisor) captureMatches(wk int, want string) bool {
 // snapshotVerified loads wk's snapshot if the checkpoint says it is
 // done, the file digest matches, it still derives from the current
 // capture digest, AND it carries every product the current analyzer
-// registry expects plus the attributes section. A legacy (single-product
-// v1) snapshot, one written under a narrower registry, or one from a
-// build that wrote no attributes fails the last check and is
-// re-analyzed — the self-heal path that upgrades old campaign
-// directories to snapshots the serving layer can answer from.
+// registry expects plus the attributes section. A snapshot this build
+// cannot read (an older build's single-section container fails with
+// snapshot.ErrBadMagic), one
+// written under a narrower registry, or one from a build that wrote no
+// attributes fails a check and is re-analyzed — the self-heal path that
+// upgrades old campaign directories to snapshots the serving layer can
+// answer from.
 func (s *Supervisor) snapshotVerified(wk int, st *WeekState) (*snapshot.Snapshot, bool) {
 	if !st.Snapshot.Done || st.Snapshot.Digest == "" {
 		return nil, false

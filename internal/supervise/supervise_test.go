@@ -2,14 +2,17 @@ package supervise_test
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"sync"
 	"testing"
 	"time"
 
+	"ixplens/internal/analysis"
 	"ixplens/internal/capture"
 	"ixplens/internal/faultline"
 	"ixplens/internal/netmodel"
@@ -507,6 +510,78 @@ func TestSupervisorSelfHealsDamage(t *testing.T) {
 			t.Fatalf("week %d snapshot differs after self-heal", wk)
 		}
 	}
+}
+
+// TestSupervisorReminesIXPSNAP1: a week whose snapshot is in the
+// retired single-section container (as builds before IXPSNAP2 wrote it)
+// is mined again, to the same IXPSNAP2 bytes a fresh run writes, while
+// every other week resumes.
+func TestSupervisorReminesIXPSNAP1(t *testing.T) {
+	cfg := netmodel.Tiny()
+	cfg.Weeks = 3
+	env, err := pipeline.NewEnv(cfg, traffic.Options{SamplesPerWeek: 1500, SamplingRate: 16384, SnapLen: 128})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	run := func() *Report {
+		t.Helper()
+		sup, err := New(env, dir, Config{}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer sup.Close()
+		rep, err := sup.Run(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rep
+	}
+	run()
+	ref := snapshotDigests(t, env, dir)
+
+	wk := cfg.FirstWeek + 1
+	path := filepath.Join(dir, snapshot.FileName(wk))
+	snap, err := snapshot.LoadFileFS(vfs.Default, path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, ixpsnap1(t, snap), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := snapshot.LoadFileFS(vfs.Default, path); !errors.Is(err, snapshot.ErrBadMagic) {
+		t.Fatalf("IXPSNAP1 file loads with %v, want ErrBadMagic", err)
+	}
+
+	if rep := run(); rep.Completed != cfg.Weeks || rep.Resumed != cfg.Weeks-1 || rep.Quarantined != 0 {
+		t.Fatalf("rerun report %+v, want %d completed, %d resumed", rep, cfg.Weeks, cfg.Weeks-1)
+	}
+	for w, d := range snapshotDigests(t, env, dir) {
+		if ref[w] != d {
+			t.Fatalf("week %d snapshot differs from a fresh run's after the re-mine", w)
+		}
+	}
+}
+
+// ixpsnap1 encodes snap in the retired single-section container:
+// "IXPSNAP1" rawLen:u32 crc:u32, then the source digest, the eleven
+// cascade counts and the result.
+func ixpsnap1(tb testing.TB, snap *snapshot.Snapshot) []byte {
+	tb.Helper()
+	c := &snap.Counts
+	payload := analysis.AppendString(nil, snap.SourceDigest)
+	for _, v := range []uint64{uint64(c.Total), uint64(c.Undecodable), uint64(c.NonIPv4), uint64(c.Local),
+		uint64(c.NonTCPUDP), uint64(c.PeeringTCP), uint64(c.PeeringUDP), uint64(c.PanicQuarantined),
+		c.TotalBytes, c.PeeringTCPBytes, c.PeeringUDPBytes} {
+		payload = binary.BigEndian.AppendUint64(payload, v)
+	}
+	payload, err := analysis.AppendResult(payload, snap.Result)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	out := binary.BigEndian.AppendUint32([]byte("IXPSNAP1"), uint32(len(payload)))
+	out = binary.BigEndian.AppendUint32(out, crc32.Checksum(payload, crc32.MakeTable(crc32.Castagnoli)))
+	return append(out, payload...)
 }
 
 // TestSupervisorAdoptsUnsupervisedCampaign: the supervisor must be a

@@ -13,13 +13,3 @@ func ExampleSparkline() {
 	fmt.Println(textplot.Sparkline(weekly))
 	// Output: ▅▆▅▇▇▁▇█
 }
-
-// ExampleBars renders labeled magnitudes, e.g. a churn bar per week.
-func ExampleBars() {
-	fmt.Println(textplot.Bars(
-		[]string{"week 35", "week 51"},
-		[]float64{1400, 1500}, 15))
-	// Output:
-	//   week 35 ############## 1400
-	//   week 51 ############### 1500
-}

@@ -141,36 +141,3 @@ func ScatterLogLog(xs, ys []float64, width, height int) string {
 		math.Pow(10, ly0), math.Pow(10, ly1), len(xs)))
 	return b.String()
 }
-
-// Bars renders labeled horizontal bars scaled to the maximum value —
-// Fig. 4(a)-style stacked weekly totals are printed as one bar per week
-// by the caller.
-func Bars(labels []string, values []float64, width int) string {
-	if len(labels) != len(values) || len(labels) == 0 || width <= 0 {
-		return ""
-	}
-	max := values[0]
-	for _, v := range values {
-		if v > max {
-			max = v
-		}
-	}
-	labelW := 0
-	for _, l := range labels {
-		if len(l) > labelW {
-			labelW = len(l)
-		}
-	}
-	var b strings.Builder
-	for i := range labels {
-		n := 0
-		if max > 0 {
-			n = int(values[i] / max * float64(width))
-		}
-		fmt.Fprintf(&b, "  %-*s %s %.4g", labelW, labels[i], strings.Repeat("#", n), values[i])
-		if i < len(labels)-1 {
-			b.WriteByte('\n')
-		}
-	}
-	return b.String()
-}

@@ -77,20 +77,3 @@ func TestScatterLogLog(t *testing.T) {
 		t.Fatalf("clamping broken:\n%s", got)
 	}
 }
-
-func TestBars(t *testing.T) {
-	if Bars([]string{"a"}, []float64{1, 2}, 10) != "" {
-		t.Fatal("mismatched bars must be empty")
-	}
-	got := Bars([]string{"w35", "w51"}, []float64{5, 10}, 10)
-	lines := strings.Split(got, "\n")
-	if len(lines) != 2 {
-		t.Fatalf("bars lines = %d", len(lines))
-	}
-	if strings.Count(lines[1], "#") != 10 || strings.Count(lines[0], "#") != 5 {
-		t.Fatalf("bar scaling wrong:\n%s", got)
-	}
-	if !strings.Contains(lines[0], "w35") {
-		t.Fatal("labels missing")
-	}
-}
