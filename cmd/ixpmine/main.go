@@ -152,7 +152,7 @@ func run(ctx context.Context, dir string, focus int, maxLoss float64, debugAddr,
 	}
 	defer sup.Close()
 
-	tracker := churn.NewTrackerWith(env.EntityTable())
+	tracker := churn.NewTracker()
 	var hookErr error
 	fmt.Println("week  samples  peering%  servers  https  loss%  server-traffic-share")
 	sup.Hooks.OnWeek = func(ws supervise.WeekStatus, snap *snapshot.Snapshot) {
@@ -165,7 +165,14 @@ func run(ctx context.Context, dir string, focus int, maxLoss float64, debugAddr,
 			return
 		}
 		res, counts := snap.Result, snap.Counts
-		if err := tracker.Add(env.Observation(res)); err != nil {
+		attrs, err := snap.Attributes()
+		if err == nil && attrs == nil {
+			err = fmt.Errorf("week %d: snapshot carries no attributes", ws.Week)
+		}
+		if err == nil {
+			err = tracker.Add(analysis.Observation(res, attrs))
+		}
+		if err != nil {
 			hookErr = err
 			return
 		}

@@ -7,8 +7,10 @@ import (
 	"math/bits"
 	"slices"
 
+	"ixplens/internal/core/churn"
 	"ixplens/internal/core/webserver"
 	"ixplens/internal/entity"
+	"ixplens/internal/geo"
 	"ixplens/internal/packet"
 	"ixplens/internal/routing"
 )
@@ -136,8 +138,8 @@ func buildAttributes(table *entity.Table, ips []packet.IPv4Addr, attrs func(i in
 	return p
 }
 
-// growTo extends s to hold index i: the table may have grown since it
-// was sized, as other weeks intern concurrently.
+// growTo extends s to hold index i: the table grows while the product
+// is built when AttributesOf interns an IP the run did not resolve.
 func growTo(s []uint32, i uint32) []uint32 {
 	if int(i) < len(s) {
 		return s
@@ -226,6 +228,31 @@ func (p *AttributesProduct) Find(ip packet.IPv4Addr) (IPAttrs, bool) {
 		return IPAttrs{}, false
 	}
 	return p.At(i), true
+}
+
+// ChurnObs is the churn tracker's view of one server with attributes a:
+// its traffic, HTTPS flag and serving member (-1 unknown), and its origin
+// AS, prefix and region.
+func (a IPAttrs) ChurnObs(bytes uint64, https bool, member int32) churn.ServerObs {
+	return churn.ServerObs{Bytes: bytes, ASN: a.ASN, Prefix: a.Prefix, Region: geo.Region(a.Country), HTTPS: https, Member: member}
+}
+
+// Observation is a week's churn observation: every server of res joined
+// by IP with its attributes in attrs, the week's own (a server attrs
+// does not cover keeps zero attributes), and the week's loss
+// annotation. Weeks are joined by IP, never by entity ID, so each week
+// may resolve through its own table.
+func Observation(res *webserver.Result, attrs *AttributesProduct) churn.WeekObservation {
+	obs := churn.WeekObservation{
+		Week:    res.Week,
+		Servers: make(map[packet.IPv4Addr]churn.ServerObs, len(res.Servers)),
+		EstLoss: res.EstLoss,
+	}
+	for ip, srv := range res.Servers {
+		a, _ := attrs.Find(ip)
+		obs.Servers[ip] = a.ChurnObs(srv.Bytes, srv.HTTPS, srv.Member)
+	}
+	return obs
 }
 
 // AppendEncode appends the section payload:

@@ -119,23 +119,17 @@ type RegionChurn struct {
 	Bytes [3]uint64
 }
 
-// Tracker consumes weekly observations in chronological order.
+// Tracker consumes weekly observations in chronological order. Weeks
+// are joined by IP address.
 type Tracker struct {
 	weeks []WeekObservation
-	// table, when set, rebases Compute's per-IP histories onto the
-	// shared interning layer: dense-ID slice indexing instead of an
-	// address-keyed map over every server IP of every week.
-	table *entity.Table
 }
 
 // NewTracker returns an empty tracker.
 func NewTracker() *Tracker { return &Tracker{} }
 
-// NewTrackerWith returns a tracker that resolves IP identity through
-// the shared entity table (nil behaves like NewTracker). Results are
-// identical either way; the table only changes the bookkeeping from
-// map lookups to memoized dense-ID slice indexing.
-func NewTrackerWith(table *entity.Table) *Tracker { return &Tracker{table: table} }
+// NewTrackerWith is NewTracker; the table is not read.
+func NewTrackerWith(*entity.Table) *Tracker { return NewTracker() }
 
 // Add appends a week. Weeks must be added in increasing order.
 func (t *Tracker) Add(obs WeekObservation) error {
@@ -174,44 +168,15 @@ func poolOf(first, seen, n int) Pool {
 }
 
 // history tracks one entity's appearance record: the week index it was
-// first seen (-1 before any sighting) and how many weeks it has been
-// seen in.
+// first seen and how many weeks it has been seen in.
 type history struct {
 	first int32
 	seen  int32
 }
 
-// Compute derives the per-week churn series. With a table attached
-// (NewTrackerWith) the per-IP histories are a slice indexed by dense
-// entity ID — the tracker's dominant data structure across hundreds of
-// thousands of IPs × 17 weeks — instead of an address-keyed map; the
-// output is identical.
+// Compute derives the per-week churn series.
 func (t *Tracker) Compute() []WeekChurn {
-	var ipHistMap map[packet.IPv4Addr]*history
-	var ipHistIDs []history
-	if t.table == nil {
-		ipHistMap = make(map[packet.IPv4Addr]*history)
-	}
-	histOf := func(ip packet.IPv4Addr) *history {
-		if t.table == nil {
-			h := ipHistMap[ip]
-			if h == nil {
-				h = &history{first: -1}
-				ipHistMap[ip] = h
-			}
-			return h
-		}
-		id := int(t.table.Resolve(ip))
-		if id >= len(ipHistIDs) {
-			grown := make([]history, id+1+len(ipHistIDs)/2)
-			copy(grown, ipHistIDs)
-			for i := len(ipHistIDs); i < len(grown); i++ {
-				grown[i].first = -1
-			}
-			ipHistIDs = grown
-		}
-		return &ipHistIDs[id]
-	}
+	ipHist := make(map[packet.IPv4Addr]*history)
 	asHist := make(map[uint32]*history)
 
 	out := make([]WeekChurn, 0, len(t.weeks))
@@ -246,9 +211,10 @@ func (t *Tracker) Compute() []WeekChurn {
 		asPools := make(map[uint32]Pool)
 		prefixes := make(map[routing.Prefix]bool)
 		for ip, so := range obs.Servers {
-			h := histOf(ip)
-			if h.first < 0 {
-				h.first = int32(n)
+			h := ipHist[ip]
+			if h == nil {
+				h = &history{first: int32(n)}
+				ipHist[ip] = h
 			}
 			pool := poolOf(int(h.first), int(h.seen), n)
 			h.seen++

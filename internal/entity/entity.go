@@ -1,15 +1,18 @@
-// Package entity is the per-Env interning layer shared by every
-// analysis stage. The study's aggregations — visibility shares, churn
-// pools, clustering footprints, heterogenization matrices — are all
-// keyed by the same few entity kinds (IP, prefix, AS, country, region,
-// organization), yet each layer used to key them independently with
-// address- or string-keyed maps and to re-resolve every IP through the
-// RIB trie and geo DB per layer and per week. A Table instead maps each
-// IP to a dense uint32 ID exactly once, memoizing the resolved
-// attributes (origin AS, matched prefix, country, region) alongside it,
-// so downstream accumulators can be plain slices indexed by ID and the
-// trie/geo lookups happen once per distinct address per Env, not once
-// per (layer, week, sample).
+// Package entity is the per-run interning layer of the analysis stages.
+// The study's aggregations — visibility shares, churn pools, clustering
+// footprints, heterogenization matrices — are all keyed by the same few
+// entity kinds (IP, prefix, AS, country, region, organization), yet each
+// layer used to key them independently with address- or string-keyed
+// maps and to re-resolve every IP through the RIB trie and geo DB per
+// layer and per sample. A Table instead maps each IP to a dense uint32
+// ID exactly once, memoizing the resolved attributes (origin AS, matched
+// prefix, country, region) alongside it, so downstream accumulators can
+// be plain slices indexed by ID and the trie/geo lookups happen once per
+// distinct address per run, not once per (layer, sample).
+//
+// A table belongs to one analysis run (one week): weeks share no
+// mutable state, and whatever joins them — the churn series — joins by
+// IP through each week's own attributes, never by table ID.
 //
 // ID spaces: IP IDs, prefix IDs, AS indices and string IDs are each
 // dense and allocated in first-interned order. They are process-local
@@ -108,6 +111,11 @@ type Table struct {
 	asns     []uint32 // indexed by ASIdx; slot 0 reserved
 	asIdx    map[uint32]uint32
 
+	// geoIDs holds the Countries IDs of every country the geo DB can
+	// answer (and of ""), with its region's: interned when the table is
+	// built and read-only afterwards, so a miss takes no interner lock.
+	geoIDs map[string]countryIDs
+
 	m *Metrics
 }
 
@@ -128,9 +136,19 @@ func NewTable(rib *routing.Table, gdb *geo.DB) *Table {
 		asIdx:     make(map[uint32]uint32),
 	}
 	// Country ID 0 is the empty (geo-uncovered) code by construction.
-	t.Countries.Intern("")
+	countries := []string{""}
+	if gdb != nil {
+		countries = append(countries, gdb.Countries()...)
+	}
+	t.geoIDs = make(map[string]countryIDs, len(countries))
+	for _, c := range countries {
+		t.geoIDs[c] = countryIDs{t.Countries.Intern(c), t.Countries.Intern(geo.Region(c))}
+	}
 	return t
 }
+
+// countryIDs are a country's and its region's IDs in Table.Countries.
+type countryIDs struct{ country, region uint32 }
 
 // SetMetrics attaches an observability bundle (nil detaches). Not
 // synchronized with concurrent Resolve calls; attach before sharing.
@@ -221,8 +239,8 @@ func (t *Table) intern(ip packet.IPv4Addr) (ID, Attrs) {
 	if t.gdb != nil {
 		country = t.gdb.Lookup(ip)
 	}
-	a.CountryID = t.Countries.Intern(country)
-	a.RegionID = t.Countries.Intern(geo.Region(country))
+	ids := t.geoIDs[country]
+	a.CountryID, a.RegionID = ids.country, ids.region
 
 	t.mu.Lock()
 	if id, ok := t.ids[ip]; ok {

@@ -5,6 +5,7 @@ import (
 	"ixplens/internal/ispview"
 	"ixplens/internal/oracle"
 	"ixplens/internal/packet"
+	"ixplens/internal/traffic"
 )
 
 // BlindSpotAlexa reproduces the Section 3.3 Alexa recovery and
@@ -104,6 +105,12 @@ func (r *Runner) BlindSpotISP() (Report, error) {
 	rep.addf("ISP-only server IPs", "~45K", "%d (%s)", cmp.NotAtIXP,
 		pct(ratio(cmp.NotAtIXP, cmp.ISPServers)))
 	rep.addf("IXP identifications confirmed by ISP", "confirmed", "%d", cmp.ConfirmedAtIXP)
+	sc := oracle.ISP(w, wk.Truth, log, serverSet(wk.Servers))
+	rep.addf("ISP-only: not visible at IXP / unsampled / sampled but missed", "-", "%d / %d / %d",
+		sc.NotVisible, sc.Unsampled, sc.SampledMissed[traffic.EvidenceOpaque]+sc.SampledMissed[traffic.Evidence443]+sc.SampledMissed[traffic.EvidenceHTTP])
+	rep.addf("sampled but missed by evidence: opaque / 443-only / HTTP", "-", "%d / %d / %d",
+		sc.SampledMissed[traffic.EvidenceOpaque], sc.SampledMissed[traffic.Evidence443], sc.SampledMissed[traffic.EvidenceHTTP])
+	rep.addf("confirmed overlap precision vs ground truth", "-", "%d of %d (%s)", sc.ConfirmedTrue, sc.Confirmed, pct(sc.Precision))
 	return rep, nil
 }
 

@@ -122,7 +122,10 @@ func (r *Runner) SamplingCalibration() (Report, error) {
 		}
 	}
 	rep.addf("ports with counters", "all member ports", "%d", ports)
-	rep.addf("estimate vs counter agreement", "consistent", "%d of %d ports within 0.1%% (max dev %.4f%%)",
+	// The collector builds each port's counters from its sampled frames
+	// times the sampling rate, so (a) checks the export's bookkeeping,
+	// not the estimator's accuracy.
+	rep.addf("estimate vs counter agreement (counters built from the samples: consistency only)", "consistent", "%d of %d ports within 0.1%% (max dev %.4f%%)",
 		agree, ports, 100*maxRel)
 
 	// (b) Measured org traffic shares vs configured demand.

@@ -6,6 +6,7 @@ import (
 	"ixplens/internal/core/churn"
 	"ixplens/internal/oracle"
 	"ixplens/internal/routing"
+	"ixplens/internal/traffic"
 )
 
 // Fig4aServerChurn reproduces Figure 4(a): the weekly stable/recurrent/
@@ -27,6 +28,9 @@ func (r *Runner) Fig4aServerChurn() (Report, error) {
 	rep.addf("stable pool precision vs ground truth", "-", "%d of %d (%s)", sc.TruePositives, sc.Labelled, pct(sc.Precision))
 	rep.addf("recall of sampled stable servers", "-", "%d of %d (%s)", sc.Found, sc.StableSampled, pct(sc.Recall))
 	rep.addf("stable servers missed: unsampled in a week / mislabelled", "-", "%d / %d", sc.MissedUnsampled, sc.Mislabelled)
+	mm := sc.MislabelledMisses
+	rep.addf("mislabelled: missed server-weeks by evidence (opaque / 443-only / HTTP)", "-", "%d / %d / %d",
+		mm[traffic.EvidenceOpaque], mm[traffic.Evidence443], mm[traffic.EvidenceHTTP])
 
 	var stable, recurrent, fresh, totals []float64
 	for _, wc := range weeks {

@@ -10,6 +10,7 @@ package geo
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 
 	"ixplens/internal/packet"
@@ -30,6 +31,8 @@ type DB struct {
 	firsts    []packet.IPv4Addr
 	lasts     []packet.IPv4Addr
 	countries []string
+	// distinct is the sorted set of countries, computed once by Build.
+	distinct []string
 }
 
 // Build sorts and validates ranges into a DB. Adjacent ranges of the
@@ -56,6 +59,9 @@ func Build(ranges []Range) (*DB, error) {
 		db.lasts = append(db.lasts, r.Last)
 		db.countries = append(db.countries, r.Country)
 	}
+	db.distinct = slices.Clone(db.countries)
+	slices.Sort(db.distinct)
+	db.distinct = slices.Compact(db.distinct)
 	return db, nil
 }
 
@@ -76,19 +82,9 @@ func (db *DB) Lookup(ip packet.IPv4Addr) string {
 // NumRanges returns the number of (merged) ranges in the database.
 func (db *DB) NumRanges() int { return len(db.firsts) }
 
-// Countries returns the set of distinct countries present in the DB.
-func (db *DB) Countries() []string {
-	seen := make(map[string]bool)
-	var out []string
-	for _, c := range db.countries {
-		if !seen[c] {
-			seen[c] = true
-			out = append(out, c)
-		}
-	}
-	sort.Strings(out)
-	return out
-}
+// Countries returns the distinct countries present in the DB, sorted.
+// The slice is the DB's own and must not be modified.
+func (db *DB) Countries() []string { return db.distinct }
 
 // Region buckets countries the way Section 4.1 of the paper does for its
 // churn figures: DE, US, RU, CN and RoW (rest of world).

@@ -1,6 +1,8 @@
 package oracle
 
 import (
+	"slices"
+
 	"ixplens/internal/core/churn"
 	"ixplens/internal/netmodel"
 	"ixplens/internal/packet"
@@ -27,6 +29,11 @@ type StableScore struct {
 	// sampled in every observed week and still not labelled.
 	// MissedUnsampled + Mislabelled == StableSampled - Found.
 	MissedUnsampled, Mislabelled int
+	// MislabelledMisses splits the Mislabelled servers' misses: one
+	// count per (server, observed week) in which identification did not
+	// name it, indexed by the strongest evidence its samples carried
+	// that week (traffic.Evidence).
+	MislabelledMisses [traffic.EvidenceHTTP + 1]int
 	// MeasuredShare is Labelled over the IPs identified in the last week,
 	// the stable pool share Fig. 4a reports; TrueShare is StableSampled
 	// over the servers the last week sampled.
@@ -82,6 +89,16 @@ func Stable(world *netmodel.World, tracker *churn.Tracker, truths []traffic.Week
 			sc.MissedUnsampled++
 		default:
 			sc.Mislabelled++
+			for i := 0; i <= last; i++ {
+				if obs := tracker.Week(i); !obs.Gap {
+					if _, ok := obs.Servers[srv.IP]; !ok {
+						// A truth without evidence grades nothing.
+						if j, _ := slices.BinarySearch(truths[i].Sampled, si); j < len(truths[i].Evidence) {
+							sc.MislabelledMisses[truths[i].Evidence[j]]++
+						}
+					}
+				}
+			}
 		}
 	}
 	sc.Precision = ratio(sc.TruePositives, sc.Labelled)

@@ -10,6 +10,7 @@ import (
 	"ixplens/internal/core/churn"
 	"ixplens/internal/core/cluster"
 	"ixplens/internal/core/webserver"
+	"ixplens/internal/ispview"
 	"ixplens/internal/netmodel"
 	"ixplens/internal/packet"
 	"ixplens/internal/pipeline"
@@ -381,5 +382,52 @@ func TestStableAndLinkScoresOnTinyWorld(t *testing.T) {
 	}
 	if ls.ForeignShare > foreignShareCeil {
 		t.Errorf("foreign share %.4f above the %.2f ceiling", ls.ForeignShare, foreignShareCeil)
+	}
+}
+
+// ispPrecisionFloor bounds the share of the ISP-confirmed overlap that
+// is made of world servers, chosen on Tiny-world seeds 7 and 3 (1.000
+// each) and checked on unseen seeds 11 and 23.
+const ispPrecisionFloor = 0.99
+
+// TestISPScoreOnTinyWorld scores E9's cross-check on the Tiny world's
+// week 45: the ISP-only IPs split into not visible, unsampled and
+// sampled-but-missed classes that add up, no sampled miss carried HTTP
+// evidence (brick 1.2b's HTTP recall of 1.0), and the confirmed overlap
+// holds only world servers.
+func TestISPScoreOnTinyWorld(t *testing.T) {
+	for _, seed := range []int64{7, 3} {
+		cfg := netmodel.Tiny()
+		cfg.Seed = seed
+		env, err := pipeline.NewEnv(cfg, traffic.DefaultOptions())
+		if err != nil {
+			t.Fatal(err)
+		}
+		wk, err := env.AnalyzeWeek(context.Background(), 45)
+		if err != nil {
+			t.Fatal(err)
+		}
+		isp, err := ispview.PickISP(env.World)
+		if err != nil {
+			t.Fatal(err)
+		}
+		log := ispview.Observe(env.World, env.DNS, isp, 45, env.Opts.SamplesPerWeek)
+		ixp := make(map[packet.IPv4Addr]bool, len(wk.Servers.Servers))
+		for ip := range wk.Servers.Servers {
+			ixp[ip] = true
+		}
+		sc := ISP(env.World, wk.Truth, log, ixp)
+		missed := sc.SampledMissed[traffic.EvidenceOpaque] + sc.SampledMissed[traffic.Evidence443] + sc.SampledMissed[traffic.EvidenceHTTP]
+		t.Logf("seed %d: %d ISP-only = %d not visible + %d unsampled + %d sampled (by evidence %v); confirmed %d/%d = %.3f",
+			seed, sc.ISPOnly, sc.NotVisible, sc.Unsampled, missed, sc.SampledMissed, sc.ConfirmedTrue, sc.Confirmed, sc.Precision)
+		if sc.NotVisible+sc.Unsampled+missed != sc.ISPOnly || sc.ISPOnly+sc.Confirmed != len(log.ServerIPs) {
+			t.Errorf("seed %d: split %+v does not add up to %d logged IPs", seed, sc, len(log.ServerIPs))
+		}
+		if sc.SampledMissed[traffic.EvidenceHTTP] != 0 {
+			t.Errorf("seed %d: %d ISP-only servers were sampled with HTTP evidence yet missed", seed, sc.SampledMissed[traffic.EvidenceHTTP])
+		}
+		if sc.Confirmed == 0 || sc.Precision < ispPrecisionFloor {
+			t.Errorf("seed %d: confirmed precision %d/%d below the %.2f floor", seed, sc.ConfirmedTrue, sc.Confirmed, ispPrecisionFloor)
+		}
 	}
 }

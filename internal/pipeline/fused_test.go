@@ -215,12 +215,12 @@ func TestGoldenAnalyzerEquivalence(t *testing.T) {
 }
 
 // TestIDIndexAcrossWeeks pins the ID-keyed analyzer state on an entity
-// table shared across weeks. The second week's state is built with its
-// ID indexes sized to the table the first week left behind, so it meets
-// IDs from the first week inside the index and IDs interned mid-run
-// beyond it (concurrently, at four workers). Its webserver and
-// visibility products must be byte-equal to the same week analysed on a
-// fresh table.
+// table a caller shares across weeks by reusing one analysis context.
+// The second week's state is built with its ID indexes sized to the
+// table the first week left behind, so it meets IDs from the first week
+// inside the index and IDs interned mid-run beyond it (concurrently, at
+// four workers). Its webserver and visibility products must be
+// byte-equal to the same week analysed on its own table.
 func TestIDIndexAcrossWeeks(t *testing.T) {
 	const first, second = 40, 41
 	encode := func(p analysis.Product) []byte {
@@ -231,16 +231,24 @@ func TestIDIndexAcrossWeeks(t *testing.T) {
 		return b
 	}
 	for _, workers := range []int{1, 4} {
-		shared := goldenEnv(t)
-		analyzeAt(t, shared, first, workers)
-		table := shared.EntityTable()
+		env := goldenEnv(t)
+		actx := env.AnalysisContext()
+		analyzeWith := func(wk int) *analysis.Products {
+			prods, _, _, err := env.streamWeek(context.Background(), env.Gen, env.Registry(), actx, wk, workers)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return prods
+		}
+		analyzeWith(first)
+		table := actx.Entities
 		sized := table.Len()
-		got := analyzeAt(t, shared, second, workers)
+		got := analyzeWith(second)
 		if table.Len() == sized {
 			t.Fatalf("w%d: week %d interned no new IPs, so no index grew", workers, second)
 		}
 		reused := 0
-		for _, e := range got.Visibility.PerIP {
+		for _, e := range got.Visibility().PerIP {
 			if id, ok := table.Lookup(e.IP); ok && int(id) < sized {
 				reused++
 			}
@@ -249,11 +257,11 @@ func TestIDIndexAcrossWeeks(t *testing.T) {
 			t.Fatalf("w%d: week %d met no IP of week %d", workers, second, first)
 		}
 
-		want := analyzeAt(t, goldenEnv(t), second, workers)
-		if !bytes.Equal(encode(&analysis.WebserverProduct{Res: got.Servers}), encode(&analysis.WebserverProduct{Res: want.Servers})) {
+		want := analyzeAt(t, env, second, workers)
+		if !bytes.Equal(encode(&analysis.WebserverProduct{Res: got.Webserver()}), encode(&analysis.WebserverProduct{Res: want.Servers})) {
 			t.Fatalf("w%d: webserver product on the shared table differs from a fresh table's", workers)
 		}
-		if !bytes.Equal(encode(got.Visibility), encode(want.Visibility)) {
+		if !bytes.Equal(encode(got.Visibility()), encode(want.Visibility)) {
 			t.Fatalf("w%d: visibility product on the shared table differs from a fresh table's", workers)
 		}
 	}

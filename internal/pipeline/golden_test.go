@@ -9,7 +9,9 @@ import (
 	"ixplens/internal/core/dissect"
 	"ixplens/internal/core/visibility"
 	"ixplens/internal/faultline"
+	"ixplens/internal/geo"
 	"ixplens/internal/netmodel"
+	"ixplens/internal/packet"
 	"ixplens/internal/traffic"
 )
 
@@ -40,13 +42,10 @@ func analyzeAt(t testing.TB, env *Env, wk, workers int) *Week {
 // over every study week, the four-worker pool (records fanned into
 // per-worker analyzer shards) must produce results bit-identical to the
 // serial reference — cascade counts, identification aggregates,
-// visibility and link products, and the derived churn series alike.
+// visibility and link products alike.
 func TestGoldenShardedMatchesSerial(t *testing.T) {
 	env := goldenEnv(t)
 	cfg := &env.World.Cfg
-
-	serialTracker := churn.NewTracker()
-	shardedTracker := churn.NewTrackerWith(env.EntityTable())
 	for wk := cfg.FirstWeek; wk <= cfg.LastWeek(); wk++ {
 		serial := analyzeAt(t, env, wk, 1)
 		sharded := analyzeAt(t, env, wk, 4)
@@ -63,24 +62,67 @@ func TestGoldenShardedMatchesSerial(t *testing.T) {
 			!reflect.DeepEqual(serial.Links, sharded.Links) {
 			t.Fatalf("week %d visibility or links products diverged", wk)
 		}
-		if err := serialTracker.Add(env.Observation(serial.Servers)); err != nil {
-			t.Fatal(err)
-		}
-		if err := shardedTracker.Add(env.Observation(sharded.Servers)); err != nil {
-			t.Fatal(err)
-		}
 	}
+}
 
-	// The churn series must agree regardless of the history bookkeeping
-	// (address-keyed maps vs dense entity-ID slices).
-	serialChurn := serialTracker.Compute()
-	shardedChurn := shardedTracker.Compute()
-	if !reflect.DeepEqual(serialChurn, shardedChurn) {
-		t.Fatal("churn series diverged between serial and sharded observations")
+// TestGoldenTrackWeeksMatchesWorldResolved pins the churn series
+// TrackWeeks builds — weeks analysed concurrently, each through its own
+// entity table, joined by IP through each week's attributes — against a
+// reference: every week analysed serially with the full registry, its
+// servers resolved straight through the world's RIB and geo DB. All 17
+// observations, the computed series and the per-member counts must be
+// equal.
+func TestGoldenTrackWeeksMatchesWorldResolved(t *testing.T) {
+	env := goldenEnv(t)
+	ctx := context.Background()
+	tracker, results, _, err := env.TrackWeeks(ctx)
+	if err != nil {
+		t.Fatal(err)
 	}
-	last := shardedChurn[len(shardedChurn)-1]
-	if last.Total() == 0 || last.Share(churn.PoolStable) == 0 {
+	rib, gdb := env.World.RIB(), env.World.GeoDB()
+	ref := churn.NewTracker()
+	members := map[int32]bool{}
+	for i, res := range results {
+		prods, _, _, err := env.streamWeek(ctx, env.Gen, env.Registry(), env.AnalysisContext(), res.Week, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		serial := prods.Webserver()
+		if !reflect.DeepEqual(serial, res) {
+			t.Fatalf("week %d: TrackWeeks' identification differs from the serial run's", res.Week)
+		}
+		obs := churn.WeekObservation{Week: serial.Week, EstLoss: serial.EstLoss,
+			Servers: make(map[packet.IPv4Addr]churn.ServerObs, len(serial.Servers))}
+		for ip, srv := range serial.Servers {
+			route, _ := rib.Lookup(ip)
+			obs.Servers[ip] = churn.ServerObs{Bytes: srv.Bytes, ASN: route.ASN, Prefix: route.Prefix,
+				Region: geo.Region(gdb.Lookup(ip)), HTTPS: srv.HTTPS, Member: srv.Member}
+			members[srv.Member] = true
+		}
+		if !reflect.DeepEqual(*tracker.Week(i), obs) {
+			t.Fatalf("week %d: observation differs from the world-resolved one", res.Week)
+		}
+		if err := ref.Add(obs); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if tracker.NumWeeks() != env.World.Cfg.Weeks {
+		t.Fatalf("tracked %d weeks, want %d", tracker.NumWeeks(), env.World.Cfg.Weeks)
+	}
+	got := tracker.Compute()
+	if !reflect.DeepEqual(got, ref.Compute()) {
+		t.Fatal("churn series differs from the world-resolved reference")
+	}
+	if last := got[len(got)-1]; last.Total() == 0 || last.Share(churn.PoolStable) == 0 || last.TotalASes == 0 {
 		t.Fatalf("degenerate final week: %+v", last)
+	}
+	if len(members) < 2 {
+		t.Fatalf("servers behind %d members: no member series to compare", len(members))
+	}
+	for m := range members {
+		if g, w := tracker.CountByMember(m), ref.CountByMember(m); !reflect.DeepEqual(g, w) {
+			t.Fatalf("member %d: CountByMember %v, want %v", m, g, w)
+		}
 	}
 }
 
@@ -145,7 +187,7 @@ func TestGoldenAnalyzeWeekAggregates(t *testing.T) {
 	}
 
 	// Visibility summaries must not depend on whether the aggregator owns
-	// its interning table or shares the environment's.
+	// its interning table or is handed one.
 	private := visibility.NewAggregator(env.World.RIB(), env.World.GeoDB())
 	shared := visibility.NewAggregatorWith(env.EntityTable())
 	if _, err := dissect.ProcessSharded(ctx, buf.Source(), env.Fabric, 1, func(_ int, rec *dissect.Record, _ uint64) {

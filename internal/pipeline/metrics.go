@@ -20,7 +20,8 @@ type Metrics struct {
 	Collector *ixp.CollectorMetrics
 	Dissect   *dissect.Metrics
 	Identify  *webserver.Metrics
-	// Entity tracks the interning layer: memo hits/misses and table size.
+	// Entity tracks the interning layer: memo hits/misses over every
+	// run's table, and the size of the newest run's.
 	Entity *entity.Metrics
 	// WeekNanos is the wall-time distribution of one week's light
 	// pipeline run (stream + identify); Weeks counts completed weeks.
@@ -126,17 +127,16 @@ func (m *Metrics) IdentifyMetrics() *webserver.Metrics {
 	return m.Identify
 }
 
+// EntityMetrics returns the interning sub-bundle, nil when disabled.
+func (m *Metrics) EntityMetrics() *entity.Metrics {
+	if m == nil {
+		return nil
+	}
+	return m.Entity
+}
+
 // Instrument attaches an observability registry to the environment:
 // every pipeline run after the call feeds the per-stage metric bundles
 // built against r. Passing nil detaches instrumentation (the default
 // state of a fresh Env).
-func (e *Env) Instrument(r *obs.Registry) {
-	e.M = NewMetrics(r)
-	if e.Entities != nil {
-		if e.M != nil {
-			e.Entities.SetMetrics(e.M.Entity)
-		} else {
-			e.Entities.SetMetrics(nil)
-		}
-	}
-}
+func (e *Env) Instrument(r *obs.Registry) { e.M = NewMetrics(r) }

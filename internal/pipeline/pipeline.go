@@ -18,6 +18,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"time"
 
@@ -104,11 +105,6 @@ type Env struct {
 	Crawler *certsim.Crawler
 	Gen     *traffic.Generator
 	Opts    traffic.Options
-	// Entities is the Env's shared interning layer: every analysis stage
-	// resolves IPs through it, so RIB/geo lookups run once per distinct
-	// address per Env instead of once per (layer, week, sample). NewEnv
-	// wires it; hand-assembled Envs get one lazily via EntityTable.
-	Entities *entity.Table
 	// M is the observability bundle; nil (the default) runs the whole
 	// pipeline uninstrumented. Attach one with Instrument.
 	M *Metrics
@@ -137,6 +133,10 @@ func NewEnv(cfg netmodel.Config, opts traffic.Options) (*Env, error) {
 	if err != nil {
 		return nil, err
 	}
+	// The RIB and geo DB are cached lazily and unsynchronized: build
+	// them now, so concurrent analysis runs only read them.
+	w.RIB()
+	w.GeoDB()
 	dns := dnssim.New(w)
 	fabric := ixp.NewFabric(w)
 	return &Env{
@@ -146,21 +146,14 @@ func NewEnv(cfg netmodel.Config, opts traffic.Options) (*Env, error) {
 		Crawler: certsim.NewCrawler(w, dns),
 		Gen:     traffic.NewGenerator(w, dns, fabric, opts),
 		Opts:    opts,
-		// Building the table here also forces the lazily cached RIB and
-		// geo DB, so later concurrent readers never race their builds.
-		Entities: entity.NewTable(w.RIB(), w.GeoDB()),
 	}, nil
 }
 
-// EntityTable returns the Env's interning layer, creating one on first
-// use for Envs assembled by hand (NewEnv always wires it). Lazy
-// creation is not synchronized — call it once before sharing such an
-// Env across goroutines.
+// EntityTable returns a new, empty entity table over the world's RIB
+// and geo DB — a fresh one on every call, shared with nothing. Callers
+// resolve a finished week's IPs through it.
 func (e *Env) EntityTable() *entity.Table {
-	if e.Entities == nil {
-		e.Entities = entity.NewTable(e.World.RIB(), e.World.GeoDB())
-	}
-	return e.Entities
+	return entity.NewTable(e.World.RIB(), e.World.GeoDB())
 }
 
 // Registry returns the Env's analyzer registry, defaulting to every
@@ -180,11 +173,14 @@ func (e *Env) VFS() vfs.FS {
 	return vfs.Default
 }
 
-// AnalysisContext bundles the Env substrates the analyzers consume.
-// Like EntityTable, first use is not synchronized.
+// AnalysisContext bundles the Env substrates the analyzers consume for
+// one run, with a new entity table: runs share no mutable state. The
+// table reports to the Env's entity metrics when it is instrumented.
 func (e *Env) AnalysisContext() *analysis.Context {
+	tab := e.EntityTable()
+	tab.SetMetrics(e.M.EntityMetrics())
 	return &analysis.Context{
-		Entities: e.EntityTable(),
+		Entities: tab,
 		Crawler:  e.Crawler,
 		Ident:    e.M.IdentifyMetrics(),
 	}
@@ -393,7 +389,7 @@ func (e *Env) analyzeWeek(ctx context.Context, isoWeek, workers int) (*Week, err
 // Organizations runs the paper's §5 chain over one week's identified
 // servers: meta-data collection (DNS, URIs, certificates), then the
 // three-step clustering with the public DNS providers marked as shared
-// infrastructure. The Env's entity table both memoizes the per-IP AS
+// infrastructure. A new entity table both memoizes the per-IP AS
 // resolution and interns authority names for the vote bookkeeping.
 func (e *Env) Organizations(res *webserver.Result) ([]metadata.ServerMeta, metadata.Coverage, *cluster.Result) {
 	metas, cov := metadata.Collect(res, e.DNS)
@@ -403,30 +399,16 @@ func (e *Env) Organizations(res *webserver.Result) ([]metadata.ServerMeta, metad
 	return metas, cov, cluster.Run(metas, opts)
 }
 
-// Observation converts an identification result into the churn
-// tracker's input, resolving every server IP through the Env's entity
-// table — one memoized lookup per address, instead of re-running the
-// RIB trie and geo binary search for the same server IPs week after
-// week — and forwarding the loss annotation.
+// Observation is analysis.Observation over res's servers resolved
+// through a new entity table, for a result that arrives without its
+// week's attributes.
 func (e *Env) Observation(res *webserver.Result) churn.WeekObservation {
-	tab := e.EntityTable()
-	obs := churn.WeekObservation{
-		Week:    res.Week,
-		Servers: make(map[packet.IPv4Addr]churn.ServerObs, len(res.Servers)),
-		EstLoss: res.EstLoss,
+	ips := make([]packet.IPv4Addr, 0, len(res.Servers))
+	for ip := range res.Servers {
+		ips = append(ips, ip)
 	}
-	for ip, srv := range res.Servers {
-		_, a := tab.ResolveAttrs(ip)
-		obs.Servers[ip] = churn.ServerObs{
-			Bytes:  srv.Bytes,
-			HTTPS:  srv.HTTPS,
-			Member: srv.Member,
-			Region: tab.Countries.Value(a.RegionID),
-			ASN:    a.ASN,
-			Prefix: a.Prefix,
-		}
-	}
-	return obs
+	slices.Sort(ips)
+	return analysis.Observation(res, analysis.AttributesOf(e.EntityTable(), ips))
 }
 
 // webserverOnly is TrackWeeks' registry: the churn series needs only
@@ -439,10 +421,11 @@ var webserverOnly, _ = analysis.NewRegistry(analysis.Webserver())
 // generator truth (the zero WeekStats for a failed week), so the series
 // can be scored against the world that produced it. Each
 // week is a webserver-only analysis run through the same streamWeek
-// driver AnalyzeWeek streams with, over the Env's shared analysis
-// context. Weeks are processed concurrently (they are independent: a
-// generator per worker, shared substrates) and folded into the tracker
-// in chronological order. Cancelling ctx stops dispatching new weeks and
+// driver AnalyzeWeek streams with, over its own analysis context and
+// entity table. Weeks are processed concurrently (they are independent:
+// a generator per worker, a table per week, read-only substrates) and folded
+// into the tracker in chronological order, joined by IP through each
+// week's attributes. Cancelling ctx stops dispatching new weeks and
 // unwinds in-flight ones within one datagram flush; the call then
 // returns the context's error with no goroutines left behind.
 //
@@ -459,11 +442,8 @@ func (e *Env) TrackWeeks(ctx context.Context) (*churn.Tracker, []*webserver.Resu
 	}
 	cfg := &e.World.Cfg
 
-	// Pre-build the lazily cached substrates (the analysis context
-	// builds the entity table) so workers only read.
-	e.World.RIB()
-	e.World.GeoDB()
-	actx := e.AnalysisContext()
+	// Pre-build the crawler's lazily cached server index so workers
+	// only read it.
 	if len(e.World.Servers) > 0 {
 		e.World.ServerByIP(e.World.Servers[0].IP)
 	}
@@ -477,6 +457,7 @@ func (e *Env) TrackWeeks(ctx context.Context) (*churn.Tracker, []*webserver.Resu
 	}
 
 	results := make([]*webserver.Result, cfg.Weeks)
+	observed := make([]churn.WeekObservation, cfg.Weeks)
 	truths := make([]traffic.WeekStats, cfg.Weeks)
 	errs := make([]error, cfg.Weeks)
 	weekCh := make(chan int)
@@ -503,12 +484,13 @@ func (e *Env) TrackWeeks(ctx context.Context) (*churn.Tracker, []*webserver.Resu
 				// Weeks already run in parallel here; keep each week's
 				// classifier on its worker (workers=1) to avoid
 				// oversubscription.
-				prods, _, truth, err := e.streamWeek(ctx, gen, webserverOnly, actx, isoWeek, 1)
+				prods, _, truth, err := e.streamWeek(ctx, gen, webserverOnly, e.AnalysisContext(), isoWeek, 1)
 				if err != nil {
 					errs[idx] = err
 					continue
 				}
 				results[idx], truths[idx] = prods.Webserver(), truth
+				observed[idx] = analysis.Observation(results[idx], prods.Attributes())
 				if e.M != nil {
 					busy := time.Since(weekStart)
 					e.M.WeekNanos.Observe(uint64(busy))
@@ -543,13 +525,11 @@ func (e *Env) TrackWeeks(ctx context.Context) (*churn.Tracker, []*webserver.Resu
 		return nil, nil, nil, err
 	}
 
-	// The tracker shares the Env's entity table: per-IP histories become
-	// slice-indexed by dense ID instead of address-keyed maps. A failed
-	// week becomes an explicit gap — the campaign degrades to partial
-	// results plus a typed per-week error set instead of aborting, so
-	// callers (the supervisor, ixpreport) decide how much loss they
-	// tolerate.
-	tracker := churn.NewTrackerWith(e.Entities)
+	// A failed week becomes an explicit gap — the campaign degrades to
+	// partial results plus a typed per-week error set instead of
+	// aborting, so callers (the supervisor, ixpreport) decide how much
+	// loss they tolerate.
+	tracker := churn.NewTracker()
 	var werrs WeekErrors
 	for idx := 0; idx < cfg.Weeks; idx++ {
 		isoWeek := cfg.FirstWeek + idx
@@ -560,7 +540,7 @@ func (e *Env) TrackWeeks(ctx context.Context) (*churn.Tracker, []*webserver.Resu
 			}
 			continue
 		}
-		if err := tracker.Add(e.Observation(results[idx])); err != nil {
+		if err := tracker.Add(observed[idx]); err != nil {
 			return nil, nil, nil, err
 		}
 	}

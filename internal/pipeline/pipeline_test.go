@@ -8,6 +8,7 @@ import (
 	"ixplens/internal/netmodel"
 	"ixplens/internal/obs"
 	. "ixplens/internal/pipeline"
+	"ixplens/internal/sflow"
 	"ixplens/internal/traffic"
 )
 
@@ -72,6 +73,36 @@ func TestObservationResolvesEverything(t *testing.T) {
 		if so.Region == "" {
 			t.Fatalf("server %v without region", ip)
 		}
+	}
+}
+
+// TestRunsShareNoTable: every analysis run interns into its own entity
+// table, so after two consecutive runs the newest run's table — read
+// through entity_table_ips — holds only its own week's IPs, as many as
+// when that week is analysed alone.
+func TestRunsShareNoTable(t *testing.T) {
+	ctx := context.Background()
+	tableIPs := func(weeks ...int) int64 {
+		env := newEnv(t)
+		reg := obs.NewRegistry()
+		env.Instrument(reg)
+		for _, wk := range weeks {
+			feed := func(emit func(*sflow.Datagram) error) error {
+				_, err := env.EachDatagram(ctx, wk, emit)
+				return err
+			}
+			if _, _, err := env.AnalyzeFeed(ctx, wk, 1, feed); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return reg.Gauge("entity_table_ips").Value()
+	}
+	alone, after := tableIPs(41), tableIPs(40, 41)
+	if alone == 0 {
+		t.Fatal("week 41 interned no IPs")
+	}
+	if after != alone {
+		t.Fatalf("after weeks 40 and 41 the newest table holds %d IPs; week 41 alone interns %d", after, alone)
 	}
 }
 

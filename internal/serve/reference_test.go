@@ -94,10 +94,11 @@ func worldVisibility(tb testing.TB, tab *entity.Table, wk *snapshot.Opened) Visi
 	}
 }
 
-// worldChurn is the churn series over env's entity table.
+// worldChurn is the churn series over each week's servers resolved
+// through env's world.
 func worldChurn(tb testing.TB, env *pipeline.Env, snaps []*snapshot.Opened) []ChurnWeek {
 	tb.Helper()
-	tracker := churn.NewTrackerWith(env.EntityTable())
+	tracker := churn.NewTracker()
 	for _, snap := range snaps {
 		if err := tracker.Add(env.Observation(snap.Result())); err != nil {
 			tb.Fatal(err)

@@ -30,7 +30,6 @@ import (
 	"ixplens/internal/analysis"
 	"ixplens/internal/core/churn"
 	"ixplens/internal/core/webserver"
-	"ixplens/internal/geo"
 	"ixplens/internal/obs"
 	"ixplens/internal/packet"
 	"ixplens/internal/routing"
@@ -800,14 +799,7 @@ func observation(wk *snapshot.Opened) (churn.WeekObservation, error) {
 	}
 	for _, ref := range refs {
 		a, _ := attrs.Find(ref.IP)
-		obs.Servers[ref.IP] = churn.ServerObs{
-			Bytes:  ref.Bytes,
-			ASN:    a.ASN,
-			Prefix: a.Prefix,
-			Region: geo.Region(a.Country),
-			HTTPS:  ref.HTTPS(),
-			Member: -1,
-		}
+		obs.Servers[ref.IP] = a.ChurnObs(ref.Bytes, ref.HTTPS(), -1)
 	}
 	return obs, nil
 }
