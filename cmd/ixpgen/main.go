@@ -1,8 +1,10 @@
 // Command ixpgen generates a synthetic IXP measurement campaign to
-// disk: one sFlow capture file per weekly snapshot plus a manifest that
-// records the world configuration, so cmd/ixpmine can deterministically
-// rebuild the measurement substrates (RIB, geo DB, DNS, certificates)
-// and analyse the captures.
+// disk: one sFlow capture file per weekly snapshot, the campaign's
+// inputs file — the RIB and geo DB, the member ports, the DNS zone data
+// and the per-week crawl and PTR answers for every address the captures
+// hold (package inputs) — and a manifest that records the world
+// configuration and every file's digest, so cmd/ixpmine can analyse the
+// captures without generating the world.
 //
 // Usage:
 //
@@ -151,7 +153,7 @@ func exportUDP(ctx context.Context, env *pipeline.Env, addr string) (err error) 
 			err = cerr
 		}
 	}()
-	cfg := &env.World.Cfg
+	cfg := &env.Config
 	for wk := cfg.FirstWeek; wk <= cfg.LastWeek(); wk++ {
 		if _, err := env.EachDatagram(ctx, wk, exp.Send); err != nil {
 			return fmt.Errorf("week %d: %w", wk, err)

@@ -1,13 +1,15 @@
 // Command ixpmine analyses a capture directory written by ixpgen under
-// the supervised campaign runner: it rebuilds the measurement
-// substrates from the manifest (the world regenerates deterministically
-// from its seed), then drives every study week through the
+// the supervised campaign runner: it reads the measurement substrates —
+// RIB, geo DB, member ports, crawl and DNS answers — from the
+// campaign's inputs file, then drives every study week through the
 // capture→analyze→snapshot state machine with checkpointed resume —
 // progress lands in an append-only journal next to the captures, so a
 // killed run picks up from the last completed stage and a finished
 // campaign re-runs as a verified no-op. Weeks written by ixpgen are
 // adopted through their manifest digests, never rewritten; a damaged or
-// missing week regenerates deterministically. Transient failures retry
+// missing week regenerates deterministically, and only then is the
+// world generated from the manifest's seed. A missing, damaged or
+// outdated inputs file is regenerated the same way before mining. Transient failures retry
 // with exponential backoff under an optional per-stage watchdog;
 // permanent ones (or an exhausted retry budget) quarantine the week,
 // which downstream analysis carries as an explicit gap instead of
@@ -105,11 +107,7 @@ func main() {
 }
 
 func run(ctx context.Context, dir string, focus int, maxLoss float64, debugAddr, analyzers string, scfg supervise.Config, fscfg faultline.FSConfig) error {
-	man, err := capture.ReadManifest(dir)
-	if err != nil {
-		return err
-	}
-	env, err := man.Rebuild()
+	man, env, err := capture.Open(ctx, vfs.Default, dir)
 	if err != nil {
 		return err
 	}
@@ -259,8 +257,7 @@ func deepDive(env *pipeline.Env, snap *snapshot.Snapshot, anonymized bool) {
 	// longer match the cluster evidence meaningfully; or when the links
 	// analyzer was deselected).
 	if !anonymized {
-		w := env.World
-		acme := w.Orgs[w.Special.AcmeCDN]
+		acme := env.Inputs.Acme
 		c := cl.Clusters[acme.Domain]
 		links, err := snap.Links()
 		switch {

@@ -16,6 +16,7 @@ import (
 	"ixplens/internal/core/blindspot"
 	"ixplens/internal/core/visibility"
 	"ixplens/internal/netmodel"
+	"ixplens/internal/oracle"
 	"ixplens/internal/packet"
 	"ixplens/internal/pipeline"
 	"ixplens/internal/traffic"
@@ -90,7 +91,7 @@ func main() {
 	disc := blindspot.Discover(env.DNS, uncovered, 20, ixpSet, cfg.Seed)
 	fmt.Printf("  active discovery: %d server IPs from %d domains; %d already at IXP\n",
 		len(disc.Discovered), disc.QueriedDomains, disc.AlreadyAtIXP)
-	cats := blindspot.ClassifyUnseen(w, disc.Discovered, ixpSet)
+	cats := oracle.ClassifyUnseen(w, disc.Discovered, ixpSet)
 	fmt.Printf("  unseen classified: %v\n", cats)
 }
 

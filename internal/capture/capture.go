@@ -1,13 +1,21 @@
 // Package capture implements the on-disk measurement campaign format
-// shared by cmd/ixpgen and cmd/ixpmine: a directory holding one sFlow
-// capture per weekly snapshot plus a JSON manifest recording the world
-// configuration, so the measurement substrates can be rebuilt
-// deterministically for analysis. Captures are in the checksummed v2
-// block container (see internal/sflow) and the manifest is Format 2; a
-// campaign written before either must be regenerated with ixpgen. The
-// manifest carries a sha256 digest per week file, written as each week
-// completes, so an interrupted campaign can resume: verified weeks are
-// skipped, missing or damaged ones rewritten.
+// shared by cmd/ixpgen and cmd/ixpmine. A campaign directory holds one
+// sFlow capture per weekly snapshot, the campaign's inputs file (package
+// inputs: the RIB, geo DB, member ports and DNS zone data, and each
+// week's crawl and PTR answers for the addresses its capture holds) and
+// a JSON manifest recording the world configuration and the sha256
+// digest of every capture and of the inputs file. Captures are in the
+// checksummed v2 block container (see internal/sflow) and the manifest
+// is Format 2; a campaign written before either must be regenerated
+// with ixpgen. Digests are written as each week completes, so an
+// interrupted campaign can resume: verified weeks are skipped, missing
+// or damaged ones rewritten.
+//
+// Open is the miner's entry point: it reads the analysis half of the
+// campaign's Env from the inputs file and leaves the world ungenerated
+// until a capture must be rewritten. Manifest.Rebuild regenerates the
+// whole world from the manifest's seed, for the tools that need the
+// generator too.
 package capture
 
 import (
@@ -23,6 +31,7 @@ import (
 
 	"ixplens/internal/anonymize"
 	"ixplens/internal/core/dissect"
+	"ixplens/internal/inputs"
 	"ixplens/internal/netmodel"
 	"ixplens/internal/packet"
 	"ixplens/internal/pipeline"
@@ -62,6 +71,12 @@ type Manifest struct {
 	Digests []string `json:",omitempty"`
 	// Datagrams holds the per-week datagram counts, parallel to Files.
 	Datagrams []int `json:",omitempty"`
+	// Inputs names the campaign's inputs file (package inputs) and
+	// InputsDigest holds its sha256 hex digest. Both are empty in a
+	// campaign written before inputs files existed; Open then writes the
+	// file and records them.
+	Inputs       string `json:",omitempty"`
+	InputsDigest string `json:",omitempty"`
 }
 
 // WeekFile returns the conventional capture file name for a week.
@@ -122,7 +137,7 @@ func WriteCampaignOpts(ctx context.Context, env *pipeline.Env, dir string, opts 
 	// A crash between a temp write and its rename strands `.manifest-*`
 	// litter; collect it before this run creates more.
 	SweepTemps(fsys, dir)
-	cfg := &env.World.Cfg
+	cfg := &env.Config
 	man := NewManifest(env, opts)
 	var prev *Manifest
 	if opts.Resume {
@@ -138,32 +153,65 @@ func WriteCampaignOpts(ctx context.Context, env *pipeline.Env, dir string, opts 
 			}
 		}
 	}
+	var anon *anonymize.PrefixPreserving
+	if opts.Anonymize {
+		anon = anonymize.New(opts.AnonKey)
+	}
+	rec, err := inputs.NewRecorder(env, fsys, dir)
+	if err != nil {
+		return nil, err
+	}
+	defer rec.Close()
 	var counts []int
 	for wk := cfg.FirstWeek; wk <= cfg.LastWeek(); wk++ {
 		name := WeekFile(wk)
 		path := filepath.Join(dir, name)
+		tap := inputs.NewTap(wk)
 		n, digest, reused := reuseWeek(fsys, prev, wk, name, path)
-		if !reused {
+		if reused {
+			got, err := tapCapture(fsys, path, tap)
+			if err == nil && got != digest {
+				err = fmt.Errorf("changed since it verified")
+			}
+			if err != nil {
+				return counts, fmt.Errorf("capture: week %d: reading its addresses: %w", wk, err)
+			}
+		} else {
 			var err error
-			n, digest, err = WriteWeekFile(ctx, env, wk, path, opts)
+			n, digest, err = writeWeek(ctx, env, wk, path, anon, opts.Compress, tap.Observe)
 			if err != nil {
 				return counts, fmt.Errorf("capture: week %d: %w", wk, err)
 			}
 		}
+		rec.Record(tap)
 		counts = append(counts, n)
 		man.SetWeek(wk, name, digest, n)
 		if err := SaveManifestFS(fsys, dir, man); err != nil {
 			return counts, err
 		}
 	}
-	return counts, nil
+	raw, err := rec.Encode()
+	if err != nil {
+		return counts, err
+	}
+	if err := vfs.WriteFileAtomic(fsys, filepath.Join(dir, inputs.FileName), raw, ".snap-*"); err != nil {
+		return counts, err
+	}
+	man.Inputs, man.InputsDigest = inputs.FileName, digestOf(raw)
+	return counts, SaveManifestFS(fsys, dir, man)
+}
+
+// digestOf is the sha256 hex digest of raw.
+func digestOf(raw []byte) string {
+	sum := sha256.Sum256(raw)
+	return hex.EncodeToString(sum[:])
 }
 
 // NewManifest builds the manifest skeleton a campaign write (or the
 // supervisor's per-week capture stage) fills in with SetWeek.
 func NewManifest(env *pipeline.Env, opts WriteOptions) *Manifest {
 	man := &Manifest{
-		Config:      env.World.Cfg,
+		Config:      env.Config,
 		Options:     env.Opts,
 		Anonymized:  opts.Anonymize,
 		Format:      2,
@@ -330,10 +378,12 @@ func WriteWeekFile(ctx context.Context, env *pipeline.Env, isoWeek int, path str
 	if opts.Anonymize {
 		anon = anonymize.New(opts.AnonKey)
 	}
-	return writeWeek(ctx, env, isoWeek, path, anon, opts.Compress)
+	return writeWeek(ctx, env, isoWeek, path, anon, opts.Compress, nil)
 }
 
-func writeWeek(ctx context.Context, env *pipeline.Env, isoWeek int, path string, anon *anonymize.PrefixPreserving, compress bool) (int, string, error) {
+// writeWeek is WriteWeekFile with the anonymizer built; tap, when not
+// nil, sees every datagram as it is written, after anonymization.
+func writeWeek(ctx context.Context, env *pipeline.Env, isoWeek int, path string, anon *anonymize.PrefixPreserving, compress bool, tap func(*sflow.Datagram)) (int, string, error) {
 	fsys := env.VFS()
 	f, err := fsys.Create(path)
 	if err != nil {
@@ -357,6 +407,12 @@ func writeWeek(ctx context.Context, env *pipeline.Env, isoWeek int, path string,
 	// (serializes) and the anonymizer (rewrites in place and forwards)
 	// consume each datagram within the call.
 	sink := sw.WriteDatagram
+	if tap != nil {
+		sink = func(d *sflow.Datagram) error {
+			tap(d)
+			return sw.WriteDatagram(d)
+		}
+	}
 	if anon != nil {
 		sink = anon.Datagrams(sink)
 	}

@@ -450,3 +450,8 @@ func isNearCountry(c string) bool {
 	}
 	return false
 }
+
+// SOAs returns every domain the SOA chain resolves, mapped to its
+// authority root: the zone data an inputs file records. The map is the
+// DB's own and must not be modified.
+func (d *DB) SOAs() map[string]string { return d.soa }

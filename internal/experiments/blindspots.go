@@ -46,14 +46,14 @@ func (r *Runner) BlindSpotAlexa() (Report, error) {
 	rep.addf("already seen at IXP", ">360K", "%d (%s)", disc.AlreadyAtIXP,
 		pct(ratio(disc.AlreadyAtIXP, len(disc.Discovered))))
 
-	cats := blindspot.ClassifyUnseen(r.Env.World, disc.Discovered, ixpSet)
+	cats := oracle.ClassifyUnseen(r.Env.World, disc.Discovered, ixpSet)
 	unseen := len(disc.Discovered) - disc.AlreadyAtIXP
 	rep.addf("unseen at IXP", "~240K", "%d", unseen)
-	privFar := cats[blindspot.CatPrivateCluster] + cats[blindspot.CatFarRegion]
+	privFar := cats[oracle.CatPrivateCluster] + cats[oracle.CatFarRegion]
 	rep.addf("private-cluster + far-region share", ">40%", "%s", pct(ratio(privFar, unseen)))
-	for _, c := range []blindspot.UnseenCategory{
-		blindspot.CatPrivateCluster, blindspot.CatFarRegion,
-		blindspot.CatInvalidURIHandler, blindspot.CatSmallRemote, blindspot.CatOther,
+	for _, c := range []oracle.UnseenCategory{
+		oracle.CatPrivateCluster, oracle.CatFarRegion,
+		oracle.CatInvalidURIHandler, oracle.CatSmallRemote, oracle.CatOther,
 	} {
 		rep.addf("  "+c.String(), "-", "%d", cats[c])
 	}
@@ -70,7 +70,7 @@ func (r *Runner) BlindSpotAlexa() (Report, error) {
 	// The Akamai-analog case study.
 	w := r.Env.World
 	if c := wk.Clusters.Clusters[w.Orgs[w.Special.AcmeCDN].Domain]; c != nil {
-		cs := blindspot.StudyOrg(w, r.Env.DNS, c.IPs, w.Special.AcmeCDN, 60)
+		cs := oracle.StudyOrg(w, r.Env.DNS, c.IPs, w.Special.AcmeCDN, 60)
 		rep.addf("acme visible at IXP", "28K servers in 278 ASes", "%d servers in %d ASes",
 			cs.VisibleServers, cs.VisibleASes)
 		rep.addf("acme via active measurement", "~100K servers in 700 ASes", "%d servers in %d ASes",

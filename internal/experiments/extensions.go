@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 
+	"ixplens/internal/oracle"
 	"ixplens/internal/packet"
 	"ixplens/internal/sflow"
 )
@@ -143,6 +144,11 @@ func (r *Runner) SamplingCalibration() (Report, error) {
 		measured := float64(c.Bytes) / float64(serverBytes)
 		rep.addf(o.Name+" traffic share", fmt.Sprintf("configured %.1f%%", 100*o.Weight),
 			"%s", pct(measured))
+		// The estimate scored against the bytes the week's samples
+		// carried for the org's true servers.
+		sc := oracle.Bytes(w, wk.Truth, wk.Clusters, org)
+		rep.addf(o.Name+" bytes vs truth (share error)", "-", "%+.1f%% of true bytes; share %s vs %s true (%+.2f pp)",
+			100*sc.RelErr, pct(sc.MeasuredShare), pct(sc.TrueShare), sc.ShareErrPP)
 	}
 	return rep, nil
 }

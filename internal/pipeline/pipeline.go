@@ -3,6 +3,14 @@
 // meta-data → clustering. It is the composition layer the command-line
 // tools, the examples and the experiment harness all build on.
 //
+// An Env has two halves. The generator half (World, DNS, Fabric,
+// Crawler, Gen) renders a campaign's traffic. The analysis half,
+// Inputs, is every data set the analysis consults — RIB, geo DB, member
+// ports, the HTTPS crawl, DNS — and the analysis reads nothing else.
+// NewEnv builds both from a generated world; NewInputsEnv takes Inputs
+// as given (ixpmine reads them from the campaign's inputs file) and
+// builds the generator half only when traffic must be generated.
+//
 // The layer is built to degrade, not die: every analysis entry point
 // takes a context and unwinds within roughly one datagram batch of
 // cancellation; an Env may carry a faultline.Config that replays
@@ -97,7 +105,11 @@ func (e WeekErrors) Weeks() []int {
 	return out
 }
 
-// Env bundles a generated world with its measurement substrates.
+// Env is one campaign's measurement stack. Its generator half — World,
+// DNS, Fabric, Crawler and Gen — is used only by EachDatagram (and so
+// every capture write) and TrackWeeks; AnalysisContext, EntityTable,
+// Organizations and the classifier's member resolver read only its
+// analysis half, Inputs.
 type Env struct {
 	World   *netmodel.World
 	DNS     *dnssim.DB
@@ -105,6 +117,11 @@ type Env struct {
 	Crawler *certsim.Crawler
 	Gen     *traffic.Generator
 	Opts    traffic.Options
+	// Config is the campaign's world configuration: its study weeks and
+	// seed, and the recipe the generator half is built from.
+	Config netmodel.Config
+	// Inputs is the analysis half.
+	Inputs Inputs
 	// M is the observability bundle; nil (the default) runs the whole
 	// pipeline uninstrumented. Attach one with Instrument.
 	M *Metrics
@@ -125,9 +142,21 @@ type Env struct {
 	// journal. Nil means the real disk (vfs.Default); a faultline.FS here
 	// subjects the whole disk tier to seeded storage chaos.
 	FS vfs.FS
+
+	// lazy builds the generator half of an Env from NewInputsEnv; nil
+	// when the half was built with the Env.
+	lazy *lazyHalf
 }
 
-// NewEnv generates a world and wires all substrates.
+// lazyHalf builds a generator half once, on first use.
+type lazyHalf struct {
+	once  sync.Once
+	build func() (*Env, error)
+	err   error
+}
+
+// NewEnv generates a world and wires all substrates: both halves, the
+// analysis half as views of the world.
 func NewEnv(cfg netmodel.Config, opts traffic.Options) (*Env, error) {
 	w, err := netmodel.Generate(cfg)
 	if err != nil {
@@ -139,21 +168,49 @@ func NewEnv(cfg netmodel.Config, opts traffic.Options) (*Env, error) {
 	w.GeoDB()
 	dns := dnssim.New(w)
 	fabric := ixp.NewFabric(w)
+	crawler := certsim.NewCrawler(w, dns)
 	return &Env{
 		World:   w,
 		DNS:     dns,
 		Fabric:  fabric,
-		Crawler: certsim.NewCrawler(w, dns),
+		Crawler: crawler,
 		Gen:     traffic.NewGenerator(w, dns, fabric, opts),
 		Opts:    opts,
+		Config:  cfg,
+		Inputs:  WorldInputs(w, dns, fabric, crawler),
 	}, nil
+}
+
+// NewInputsEnv returns an Env whose analysis half is in and whose
+// generator half is left unbuilt: the first call that generates traffic
+// builds it with build (normally NewEnv over cfg and opts) and adopts
+// that Env's generator half. An Env that only analyzes never calls
+// build.
+func NewInputsEnv(cfg netmodel.Config, opts traffic.Options, in Inputs, build func() (*Env, error)) *Env {
+	return &Env{Opts: opts, Config: cfg, Inputs: in, lazy: &lazyHalf{build: build}}
+}
+
+// generator builds the generator half if the Env was opened without it.
+func (e *Env) generator() error {
+	if e.lazy == nil {
+		return nil
+	}
+	e.lazy.once.Do(func() {
+		full, err := e.lazy.build()
+		if err != nil {
+			e.lazy.err = err
+			return
+		}
+		e.World, e.DNS, e.Fabric, e.Crawler, e.Gen = full.World, full.DNS, full.Fabric, full.Crawler, full.Gen
+	})
+	return e.lazy.err
 }
 
 // EntityTable returns a new, empty entity table over the world's RIB
 // and geo DB — a fresh one on every call, shared with nothing. Callers
 // resolve a finished week's IPs through it.
 func (e *Env) EntityTable() *entity.Table {
-	return entity.NewTable(e.World.RIB(), e.World.GeoDB())
+	return entity.NewTable(e.Inputs.RIB, e.Inputs.Geo)
 }
 
 // Registry returns the Env's analyzer registry, defaulting to every
@@ -181,7 +238,7 @@ func (e *Env) AnalysisContext() *analysis.Context {
 	tab.SetMetrics(e.M.EntityMetrics())
 	return &analysis.Context{
 		Entities: tab,
-		Crawler:  e.Crawler,
+		Crawler:  e.Inputs.Crawler,
 		Ident:    e.M.IdentifyMetrics(),
 	}
 }
@@ -190,9 +247,9 @@ func (e *Env) AnalysisContext() *analysis.Context {
 // fault injector's panic seam when one is configured.
 func (e *Env) members() dissect.MemberResolver {
 	if e.Faults.Active() && e.Faults.PanicAtLookup > 0 {
-		return &faultline.PanickyResolver{Members: e.Fabric, At: e.Faults.PanicAtLookup}
+		return &faultline.PanickyResolver{Members: e.Inputs.Members, At: e.Faults.PanicAtLookup}
 	}
-	return e.Fabric
+	return e.Inputs.Members
 }
 
 // checkLoss turns a week's sequence-gap accounting into metrics and,
@@ -219,6 +276,9 @@ func (e *Env) checkLoss(isoWeek int, st sflow.SeqStats) (float64, error) {
 // Generation is deterministic in (seed, ISO week): a second call yields
 // the same datagrams. Cancelling ctx aborts within one datagram.
 func (e *Env) EachDatagram(ctx context.Context, isoWeek int, fn func(*sflow.Datagram) error) (traffic.WeekStats, error) {
+	if err := e.generator(); err != nil {
+		return traffic.WeekStats{}, err
+	}
 	return e.generate(ctx, e.Gen, isoWeek, fn)
 }
 
@@ -392,9 +452,9 @@ func (e *Env) analyzeWeek(ctx context.Context, isoWeek, workers int) (*Week, err
 // infrastructure. A new entity table both memoizes the per-IP AS
 // resolution and interns authority names for the vote bookkeeping.
 func (e *Env) Organizations(res *webserver.Result) ([]metadata.ServerMeta, metadata.Coverage, *cluster.Result) {
-	metas, cov := metadata.Collect(res, e.DNS)
+	metas, cov := metadata.Collect(res, e.Inputs.DNS)
 	opts := cluster.DefaultOptions()
-	opts.KnownShared = e.DNS.PublicDNSProviders()
+	opts.KnownShared = e.Inputs.PublicDNS
 	opts.Entities = e.EntityTable()
 	return metas, cov, cluster.Run(metas, opts)
 }
@@ -440,7 +500,10 @@ func (e *Env) TrackWeeks(ctx context.Context) (*churn.Tracker, []*webserver.Resu
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	cfg := &e.World.Cfg
+	if err := e.generator(); err != nil {
+		return nil, nil, nil, err
+	}
+	cfg := &e.Config
 
 	// Pre-build the crawler's lazily cached server index so workers
 	// only read it.
@@ -550,14 +613,15 @@ func (e *Env) TrackWeeks(ctx context.Context) (*churn.Tracker, []*webserver.Resu
 	return tracker, results, truths, nil
 }
 
-// AlexaList builds the week's top-site list.
+// AlexaList builds the week's top-site list from the generator half's
+// DNS, which an Env from NewEnv has built.
 func (e *Env) AlexaList(isoWeek int) *alexa.List {
-	return alexa.Build(e.DNS, isoWeek, e.World.Cfg.Seed)
+	return alexa.Build(e.DNS, isoWeek, e.Config.Seed)
 }
 
-// String summarizes the environment.
+// String summarizes the environment from its analysis half.
 func (e *Env) String() string {
+	c := &e.Inputs.Counts
 	return fmt.Sprintf("env{ASes=%d prefixes=%d orgs=%d servers=%d members=%d..%d}",
-		len(e.World.ASes), len(e.World.Prefixes), len(e.World.Orgs), len(e.World.Servers),
-		e.World.Cfg.MembersStart, e.World.Cfg.MembersEnd)
+		c.ASes, c.Prefixes, c.Orgs, c.Servers, c.MembersStart, c.MembersEnd)
 }

@@ -525,7 +525,15 @@ func appendContainer(dst []byte, digest string, counts *dissect.Counts, ws []byt
 		return dst, err
 	}
 	secs = append(secs, extra...)
+	return AppendSections(dst, secs)
+}
 
+// AppendSections appends an IXPSNAP2 container holding secs to dst and
+// returns the extended slice. The sections are written sorted by name
+// (secs is sorted in place); a duplicate or out-of-range name, or an
+// oversized payload, fails. Snapshots and the campaign's inputs file
+// are both this container.
+func AppendSections(dst []byte, secs []Section) ([]byte, error) {
 	sort.Slice(secs, func(i, j int) bool { return secs[i].Name < secs[j].Name })
 	for i := range secs {
 		if i > 0 && secs[i].Name == secs[i-1].Name {
@@ -596,8 +604,33 @@ type openOpts struct {
 	file *fileRef
 }
 
-// open is the one verification path behind Open, Decode and OpenFileFS.
-func open(buf []byte, opts openOpts) (*Opened, error) {
+// Sections verifies an IXPSNAP2 container — the header, the section
+// table's checksum and framing, the name order and every payload's
+// CRC32C — and returns its sections in table order, each payload
+// aliasing buf. It knows no section names: callers check which
+// sections they require.
+func Sections(buf []byte) ([]Section, error) {
+	secs, err := readSections(buf)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]Section, len(secs))
+	for i := range secs {
+		out[i] = secs[i].Section
+	}
+	return out, nil
+}
+
+// rawSection is one verified section of a container: its payload
+// aliases the buffer it was read from, at offset off.
+type rawSection struct {
+	Section
+	off int64
+	crc uint32
+}
+
+// readSections is the one container walk behind Sections and open.
+func readSections(buf []byte) ([]rawSection, error) {
 	if len(buf) < 8 || [8]byte(buf[:8]) != magicV2 {
 		return nil, ErrBadMagic
 	}
@@ -615,37 +648,32 @@ func open(buf []byte, opts openOpts) (*Opened, error) {
 	if crc32.Checksum(table, castagnoli) != tableCrc {
 		return nil, fmt.Errorf("%w: section table", ErrChecksum)
 	}
-	type entry struct {
-		name    string
-		version uint16
-		length  uint32
-		crc     uint32
-	}
-	entries := make([]entry, n)
+	secs := make([]rawSection, n)
+	lengths := make([]uint32, n)
 	total := 0
 	tcur := analysis.NewCursor(table)
-	for i := range entries {
+	for i := range secs {
 		nameLen := int(tcur.U8())
-		entries[i].name = string(tcur.Take(nameLen))
-		entries[i].version = tcur.U16()
-		entries[i].length = tcur.U32()
-		entries[i].crc = tcur.U32()
+		secs[i].Name = string(tcur.Take(nameLen))
+		secs[i].Version = tcur.U16()
+		lengths[i] = tcur.U32()
+		secs[i].crc = tcur.U32()
 		if tcur.Bad() {
 			return nil, fmt.Errorf("%w: truncated section table", ErrFormat)
 		}
-		if entries[i].name == "" {
+		if secs[i].Name == "" {
 			return nil, fmt.Errorf("%w: empty section name", ErrFormat)
 		}
-		// AppendEncode writes sections sorted by name; any other order
+		// AppendSections writes sections sorted by name; any other order
 		// (a duplicate included) would not survive a rewrite unchanged.
-		if i > 0 && entries[i].name <= entries[i-1].name {
-			return nil, fmt.Errorf("%w: section %q out of order", ErrFormat, entries[i].name)
+		if i > 0 && secs[i].Name <= secs[i-1].Name {
+			return nil, fmt.Errorf("%w: section %q out of order", ErrFormat, secs[i].Name)
 		}
-		if entries[i].length > maxPayload {
+		if lengths[i] > maxPayload {
 			return nil, fmt.Errorf("%w: section %q payload of %d bytes",
-				ErrFormat, entries[i].name, entries[i].length)
+				ErrFormat, secs[i].Name, lengths[i])
 		}
-		total += int(entries[i].length)
+		total += int(lengths[i])
 	}
 	if tcur.Len() != 0 {
 		return nil, fmt.Errorf("%w: %d bytes of section table beyond %d entries",
@@ -655,24 +683,35 @@ func open(buf []byte, opts openOpts) (*Opened, error) {
 		return nil, fmt.Errorf("%w: section table frames %d bytes, %d present",
 			ErrFormat, total, cur.Len())
 	}
+	for i := range secs {
+		secs[i].off = int64(len(buf) - cur.Len())
+		secs[i].Payload = cur.Take(int(lengths[i]))
+		if crc32.Checksum(secs[i].Payload, castagnoli) != secs[i].crc {
+			return nil, fmt.Errorf("%w: section %q", ErrChecksum, secs[i].Name)
+		}
+	}
+	return secs, nil
+}
 
+// open is the one verification path behind Open, Decode and OpenFileFS.
+func open(buf []byte, opts openOpts) (*Opened, error) {
+	secs, err := readSections(buf)
+	if err != nil {
+		return nil, err
+	}
 	o := &Opened{}
 	var sawMeta, sawCounts bool
-	for i := range entries {
-		e := &entries[i]
-		off := int64(len(buf) - cur.Len())
-		payload := cur.Take(int(e.length))
-		if crc32.Checksum(payload, castagnoli) != e.crc {
-			return nil, fmt.Errorf("%w: section %q", ErrChecksum, e.name)
-		}
+	for i := range secs {
+		e := &secs[i]
+		payload := e.Payload
 		var src *fileSection
 		if opts.file != nil {
-			src = &fileSection{file: opts.file, off: off, length: e.length, crc: e.crc}
+			src = &fileSection{file: opts.file, off: e.off, length: uint32(len(payload)), crc: e.crc}
 		}
-		switch e.name {
+		switch e.Name {
 		case secMeta:
-			if e.version != 1 {
-				return nil, sectionVersionErr(e.name, e.version)
+			if e.Version != 1 {
+				return nil, sectionVersionErr(e.Name, e.Version)
 			}
 			sc := analysis.NewCursor(payload)
 			o.SourceDigest = sc.Str()
@@ -681,8 +720,8 @@ func open(buf []byte, opts openOpts) (*Opened, error) {
 			}
 			sawMeta = true
 		case secCounts:
-			if e.version != 1 {
-				return nil, sectionVersionErr(e.name, e.version)
+			if e.Version != 1 {
+				return nil, sectionVersionErr(e.Name, e.Version)
 			}
 			sc := analysis.NewCursor(payload)
 			readCounts(sc, &o.Counts)
@@ -691,9 +730,9 @@ func open(buf []byte, opts openOpts) (*Opened, error) {
 			}
 			sawCounts = true
 		case analysis.NameWebserver:
-			hdr, refs, err := analysis.IndexResult(e.version, payload)
+			hdr, refs, err := analysis.IndexResult(e.Version, payload)
 			if err != nil {
-				return nil, mapAnalysisErr(e.name, e.version, err)
+				return nil, mapAnalysisErr(e.Name, e.Version, err)
 			}
 			if opts.keepServers {
 				payload = bytes.Clone(payload)
@@ -701,24 +740,24 @@ func open(buf []byte, opts openOpts) (*Opened, error) {
 			o.ws = &serverList{hdr: hdr, refs: refs}
 			o.ws.raw.Store(&payload)
 		case analysis.NameVisibility:
-			if e.version != analysis.Visibility().Version() {
-				return nil, sectionVersionErr(e.name, e.version)
+			if e.Version != analysis.Visibility().Version() {
+				return nil, sectionVersionErr(e.Name, e.Version)
 			}
-			o.vis = pending(e.version, payload, src, analysis.DecodeVisibility)
+			o.vis = pending(e.Version, payload, src, analysis.DecodeVisibility)
 		case analysis.NameLinks:
-			if e.version != analysis.Links().Version() {
-				return nil, sectionVersionErr(e.name, e.version)
+			if e.Version != analysis.Links().Version() {
+				return nil, sectionVersionErr(e.Name, e.Version)
 			}
-			o.links = pending(e.version, payload, src, analysis.DecodeLinks)
+			o.links = pending(e.Version, payload, src, analysis.DecodeLinks)
 		case analysis.NameAttributes:
-			if e.version != analysis.AttributesVersion {
-				return nil, sectionVersionErr(e.name, e.version)
+			if e.Version != analysis.AttributesVersion {
+				return nil, sectionVersionErr(e.Name, e.Version)
 			}
-			o.attrs = pending(e.version, payload, src, analysis.DecodeAttributes)
+			o.attrs = pending(e.Version, payload, src, analysis.DecodeAttributes)
 		default:
 			// An analyzer this build does not know: preserve the section
 			// so a rewrite does not lose it.
-			o.Extra = append(o.Extra, Section{Name: e.name, Version: e.version, Payload: bytes.Clone(payload)})
+			o.Extra = append(o.Extra, Section{Name: e.Name, Version: e.Version, Payload: bytes.Clone(payload)})
 		}
 	}
 	if !sawMeta || !sawCounts || o.ws == nil {

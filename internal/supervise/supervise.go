@@ -262,7 +262,7 @@ func (s *Supervisor) Run(ctx context.Context) (*Report, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	cfg := &s.env.World.Cfg
+	cfg := &s.man.Config
 	rep := &Report{}
 	s.m.breaker().Set(BreakerClosed)
 	s.syncQuarantineGauge()
@@ -477,7 +477,7 @@ func (s *Supervisor) backoff(ctx context.Context, wk, attempt int) error {
 	}
 	// Jitter in [0.5, 1.0)×d keeps retries from synchronizing without
 	// ever collapsing the delay to zero.
-	u := randutil.HashUnit(uint64(s.env.World.Cfg.Seed), uint64(wk), uint64(attempt))
+	u := randutil.HashUnit(uint64(s.man.Config.Seed), uint64(wk), uint64(attempt))
 	d = d/2 + time.Duration(u*float64(d/2))
 	t := time.NewTimer(d)
 	defer t.Stop()
@@ -508,7 +508,7 @@ func (s *Supervisor) storageFullWait(ctx context.Context, wk, waits int) error {
 	if d > s.cfg.MaxBackoff || d <= 0 {
 		d = s.cfg.MaxBackoff
 	}
-	u := randutil.HashUnit(uint64(s.env.World.Cfg.Seed), uint64(wk), uint64(waits), 0xf0)
+	u := randutil.HashUnit(uint64(s.man.Config.Seed), uint64(wk), uint64(waits), 0xf0)
 	d = d/2 + time.Duration(u*float64(d/2))
 	t := time.NewTimer(d)
 	defer t.Stop()

@@ -897,3 +897,51 @@ func TestSupervisorCancelAfterAnalysis(t *testing.T) {
 		}
 	}
 }
+
+// TestSupervisorAdoptBuildsNoWorld mines an ixpgen-written campaign from
+// its inputs file under a generator half that fails the test if it is
+// built: adopting verified captures must not generate the world. The
+// snapshots equal those of a world-backed run over a copy.
+func TestSupervisorAdoptBuildsNoWorld(t *testing.T) {
+	env := newEnv(t)
+	dir, ref := t.TempDir(), t.TempDir()
+	for _, d := range []string{dir, ref} {
+		if _, err := capture.WriteCampaignOpts(context.Background(), env, d, capture.WriteOptions{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	man, opened, err := capture.Open(context.Background(), vfs.Default, dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if opened.World != nil {
+		t.Fatal("capture.Open built the world for a campaign whose inputs verify")
+	}
+	lazy := pipeline.NewInputsEnv(man.Config, man.Options, opened.Inputs, func() (*pipeline.Env, error) {
+		t.Error("the generator half was built on the adopt path")
+		return nil, errors.New("no world on the adopt path")
+	})
+	for _, run := range []struct {
+		env *pipeline.Env
+		dir string
+	}{{lazy, dir}, {env, ref}} {
+		sup, err := New(run.env, run.dir, Config{}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep, err := sup.Run(context.Background())
+		sup.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.Completed != 17 || rep.Quarantined != 0 {
+			t.Fatalf("%d done, %d quarantined: %v", rep.Completed, rep.Quarantined, firstErr(rep))
+		}
+	}
+	got, want := snapshotDigests(t, env, dir), snapshotDigests(t, env, ref)
+	for wk, d := range want {
+		if got[wk] != d {
+			t.Fatalf("week %d: snapshot mined from the inputs file differs from the world-backed one", wk)
+		}
+	}
+}

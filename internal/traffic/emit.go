@@ -123,6 +123,7 @@ func (g *Generator) emitServerFlow(rng *rand.Rand, isoWeek int, col *ixp.Collect
 			stats.ServerSamples++
 			stats.M2MSamples++
 			stats.ServerBytes += uint64(len(frame)) * uint64(g.opts.SamplingRate)
+			stats.OrgBytes[p.Org] += uint64(len(frame)) * uint64(g.opts.SamplingRate)
 			stats.PeeringBytes += uint64(len(frame)) * uint64(g.opts.SamplingRate)
 			return nil
 		}
@@ -216,6 +217,7 @@ func (g *Generator) emitServerFlow(rng *rand.Rand, isoWeek int, col *ixp.Collect
 		stats.HTTPSSamples++
 	}
 	stats.ServerBytes += uint64(frameLen) * uint64(g.opts.SamplingRate)
+	stats.OrgBytes[s.Org] += uint64(frameLen) * uint64(g.opts.SamplingRate)
 	stats.PeeringBytes += uint64(frameLen) * uint64(g.opts.SamplingRate)
 	return nil
 }

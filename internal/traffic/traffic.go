@@ -73,6 +73,10 @@ type WeekStats struct {
 	// Evidence is parallel to Sampled: the strongest evidence of its
 	// server role any of the server's samples carried.
 	Evidence []Evidence
+	// OrgBytes splits ServerBytes by the organization of each frame's
+	// server: the bytes the week's samples represent (16384 frames per
+	// sample at the default rate) for each org's servers.
+	OrgBytes map[int32]uint64
 }
 
 // Evidence grades what a sampled frame's snippet shows of its server
@@ -211,7 +215,7 @@ func (g *Generator) GenerateWeek(isoWeek int, col *ixp.Collector) (WeekStats, er
 	if alias == nil {
 		return WeekStats{}, fmt.Errorf("traffic: no active visible servers in week %d", isoWeek)
 	}
-	stats := WeekStats{Week: isoWeek, ActiveServers: len(servers)}
+	stats := WeekStats{Week: isoWeek, ActiveServers: len(servers), OrgBytes: map[int32]uint64{}}
 	sampled := make(map[int32]Evidence)
 
 	n := int(float64(g.opts.SamplesPerWeek) * g.volumeFactor(isoWeek))
